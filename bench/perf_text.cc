@@ -1,7 +1,7 @@
 /// \file perf_text.cc
 /// \brief google-benchmark microbenchmarks for the text substrate:
 /// LCS (DP vs suffix automaton), tokenization, and the similarity index's
-/// bigram prefilter.
+/// q-gram count filter on the DDH and the many-domain web lexicons.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 
 #include "schema/lexicon.h"
 #include "synth/ddh_generator.h"
+#include "synth/many_domains.h"
 #include "text/lcs.h"
 #include "text/porter_stemmer.h"
 #include "text/similarity_index.h"
@@ -110,6 +111,53 @@ void BM_SimilarityIndexMatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_SimilarityIndexMatch);
+
+/// The web-shape lexicon of MakeManyDomainCorpus at \p num_domains domains
+/// (dim L ~ 8 terms per domain).
+Lexicon ManyDomainLexicon(std::size_t num_domains) {
+  ManyDomainOptions opts;
+  opts.num_domains = num_domains;
+  return Lexicon::Build(MakeManyDomainCorpus(opts), Tokenizer());
+}
+
+void BM_SimilarityIndexBuildWebShape(benchmark::State& state) {
+  const Lexicon lexicon =
+      ManyDomainLexicon(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SimilarityIndex(
+        lexicon.terms(), TermSimilarity(TermSimilarityKind::kLcs), 0.8));
+  }
+  state.SetLabel("dim L = " + std::to_string(lexicon.dim()));
+}
+BENCHMARK(BM_SimilarityIndexBuildWebShape)
+    ->Arg(1000)
+    ->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SimilarityIndexMatchWebShape(benchmark::State& state) {
+  // Probes are lexicon terms with one byte changed, so most of them match
+  // nothing and each costs a full filtered scan.
+  const Lexicon lexicon =
+      ManyDomainLexicon(static_cast<std::size_t>(state.range(0)));
+  const SimilarityIndex index(lexicon.terms(),
+                              TermSimilarity(TermSimilarityKind::kLcs), 0.8);
+  Rng rng(5);
+  std::vector<std::string> probes;
+  for (int p = 0; p < 256; ++p) {
+    std::string t = lexicon.terms()[rng.NextBelow(lexicon.dim())];
+    t[rng.NextBelow(t.size())] = 'x';
+    probes.push_back(std::move(t));
+  }
+  for (auto _ : state) {
+    for (const std::string& probe : probes) {
+      benchmark::DoNotOptimize(index.Match(probe));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(probes.size()));
+  state.SetLabel("dim L = " + std::to_string(lexicon.dim()));
+}
+BENCHMARK(BM_SimilarityIndexMatchWebShape)->Arg(1000)->Arg(2000);
 
 }  // namespace
 }  // namespace paygo

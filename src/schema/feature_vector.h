@@ -58,9 +58,10 @@ class FeatureVectorizer {
       const std::vector<std::uint32_t>& term_ids) const;
 
   /// F_Q for an arbitrary canonicalized term set (keyword queries,
-  /// Section 5.1); terms need not be in the lexicon.
-  DynamicBitset VectorizeExternalTerms(
-      const std::vector<std::string>& terms) const;
+  /// Section 5.1); terms need not be in the lexicon. When \p unmatched is
+  /// given, it receives how many of \p terms matched no lexicon term.
+  DynamicBitset VectorizeExternalTerms(const std::vector<std::string>& terms,
+                                       std::size_t* unmatched = nullptr) const;
 
   /// The feature-space dimensionality dim L.
   std::size_t dim() const { return lexicon_.dim(); }

@@ -20,6 +20,7 @@
 namespace paygo {
 
 /// Length of the longest common substring of \p a and \p b (O(|a|*|b|) DP).
+/// Allocation-free when the shorter input has at most 64 bytes.
 std::size_t LcsLengthDp(std::string_view a, std::string_view b);
 
 /// \brief Suffix automaton over one string; answers LCS-length queries

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/stats.h"
+#include "schema/lexicon.h"
+#include "synth/many_domains.h"
+#include "text/tokenizer.h"
 #include "util/random.h"
 
 namespace paygo {
@@ -92,9 +97,259 @@ TEST(SimilarityIndexTest, ExactKindIsIdentityOnly) {
   }
 }
 
+TEST(SimilarityIndexTest, StemAndExactMatchAgreeWithComputeOverLexicon) {
+  // Stem buckets and the exact lookup answer Match without scanning the
+  // lexicon; they must equal the exhaustive definition.
+  std::vector<std::string> terms = Lexicon1();
+  for (const char* t : {"rating", "ratings", "rated", "price", "prices"}) {
+    terms.push_back(t);
+  }
+  std::sort(terms.begin(), terms.end());
+  for (auto kind : {TermSimilarityKind::kStem, TermSimilarityKind::kExact}) {
+    const TermSimilarity sim(kind);
+    const SimilarityIndex idx(terms, sim, 0.8);
+    for (const char* probe : {"authors", "author", "departed", "departures",
+                              "titles", "priced", "rate", "zzz", "a"}) {
+      std::vector<std::uint32_t> expected;
+      for (std::uint32_t j = 0; j < terms.size(); ++j) {
+        if (sim.Compute(probe, terms[j]) >= 0.8) expected.push_back(j);
+      }
+      EXPECT_EQ(idx.Match(probe), expected) << probe;
+    }
+  }
+}
+
+TEST(SimilarityIndexTest, CopiedIndexAnswersLikeTheOriginal) {
+  // FeatureVectorizer's copy constructor copies the index, lookup
+  // structures included.
+  for (auto kind : {TermSimilarityKind::kLcs, TermSimilarityKind::kStem,
+                    TermSimilarityKind::kExact}) {
+    const SimilarityIndex original(Lexicon1(), TermSimilarity(kind), 0.8);
+    const SimilarityIndex copy = original;
+    for (const char* probe : {"authors", "departing", "titles", "zzzz"}) {
+      EXPECT_EQ(copy.Match(probe), original.Match(probe)) << probe;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential fuzz against the exhaustive oracle.
+//
+// Neighborhoods and Match answers of the filtered index must equal an
+// O(V^2) loop over TermSimilarity::Compute: adversarial lexicons (periodic
+// terms with repeated q-grams, lengths 1-24, bytes >= 0x80), thresholds
+// from 0.3 to 1.0, 1/2/4 build threads, and probes that are empty, shorter
+// than q, or mutated out of the lexicon. On failure the SCOPED_TRACE prints
+// the round's seed. PAYGO_DETERMINISM_SMALL=1 shrinks the rounds (TSan CI).
+
+bool SmallFuzzMode() {
+  const char* v = std::getenv("PAYGO_DETERMINISM_SMALL");
+  return v != nullptr && std::string(v) != "0";
+}
+
+std::string RandomBytes(Rng& rng, std::size_t len) {
+  // A small alphabet makes long common substrings likely; 0xC3/0xA9 and
+  // 0xFF are non-ASCII bytes.
+  static const char kAlphabet[] = {'a', 'b', 'c', '\xC3', '\xA9', '\xFF'};
+  const std::size_t letters = rng.NextBernoulli(0.5) ? 2 : sizeof(kAlphabet);
+  std::string s;
+  for (std::size_t i = 0; i < len; ++i) {
+    s.push_back(kAlphabet[rng.NextBelow(letters)]);
+  }
+  return s;
+}
+
+std::string Periodic(Rng& rng, std::size_t len) {
+  const std::string unit = RandomBytes(rng, 1 + rng.NextBelow(3));
+  std::string s;
+  while (s.size() < len) s += unit;
+  s.resize(len);
+  return s;
+}
+
+std::vector<std::string> AdversarialLexicon(Rng& rng, std::size_t count) {
+  std::vector<std::string> terms;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t len = 1 + rng.NextBelow(24);
+    terms.push_back(rng.NextBernoulli(0.3) ? Periodic(rng, len)
+                                           : RandomBytes(rng, len));
+  }
+  // Near-duplicates of existing terms, so similar pairs exist at every tau.
+  for (std::size_t i = 0; i < count / 2; ++i) {
+    std::string t = terms[rng.NextBelow(terms.size())];
+    t.insert(rng.NextBelow(t.size() + 1), 1, 'c');
+    terms.push_back(std::move(t));
+  }
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
+  return terms;
+}
+
+std::string Mutate(Rng& rng, std::string t) {
+  const std::size_t edits = 1 + rng.NextBelow(3);
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t op = rng.NextBelow(3);
+    if (op == 0 || t.empty()) {
+      t.insert(rng.NextBelow(t.size() + 1), 1, RandomBytes(rng, 1)[0]);
+    } else if (op == 1) {
+      t.erase(rng.NextBelow(t.size()), 1);
+    } else {
+      t[rng.NextBelow(t.size())] = RandomBytes(rng, 1)[0];
+    }
+  }
+  return t;
+}
+
+/// The exhaustive answers: neighborhoods and Match results from an O(V^2)
+/// loop over TermSimilarity::Compute.
+struct Oracle {
+  std::vector<std::vector<std::uint32_t>> neighbors;
+  std::vector<std::vector<std::uint32_t>> matches;  // one per probe
+};
+
+Oracle ExhaustiveOracle(const std::vector<std::string>& terms,
+                        const TermSimilarity& sim, double tau,
+                        const std::vector<std::string>& probes) {
+  Oracle oracle;
+  oracle.neighbors.resize(terms.size());
+  for (std::uint32_t i = 0; i < terms.size(); ++i) {
+    for (std::uint32_t j = 0; j < terms.size(); ++j) {
+      if (i == j || sim.Compute(terms[i], terms[j]) >= tau) {
+        oracle.neighbors[i].push_back(j);
+      }
+    }
+  }
+  for (const std::string& probe : probes) {
+    std::vector<std::uint32_t>& out = oracle.matches.emplace_back();
+    if (probe.empty()) continue;
+    for (std::uint32_t j = 0; j < terms.size(); ++j) {
+      if (sim.Compute(probe, terms[j]) >= tau) out.push_back(j);
+    }
+  }
+  return oracle;
+}
+
+/// Builds the index at 1, 2 and 4 threads and
+/// checks every neighborhood and every probe's Match answer against the
+/// oracle; returns the number of mismatches.
+int CountMismatches(const std::vector<std::string>& terms,
+                    const TermSimilarity& sim, double tau,
+                    const std::vector<std::string>& probes) {
+  const Oracle oracle = ExhaustiveOracle(terms, sim, tau, probes);
+  int mismatches = 0;
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const SimilarityIndex idx(terms, sim, tau, threads);
+    for (std::uint32_t i = 0; i < terms.size(); ++i) {
+      if (idx.Neighbors(i) != oracle.neighbors[i]) {
+        ++mismatches;
+        ADD_FAILURE() << "neighborhood of term " << i << " (" << terms[i]
+                      << ")";
+      }
+    }
+    for (std::size_t p = 0; p < probes.size(); ++p) {
+      if (idx.Match(probes[p]) != oracle.matches[p]) {
+        ++mismatches;
+        ADD_FAILURE() << "Match(\"" << probes[p] << "\")";
+      }
+    }
+  }
+  return mismatches;
+}
+
+TEST(SimilarityIndexFuzzTest, AdversarialLexiconsMatchExhaustiveOracle) {
+  const int rounds = SmallFuzzMode() ? 2 : 6;
+  const std::size_t lexicon_size = SmallFuzzMode() ? 60 : 150;
+  const TermSimilarity sim(TermSimilarityKind::kLcs);
+  for (int round = 0; round < rounds; ++round) {
+    const std::uint64_t seed = 0x5EED0000u + static_cast<std::uint64_t>(round);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::vector<std::string> terms =
+        AdversarialLexicon(rng, lexicon_size);
+    std::vector<std::string> probes = {"", "a", "ab", "\xC3\xA9", "aaaaaaa",
+                                       "abababab", "ababababab"};
+    for (int p = 0; p < 40; ++p) {
+      const std::string& base = terms[rng.NextBelow(terms.size())];
+      probes.push_back(p % 4 == 0 ? base : Mutate(rng, base));
+    }
+    for (double tau : {0.3, 0.5, 0.7, 0.8, 0.9, 1.0}) {
+      SCOPED_TRACE("tau " + std::to_string(tau));
+      ASSERT_EQ(CountMismatches(terms, sim, tau, probes), 0);
+    }
+  }
+}
+
+TEST(SimilarityIndexFuzzTest, ManyDomainLexiconMatchesExhaustiveOracle) {
+  // The web corpus shape: many private vocabularies of 7-letter words with
+  // a domain-number suffix.
+  ManyDomainOptions gen;
+  gen.num_domains = SmallFuzzMode() ? 20 : 60;
+  const SchemaCorpus corpus = MakeManyDomainCorpus(gen);
+  const Tokenizer tokenizer;
+  const Lexicon lexicon = Lexicon::Build(corpus, tokenizer);
+  const std::vector<std::string>& terms = lexicon.terms();
+  ASSERT_GT(terms.size(), 100u);
+  Rng rng(gen.seed);
+  std::vector<std::string> probes;
+  for (int p = 0; p < 60; ++p) {
+    probes.push_back(Mutate(rng, terms[rng.NextBelow(terms.size())]));
+  }
+  const TermSimilarity sim(TermSimilarityKind::kLcs);
+  for (double tau : {0.5, 0.8}) {
+    SCOPED_TRACE("tau " + std::to_string(tau));
+    ASSERT_EQ(CountMismatches(terms, sim, tau, probes), 0);
+  }
+}
+
+TEST(SimilarityIndexFuzzTest, EditDistanceKindsMatchExhaustiveOracle) {
+  // The edit-distance kinds keep the exhaustive scan under their length
+  // bound, through the same length buckets.
+  Rng rng(77);
+  const std::vector<std::string> terms = AdversarialLexicon(rng, 60);
+  std::vector<std::string> probes = {"", "a", "abc"};
+  for (int p = 0; p < 20; ++p) {
+    probes.push_back(Mutate(rng, terms[rng.NextBelow(terms.size())]));
+  }
+  for (auto kind :
+       {TermSimilarityKind::kLevenshtein, TermSimilarityKind::kJaroWinkler}) {
+    ASSERT_EQ(CountMismatches(terms, TermSimilarity(kind), 0.7, probes), 0);
+  }
+}
+
+TEST(SimilarityIndexFuzzTest, ConcurrentMatchCallersAgreeWithSerial) {
+  // Server workers featurize queries against one shared index; each thread
+  // keeps its own filter scratch.
+  Rng rng(91);
+  const std::vector<std::string> terms = AdversarialLexicon(rng, 80);
+  const SimilarityIndex idx(terms, TermSimilarity(TermSimilarityKind::kLcs),
+                            0.7);
+  std::vector<std::string> probes;
+  for (int p = 0; p < 64; ++p) {
+    probes.push_back(Mutate(rng, terms[rng.NextBelow(terms.size())]));
+  }
+  std::vector<std::vector<std::uint32_t>> expected;
+  for (const std::string& probe : probes) expected.push_back(idx.Match(probe));
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w) {
+    workers.emplace_back([&, w] {
+      for (int pass = 0; pass < 5; ++pass) {
+        for (std::size_t p = 0; p < probes.size(); ++p) {
+          const std::size_t k = (p + static_cast<std::size_t>(w) * 16) %
+                                probes.size();
+          if (idx.Match(probes[k]) != expected[k]) ++mismatches[w];
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+}
+
 /// Property: the prefiltered neighborhoods match an exhaustive O(V^2)
-/// reference at both a high threshold (bigram prune active) and a low one
-/// (exhaustive fallback).
+/// reference at thresholds where the q-gram count filter applies and where
+/// short pairs fall back to the exhaustive length-bucket scan.
 class SimilarityIndexPropertyTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(SimilarityIndexPropertyTest, AgreesWithExhaustiveReference) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "text/lcs.h"
 #include "util/random.h"
 
 namespace paygo {
@@ -45,6 +48,46 @@ TEST(TermSimilarityTest, ExactKind) {
   TermSimilarity sim(TermSimilarityKind::kExact);
   EXPECT_DOUBLE_EQ(sim.Compute("title", "title"), 1.0);
   EXPECT_DOUBLE_EQ(sim.Compute("title", "titles"), 0.0);
+}
+
+/// Full-table longest-common-substring DP, the textbook definition.
+std::size_t ReferenceLcs(const std::string& a, const std::string& b) {
+  std::vector<std::vector<std::size_t>> dp(
+      a.size() + 1, std::vector<std::size_t>(b.size() + 1, 0));
+  std::size_t best = 0;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      if (a[i - 1] != b[j - 1]) continue;
+      dp[i][j] = dp[i - 1][j - 1] + 1;
+      best = std::max(best, dp[i][j]);
+    }
+  }
+  return best;
+}
+
+TEST(LcsTermSimilarityTest, DpKernelAgreesWithReferenceAroundStackCutoff) {
+  // The kernel keeps its DP row on the stack when the shorter input has at
+  // most 64 bytes and on the heap above that; both sides must agree with
+  // the full-table reference, in either argument order.
+  Rng rng(64);
+  const std::string alphabet = "abc";
+  auto random_string = [&](std::size_t len) {
+    std::string s;
+    for (std::size_t i = 0; i < len; ++i) {
+      s.push_back(alphabet[rng.NextBelow(alphabet.size())]);
+    }
+    return s;
+  };
+  for (const std::size_t short_len :
+       {0u, 1u, 7u, 62u, 63u, 64u, 65u, 66u, 100u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::string a = random_string(short_len);
+      const std::string b = random_string(short_len + rng.NextBelow(80));
+      const std::size_t expected = ReferenceLcs(a, b);
+      EXPECT_EQ(LcsLengthDp(a, b), expected) << a << " / " << b;
+      EXPECT_EQ(LcsLengthDp(b, a), expected) << b << " / " << a;
+    }
+  }
 }
 
 TEST(TermSimilarityTest, UpperBoundDominatesLcsSimilarity) {

@@ -334,15 +334,17 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/batch_classify_test
   echo "==> tsan: zero_alloc_test (steady-state classify allocates nothing)"
   ./build-tsan/tests/zero_alloc_test
-  echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites (ctest -j)"
+  echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites + similarity_index_test (ctest -j)"
   # Instrumented LCS scans are slow; the determinism harness and the
   # sparse-vs-dense fuzz honor PAYGO_DETERMINISM_SMALL and shrink their
   # corpora / round counts under TSan. sparse_hac_test and
   # neighbor_graph_test exercise the multi-threaded NeighborGraph build
-  # and the parallel sparse row combines under the race detector.
+  # and the parallel sparse row combines under the race detector;
+  # similarity_index_test runs the per-chunk q-gram scratch of the parallel
+  # index build and concurrent-safe Match.
   (cd build-tsan && PAYGO_DETERMINISM_SMALL=1 \
     ctest --output-on-failure -j "$JOBS" \
-      -R '^(thread_pool_test|parallel_determinism_test|sparse_hac_test|neighbor_graph_test)$')
+      -R '^(thread_pool_test|parallel_determinism_test|sparse_hac_test|neighbor_graph_test|similarity_index_test)$')
 fi
 
 echo "==> ci: all green"
