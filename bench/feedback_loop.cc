@@ -173,13 +173,13 @@ void ImplicitFeedbackRound(const bench::PreparedCorpus& prep) {
       }
     }
   }
-  const NaiveBayesClassifier adjusted =
-      AdjustClassifierWithClicks(*clf, store);
+  const auto adjusted = AdjustClassifierWithClicks(*clf, store);
+  if (!adjusted.ok()) return;
 
   // Fresh evaluation queries.
   TablePrinter table({"Classifier", "Top-1", "Top-3"});
   const std::vector<std::pair<std::string, const NaiveBayesClassifier*>>
-      variants = {{"before clicks", &*clf}, {"after clicks", &adjusted}};
+      variants = {{"before clicks", &*clf}, {"after clicks", &*adjusted}};
   for (const auto& pair : variants) {
     Rng eval_rng(77);
     TopKAccumulator acc;

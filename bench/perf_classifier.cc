@@ -8,13 +8,23 @@
 ///    Section 5.3 microbenchmarks — exhaustive vs factored setup cost and
 ///    single-query classification time.
 ///  * **harness mode** (any of --check/--smoke/--json-out/--human/
-///    --domains/--dim/--bits/--queries/--seconds/--batches): measures
-///    single-thread classify throughput and per-query p50/p99 latency at
-///    each batch size via the zero-alloc ClassifyInto/ClassifyBatchInto
-///    paths, writes BENCH_classifier.json (schema in bench/README.md),
-///    and with --check exits 1 unless batch-64 throughput is >= 2x batch-1
-///    AND per-query p99 stays under budget — the CI regression gate for
-///    the struct-of-arrays batch sweep (tools/ci.sh).
+///    --domains/--dim/--bits/--queries/--seconds/--batches/--shape): two
+///    lanes, both writing BENCH_classifier.json (schema in
+///    bench/README.md).
+///    - `--shape dense` (default): a synthetic classifier whose every
+///      conditional is distinct. Measures single-thread classify
+///      throughput and per-query p50/p99 latency at each batch size via
+///      the zero-alloc ClassifyInto/ClassifyBatchInto paths; with --check
+///      exits 1 unless batch-64 throughput is >= 2x batch-1 AND per-query
+///      p99 stays under budget — the CI regression gate for the
+///      struct-of-arrays batch sweep (tools/ci.sh).
+///    - `--shape web`: the many-domain web shape built from raw
+///      MakeManyDomainCorpus text (--domains pseudo-domains) through
+///      IntegrationSystem::Build. Measures the classifier's build seconds,
+///      MemoryBytes() against the 2 * |D| * dim * 8 bytes of dense rows,
+///      and classify p50/p99 over generated keyword queries; with --check
+///      exits 1 unless the model stays under 5% of the dense bytes and
+///      every p99 under budget.
 ///
 /// The headline microbenchmark contrast: the thesis's exhaustive setup is
 /// exponential in the number of uncertain schemas per domain (2^u
@@ -35,8 +45,12 @@
 
 #include "classify/approx_classifier.h"
 #include "classify/naive_bayes.h"
+#include "core/integration_system.h"
+#include "synth/many_domains.h"
+#include "synth/query_generator.h"
 #include "util/bitset.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace paygo {
 namespace {
@@ -113,19 +127,34 @@ void BM_SetupMonteCarlo(benchmark::State& state) {
 }
 BENCHMARK(BM_SetupMonteCarlo)->Arg(128)->Arg(1024)->Arg(8192);
 
+/// A classifier whose every conditional is drawn at random, so no two
+/// features of a domain share a value: the dense worst case of the sparse
+/// layout (every feature but one is an exception).
+NaiveBayesClassifier RandomDenseClassifier(std::size_t num_domains,
+                                           std::size_t dim, Rng& rng) {
+  std::vector<DomainConditionals> conds;
+  conds.reserve(num_domains);
+  std::vector<double> q1(dim);
+  for (std::size_t r = 0; r < num_domains; ++r) {
+    const double prior = 0.01 + rng.NextDouble();
+    for (double& q : q1) q = 0.001 + 0.9 * rng.NextDouble();
+    conds.push_back(SparsifyConditionals(prior, q1));
+  }
+  auto clf = NaiveBayesClassifier::FromConditionals(
+      std::move(conds), std::vector<bool>(num_domains, false), {});
+  if (!clf.ok()) {
+    std::cerr << "synthetic classifier rejected: " << clf.status() << "\n";
+    std::exit(1);
+  }
+  return std::move(*clf);
+}
+
 void BM_QueryClassification(benchmark::State& state) {
   // |D| domains over dim features; measure per-query ranking cost.
   const std::size_t num_domains = static_cast<std::size_t>(state.range(0));
   const std::size_t dim = 2000;
   Rng rng(23);
-  std::vector<DomainConditionals> conds(num_domains);
-  for (auto& c : conds) {
-    c.prior = 0.01 + rng.NextDouble();
-    c.q1.resize(dim);
-    for (double& q : c.q1) q = 0.001 + 0.9 * rng.NextDouble();
-  }
-  const auto clf = NaiveBayesClassifier::FromConditionals(
-      std::move(conds), std::vector<bool>(num_domains, false), {});
+  const NaiveBayesClassifier clf = RandomDenseClassifier(num_domains, dim, rng);
   DynamicBitset query(dim);
   for (int k = 0; k < 6; ++k) query.Set(rng.NextBelow(dim));
   for (auto _ : state) {
@@ -141,11 +170,19 @@ BENCHMARK(BM_QueryClassification)->Arg(10)->Arg(50)->Arg(200);
 
 using Clock = std::chrono::steady_clock;
 
+/// The web lane's --check gate: the sparse model must stay under this
+/// fraction of the 2 * |D| * dim * 8 bytes dense rows would take.
+constexpr double kMaxModelFraction = 0.05;
+
 struct HarnessOptions {
+  /// "dense" (the batch-sweep gate) or "web" (the many-domain model).
+  std::string shape = "dense";
   // The default shape makes the sweep memory-bound (the regime batching is
   // for): num_domains * dim * 8 bytes of log-odds far exceeds L2, and
   // dense-ish queries make each domain row earn its cache residency.
-  std::size_t num_domains = 600;
+  /// Classifier domains (dense) or MakeManyDomainCorpus pseudo-domains
+  /// (web); 0 picks the lane's default, 600 or 1000.
+  std::size_t num_domains = 0;
   std::size_t dim = 4000;
   std::size_t bits = 48;      ///< set features per query
   std::size_t queries = 512;  ///< pool size (multiple of every batch size)
@@ -223,16 +260,179 @@ BatchPoint MeasureBatchSize(const NaiveBayesClassifier& clf,
   return point;
 }
 
-int RunHarness(const HarnessOptions& opts) {
-  Rng rng(41);
-  std::vector<DomainConditionals> conds(opts.num_domains);
-  for (auto& c : conds) {
-    c.prior = 0.01 + rng.NextDouble();
-    c.q1.resize(opts.dim);
-    for (double& q : c.q1) q = 0.001 + 0.9 * rng.NextDouble();
+/// Writes BENCH_classifier.json: {"bench", "ts_ms", "config", "results"}.
+bool WriteBenchJson(const HarnessOptions& opts, const std::string& bench,
+                    const std::string& config, const std::string& results) {
+  if (opts.json_out.empty()) return true;
+  const auto ts_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         std::chrono::system_clock::now().time_since_epoch())
+                         .count();
+  std::ofstream out(opts.json_out, std::ios::trunc);
+  out << "{\"bench\": \"" << bench << "\", \"ts_ms\": " << ts_ms
+      << ", \"config\": " << config << ", \"results\": " << results
+      << "}\n";
+  if (!out) {
+    std::cerr << "failed writing " << opts.json_out << "\n";
+    return false;
   }
-  const auto clf = NaiveBayesClassifier::FromConditionals(
-      std::move(conds), std::vector<bool>(opts.num_domains, false), {});
+  std::cerr << "wrote " << opts.json_out << "\n";
+  return true;
+}
+
+std::string BatchesJson(const std::vector<BatchPoint>& points) {
+  std::ostringstream os;
+  os << "[";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const BatchPoint& p = points[i];
+    if (i > 0) os << ", ";
+    os << "{\"batch\": " << p.batch << ", \"qps\": " << p.qps
+       << ", \"p50_us\": " << p.p50_us << ", \"p99_us\": " << p.p99_us
+       << ", \"mean_us\": " << p.mean_us
+       << ", \"total_queries\": " << p.total_queries << "}";
+  }
+  os << "]";
+  return os.str();
+}
+
+/// True when every batch size's p99 is within \p budget_us; otherwise
+/// appends each overrun to \p detail.
+bool P99WithinBudget(const std::vector<BatchPoint>& points, double budget_us,
+                     std::string* detail) {
+  bool ok = true;
+  for (const BatchPoint& p : points) {
+    if (p.p99_us > budget_us) {
+      ok = false;
+      *detail += "batch-" + std::to_string(p.batch) + " p99 " +
+                 std::to_string(p.p99_us) + "us over budget " +
+                 std::to_string(budget_us) + "us; ";
+    }
+  }
+  return ok;
+}
+
+/// Measures every requested batch size over \p pool; false (after
+/// printing why) when a batch size does not divide the pool.
+bool MeasureBatches(const NaiveBayesClassifier& clf,
+                    const std::vector<DynamicBitset>& pool,
+                    const HarnessOptions& opts,
+                    std::vector<BatchPoint>* points) {
+  for (std::size_t batch : opts.batches) {
+    if (batch == 0 || pool.size() % batch != 0) {
+      std::cerr << "batch size " << batch << " must divide --queries "
+                << pool.size() << "\n";
+      return false;
+    }
+    points->push_back(MeasureBatchSize(clf, pool, batch, opts.seconds));
+  }
+  return true;
+}
+
+/// The web lane: raw many-domain text -> IntegrationSystem::Build (the
+/// pipeline benchmark's web options), then the classifier rebuilt alone
+/// (timed) and queried with generated keyword queries.
+int RunWebHarness(const HarnessOptions& opts) {
+  SystemOptions options;
+  options.sparse_build = true;
+  auto built = IntegrationSystem::Build(
+      MakeManyDomainCorpus({.num_domains = opts.num_domains}), options);
+  if (!built.ok()) {
+    std::cerr << "web build failed: " << built.status() << "\n";
+    return 1;
+  }
+  const IntegrationSystem& sys = **built;
+  const Clock::time_point t0 = Clock::now();
+  auto clf = NaiveBayesClassifier::Build(sys.domains(), sys.features(),
+                                         sys.corpus().size(),
+                                         options.classifier);
+  const double build_s = MicrosSince(t0) / 1e6;
+  if (!clf.ok()) {
+    std::cerr << "classifier build failed: " << clf.status() << "\n";
+    return 1;
+  }
+  const std::size_t model_bytes = clf->MemoryBytes();
+  const double dense_bytes = 2.0 * static_cast<double>(clf->num_domains()) *
+                             static_cast<double>(clf->dim()) * 8.0;
+  const double fraction = dense_bytes > 0 ? model_bytes / dense_bytes : 0.0;
+
+  QueryGeneratorOptions gen_options;
+  gen_options.min_label_fraction = 0.25;
+  auto gen = QueryGenerator::Build(sys.corpus(), sys.lexicon(), gen_options);
+  if (!gen.ok()) {
+    std::cerr << "query generator failed: " << gen.status() << "\n";
+    return 1;
+  }
+  const QueryFeaturizer featurizer(sys.tokenizer(), sys.vectorizer());
+  Rng rng(41);
+  std::vector<DynamicBitset> pool;
+  pool.reserve(opts.queries);
+  for (std::size_t i = 0; i < opts.queries; ++i) {
+    const std::size_t keywords = 1 + static_cast<std::size_t>(rng.NextBelow(5));
+    pool.push_back(featurizer.Featurize(
+        Join(gen->Generate(keywords, rng).keywords, " ")));
+  }
+  std::vector<BatchPoint> points;
+  if (!MeasureBatches(*clf, pool, opts, &points)) return 2;
+
+  bool check_failed = false;
+  std::string check_detail;
+  if (fraction > kMaxModelFraction) {
+    check_failed = true;
+    check_detail += "model " + std::to_string(model_bytes) + " B is " +
+                    std::to_string(fraction) + " of the dense rows > " +
+                    std::to_string(kMaxModelFraction) + "; ";
+  }
+  if (!P99WithinBudget(points, opts.p99_budget_us, &check_detail)) {
+    check_failed = true;
+  }
+
+  std::ostringstream results;
+  results << "{\"kernel\": \"" << DynamicBitset::KernelName()
+          << "\", \"model_domains\": " << clf->num_domains()
+          << ", \"dim\": " << clf->dim()
+          << ", \"model_bytes\": " << model_bytes
+          << ", \"dense_bytes\": " << dense_bytes
+          << ", \"model_fraction\": " << fraction
+          << ", \"build_s\": " << build_s
+          << ", \"batches\": " << BatchesJson(points)
+          << ", \"max_model_fraction\": " << kMaxModelFraction
+          << ", \"p99_budget_us\": " << opts.p99_budget_us
+          << ", \"check\": \"" << (check_failed ? "FAIL" : "PASS") << "\"}";
+  std::ostringstream config;
+  config << "{\"shape\": \"web\", \"domains\": " << opts.num_domains
+         << ", \"queries\": " << opts.queries
+         << ", \"seconds\": " << opts.seconds << "}";
+  if (!WriteBenchJson(opts, "classifier_web", config.str(), results.str())) {
+    return 1;
+  }
+
+  if (opts.human) {
+    std::cout << "web shape: " << clf->num_domains() << " domains x "
+              << clf->dim() << " features, model " << model_bytes
+              << " B (" << fraction * 100.0 << "% of dense), build "
+              << build_s << " s\n";
+    for (const BatchPoint& p : points) {
+      std::cout << "  batch " << p.batch << ": " << p.qps << " qps, p50 "
+                << p.p50_us << "us, p99 " << p.p99_us << "us\n";
+    }
+  } else {
+    std::cout << results.str() << "\n";
+  }
+  if (opts.check && check_failed) {
+    std::cerr << "FAIL: " << check_detail << "\n";
+    return 1;
+  }
+  return 0;
+}
+
+int RunHarness(const HarnessOptions& opts) {
+  if (opts.shape == "web") return RunWebHarness(opts);
+  if (opts.shape != "dense") {
+    std::cerr << "unknown --shape " << opts.shape << " (dense|web)\n";
+    return 2;
+  }
+  Rng rng(41);
+  const NaiveBayesClassifier clf =
+      RandomDenseClassifier(opts.num_domains, opts.dim, rng);
 
   std::vector<DynamicBitset> pool;
   pool.reserve(opts.queries);
@@ -243,14 +443,7 @@ int RunHarness(const HarnessOptions& opts) {
   }
 
   std::vector<BatchPoint> points;
-  for (std::size_t batch : opts.batches) {
-    if (batch == 0 || opts.queries % batch != 0) {
-      std::cerr << "batch size " << batch << " must divide --queries "
-                << opts.queries << "\n";
-      return 2;
-    }
-    points.push_back(MeasureBatchSize(clf, pool, batch, opts.seconds));
-  }
+  if (!MeasureBatches(clf, pool, opts, &points)) return 2;
 
   double qps_b1 = 0.0, qps_bmax = 0.0;
   std::size_t bmax = 0;
@@ -271,47 +464,24 @@ int RunHarness(const HarnessOptions& opts) {
                     std::to_string(speedup) + "x < required " +
                     std::to_string(opts.min_speedup) + "x; ";
   }
-  for (const BatchPoint& p : points) {
-    if (p.p99_us > opts.p99_budget_us) {
-      check_failed = true;
-      check_detail += "batch-" + std::to_string(p.batch) + " p99 " +
-                      std::to_string(p.p99_us) + "us over budget " +
-                      std::to_string(opts.p99_budget_us) + "us; ";
-    }
+  if (!P99WithinBudget(points, opts.p99_budget_us, &check_detail)) {
+    check_failed = true;
   }
 
   std::ostringstream results;
   results << "{\"kernel\": \"" << DynamicBitset::KernelName()
-          << "\", \"batches\": [";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const BatchPoint& p = points[i];
-    if (i > 0) results << ", ";
-    results << "{\"batch\": " << p.batch << ", \"qps\": " << p.qps
-            << ", \"p50_us\": " << p.p50_us << ", \"p99_us\": " << p.p99_us
-            << ", \"mean_us\": " << p.mean_us
-            << ", \"total_queries\": " << p.total_queries << "}";
-  }
-  results << "], \"speedup_batch" << bmax << "_vs_1\": " << speedup
+          << "\", \"batches\": " << BatchesJson(points)
+          << ", \"speedup_batch" << bmax << "_vs_1\": " << speedup
           << ", \"min_speedup\": " << opts.min_speedup
           << ", \"p99_budget_us\": " << opts.p99_budget_us
           << ", \"check\": \"" << (check_failed ? "FAIL" : "PASS") << "\"}";
 
-  if (!opts.json_out.empty()) {
-    const auto ts_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::system_clock::now().time_since_epoch())
-                           .count();
-    std::ofstream out(opts.json_out, std::ios::trunc);
-    out << "{\"bench\": \"classifier_batch\", \"ts_ms\": " << ts_ms
-        << ", \"config\": {\"domains\": " << opts.num_domains
-        << ", \"dim\": " << opts.dim << ", \"bits\": " << opts.bits
-        << ", \"queries\": " << opts.queries
-        << ", \"seconds\": " << opts.seconds << "}, \"results\": "
-        << results.str() << "}\n";
-    if (!out) {
-      std::cerr << "failed writing " << opts.json_out << "\n";
-      return 1;
-    }
-    std::cerr << "wrote " << opts.json_out << "\n";
+  std::ostringstream config;
+  config << "{\"domains\": " << opts.num_domains << ", \"dim\": " << opts.dim
+         << ", \"bits\": " << opts.bits << ", \"queries\": " << opts.queries
+         << ", \"seconds\": " << opts.seconds << "}";
+  if (!WriteBenchJson(opts, "classifier_batch", config.str(), results.str())) {
+    return 1;
   }
 
   if (opts.human) {
@@ -356,6 +526,9 @@ int main(int argc, char** argv) {
       opts.seconds = 0.25;
       opts.queries = 256;
       harness = true;
+    } else if (arg == "--shape" && next()) {
+      opts.shape = argv[i];
+      harness = true;
     } else if (arg == "--domains" && next()) {
       opts.num_domains = static_cast<std::size_t>(std::atoll(argv[i]));
       harness = true;
@@ -395,6 +568,9 @@ int main(int argc, char** argv) {
     } else {
       bench_args.push_back(argv[i]);  // google-benchmark flag
     }
+  }
+  if (opts.num_domains == 0) {
+    opts.num_domains = opts.shape == "web" ? 1000 : 600;
   }
   if (harness) return paygo::RunHarness(opts);
 

@@ -3,10 +3,21 @@
 #include <algorithm>
 #include <cmath>
 
+#include "classify/conditionals_builder.h"
 #include "util/random.h"
 
 namespace paygo {
 namespace {
+
+/// Clamps into the open interval (the exact engines guarantee this by
+/// construction; the approximations preserve it up to rounding).
+void ClampIntoOpenUnit(DomainConditionals* c) {
+  auto clamp = [](double q) {
+    return std::min(std::max(q, 1e-12), 1.0 - 1e-12);
+  };
+  c->default_q1 = clamp(c->default_q1);
+  for (double& q : c->exception_q1) q = clamp(q);
+}
 
 DomainConditionals ExpectedWorld(const DomainModel& model,
                                  std::uint32_t domain,
@@ -14,8 +25,6 @@ DomainConditionals ExpectedWorld(const DomainModel& model,
                                  std::size_t num_schemas_total) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
   const double p = dim > 0 ? 1.0 / static_cast<double>(dim) : 0.5;
-  DomainConditionals out;
-  out.q1.assign(dim, 0.0);
 
   // Expected member count: E|S'| = sum of membership probabilities. The
   // prior Pr(D_r) = E|S'| / |S| is exact (linearity of expectation over
@@ -24,26 +33,22 @@ DomainConditionals ExpectedWorld(const DomainModel& model,
   for (const auto& [schema, prob] : model.SchemasOf(domain)) {
     expected_size += prob;
   }
-  out.prior = expected_size / static_cast<double>(num_schemas_total);
-  if (expected_size <= 0.0) {
-    std::fill(out.q1.begin(), out.q1.end(), p);
-    out.prior = 0.0;
-    return out;
-  }
+  if (expected_size <= 0.0) return FlatConditionals(dim);
 
   // Single pseudo-world: member counts replaced by their expectations.
   const double m = 1.0 + expected_size;
   const double denom = expected_size + m;  // == 2 E|S'| + 1
-  const double smooth = p * m / denom;
-  for (std::size_t j = 0; j < dim; ++j) out.q1[j] = smooth;
+  ConditionalsBuilder row(dim);
   for (const auto& [schema, prob] : model.SchemasOf(domain)) {
-    for (std::size_t j : features[schema].SetBits()) {
-      out.q1[j] += prob / denom;
-    }
+    row.AddSupport(features[schema]);
   }
-  // Clamp into the open interval (the exact engines guarantee this by
-  // construction; the approximation preserves it up to rounding).
-  for (double& q : out.q1) q = std::min(std::max(q, 1e-12), 1.0 - 1e-12);
+  row.Start(p * m / denom);
+  for (const auto& [schema, prob] : model.SchemasOf(domain)) {
+    row.Add(features[schema], prob / denom);
+  }
+  DomainConditionals out = std::move(row).Finish(
+      expected_size / static_cast<double>(num_schemas_total));
+  ClampIntoOpenUnit(&out);
   return out;
 }
 
@@ -53,8 +58,6 @@ DomainConditionals MonteCarlo(const DomainModel& model, std::uint32_t domain,
                               std::size_t num_samples, Rng& rng) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
   const double p = dim > 0 ? 1.0 / static_cast<double>(dim) : 0.5;
-  DomainConditionals out;
-  out.q1.assign(dim, 0.0);
 
   std::vector<std::uint32_t> certain;
   std::vector<std::uint32_t> uncertain;
@@ -92,24 +95,18 @@ DomainConditionals MonteCarlo(const DomainModel& model, std::uint32_t domain,
     }
   }
 
-  out.prior = pr_d;
-  if (pr_d <= 0.0) {
-    std::fill(out.q1.begin(), out.q1.end(), p);
-    out.prior = 0.0;
-    return out;
-  }
+  if (pr_d <= 0.0) return FlatConditionals(dim);
   const double inv_pr = 1.0 / pr_d;
-  const double smooth = p * t1 * inv_pr;
-  const double slope = t0 * inv_pr;
-  for (std::size_t j = 0; j < dim; ++j) out.q1[j] = smooth;
-  for (std::uint32_t s : certain) {
-    for (std::size_t j : features[s].SetBits()) out.q1[j] += slope;
-  }
+  ConditionalsBuilder row(dim);
+  for (std::uint32_t s : certain) row.AddSupport(features[s]);
+  for (std::uint32_t s : uncertain) row.AddSupport(features[s]);
+  row.Start(p * t1 * inv_pr);
+  for (std::uint32_t s : certain) row.Add(features[s], t0 * inv_pr);
   for (std::size_t i = 0; i < uncertain.size(); ++i) {
-    const double hi = h[i] * inv_pr;
-    for (std::size_t j : features[uncertain[i]].SetBits()) out.q1[j] += hi;
+    row.Add(features[uncertain[i]], h[i] * inv_pr);
   }
-  for (double& q : out.q1) q = std::min(std::max(q, 1e-12), 1.0 - 1e-12);
+  DomainConditionals out = std::move(row).Finish(pr_d);
+  ClampIntoOpenUnit(&out);
   return out;
 }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "classify/conditionals_builder.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 
@@ -140,14 +142,161 @@ Status CheckExhaustiveBudget(std::uint32_t domain, std::size_t num_uncertain,
   return Status::OK();
 }
 
+/// The scorer's clamp (PrecomputeDomain): keeps log q and log(1 - q)
+/// finite. The exact engines apply it to their output too, so their
+/// conditionals are strictly inside (0, 1) even at dim 1, where p = 1 and
+/// the m-estimate can round to exactly 1.0. Clamping twice is a no-op, so
+/// scores are unchanged.
+double ClampQ1(double q) {
+  return std::min(std::max(q, 1e-300), 1.0 - 1e-15);
+}
+
+bool InsideOpenUnit(double q) { return q > 0.0 && q < 1.0; }
+
 }  // namespace
+
+double DomainConditionals::Q1(std::size_t j) const {
+  const auto it = std::lower_bound(exceptions.begin(), exceptions.end(), j);
+  if (it == exceptions.end() || *it != j) return default_q1;
+  return exception_q1[static_cast<std::size_t>(it - exceptions.begin())];
+}
+
+DomainConditionals SparsifyConditionals(double prior,
+                                        std::span<const double> q1) {
+  DomainConditionals out;
+  out.prior = prior;
+  out.dim = q1.size();
+  if (q1.empty()) return out;
+  // The most frequent bit pattern becomes the default.
+  std::vector<std::uint64_t> sorted(q1.size());
+  for (std::size_t j = 0; j < q1.size(); ++j) {
+    sorted[j] = std::bit_cast<std::uint64_t>(q1[j]);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  std::uint64_t best = sorted[0];
+  std::size_t best_run = 0;
+  for (std::size_t i = 0; i < sorted.size();) {
+    std::size_t k = i;
+    while (k < sorted.size() && sorted[k] == sorted[i]) ++k;
+    if (k - i > best_run) {
+      best_run = k - i;
+      best = sorted[i];
+    }
+    i = k;
+  }
+  out.default_q1 = std::bit_cast<double>(best);
+  for (std::size_t j = 0; j < q1.size(); ++j) {
+    if (std::bit_cast<std::uint64_t>(q1[j]) == best) continue;
+    out.exceptions.push_back(static_cast<std::uint32_t>(j));
+    out.exception_q1.push_back(q1[j]);
+  }
+  return out;
+}
+
+Status ValidateConditionals(
+    const std::vector<DomainConditionals>& conditionals) {
+  if (conditionals.empty()) return Status::OK();
+  const std::size_t dim = conditionals[0].dim;
+  if (dim > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument("classifier dim " + std::to_string(dim) +
+                                   " does not fit 32-bit feature ids");
+  }
+  for (std::size_t r = 0; r < conditionals.size(); ++r) {
+    const DomainConditionals& c = conditionals[r];
+    auto fail = [&](const std::string& msg) {
+      return Status::InvalidArgument("classifier domain " + std::to_string(r) +
+                                     ": " + msg);
+    };
+    if (c.dim != dim) {
+      return fail("dim " + std::to_string(c.dim) + " differs from domain 0's " +
+                  std::to_string(dim));
+    }
+    if (!std::isfinite(c.prior) || c.prior < 0.0) {
+      return fail("prior is not finite and non-negative");
+    }
+    // A dim-0 row has no feature, so its default is never read.
+    if (dim > 0 && !InsideOpenUnit(c.default_q1)) {
+      return fail("default q1 is not inside (0, 1)");
+    }
+    if (c.exception_q1.size() != c.exceptions.size()) {
+      return fail(std::to_string(c.exceptions.size()) + " exceptions but " +
+                  std::to_string(c.exception_q1.size()) + " values");
+    }
+    for (std::size_t k = 0; k < c.exceptions.size(); ++k) {
+      const std::uint32_t j = c.exceptions[k];
+      if (j >= dim) {
+        return fail("exception feature " + std::to_string(j) +
+                    " out of range (dim " + std::to_string(dim) + ")");
+      }
+      if (k > 0 && j <= c.exceptions[k - 1]) {
+        return fail("exception features not strictly ascending at " +
+                    std::to_string(j));
+      }
+      if (!InsideOpenUnit(c.exception_q1[k])) {
+        return fail("q1 of feature " + std::to_string(j) +
+                    " is not inside (0, 1)");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+DomainConditionals FlatConditionals(std::size_t dim) {
+  DomainConditionals out;
+  out.dim = dim;
+  out.default_q1 = ClampQ1(dim > 0 ? 1.0 / static_cast<double>(dim) : 0.5);
+  return out;
+}
+
+ConditionalsBuilder::ConditionalsBuilder(std::size_t dim)
+    : support_((dim + 63) / 64, 0) {
+  out_.dim = dim;
+}
+
+void ConditionalsBuilder::AddSupport(const DynamicBitset& member) {
+  set_bits_.clear();
+  member.AppendSetBits(&set_bits_);
+  for (std::size_t j : set_bits_) {
+    support_[j >> 6] |= std::uint64_t{1} << (j & 63);
+  }
+}
+
+void ConditionalsBuilder::Start(double default_q1) {
+  out_.default_q1 = default_q1;
+  rank_.resize(support_.size());
+  std::uint32_t rank = 0;
+  for (std::size_t w = 0; w < support_.size(); ++w) {
+    rank_[w] = rank;
+    for (std::uint64_t bits = support_[w]; bits != 0; bits &= bits - 1) {
+      out_.exceptions.push_back(
+          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+    }
+    rank += static_cast<std::uint32_t>(std::popcount(support_[w]));
+  }
+  out_.exception_q1.assign(out_.exceptions.size(), default_q1);
+}
+
+std::size_t ConditionalsBuilder::Position(std::size_t j) const {
+  const std::uint64_t below = (std::uint64_t{1} << (j & 63)) - 1;
+  return rank_[j >> 6] + std::popcount(support_[j >> 6] & below);
+}
+
+void ConditionalsBuilder::Add(const DynamicBitset& member, double weight) {
+  set_bits_.clear();
+  member.AppendSetBits(&set_bits_);
+  for (std::size_t j : set_bits_) out_.exception_q1[Position(j)] += weight;
+}
+
+DomainConditionals ConditionalsBuilder::Finish(double prior) && {
+  out_.prior = prior;
+  return std::move(out_);
+}
 
 Result<DomainConditionals> ComputeDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
     const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
     ClassifierEngine engine, std::size_t max_uncertain_exhaustive) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
-  DomainConditionals out;
   const double p = dim > 0 ? 1.0 / static_cast<double>(dim) : 0.5;
 
   const std::vector<std::uint32_t> certain = model.CertainSchemas(domain);
@@ -182,27 +331,25 @@ Result<DomainConditionals> ComputeDomainConditionals(
       break;
   }
 
-  out.q1.assign(dim, 0.0);
-  if (acc.mass <= 0.0) {
-    // Degenerate domain (no possible world with a member): flat smoothing.
-    std::fill(out.q1.begin(), out.q1.end(), p);
-    out.prior = 0.0;
-    return out;
-  }
-  // The only place the corpus size enters (Eq. 5.5's 1/|S|).
-  out.prior = acc.mass / static_cast<double>(num_schemas_total);
-
+  if (acc.mass <= 0.0) return FlatConditionals(dim);
+  // Every feature no member has keeps the m-estimate's smoothing term
+  // alone; the members' features are the exceptions.
+  ConditionalsBuilder row(dim);
+  for (std::uint32_t s : certain) row.AddSupport(features[s]);
+  for (std::uint32_t s : uncertain) row.AddSupport(features[s]);
   const double inv_mass = 1.0 / acc.mass;
   const double smooth = p * acc.t1 * inv_mass;  // contribution of the p*m term
   const double slope = acc.t0 * inv_mass;       // per certain-member count
-  for (std::size_t j = 0; j < dim; ++j) out.q1[j] = smooth;
-  for (std::uint32_t s : certain) {
-    for (std::size_t j : features[s].SetBits()) out.q1[j] += slope;
-  }
+  row.Start(smooth);
+  for (std::uint32_t s : certain) row.Add(features[s], slope);
   for (std::size_t i = 0; i < uncertain.size(); ++i) {
-    const double hi = acc.h[i] * inv_mass;
-    for (std::size_t j : features[uncertain[i]].SetBits()) out.q1[j] += hi;
+    row.Add(features[uncertain[i]], acc.h[i] * inv_mass);
   }
+  // The only place the corpus size enters (Eq. 5.5's 1/|S|).
+  DomainConditionals out =
+      std::move(row).Finish(acc.mass / static_cast<double>(num_schemas_total));
+  out.default_q1 = ClampQ1(out.default_q1);
+  for (double& q : out.exception_q1) q = ClampQ1(q);
   return out;
 }
 
@@ -244,6 +391,7 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
   }
   NaiveBayesClassifier clf;
   clf.options_ = options;
+  clf.dim_ = features.empty() ? 0 : features[0].size();
   clf.conditionals_.reserve(model.num_domains());
   clf.singleton_domain_.reserve(model.num_domains());
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
@@ -259,11 +407,13 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
   return clf;
 }
 
-NaiveBayesClassifier NaiveBayesClassifier::FromConditionals(
+Result<NaiveBayesClassifier> NaiveBayesClassifier::FromConditionals(
     std::vector<DomainConditionals> conditionals,
     std::vector<bool> singleton_domain, const ClassifierOptions& options) {
+  PAYGO_RETURN_NOT_OK(ValidateConditionals(conditionals));
   NaiveBayesClassifier clf;
   clf.options_ = options;
+  clf.dim_ = conditionals.empty() ? 0 : conditionals[0].dim;
   clf.conditionals_ = std::move(conditionals);
   clf.singleton_domain_ = std::move(singleton_domain);
   clf.singleton_domain_.resize(clf.conditionals_.size(), false);
@@ -275,29 +425,68 @@ void NaiveBayesClassifier::Precompute() {
   // All remaining query-independent work (Section 5.3): per-domain base
   // score with every feature absent, plus per-feature log-odds so a query
   // only pays for its set features.
-  base_.resize(conditionals_.size());
-  log1mq_sum_.resize(conditionals_.size());
-  log_odds_.resize(conditionals_.size());
+  rows_.resize(conditionals_.size());
   for (std::size_t r = 0; r < conditionals_.size(); ++r) PrecomputeDomain(r);
+  PublishMemory();
 }
 
 void NaiveBayesClassifier::PrecomputeDomain(std::size_t r) {
   const DomainConditionals& c = conditionals_[r];
+  ScoringRow& row = rows_[r];
+  const double dq = ClampQ1(c.default_q1);
+  const double default_log1mq = std::log1p(-dq);
+  row.index.assign((dim_ + 63) / 64, ScoringRow::RankWord{});
+  row.log_odds.resize(c.exceptions.size() + 1);
+  row.log_odds[0] = std::log(dq) - default_log1mq;
+  // sum_j log(1 - q1[j]) over every feature in ascending j, exactly the
+  // dense row's addition order; the default's log1p is evaluated once.
   double s = 0.0;
-  log_odds_[r].resize(c.q1.size());
-  for (std::size_t j = 0; j < c.q1.size(); ++j) {
-    const double q = std::min(std::max(c.q1[j], 1e-300), 1.0 - 1e-15);
-    s += std::log1p(-q);
-    log_odds_[r][j] = std::log(q) - std::log1p(-q);
+  std::size_t j = 0;
+  for (std::size_t k = 0; k < c.exceptions.size(); ++k) {
+    for (const std::size_t e = c.exceptions[k]; j < e; ++j) s += default_log1mq;
+    const double q = ClampQ1(c.exception_q1[k]);
+    const double log1mq = std::log1p(-q);
+    s += log1mq;
+    row.log_odds[k + 1] = std::log(q) - log1mq;
+    row.index[j >> 6].bits |= std::uint64_t{1} << (j & 63);
+    ++j;
   }
-  log1mq_sum_[r] = s;
+  for (; j < dim_; ++j) s += default_log1mq;
+  std::uint64_t rank = 1;
+  for (ScoringRow::RankWord& w : row.index) {
+    w.rank = rank;
+    rank += static_cast<std::uint64_t>(std::popcount(w.bits));
+  }
+  row.log1mq_sum = s;
   RefreshBase(r);
 }
 
 void NaiveBayesClassifier::RefreshBase(std::size_t r) {
   constexpr double kNegInf = -1e300;
   const double prior = conditionals_[r].prior;
-  base_[r] = (prior > 0.0 ? std::log(prior) : kNegInf) + log1mq_sum_[r];
+  rows_[r].base = (prior > 0.0 ? std::log(prior) : kNegInf) +
+                  rows_[r].log1mq_sum;
+}
+
+std::size_t NaiveBayesClassifier::MemoryBytes() const {
+  std::size_t bytes = conditionals_.capacity() * sizeof(DomainConditionals) +
+                      rows_.capacity() * sizeof(ScoringRow) +
+                      singleton_domain_.capacity() / 8;
+  for (const DomainConditionals& c : conditionals_) {
+    bytes += c.exceptions.capacity() * sizeof(std::uint32_t) +
+             c.exception_q1.capacity() * sizeof(double);
+  }
+  for (const ScoringRow& row : rows_) {
+    bytes += row.index.capacity() * sizeof(ScoringRow::RankWord) +
+             row.log_odds.capacity() * sizeof(double);
+  }
+  return bytes;
+}
+
+void NaiveBayesClassifier::PublishMemory() const {
+  static Gauge* model_bytes =
+      StatsRegistry::Global().GetGauge("paygo.classifier.model_bytes");
+  model_bytes->Set(static_cast<std::int64_t>(MemoryBytes()));
 }
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
@@ -323,17 +512,16 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
   static Counter* reused = reg.GetCounter("paygo.classifier.domains_reused");
   PAYGO_TRACE_SPAN("classify.update_domains");
 
+  // Copies O(nonzeros + |D| * dim / 64): the sparse conditionals and the
+  // scoring rows' exception bitmaps.
   NaiveBayesClassifier clf;
   clf.options_ = base.options_;
+  clf.dim_ = base.dim_;
   clf.conditionals_ = base.conditionals_;
-  clf.log_odds_ = base.log_odds_;
-  clf.log1mq_sum_ = base.log1mq_sum_;
-  clf.base_ = base.base_;
+  clf.rows_ = base.rows_;
   const std::size_t old_domains = base.num_domains();
   clf.conditionals_.resize(model.num_domains());
-  clf.log_odds_.resize(model.num_domains());
-  clf.log1mq_sum_.resize(model.num_domains(), 0.0);
-  clf.base_.resize(model.num_domains(), 0.0);
+  clf.rows_.resize(model.num_domains());
   clf.singleton_domain_.resize(model.num_domains());
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
     clf.singleton_domain_[r] = model.IsSingletonDomain(r);
@@ -373,15 +561,25 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
       reused->Increment();
     }
   }
+  clf.PublishMemory();
   return clf;
 }
 
-NaiveBayesClassifier NaiveBayesClassifier::WithPriors(
+Result<NaiveBayesClassifier> NaiveBayesClassifier::WithPriors(
     const std::vector<double>& priors) const {
+  if (priors.size() != conditionals_.size()) {
+    return Status::InvalidArgument(
+        "WithPriors got " + std::to_string(priors.size()) +
+        " priors for " + std::to_string(conditionals_.size()) + " domains");
+  }
+  for (std::size_t r = 0; r < priors.size(); ++r) {
+    if (!std::isfinite(priors[r]) || priors[r] < 0.0) {
+      return Status::InvalidArgument("prior of domain " + std::to_string(r) +
+                                     " is not finite and non-negative");
+    }
+  }
   NaiveBayesClassifier clf = *this;
-  assert(priors.size() == clf.conditionals_.size());
-  const std::size_t n = std::min(priors.size(), clf.conditionals_.size());
-  for (std::size_t r = 0; r < n; ++r) {
+  for (std::size_t r = 0; r < priors.size(); ++r) {
     clf.conditionals_[r].prior = priors[r];
     clf.RefreshBase(r);
   }
@@ -411,13 +609,12 @@ void NaiveBayesClassifier::ClassifyInto(const DynamicBitset& query,
   scratch->set_bits.clear();
   query.AppendSetBits(&scratch->set_bits);
   out->clear();
-  out->reserve(conditionals_.size());
-  for (std::uint32_t r = 0; r < conditionals_.size(); ++r) {
+  out->reserve(rows_.size());
+  const std::size_t* begin = scratch->set_bits.data();
+  const std::size_t* end = begin + scratch->set_bits.size();
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
     if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
-    double s = base_[r];
-    const double* lo = log_odds_[r].data();
-    for (std::size_t j : scratch->set_bits) s += lo[j];
-    out->push_back({r, s});
+    out->push_back({r, RowView(rows_[r]).Score(rows_[r].base, begin, end)});
   }
   // std::sort is in-place (introsort) — no heap traffic.
   std::sort(out->begin(), out->end(), ScoreBefore);
@@ -475,24 +672,32 @@ void NaiveBayesClassifier::ClassifyBatchInto(
   }
   for (std::size_t b = 0; b < batch; ++b) {
     (*out)[b].clear();
-    (*out)[b].reserve(conditionals_.size());
+    (*out)[b].reserve(rows_.size());
   }
 
-  // The struct-of-arrays sweep: domain-major, so each domain's log_odds_
+  // The struct-of-arrays sweep: domain-major, so each domain's scoring
   // row is loaded into cache once and scored against all B queries before
   // moving on — the single-query loop instead re-touches every row per
-  // query. Per (query, domain) the accumulation is base + ascending
+  // query. Each domain first resolves the slots of all B queries' features
+  // (independent integer work, no floating-point dependency chain), then
+  // sums them. Per (query, domain) the accumulation is base + ascending
   // feature adds, the exact order ClassifyInto uses, which is what makes
   // the batch path bitwise-identical to B single calls.
   const std::size_t* off = scratch->batch_offsets.data();
   const std::size_t* idx = scratch->batch_indices.data();
-  for (std::uint32_t r = 0; r < conditionals_.size(); ++r) {
+  const std::size_t total = scratch->batch_indices.size();
+  scratch->batch_slots.resize(total);
+  std::uint32_t* slots = scratch->batch_slots.data();
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
     if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
-    const double base = base_[r];
-    const double* lo = log_odds_[r].data();
+    const RowView row(rows_[r]);
+    const double base = rows_[r].base;
+    for (std::size_t k = 0; k < total; ++k) slots[k] = row.Slot(idx[k]);
     for (std::size_t b = 0; b < batch; ++b) {
       double s = base;
-      for (std::size_t k = off[b]; k < off[b + 1]; ++k) s += lo[idx[k]];
+      for (std::size_t k = off[b]; k < off[b + 1]; ++k) {
+        s += row.log_odds[slots[k]];
+      }
       (*out)[b].push_back({r, s});
     }
   }

@@ -23,17 +23,32 @@
 ///    approximation.
 ///
 /// All expensive work happens at Build() time; Classify() costs
-/// O(|D| * |set features of the query|) via precomputed log-odds.
+/// O(|D| * |set features of the query|) via precomputed log-odds, each
+/// looked up in O(1).
+///
+/// Storage is proportional to nonzeros, not to |D| * dim L. The m-estimate
+/// (Eq. 5.9, p = 1/dim L) gives every feature that no member of D_r has —
+/// certain or uncertain — the same conditional, so each domain keeps one
+/// default q1 (and its log-odds) plus the exceptions: the union of its
+/// members' set features, with their own q1 and log-odds. Scoring finds a
+/// feature's value through a per-domain exception bitmap with per-word
+/// prefix ranks (test the bit, then take the default or index the
+/// exception values by rank + popcount), so it keeps the dense layout's
+/// loop structure and addition order and is bitwise-identical to it. On
+/// the many-domain web shape (~1,100 domains x ~8,000 features) a domain
+/// has under ten exceptions on average, and the model takes ~2.5 MB where
+/// dense rows took ~138 MB.
 ///
 /// The conditionals Pr(F_j=1 | D_r) are evaluated from |S|-free
 /// accumulators (the 1/|S| prior normalizer is applied once, at the end),
 /// so q1 is bitwise independent of the corpus size. That is what makes
 /// UpdateDomains() exact: when a schema arrives, only the domains whose
 /// schema sets changed need their conditionals recomputed — every other
-/// domain keeps its q1 vector verbatim and merely has its prior rescaled
-/// to the new |S| (recomputed through the same accumulation loop, so the
-/// result is bit-identical to a from-scratch Build()).
+/// domain keeps its conditionals verbatim and merely has its prior
+/// rescaled to the new |S| (recomputed through the same accumulation loop,
+/// so the result is bit-identical to a from-scratch Build()).
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -64,15 +79,51 @@ struct ClassifierOptions {
   bool skip_singleton_domains = false;
 };
 
-/// \brief Per-domain model parameters: the prior and Pr(F_j=1|D_r).
+/// \brief Per-domain model parameters: the prior and Pr(F_j=1|D_r), stored
+/// as a default plus sorted exceptions.
+///
+/// Pr(F_j=1|D_r) is exception_q1[k] when j == exceptions[k], else
+/// default_q1. The engines list every feature some member of the domain
+/// has, so the exceptions are the union of the members' set features, and
+/// every value they produce is strictly inside (0, 1).
 struct DomainConditionals {
   /// Pr(D_r) (Equation 5.3). Priors need not sum to 1 across domains; the
   /// constant Pr(F_Q) is never needed for ranking (Section 5.1).
   double prior = 0.0;
-  /// Pr(F_j = 1 | D_r) for every lexicon feature j (Equation 5.4 with the
-  /// m-estimate 5.9); strictly inside (0, 1) by construction.
-  std::vector<double> q1;
+  /// Feature-space dimensionality (dim L).
+  std::size_t dim = 0;
+  /// Pr(F_j = 1 | D_r) of every feature not in `exceptions` (Equation 5.4
+  /// with the m-estimate 5.9).
+  double default_q1 = 0.0;
+  /// Features with their own conditional: strictly ascending, each < dim.
+  std::vector<std::uint32_t> exceptions;
+  /// Pr(F_j = 1 | D_r) of exceptions[k], parallel to `exceptions`.
+  std::vector<double> exception_q1;
+
+  /// Pr(F_j = 1 | D_r) for any j < dim (binary search; for inspection,
+  /// persistence and tests — scoring uses the precomputed rank index).
+  double Q1(std::size_t j) const;
+
+  bool operator==(const DomainConditionals&) const = default;
 };
+
+/// Compresses a dense row of conditionals: the most frequent value (ties
+/// go to the smallest bit pattern) becomes the default and every other
+/// feature an exception. Scores are bitwise-identical to the dense row's
+/// whatever the default, since each feature keeps its value.
+/// Used to read dense (v1/v2) snapshots and by benches that synthesize
+/// dense rows.
+DomainConditionals SparsifyConditionals(double prior,
+                                        std::span<const double> q1);
+
+/// Checks conditionals arriving from outside the engines (persisted or
+/// synthesized): all rows share one dim < 2^32; exceptions are strictly
+/// ascending and < dim, with one value each; every q1 (default and
+/// exception) is finite and strictly inside (0, 1); priors are finite and
+/// non-negative. Returns InvalidArgument naming the first offending
+/// domain otherwise.
+Status ValidateConditionals(
+    const std::vector<DomainConditionals>& conditionals);
 
 /// \brief One ranked classification answer.
 struct DomainScore {
@@ -100,6 +151,8 @@ struct ClassifyScratch {
   /// it grows again — ClassifyBatchInto never destroys an inner vector's
   /// capacity, so any batch at or below the high-water size is alloc-free.
   std::vector<std::vector<DomainScore>> spare_rankings;
+  /// The current domain's log-odds slot of every batch_indices entry.
+  std::vector<std::uint32_t> batch_slots;
 };
 
 /// \brief The query classifier. Build once, classify many times.
@@ -111,18 +164,20 @@ class NaiveBayesClassifier {
       const DomainModel& model, const std::vector<DynamicBitset>& features,
       std::size_t num_schemas_total, const ClassifierOptions& options = {});
 
-  /// Wraps externally computed conditionals (used by the approximate
-  /// engines of approx_classifier.h). \p singleton_domain flags which
-  /// domains are singletons, honored when skip_singleton_domains is set.
-  static NaiveBayesClassifier FromConditionals(
+  /// Wraps externally computed conditionals (the approximate engines of
+  /// approx_classifier.h, restored snapshots). \p singleton_domain flags
+  /// which domains are singletons, honored when skip_singleton_domains is
+  /// set. Returns InvalidArgument unless ValidateConditionals accepts
+  /// \p conditionals.
+  static Result<NaiveBayesClassifier> FromConditionals(
       std::vector<DomainConditionals> conditionals,
       std::vector<bool> singleton_domain, const ClassifierOptions& options);
 
   /// Incremental refresh: a classifier for \p model where only the domains
   /// in \p affected_domains (plus any domains \p base does not cover yet)
   /// have their conditionals recomputed; every other domain reuses \p
-  /// base's q1 vector and precomputed log-odds verbatim, and has its prior
-  /// recomputed for the new \p num_schemas_total. Exact, not approximate:
+  /// base's conditionals and precomputed log-odds verbatim, and has its
+  /// prior recomputed for the new \p num_schemas_total. Exact, not approximate:
   /// the factored engine makes each domain's conditionals depend only on
   /// its own membership rows and its members' feature vectors, so the
   /// result is bit-identical to Build() over the same inputs. Domains must
@@ -136,10 +191,12 @@ class NaiveBayesClassifier {
       const std::vector<std::uint32_t>& affected_domains);
 
   /// A copy of this classifier with per-domain priors replaced by
-  /// \p priors (size must equal num_domains()). Conditionals and log-odds
-  /// are reused verbatim; only the prior-dependent base scores are
-  /// recomputed — the implicit-feedback fast path.
-  NaiveBayesClassifier WithPriors(const std::vector<double>& priors) const;
+  /// \p priors. Conditionals and log-odds are reused verbatim; only the
+  /// prior-dependent base scores are recomputed — the implicit-feedback
+  /// fast path. Returns InvalidArgument unless priors.size() equals
+  /// num_domains() and every prior is finite and non-negative.
+  Result<NaiveBayesClassifier> WithPriors(
+      const std::vector<double>& priors) const;
 
   /// Ranks all domains for the query feature vector, descending by
   /// posterior. Ties broken by domain id for determinism.
@@ -153,7 +210,7 @@ class NaiveBayesClassifier {
                     std::vector<DomainScore>* out) const;
 
   /// Ranks B queries in one struct-of-arrays sweep: the loop order is
-  /// domain-major, so each domain's log_odds_ row streams through cache
+  /// domain-major, so each domain's scoring row streams through cache
   /// ONCE for all B queries instead of once per query. Output is
   /// bitwise-identical (EXPECT_EQ on doubles, not near) to B independent
   /// Classify calls — per (query, domain) the scored features are summed
@@ -174,9 +231,7 @@ class NaiveBayesClassifier {
   /// Number of domains the classifier covers.
   std::size_t num_domains() const { return conditionals_.size(); }
   /// Feature-space dimensionality.
-  std::size_t dim() const {
-    return conditionals_.empty() ? 0 : conditionals_[0].q1.size();
-  }
+  std::size_t dim() const { return dim_; }
 
   /// Pr(D_r) — for tests and inspection.
   double Prior(std::uint32_t domain) const {
@@ -184,8 +239,13 @@ class NaiveBayesClassifier {
   }
   /// Pr(F_j = 1 | D_r) — for tests and inspection.
   double FeatureProb(std::uint32_t domain, std::size_t j) const {
-    return conditionals_[domain].q1[j];
+    return conditionals_[domain].Q1(j);
   }
+
+  /// Heap bytes held by the model: conditionals, scoring rows and the
+  /// per-domain scalars. Build, FromConditionals and UpdateDomains publish
+  /// it as the gauge paygo.classifier.model_bytes.
+  std::size_t MemoryBytes() const;
 
   /// All per-domain conditionals (for persistence and the feedback layer).
   const std::vector<DomainConditionals>& conditionals() const {
@@ -199,28 +259,77 @@ class NaiveBayesClassifier {
   const ClassifierOptions& options() const { return options_; }
 
  private:
+  /// The precomputed scoring terms of one domain:
+  ///   score(Q) = base + sum over set features j of log_odds(j),
+  /// where base = log prior + log1mq_sum (the cached sum_j log(1 - q1[j]))
+  /// and log_odds(j) = log q1[j] - log(1 - q1[j]). `log_odds` holds the
+  /// default's log-odds in slot 0 and exception k's in slot k + 1, so
+  /// log_odds(j) = log_odds[Slot(j)] with Slot(j) = 0 when bit j of the
+  /// exception bitmap is clear, else the word's rank plus the popcount of
+  /// its set bits below j.
+  struct ScoringRow {
+    struct RankWord {
+      /// Exception bitmap word j/64.
+      std::uint64_t bits = 0;
+      /// 1 + the number of exceptions in the words before this one.
+      std::uint64_t rank = 0;
+    };
+    double base = 0.0;
+    /// Kept apart from base so a prior-only change (incremental arrivals
+    /// rescale every prior; click feedback reweights them) refreshes base
+    /// without the O(dim) log evaluations.
+    double log1mq_sum = 0.0;
+    std::vector<RankWord> index;
+    std::vector<double> log_odds;
+  };
+
+  /// A scoring row's lookup arrays, held in locals across a domain's loop.
+  struct RowView {
+    const ScoringRow::RankWord* index;
+    const double* log_odds;
+
+    explicit RowView(const ScoringRow& row)
+        : index(row.index.data()), log_odds(row.log_odds.data()) {}
+
+    /// Slot(j) in O(1). Only the integer slot branches, never a double,
+    /// so a caller's running sum stays in a register.
+    std::uint32_t Slot(std::size_t j) const {
+      const ScoringRow::RankWord& w = index[j >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (j & 63);
+      std::uint64_t slot = 0;
+      if ((w.bits & bit) != 0) {
+        slot = w.rank + static_cast<std::uint64_t>(
+                            std::popcount(w.bits & (bit - 1)));
+      }
+      return static_cast<std::uint32_t>(slot);
+    }
+
+    /// base + the log-odds of features [begin, end), added in order.
+    double Score(double base, const std::size_t* begin,
+                 const std::size_t* end) const {
+      double s = base;
+      for (const std::size_t* p = begin; p != end; ++p) s += log_odds[Slot(*p)];
+      return s;
+    }
+  };
+
   NaiveBayesClassifier() = default;
   void Precompute();
-  /// Recomputes log_odds_[r], log1mq_sum_[r], and base_[r] from
-  /// conditionals_[r]. The single canonical per-domain precompute — both
-  /// the full Build() and the incremental UpdateDomains() go through it,
-  /// which is what keeps the two paths bit-identical.
+  /// Recomputes rows_[r] from conditionals_[r]. The single canonical
+  /// per-domain precompute — both the full Build() and the incremental
+  /// UpdateDomains() go through it, which is what keeps the two paths
+  /// bit-identical.
   void PrecomputeDomain(std::size_t r);
-  /// base_[r] from the domain's prior and cached log1mq_sum_[r].
+  /// rows_[r].base from the domain's prior and cached log1mq_sum.
   void RefreshBase(std::size_t r);
+  /// Publishes MemoryBytes() on the model-bytes gauge.
+  void PublishMemory() const;
 
   ClassifierOptions options_;
+  std::size_t dim_ = 0;
   std::vector<DomainConditionals> conditionals_;
   std::vector<bool> singleton_domain_;
-  // Precomputed scoring terms: score(Q) = base_[r] + sum over set features
-  // of log_odds_[r][j], where base_ = log prior + log1mq_sum_ (the cached
-  // sum_j log(1 - q1[j])) and log_odds_[r][j] = log q1[j] - log(1 - q1[j]).
-  // log1mq_sum_ is kept separately so a prior-only change (incremental
-  // arrivals rescale every prior; click feedback reweights them) refreshes
-  // base_ without touching the O(dim) log evaluations.
-  std::vector<double> base_;
-  std::vector<double> log1mq_sum_;
-  std::vector<std::vector<double>> log_odds_;
+  std::vector<ScoringRow> rows_;
 };
 
 /// Computes the exact per-domain conditionals for one domain. Exposed for

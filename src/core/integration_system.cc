@@ -176,10 +176,14 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
           "restored classifier covers a different number of domains than "
           "the model");
     }
-    if (conditionals[0].q1.size() != sys->lexicon_->dim()) {
+    // Domain 0's dim first (the scoring rows are sized by it), then
+    // FromConditionals validates every row against it (shared dim, sorted
+    // in-range exceptions, q1 inside (0, 1)), so a bad row in any domain
+    // fails here instead of reading out of bounds at classify time.
+    if (conditionals[0].dim != sys->lexicon_->dim()) {
       return Status::InvalidArgument(
           "restored classifier feature space (dim " +
-          std::to_string(conditionals[0].q1.size()) +
+          std::to_string(conditionals[0].dim) +
           ") does not match the corpus lexicon (dim " +
           std::to_string(sys->lexicon_->dim()) +
           "); were different tokenizer options used?");
@@ -189,10 +193,13 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
     for (std::uint32_t r = 0; r < sys->domains_.num_domains(); ++r) {
       singleton.push_back(sys->domains_.IsSingletonDomain(r));
     }
-    sys->classifier_ = std::make_shared<const NaiveBayesClassifier>(
+    PAYGO_ASSIGN_OR_RETURN(
+        NaiveBayesClassifier classifier,
         NaiveBayesClassifier::FromConditionals(std::move(conditionals),
                                                std::move(singleton),
                                                options.classifier));
+    sys->classifier_ =
+        std::make_shared<const NaiveBayesClassifier>(std::move(classifier));
     sys->query_featurizer_ = std::make_shared<const QueryFeaturizer>(
         *sys->tokenizer_, *sys->vectorizer_);
   }
@@ -417,8 +424,10 @@ Status IntegrationSystem::ApplyFeedback(const FeedbackStore& store) {
     PAYGO_RETURN_NOT_OK(RebuildDerivedState());
   }
   if (store.has_implicit_feedback() && classifier_ != nullptr) {
-    classifier_ = std::make_shared<const NaiveBayesClassifier>(
-        AdjustClassifierWithClicks(*classifier_, store));
+    PAYGO_ASSIGN_OR_RETURN(NaiveBayesClassifier adjusted,
+                           AdjustClassifierWithClicks(*classifier_, store));
+    classifier_ =
+        std::make_shared<const NaiveBayesClassifier>(std::move(adjusted));
   }
   return Status::OK();
 }

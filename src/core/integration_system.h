@@ -119,7 +119,12 @@ class IntegrationSystem {
   /// VectorizeExternalTerms against the frozen lexicon, so re-deriving the
   /// lexicon from the grown corpus would change the feature space and
   /// silently (or loudly, via the dim check) diverge from the persisted
-  /// classifier. Snapshot format v2 persists both (see persist/model_io.h).
+  /// classifier. Snapshot formats v2 and v3 persist both (see
+  /// persist/model_io.h).
+  ///
+  /// Non-empty \p conditionals must cover every domain of \p model, pass
+  /// ValidateConditionals, and share the lexicon's dim; otherwise Restore
+  /// returns InvalidArgument.
   static Result<std::unique_ptr<IntegrationSystem>> Restore(
       SchemaCorpus corpus, SystemOptions options, DomainModel model,
       std::vector<DomainConditionals> conditionals,

@@ -94,12 +94,12 @@ Result<DomainModel> ReclusterWithFeedback(
   return DomainModel::Build(clustering.clusters, std::move(sd));
 }
 
-NaiveBayesClassifier AdjustClassifierWithClicks(
+Result<NaiveBayesClassifier> AdjustClassifierWithClicks(
     const NaiveBayesClassifier& classifier, const FeedbackStore& store,
     const ClickAdjustOptions& options) {
   // Click feedback only reweights priors, so the WithPriors fast path
-  // applies: conditionals and the O(#domains * dim) log-odds tables are
-  // reused verbatim; only the prior-dependent base scores are refreshed.
+  // applies: conditionals and the log-odds rows are reused verbatim; only
+  // the prior-dependent base scores are refreshed.
   std::vector<double> priors;
   priors.reserve(classifier.num_domains());
   for (std::uint32_t r = 0; r < classifier.num_domains(); ++r) {

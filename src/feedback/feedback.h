@@ -89,8 +89,10 @@ struct ClickAdjustOptions {
 
 /// \brief Returns a classifier whose priors are reweighted by observed
 /// click-through rates. Conditionals are untouched — only the relevance
-/// prior learns from interaction.
-NaiveBayesClassifier AdjustClassifierWithClicks(
+/// prior learns from interaction. Returns InvalidArgument when a
+/// reweighted prior is not finite and non-negative (NaN or negative
+/// options).
+Result<NaiveBayesClassifier> AdjustClassifierWithClicks(
     const NaiveBayesClassifier& classifier, const FeedbackStore& store,
     const ClickAdjustOptions& options = {});
 

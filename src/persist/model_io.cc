@@ -13,9 +13,11 @@ namespace paygo {
 namespace {
 
 constexpr std::string_view kModelHeader = "paygo-model v1";
-constexpr std::string_view kConditionalsHeader = "paygo-classifier v1";
+constexpr std::string_view kConditionalsHeaderV1 = "paygo-classifier v1";
+constexpr std::string_view kConditionalsHeader = "paygo-classifier v3";
 constexpr std::string_view kSnapshotHeader = "paygo-snapshot v1";
 constexpr std::string_view kSnapshotHeaderV2 = "paygo-snapshot v2";
+constexpr std::string_view kSnapshotHeaderV3 = "paygo-snapshot v3";
 
 /// Round-trip-exact double formatting.
 std::string Fmt(double v) {
@@ -123,31 +125,36 @@ std::string SerializeConditionals(
     const std::vector<DomainConditionals>& conditionals) {
   std::ostringstream os;
   os << kConditionalsHeader << "\n";
-  const std::size_t dim =
-      conditionals.empty() ? 0 : conditionals[0].q1.size();
+  const std::size_t dim = conditionals.empty() ? 0 : conditionals[0].dim;
   os << "counts " << conditionals.size() << " " << dim << "\n";
   for (std::size_t r = 0; r < conditionals.size(); ++r) {
-    os << "prior " << r << " " << Fmt(conditionals[r].prior) << "\n";
-    os << "q1 " << r;
-    for (double q : conditionals[r].q1) os << " " << Fmt(q);
+    const DomainConditionals& c = conditionals[r];
+    os << "domain " << r << " " << Fmt(c.prior) << " " << Fmt(c.default_q1)
+       << " " << c.exceptions.size();
+    for (std::size_t k = 0; k < c.exceptions.size(); ++k) {
+      os << " " << c.exceptions[k] << ":" << Fmt(c.exception_q1[k]);
+    }
     os << "\n";
   }
   return os.str();
 }
 
-Result<std::vector<DomainConditionals>> ParseConditionals(
-    std::string_view text) {
-  const std::vector<std::string> lines = Split(text, '\n');
+namespace {
+
+/// The v1 classifier section (also inside v2 snapshots): a "prior" line
+/// and a dense "q1" line per domain. Each q1 row is compressed to a
+/// default plus exceptions as it is read.
+Result<std::vector<DomainConditionals>> ParseDenseConditionals(
+    const std::vector<std::string>& lines) {
   std::size_t ln = 0;
   auto fail = [&](const std::string& msg) {
     return Status::InvalidArgument("classifier line " +
                                    std::to_string(ln + 1) + ": " + msg);
   };
-  if (lines.empty() || Trim(lines[0]) != kConditionalsHeader) {
-    return Status::InvalidArgument("missing paygo-classifier header");
-  }
   std::vector<DomainConditionals> out;
+  std::vector<bool> have_q1;
   std::size_t dim = 0;
+  std::vector<double> q1;
   for (ln = 1; ln < lines.size(); ++ln) {
     const std::string line = Trim(lines[ln]);
     if (line.empty()) continue;
@@ -156,7 +163,10 @@ Result<std::vector<DomainConditionals>> ParseConditionals(
       if (tok.size() != 3) return fail("counts needs two integers");
       PAYGO_ASSIGN_OR_RETURN(const std::uint64_t d, ParseUint(tok[1]));
       PAYGO_ASSIGN_OR_RETURN(const std::uint64_t dd, ParseUint(tok[2]));
+      // Every domain needs a line of its own.
+      if (d > lines.size()) return fail("more domains than lines");
       out.assign(d, DomainConditionals{});
+      have_q1.assign(d, false);
       dim = dd;
     } else if (tok[0] == "prior") {
       if (tok.size() != 3) return fail("prior needs id and value");
@@ -168,20 +178,101 @@ Result<std::vector<DomainConditionals>> ParseConditionals(
       PAYGO_ASSIGN_OR_RETURN(const std::uint64_t r, ParseUint(tok[1]));
       if (r >= out.size()) return fail("domain id out of range");
       if (tok.size() - 2 != dim) return fail("q1 vector has wrong length");
-      out[r].q1.reserve(dim);
+      q1.clear();
       for (std::size_t k = 2; k < tok.size(); ++k) {
         PAYGO_ASSIGN_OR_RETURN(const double q, ParseDouble(tok[k]));
-        out[r].q1.push_back(q);
+        q1.push_back(q);
+      }
+      out[r] = SparsifyConditionals(out[r].prior, q1);
+      have_q1[r] = true;
+    } else {
+      return fail("unknown directive '" + tok[0] + "'");
+    }
+  }
+  for (bool have : have_q1) {
+    if (!have) return Status::InvalidArgument("classifier: missing q1 vector");
+  }
+  return out;
+}
+
+/// The v3 classifier section: one line per domain,
+///   domain <r> <prior> <default q1> <n> <j>:<q1> ... (n exceptions)
+Result<std::vector<DomainConditionals>> ParseSparseConditionals(
+    const std::vector<std::string>& lines) {
+  std::size_t ln = 0;
+  auto fail = [&](const std::string& msg) {
+    return Status::InvalidArgument("classifier line " +
+                                   std::to_string(ln + 1) + ": " + msg);
+  };
+  std::vector<DomainConditionals> out;
+  std::vector<bool> seen;
+  std::size_t dim = 0;
+  for (ln = 1; ln < lines.size(); ++ln) {
+    const std::string line = Trim(lines[ln]);
+    if (line.empty()) continue;
+    const std::vector<std::string> tok = SplitAny(line, " ");
+    if (tok[0] == "counts") {
+      if (tok.size() != 3) return fail("counts needs two integers");
+      PAYGO_ASSIGN_OR_RETURN(const std::uint64_t d, ParseUint(tok[1]));
+      PAYGO_ASSIGN_OR_RETURN(const std::uint64_t dd, ParseUint(tok[2]));
+      // Every domain needs a line of its own.
+      if (d > lines.size()) return fail("more domains than lines");
+      out.assign(d, DomainConditionals{});
+      seen.assign(d, false);
+      dim = dd;
+    } else if (tok[0] == "domain") {
+      if (tok.size() < 5) {
+        return fail("domain needs id, prior, default and exception count");
+      }
+      PAYGO_ASSIGN_OR_RETURN(const std::uint64_t r, ParseUint(tok[1]));
+      if (r >= out.size()) return fail("domain id out of range");
+      if (seen[r]) return fail("domain " + tok[1] + " listed twice");
+      seen[r] = true;
+      DomainConditionals& c = out[r];
+      c.dim = dim;
+      PAYGO_ASSIGN_OR_RETURN(c.prior, ParseDouble(tok[2]));
+      PAYGO_ASSIGN_OR_RETURN(c.default_q1, ParseDouble(tok[3]));
+      PAYGO_ASSIGN_OR_RETURN(const std::uint64_t n, ParseUint(tok[4]));
+      if (tok.size() - 5 != n) return fail("exception count mismatch");
+      c.exceptions.reserve(n);
+      c.exception_q1.reserve(n);
+      for (std::size_t k = 5; k < tok.size(); ++k) {
+        const std::vector<std::string> pair = Split(tok[k], ':');
+        if (pair.size() != 2) return fail("exception needs feature:q1");
+        PAYGO_ASSIGN_OR_RETURN(const std::uint64_t j, ParseUint(pair[0]));
+        if (j >= dim) return fail("exception feature out of range");
+        PAYGO_ASSIGN_OR_RETURN(const double q, ParseDouble(pair[1]));
+        c.exceptions.push_back(static_cast<std::uint32_t>(j));
+        c.exception_q1.push_back(q);
       }
     } else {
       return fail("unknown directive '" + tok[0] + "'");
     }
   }
-  for (const DomainConditionals& c : out) {
-    if (c.q1.size() != dim) {
-      return Status::InvalidArgument("classifier: missing q1 vector");
+  for (std::size_t r = 0; r < seen.size(); ++r) {
+    if (!seen[r]) {
+      return Status::InvalidArgument("classifier: missing domain " +
+                                     std::to_string(r));
     }
   }
+  return out;
+}
+
+}  // namespace
+
+Result<std::vector<DomainConditionals>> ParseConditionals(
+    std::string_view text) {
+  const std::vector<std::string> lines = Split(text, '\n');
+  const std::string header = lines.empty() ? "" : Trim(lines[0]);
+  std::vector<DomainConditionals> out;
+  if (header == kConditionalsHeader) {
+    PAYGO_ASSIGN_OR_RETURN(out, ParseSparseConditionals(lines));
+  } else if (header == kConditionalsHeaderV1) {
+    PAYGO_ASSIGN_OR_RETURN(out, ParseDenseConditionals(lines));
+  } else {
+    return Status::InvalidArgument("missing paygo-classifier header");
+  }
+  PAYGO_RETURN_NOT_OK(ValidateConditionals(out));
   return out;
 }
 
@@ -290,7 +381,7 @@ Result<std::string> SerializeSnapshot(const IntegrationSystem& system) {
         "snapshotting requires a built classifier");
   }
   std::ostringstream out;
-  out << kSnapshotHeaderV2 << "\n";
+  out << kSnapshotHeaderV3 << "\n";
   out << "=== corpus ===\n" << SerializeCorpus(system.corpus());
   out << "=== lexicon ===\n" << SerializeLexiconSection(system.lexicon());
   out << "=== features ===\n"
@@ -319,8 +410,12 @@ Result<std::unique_ptr<IntegrationSystem>> ParseSnapshot(
                                     : next + 1 - content);
   };
 
-  const bool v2 = text.rfind(kSnapshotHeaderV2, 0) == 0;
-  if (!v2 && text.rfind(kSnapshotHeader, 0) != 0) {
+  // v2 and v3 both carry the frozen lexicon and the feature bitsets; they
+  // differ only in the classifier section, whose own header ParseConditionals
+  // dispatches on.
+  const bool frozen_lexicon = text.rfind(kSnapshotHeaderV2, 0) == 0 ||
+                              text.rfind(kSnapshotHeaderV3, 0) == 0;
+  if (!frozen_lexicon && text.rfind(kSnapshotHeader, 0) != 0) {
     return Status::InvalidArgument("missing paygo-snapshot header");
   }
   PAYGO_ASSIGN_OR_RETURN(const std::string corpus_text, section("corpus"));
@@ -332,7 +427,7 @@ Result<std::unique_ptr<IntegrationSystem>> ParseSnapshot(
                          ParseConditionals(clf_text));
   std::vector<std::string> lexicon_terms;
   std::vector<DynamicBitset> features;
-  if (v2) {
+  if (frozen_lexicon) {
     PAYGO_ASSIGN_OR_RETURN(const std::string lex_text, section("lexicon"));
     PAYGO_ASSIGN_OR_RETURN(const std::string feat_text, section("features"));
     PAYGO_ASSIGN_OR_RETURN(lexicon_terms, ParseLexiconSection(lex_text));

@@ -24,6 +24,13 @@
 /// v1 snapshots still load (legacy rebuild path, valid for never-mutated
 /// systems).
 ///
+/// Snapshot format v3 (written today) stores the classifier sparsely:
+/// per domain its prior, its default q1 and its (feature, q1) exceptions,
+/// so the snapshot — and the replication channel's full-snapshot payload —
+/// grows with the nonzeros instead of |D| * dim L. The dense q1 rows of v1
+/// and v2 classifier sections are compressed as they are parsed, and
+/// restore to bitwise-identical scores.
+///
 /// Structural sharing (IntegrationSystem::Clone) is invisible here by
 /// construction: SaveSnapshot reads each component once through the
 /// system's accessors, so a component shared by many live snapshots is
@@ -48,21 +55,24 @@ std::string SerializeDomainModel(const DomainModel& model);
 /// Parses a domain model serialized by SerializeDomainModel.
 Result<DomainModel> ParseDomainModel(std::string_view text);
 
-/// Serializes classifier conditionals (priors + per-feature q1 vectors).
+/// Serializes classifier conditionals (the v3 classifier section: priors,
+/// default q1s and exceptions).
 std::string SerializeConditionals(
     const std::vector<DomainConditionals>& conditionals);
 
-/// Parses conditionals serialized by SerializeConditionals.
+/// Parses conditionals serialized by SerializeConditionals, or a dense v1
+/// classifier section (the one inside v1 and v2 snapshots). Returns
+/// InvalidArgument unless ValidateConditionals accepts the result.
 Result<std::vector<DomainConditionals>> ParseConditionals(
     std::string_view text);
 
-/// Serializes a full v2 system snapshot (corpus + lexicon + features +
+/// Serializes a full v3 system snapshot (corpus + lexicon + features +
 /// model + conditionals) to a string. The system must have been built with
 /// a classifier. This is the in-memory half of SaveSnapshot; the shard
 /// replication channel ships the same bytes over the wire.
 Result<std::string> SerializeSnapshot(const IntegrationSystem& system);
 
-/// Restores a system from snapshot text (v1 or v2). \p options must carry
+/// Restores a system from snapshot text (v1, v2 or v3). \p options must carry
 /// the same tokenizer/feature/mediator settings the system was built with
 /// (they drive the derived state that is rebuilt); clustering and
 /// classifier settings are not re-applied — the persisted model and

@@ -16,7 +16,7 @@
 /// timeout, nothing more.
 ///
 /// Payloads are the repo's existing text formats (corpus_io, model_io
-/// snapshot v2): the wire layer frames bytes, it does not define a second
+/// snapshot v3): the wire layer frames bytes, it does not define a second
 /// serialization.
 
 #include <cstdint>
@@ -34,7 +34,7 @@ enum class FrameType : std::uint8_t {
   kClassify = 3,       ///< payload: "<k>\n<query>"
   kClassifyResult = 4, ///< payload: "ok <gen> <n>\n" + n result lines
   kSnapshotPull = 5,   ///< payload: decimal synced primary generation
-  kSnapshotFull = 6,   ///< payload: "gen <g>\n" + snapshot v2 text
+  kSnapshotFull = 6,   ///< payload: "gen <g>\n" + snapshot v3 text
   kSnapshotDelta = 7,  ///< payload: "gen <g>\n" + replication records
   kUpToDate = 8,       ///< payload: decimal current generation
   kError = 9,          ///< payload: human-readable reason

@@ -69,9 +69,9 @@ TEST(ExpectedWorldTest, ConditionalsCloseToExact) {
       fx.model, 0, fx.features, fx.total, ClassifierEngine::kFactored, 24);
   ASSERT_TRUE(approx.ok());
   ASSERT_TRUE(exact.ok());
-  for (std::size_t j = 0; j < approx->q1.size(); ++j) {
+  for (std::size_t j = 0; j < approx->dim; ++j) {
     // Jensen gap of the 1/(2|S'|+1) factor is small for domains this size.
-    EXPECT_NEAR(approx->q1[j], exact->q1[j], 0.05) << "feature " << j;
+    EXPECT_NEAR(approx->Q1(j), exact->Q1(j), 0.05) << "feature " << j;
   }
 }
 
@@ -93,7 +93,7 @@ TEST(ExpectedWorldTest, ExactWhenAllMembersCertain) {
   // exact.
   EXPECT_NEAR(approx->prior, exact->prior, 1e-12);
   for (std::size_t j = 0; j < dim; ++j) {
-    EXPECT_NEAR(approx->q1[j], exact->q1[j], 1e-9);
+    EXPECT_NEAR(approx->Q1(j), exact->Q1(j), 1e-9);
   }
 }
 
@@ -111,8 +111,8 @@ TEST(MonteCarloTest, ConvergesToExactWithSamples) {
                                                   fx.total, opts);
   ASSERT_TRUE(mc.ok());
   EXPECT_NEAR(mc->prior, exact->prior, 0.01);
-  for (std::size_t j = 0; j < mc->q1.size(); ++j) {
-    EXPECT_NEAR(mc->q1[j], exact->q1[j], 0.02) << "feature " << j;
+  for (std::size_t j = 0; j < mc->dim; ++j) {
+    EXPECT_NEAR(mc->Q1(j), exact->Q1(j), 0.02) << "feature " << j;
   }
 }
 
@@ -129,8 +129,8 @@ TEST(MonteCarloTest, DeterministicGivenSeed) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_DOUBLE_EQ(a->prior, b->prior);
-  for (std::size_t j = 0; j < a->q1.size(); ++j) {
-    EXPECT_DOUBLE_EQ(a->q1[j], b->q1[j]);
+  for (std::size_t j = 0; j < a->dim; ++j) {
+    EXPECT_DOUBLE_EQ(a->Q1(j), b->Q1(j));
   }
 }
 

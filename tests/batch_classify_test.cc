@@ -22,6 +22,7 @@
 
 #include "classify/naive_bayes.h"
 #include "core/integration_system.h"
+#include "dense_classifier_oracle.h"
 #include "serve/paygo_server.h"
 #include "synth/ddh_generator.h"
 #include "util/bitset.h"
@@ -36,13 +37,13 @@ constexpr std::size_t kDim = 400;
 /// the perf bench uses.
 NaiveBayesClassifier MakeClassifier(std::size_t num_domains, unsigned seed) {
   Rng rng(seed);
-  std::vector<DomainConditionals> conds(num_domains);
+  std::vector<dense_oracle::DenseConditionals> conds(num_domains);
   for (auto& c : conds) {
     c.prior = 0.01 + rng.NextDouble();
     c.q1.resize(kDim);
     for (double& q : c.q1) q = 0.001 + 0.9 * rng.NextDouble();
   }
-  return NaiveBayesClassifier::FromConditionals(
+  return dense_oracle::ClassifierFromDense(
       std::move(conds), std::vector<bool>(num_domains, false), {});
 }
 
@@ -107,7 +108,7 @@ TEST(BatchClassifyTest, IntoFlavorsMatchAndReuseBuffers) {
 
 TEST(BatchClassifyTest, SkipSingletonDomainsHonoredInBatch) {
   Rng rng(55);
-  std::vector<DomainConditionals> conds(8);
+  std::vector<dense_oracle::DenseConditionals> conds(8);
   for (auto& c : conds) {
     c.prior = 0.01 + rng.NextDouble();
     c.q1.resize(kDim);
@@ -117,7 +118,7 @@ TEST(BatchClassifyTest, SkipSingletonDomainsHonoredInBatch) {
   singleton[2] = singleton[5] = true;
   ClassifierOptions options;
   options.skip_singleton_domains = true;
-  const auto clf = NaiveBayesClassifier::FromConditionals(
+  const auto clf = dense_oracle::ClassifierFromDense(
       std::move(conds), std::move(singleton), options);
 
   const std::vector<DynamicBitset> queries = MakeQueries(7, 66);

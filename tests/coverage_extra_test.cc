@@ -103,10 +103,10 @@ TEST(CoverageTest, AddingFeatureBearingSchemaRaisesItsConditional) {
   ASSERT_TRUE(c3.ok());
   // Every member carries feature 0 in both cases; with more members the
   // m-estimate's pull toward p = 1/dim weakens, so q1[0] rises.
-  EXPECT_GT(c3->q1[0], c2->q1[0]);
+  EXPECT_GT(c3->Q1(0), c2->Q1(0));
   // Feature 5 appears nowhere; its conditional stays near the smoothing
   // floor and falls as the domain grows.
-  EXPECT_LT(c3->q1[5], c2->q1[5]);
+  EXPECT_LT(c3->Q1(5), c2->Q1(5));
 }
 
 TEST(CoverageTest, PriorGrowsWithDomainSize) {

@@ -96,8 +96,8 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
   for (std::uint32_t r = 0; r < a.classifier().num_domains(); ++r) {
     EXPECT_EQ(a.classifier().Prior(r), b.classifier().Prior(r))
         << "prior of domain " << r;
-    EXPECT_EQ(a.classifier().conditionals()[r].q1,
-              b.classifier().conditionals()[r].q1)
+    EXPECT_EQ(a.classifier().conditionals()[r],
+              b.classifier().conditionals()[r])
         << "q1 of domain " << r;
   }
   for (const std::string& q : Queries()) {

@@ -184,9 +184,9 @@ TEST(AdjustClassifierWithClicksTest, ClicksBoostRelativeRanking) {
     store.RecordImpression(1);
     store.RecordClick(1);
   }
-  const NaiveBayesClassifier adjusted =
-      AdjustClassifierWithClicks(*clf, store);
-  const auto after = adjusted.Classify(query);
+  const auto adjusted = AdjustClassifierWithClicks(*clf, store);
+  ASSERT_TRUE(adjusted.ok()) << adjusted.status();
+  const auto after = adjusted->Classify(query);
   EXPECT_EQ(after[0].domain, 1u);
 }
 
@@ -200,11 +200,52 @@ TEST(AdjustClassifierWithClicksTest, NoFeedbackKeepsRanking) {
   const auto clf = NaiveBayesClassifier::Build(model, features, 2, {});
   ASSERT_TRUE(clf.ok());
   FeedbackStore store;
-  const NaiveBayesClassifier adjusted =
-      AdjustClassifierWithClicks(*clf, store);
+  const auto adjusted = AdjustClassifierWithClicks(*clf, store);
+  ASSERT_TRUE(adjusted.ok()) << adjusted.status();
   DynamicBitset q(dim);
   q.Set(0);
-  EXPECT_EQ(adjusted.Classify(q)[0].domain, clf->Classify(q)[0].domain);
+  EXPECT_EQ(adjusted->Classify(q)[0].domain, clf->Classify(q)[0].domain);
+}
+
+TEST(AdjustClassifierWithClicksTest, InvalidReweightingIsAStatus) {
+  // A negative blend exponent over a zero click-through rate drives every
+  // prior to infinity: the adjustment must fail, not publish it.
+  const std::size_t dim = 4;
+  std::vector<DynamicBitset> features(2, DynamicBitset(dim));
+  features[0].Set(0);
+  features[1].Set(2);
+  DomainModel model =
+      DomainModel::Build({{0}, {1}}, {{{0, 1.0}}, {{1, 1.0}}});
+  const auto clf = NaiveBayesClassifier::Build(model, features, 2, {});
+  ASSERT_TRUE(clf.ok());
+  FeedbackStore store;
+  store.RecordImpression(0);
+  ClickAdjustOptions options;
+  options.alpha = 0.0;
+  options.strength = -1.0;
+  const auto adjusted = AdjustClassifierWithClicks(*clf, store, options);
+  EXPECT_TRUE(adjusted.status().IsInvalidArgument()) << adjusted.status();
+}
+
+TEST(WithPriorsTest, SizeMismatchIsInvalidArgument) {
+  const std::size_t dim = 4;
+  std::vector<DynamicBitset> features(2, DynamicBitset(dim));
+  features[0].Set(0);
+  features[1].Set(2);
+  DomainModel model =
+      DomainModel::Build({{0}, {1}}, {{{0, 1.0}}, {{1, 1.0}}});
+  const auto clf = NaiveBayesClassifier::Build(model, features, 2, {});
+  ASSERT_TRUE(clf.ok());
+  // Too few and too many priors both fail; in Release the short vector
+  // used to leave the tail domains on their old priors silently.
+  EXPECT_TRUE(clf->WithPriors({0.5}).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      clf->WithPriors({0.5, 0.25, 0.25}).status().IsInvalidArgument());
+  EXPECT_TRUE(clf->WithPriors({0.5, -1.0}).status().IsInvalidArgument());
+  const auto ok = clf->WithPriors({0.25, 0.75});
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->Prior(0), 0.25);
+  EXPECT_EQ(ok->Prior(1), 0.75);
 }
 
 }  // namespace

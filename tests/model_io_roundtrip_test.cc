@@ -1,4 +1,4 @@
-// Snapshot v2 round-trip: serialize -> parse must reproduce the system
+// Snapshot v3 round-trip: serialize -> parse must reproduce the system
 // bitwise — lexicon, feature vectors, similarity matrix, memberships,
 // classifier priors and conditionals — including after the corpus grew
 // through the delta write path's AddSchema, where the lexicon is frozen
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -96,11 +97,7 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
   ASSERT_EQ(ca.size(), cb.size());
   for (std::size_t r = 0; r < ca.size(); ++r) {
     EXPECT_DOUBLE_EQ(ca[r].prior, cb[r].prior) << "prior " << r;
-    ASSERT_EQ(ca[r].q1.size(), cb[r].q1.size());
-    for (std::size_t j = 0; j < ca[r].q1.size(); ++j) {
-      EXPECT_DOUBLE_EQ(ca[r].q1[j], cb[r].q1[j])
-          << "q1(" << r << "," << j << ")";
-    }
+    EXPECT_EQ(ca[r], cb[r]) << "conditionals of domain " << r;
   }
 }
 
@@ -118,7 +115,7 @@ TEST(ModelIoRoundTripTest, V2RoundTripBitExactAfterAddSchemaChurn) {
   std::unique_ptr<IntegrationSystem> sys = BuildChurnedSystem();
   auto text = SerializeSnapshot(*sys);
   ASSERT_TRUE(text.ok()) << text.status();
-  EXPECT_EQ(text->rfind("paygo-snapshot v2", 0), 0u);
+  EXPECT_EQ(text->rfind("paygo-snapshot v3", 0), 0u);
   auto restored = ParseSnapshot(*text, TestOptions());
   ASSERT_TRUE(restored.ok()) << restored.status();
   ExpectBitwiseEqual(*sys, **restored);
@@ -182,6 +179,103 @@ TEST(ModelIoRoundTripTest, V1FormatCannotRepresentChurnedSystem) {
   v1 += "=== end ===\n";
   const auto restored = ParseSnapshot(v1, TestOptions());
   EXPECT_TRUE(restored.status().IsInvalidArgument()) << restored.status();
+}
+
+/// The dense classifier section v1 and v2 snapshots carry: a "prior"
+/// and a full "q1" line per domain.
+std::string DenseClassifierSection(const NaiveBayesClassifier& clf) {
+  auto fmt = [](double v) {
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return std::string(buf);
+  };
+  std::string out = "paygo-classifier v1\ncounts " +
+                    std::to_string(clf.num_domains()) + " " +
+                    std::to_string(clf.dim()) + "\n";
+  for (std::uint32_t r = 0; r < clf.num_domains(); ++r) {
+    out += "prior " + std::to_string(r) + " " + fmt(clf.Prior(r)) + "\n";
+    out += "q1 " + std::to_string(r);
+    for (std::size_t j = 0; j < clf.dim(); ++j) {
+      out += " " + fmt(clf.FeatureProb(r, j));
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(ModelIoRoundTripTest, DenseV2ClassifierRestoresBitwiseScores) {
+  // A snapshot written before the sparse classifier: v2 header, dense q1
+  // rows. Restoring compresses each row; the scores must not move a bit.
+  std::unique_ptr<IntegrationSystem> sys = BuildChurnedSystem();
+  auto text = SerializeSnapshot(*sys);
+  ASSERT_TRUE(text.ok()) << text.status();
+  std::string v2 = "paygo-snapshot v2\n";
+  const std::size_t body = text->find('\n') + 1;
+  const std::size_t clf_at = text->find("=== classifier ===\n");
+  const std::size_t end_at = text->find("=== end ===\n");
+  ASSERT_NE(clf_at, std::string::npos);
+  ASSERT_NE(end_at, std::string::npos);
+  v2 += text->substr(body, clf_at - body);
+  v2 += "=== classifier ===\n" + DenseClassifierSection(sys->classifier());
+  v2 += "=== end ===\n";
+  auto restored = ParseSnapshot(v2, TestOptions());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  const NaiveBayesClassifier& a = sys->classifier();
+  const NaiveBayesClassifier& b = (*restored)->classifier();
+  ASSERT_EQ(a.num_domains(), b.num_domains());
+  for (std::uint32_t r = 0; r < a.num_domains(); ++r) {
+    EXPECT_EQ(a.Prior(r), b.Prior(r)) << "prior " << r;
+    for (std::size_t j = 0; j < a.dim(); ++j) {
+      EXPECT_EQ(a.FeatureProb(r, j), b.FeatureProb(r, j))
+          << "q1(" << r << "," << j << ")";
+    }
+  }
+  for (const char* q : {"departure airline", "hotel check in",
+                        "zeppelin mooring", "salary employer", "car"}) {
+    const auto sa = sys->ClassifyKeywordQuery(q);
+    const auto sb = (*restored)->ClassifyKeywordQuery(q);
+    ASSERT_TRUE(sa.ok() && sb.ok()) << q;
+    ASSERT_EQ(sa->size(), sb->size()) << q;
+    for (std::size_t k = 0; k < sa->size(); ++k) {
+      EXPECT_EQ((*sa)[k].domain, (*sb)[k].domain) << q;
+      EXPECT_EQ((*sa)[k].log_posterior, (*sb)[k].log_posterior) << q;
+    }
+  }
+}
+
+TEST(ModelIoRoundTripTest, RestoreRejectsABadRowInAnyDomain) {
+  // Restore used to check only domain 0's row length, so a short row in
+  // any later domain read out of bounds at classify time.
+  auto built = IntegrationSystem::Build(MakeDwCorpus(), TestOptions());
+  ASSERT_TRUE(built.ok()) << built.status();
+  const IntegrationSystem& sys = **built;
+  ASSERT_GE(sys.classifier().num_domains(), 2u);
+  auto restore = [&](std::vector<DomainConditionals> conds) {
+    return IntegrationSystem::Restore(
+        sys.corpus(), TestOptions(), sys.domains(), std::move(conds),
+        sys.lexicon().terms(), sys.features());
+  };
+  ASSERT_TRUE(restore(sys.classifier().conditionals()).ok());
+
+  const std::size_t last = sys.classifier().num_domains() - 1;
+  auto short_row = sys.classifier().conditionals();
+  short_row[last].dim -= 1;
+  EXPECT_TRUE(restore(std::move(short_row)).status().IsInvalidArgument());
+
+  auto out_of_range = sys.classifier().conditionals();
+  out_of_range[last].exceptions.push_back(
+      static_cast<std::uint32_t>(sys.lexicon().dim()));
+  out_of_range[last].exception_q1.push_back(0.5);
+  EXPECT_TRUE(restore(std::move(out_of_range)).status().IsInvalidArgument());
+
+  auto bad_value = sys.classifier().conditionals();
+  bad_value[last].default_q1 = 1.0;
+  EXPECT_TRUE(restore(std::move(bad_value)).status().IsInvalidArgument());
+
+  // Every row consistent, but not with the lexicon.
+  auto wrong_dim = sys.classifier().conditionals();
+  for (DomainConditionals& c : wrong_dim) c.dim += 1;
+  EXPECT_TRUE(restore(std::move(wrong_dim)).status().IsInvalidArgument());
 }
 
 TEST(ModelIoRoundTripTest, RejectsMalformedV2Sections) {

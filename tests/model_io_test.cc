@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "synth/web_generator.h"
 
@@ -38,18 +39,18 @@ TEST(ModelIoTest, DomainModelRoundTrip) {
 
 TEST(ModelIoTest, ConditionalsRoundTripBitExact) {
   std::vector<DomainConditionals> conds(2);
-  conds[0].prior = 0.123456789012345678;
-  conds[0].q1 = {0.1, 1.0 / 3.0, 0.999999999999};
-  conds[1].prior = 1e-17;
-  conds[1].q1 = {0.5, 0.25, 0.75};
+  conds[0] = SparsifyConditionals(0.123456789012345678,
+                                  std::vector<double>{0.1, 1.0 / 3.0,
+                                                      0.999999999999, 0.1});
+  conds[1] = SparsifyConditionals(1e-17, std::vector<double>{0.5, 0.25, 0.75,
+                                                             0.25});
   const auto parsed = ParseConditionals(SerializeConditionals(conds));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ASSERT_EQ(parsed->size(), 2u);
   for (std::size_t r = 0; r < 2; ++r) {
-    EXPECT_DOUBLE_EQ((*parsed)[r].prior, conds[r].prior);
-    ASSERT_EQ((*parsed)[r].q1.size(), conds[r].q1.size());
-    for (std::size_t j = 0; j < conds[r].q1.size(); ++j) {
-      EXPECT_DOUBLE_EQ((*parsed)[r].q1[j], conds[r].q1[j]);
+    EXPECT_EQ((*parsed)[r], conds[r]) << "domain " << r;
+    for (std::size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ((*parsed)[r].Q1(j), conds[r].Q1(j));
     }
   }
 }
@@ -66,6 +67,42 @@ TEST(ModelIoTest, ParseRejectsGarbage) {
       ParseDomainModel("paygo-model v1\ncounts 1 1\nmembership 0 9:0.5\n")
           .status()
           .IsInvalidArgument());
+}
+
+TEST(ModelIoTest, ParseConditionalsValidatesEveryDomain) {
+  const std::string head = "paygo-classifier v3\ncounts 2 8\n";
+  const std::string ok0 = "domain 0 0.5 0.125 2 1:0.5 4:0.25\n";
+  ASSERT_TRUE(ParseConditionals(head + ok0 + "domain 1 0.25 0.0625 0\n").ok());
+  for (const char* bad : {
+           "domain 1 0.25 0.0625 2 5:0.5 2:0.5\n",  // unsorted
+           "domain 1 0.25 0.0625 2 3:0.5 3:0.5\n",  // duplicate
+           "domain 1 0.25 0.0625 1 8:0.5\n",        // feature >= dim
+           "domain 1 0.25 0.0625 1 3:0\n",          // q1 = 0
+           "domain 1 0.25 0.0625 1 3:1\n",          // q1 = 1
+           "domain 1 0.25 0.0625 1 3:nan\n",        // not finite
+           "domain 1 0.25 0.0625 1 3:inf\n",        // not finite
+           "domain 1 0.25 1.5 0\n",                 // default outside (0, 1)
+           "domain 1 -0.25 0.0625 0\n",             // negative prior
+           "domain 1 0.25 0.0625 2 3:0.5\n",        // count mismatch
+           "domain 0 0.25 0.0625 0\n",              // domain 0 twice
+           "",                                      // domain 1 missing
+       }) {
+    EXPECT_TRUE(
+        ParseConditionals(head + ok0 + bad).status().IsInvalidArgument())
+        << bad;
+  }
+  // A domain count no section could hold fails before allocating.
+  EXPECT_TRUE(ParseConditionals("paygo-classifier v3\ncounts 99999999999 8\n")
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ParseConditionals("paygo-classifier v1\ncounts 99999999999 8\n")
+                  .status()
+                  .IsInvalidArgument());
+  // A dense v1 row is validated after compression, too.
+  EXPECT_TRUE(ParseConditionals("paygo-classifier v1\ncounts 1 3\n"
+                                "prior 0 0.5\nq1 0 0.25 1.5 0.25\n")
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(ModelIoTest, SnapshotRoundTripPreservesBehaviour) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/random.h"
 
@@ -43,10 +45,10 @@ class HandComputedCase : public ::testing::TestWithParam<ClassifierEngine> {
         ComputeDomainConditionals(model, 0, features, 4, GetParam(), 24);
     ASSERT_TRUE(cond.ok()) << cond.status();
     EXPECT_NEAR(cond->prior, 0.4, 1e-12);
-    ASSERT_EQ(cond->q1.size(), 3u);
-    EXPECT_NEAR(cond->q1[0], 0.25 * (1 + 2.0 / 3) / 3 + 0.75 * 3.0 / 5, 1e-12);
-    EXPECT_NEAR(cond->q1[1], 0.25 * (2.0 / 3) / 3 + 0.75 * 2.0 / 5, 1e-12);
-    EXPECT_NEAR(cond->q1[2], 0.25 * (2.0 / 3) / 3 + 0.75 * 1.0 / 5, 1e-12);
+    ASSERT_EQ(cond->dim, 3u);
+    EXPECT_NEAR(cond->Q1(0), 0.25 * (1 + 2.0 / 3) / 3 + 0.75 * 3.0 / 5, 1e-12);
+    EXPECT_NEAR(cond->Q1(1), 0.25 * (2.0 / 3) / 3 + 0.75 * 2.0 / 5, 1e-12);
+    EXPECT_NEAR(cond->Q1(2), 0.25 * (2.0 / 3) / 3 + 0.75 * 1.0 / 5, 1e-12);
   }
 };
 
@@ -65,9 +67,9 @@ TEST(NaiveBayesTest, AllCertainDomainIsSingleWorld) {
   ASSERT_TRUE(cond.ok());
   // Single world {s0, s1}: prior = 2/2 = 1; m = 3, denom = 5, p = 1/4.
   EXPECT_NEAR(cond->prior, 1.0, 1e-12);
-  EXPECT_NEAR(cond->q1[0], (1 + 3.0 / 4) / 5, 1e-12);
-  EXPECT_NEAR(cond->q1[1], (2 + 3.0 / 4) / 5, 1e-12);
-  EXPECT_NEAR(cond->q1[3], (0 + 3.0 / 4) / 5, 1e-12);
+  EXPECT_NEAR(cond->Q1(0), (1 + 3.0 / 4) / 5, 1e-12);
+  EXPECT_NEAR(cond->Q1(1), (2 + 3.0 / 4) / 5, 1e-12);
+  EXPECT_NEAR(cond->Q1(3), (0 + 3.0 / 4) / 5, 1e-12);
 }
 
 TEST(NaiveBayesTest, ConditionalsStayInsideOpenUnitInterval) {
@@ -81,9 +83,9 @@ TEST(NaiveBayesTest, ConditionalsStayInsideOpenUnitInterval) {
     const auto cond = ComputeDomainConditionals(
         model, r, features, 2, ClassifierEngine::kFactored, 24);
     ASSERT_TRUE(cond.ok());
-    for (double q : cond->q1) {
-      EXPECT_GT(q, 0.0);
-      EXPECT_LT(q, 1.0);
+    for (std::size_t j = 0; j < dim; ++j) {
+      EXPECT_GT(cond->Q1(j), 0.0);
+      EXPECT_LT(cond->Q1(j), 1.0);
     }
   }
 }
@@ -233,13 +235,113 @@ TEST_P(EngineAgreementTest, FactoredEqualsExhaustive) {
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(factored.ok());
   EXPECT_NEAR(exact->prior, factored->prior, 1e-12);
-  ASSERT_EQ(exact->q1.size(), factored->q1.size());
+  ASSERT_EQ(exact->dim, factored->dim);
   for (std::size_t j = 0; j < dim; ++j) {
-    EXPECT_NEAR(exact->q1[j], factored->q1[j], 1e-10) << "feature " << j;
+    EXPECT_NEAR(exact->Q1(j), factored->Q1(j), 1e-10) << "feature " << j;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineAgreementTest, ::testing::Range(0, 10));
+
+/// Two valid domains over dim 8: a default plus a few exceptions each.
+std::vector<DomainConditionals> ValidConditionals() {
+  std::vector<DomainConditionals> conds(2);
+  conds[0] = {0.5, 8, 0.125, {1, 4, 7}, {0.5, 0.25, 0.75}};
+  conds[1] = {0.25, 8, 0.0625, {0}, {0.875}};
+  return conds;
+}
+
+/// FromConditionals on \p conds must fail with InvalidArgument.
+void ExpectRejected(std::vector<DomainConditionals> conds,
+                    const std::string& why) {
+  const auto clf = NaiveBayesClassifier::FromConditionals(
+      std::move(conds), std::vector<bool>(2, false), {});
+  EXPECT_TRUE(clf.status().IsInvalidArgument()) << why << ": " << clf.status();
+}
+
+TEST(ValidateConditionalsTest, AcceptsValidRows) {
+  const auto clf = NaiveBayesClassifier::FromConditionals(
+      ValidConditionals(), std::vector<bool>(2, false), {});
+  ASSERT_TRUE(clf.ok()) << clf.status();
+  EXPECT_EQ(clf->dim(), 8u);
+  EXPECT_EQ(clf->FeatureProb(0, 4), 0.25);
+  EXPECT_EQ(clf->FeatureProb(0, 5), 0.125);
+  EXPECT_EQ(clf->FeatureProb(1, 0), 0.875);
+}
+
+TEST(ValidateConditionalsTest, RejectsUnsortedExceptions) {
+  auto conds = ValidConditionals();
+  conds[1].exceptions = {5, 2};
+  conds[1].exception_q1 = {0.5, 0.5};
+  ExpectRejected(std::move(conds), "unsorted");
+}
+
+TEST(ValidateConditionalsTest, RejectsDuplicateExceptions) {
+  auto conds = ValidConditionals();
+  conds[1].exceptions = {3, 3};
+  conds[1].exception_q1 = {0.5, 0.5};
+  ExpectRejected(std::move(conds), "duplicate");
+}
+
+TEST(ValidateConditionalsTest, RejectsExceptionOutOfRange) {
+  auto conds = ValidConditionals();
+  conds[1].exceptions = {8};  // dim is 8
+  ExpectRejected(std::move(conds), "out of range");
+}
+
+TEST(ValidateConditionalsTest, RejectsValueCountMismatch) {
+  auto conds = ValidConditionals();
+  conds[1].exception_q1.push_back(0.5);
+  ExpectRejected(std::move(conds), "value count");
+}
+
+TEST(ValidateConditionalsTest, RejectsDimMismatchInAnyDomain) {
+  auto conds = ValidConditionals();
+  conds[1].dim = 7;
+  ExpectRejected(std::move(conds), "short row in domain 1");
+}
+
+TEST(ValidateConditionalsTest, RejectsNonFiniteOrOutOfUnitValues) {
+  for (double bad : {0.0, 1.0, -0.5, 1.5, std::nan(""), HUGE_VAL}) {
+    auto exc = ValidConditionals();
+    exc[1].exception_q1[0] = bad;
+    ExpectRejected(std::move(exc), "exception q1 " + std::to_string(bad));
+    auto dflt = ValidConditionals();
+    dflt[0].default_q1 = bad;
+    ExpectRejected(std::move(dflt), "default q1 " + std::to_string(bad));
+  }
+}
+
+TEST(ValidateConditionalsTest, RejectsBadPriors) {
+  for (double bad : {-0.25, std::nan(""), HUGE_VAL}) {
+    auto conds = ValidConditionals();
+    conds[1].prior = bad;
+    ExpectRejected(std::move(conds), "prior " + std::to_string(bad));
+  }
+}
+
+TEST(SparsifyConditionalsTest, MostFrequentValueBecomesTheDefault) {
+  const std::vector<double> q1 = {0.25, 0.5, 0.25, 0.75, 0.25};
+  const DomainConditionals c = SparsifyConditionals(0.5, q1);
+  EXPECT_EQ(c.dim, 5u);
+  EXPECT_EQ(c.default_q1, 0.25);
+  EXPECT_EQ(c.exceptions, (std::vector<std::uint32_t>{1, 3}));
+  EXPECT_EQ(c.exception_q1, (std::vector<double>{0.5, 0.75}));
+  for (std::size_t j = 0; j < q1.size(); ++j) EXPECT_EQ(c.Q1(j), q1[j]);
+}
+
+TEST(NaiveBayesTest, ExactConditionalsStayInsideOpenUnitIntervalAtDimOne) {
+  // At dim 1 the m-estimate's p is 1, and a feature every member has
+  // rounds to q1 = 1.0 unless clamped; the stored conditionals must still
+  // pass ValidateConditionals (a snapshot of them must restore).
+  std::vector<DynamicBitset> features = {Bits(1, {0}), Bits(1, {})};
+  DomainModel model = MakeModel({{0}, {1}}, {{{0, 1.0}}, {}});
+  const auto clf = NaiveBayesClassifier::Build(model, features, 2, {});
+  ASSERT_TRUE(clf.ok()) << clf.status();
+  EXPECT_TRUE(ValidateConditionals(clf->conditionals()).ok());
+  EXPECT_LT(clf->FeatureProb(0, 0), 1.0);
+  EXPECT_LT(clf->FeatureProb(1, 0), 1.0);
+}
 
 }  // namespace
 }  // namespace paygo

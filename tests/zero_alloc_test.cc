@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "classify/naive_bayes.h"
+#include "dense_classifier_oracle.h"
 #include "util/bitset.h"
 #include "util/random.h"
 
@@ -101,13 +102,13 @@ constexpr std::size_t kDomains = 24;
 
 NaiveBayesClassifier MakeClassifier() {
   Rng rng(99);
-  std::vector<DomainConditionals> conds(kDomains);
+  std::vector<dense_oracle::DenseConditionals> conds(kDomains);
   for (auto& c : conds) {
     c.prior = 0.01 + rng.NextDouble();
     c.q1.resize(kDim);
     for (double& q : c.q1) q = 0.001 + 0.9 * rng.NextDouble();
   }
-  return NaiveBayesClassifier::FromConditionals(
+  return dense_oracle::ClassifierFromDense(
       std::move(conds), std::vector<bool>(kDomains, false), {});
 }
 

@@ -110,6 +110,15 @@ echo "==> smoke: perf_classifier --smoke --check (batch sweep >= 2x, p99 budget)
   > "$SMOKE_DIR/classifier.json"
 echo "    batch classify sweep within the speedup + p99 budget"
 
+echo "==> smoke: perf_classifier --shape web --check (sparse model size)"
+# The many-domain web shape from raw text at 200 pseudo-domains: the
+# sparse classifier must stay under 5% of the dense rows' bytes and every
+# per-query p99 under budget (full lane: --shape web, 1000 domains).
+./build/bench/perf_classifier --shape web --domains 200 --smoke --check \
+  --json-out "$SMOKE_DIR/BENCH_classifier_web.json" \
+  > "$SMOKE_DIR/classifier-web.json"
+echo "    web-shape classifier within the model-size + p99 budget"
+
 echo "==> smoke: serve_throughput --check (coalesced classify, p99 + errors)"
 # A short coalesced-serving run: every steady-phase request must succeed
 # and client-observed p99 must stay under the (loose) budget.
@@ -312,7 +321,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     clone_aliasing_test admin_server_test thread_pool_test \
     parallel_determinism_test shard_replication_test fleet_trace_test \
     zero_alloc_test batch_classify_test bitset_kernel_test \
-    sparse_hac_test neighbor_graph_test -j "$JOBS"
+    sparse_hac_test neighbor_graph_test similarity_index_test -j "$JOBS"
 
   echo "==> tsan: trace_test"
   ./build-tsan/tests/trace_test
