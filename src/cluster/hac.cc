@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <limits>
+#include <memory>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,6 +13,7 @@
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
+#include "util/union_find.h"
 
 namespace paygo {
 namespace {
@@ -21,8 +25,9 @@ struct HacRunStats {
   std::uint64_t pairs_evaluated = 0;  ///< Linkages computed from scratch.
   std::uint64_t memo_hits = 0;        ///< Memoized cluster-sim reads.
   std::uint64_t merges = 0;
-  std::uint64_t heap_pushes = 0;
-  std::uint64_t stale_skips = 0;      ///< Lazy-deletion heap discards.
+  std::uint64_t row_rescans = 0;      ///< Dense engine: stale or merged rows.
+  std::uint64_t heap_pushes = 0;      ///< Sparse engine only.
+  std::uint64_t stale_skips = 0;      ///< Sparse engine: stale heap pops.
 
   ~HacRunStats() {
     StatsRegistry& reg = StatsRegistry::Global();
@@ -30,19 +35,22 @@ struct HacRunStats {
     static Counter* pairs = reg.GetCounter("paygo.hac.pairs_evaluated");
     static Counter* memo = reg.GetCounter("paygo.hac.memo_hits");
     static Counter* merged = reg.GetCounter("paygo.hac.merges");
+    static Counter* rescans = reg.GetCounter("paygo.hac.row_rescans");
     static Counter* pushes = reg.GetCounter("paygo.hac.heap_pushes");
     static Counter* stale = reg.GetCounter("paygo.hac.stale_skips");
     runs->Increment();
     pairs->Add(pairs_evaluated);
     memo->Add(memo_hits);
     merged->Add(merges);
+    rescans->Add(row_rescans);
     pushes->Add(heap_pushes);
     stale->Add(stale_skips);
   }
 };
 
-/// A candidate merge in the lazy-deletion heap. Entries become stale when
-/// either endpoint is merged; staleness is detected via per-slot versions.
+/// A candidate merge in the sparse engine's lazy-deletion heap. Entries
+/// become stale when either endpoint is merged; staleness is detected via
+/// per-slot versions.
 struct HeapEntry {
   double sim;
   std::uint32_t a, b;          // slot ids, a < b
@@ -194,22 +202,6 @@ double LinkageFromScratch(const ClusterState& st, const SimilarityMatrix& sims,
   return 0.0;
 }
 
-/// Simple union-find for must-link preprocessing.
-struct UnionFind {
-  std::vector<std::uint32_t> parent;
-  explicit UnionFind(std::size_t n) : parent(n) {
-    for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  }
-  std::uint32_t Find(std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void Union(std::uint32_t a, std::uint32_t b) { parent[Find(a)] = Find(b); }
-};
-
 Status ValidateConstraints(std::size_t n, const HacOptions& options) {
   for (const auto& [a, b] : options.must_link) {
     if (a >= n || b >= n) {
@@ -234,6 +226,46 @@ Status ValidateConstraints(std::size_t n, const HacOptions& options) {
       return Status::InvalidArgument(
           "conflicting feedback: schemas " + std::to_string(a) + " and " +
           std::to_string(b) + " are both must-linked and cannot-linked");
+    }
+  }
+  return Status::OK();
+}
+
+/// The option checks shared by every entry point. \p sparse adds the
+/// modes the sparse engine cannot run.
+Status ValidateHacOptions(std::size_t n, const HacOptions& options,
+                          bool sparse) {
+  // isfinite first: NaN passes every range comparison.
+  if (!std::isfinite(options.tau_c_sim) || options.tau_c_sim < 0.0 ||
+      options.tau_c_sim > 1.0) {
+    return Status::InvalidArgument(
+        "tau_c_sim must be a finite value in [0, 1]");
+  }
+  PAYGO_RETURN_NOT_OK(ValidateConstraints(n, options));
+  if (!sparse) return Status::OK();
+  if (options.linkage == LinkageKind::kTotal) {
+    return Status::InvalidArgument(
+        "the sparse engine does not support Total Jaccard (it needs "
+        "cluster feature summaries, not pair similarities)");
+  }
+  if (options.max_clusters > 0) {
+    return Status::InvalidArgument(
+        "the sparse engine cannot merge feature-disjoint clusters and so "
+        "does not support max_clusters count mode");
+  }
+  if (options.tau_c_sim <= 0.0) {
+    return Status::InvalidArgument(
+        "the sparse engine requires tau_c_sim > 0 (zero-similarity pairs "
+        "are not materialized)");
+  }
+  return Status::OK();
+}
+
+Status ValidateFeatures(const std::vector<DynamicBitset>& features) {
+  for (std::size_t i = 1; i < features.size(); ++i) {
+    if (features[i].size() != features[0].size()) {
+      return Status::InvalidArgument(
+          "feature vectors have inconsistent dimensionality");
     }
   }
   return Status::OK();
@@ -319,6 +351,58 @@ Result<HacResult> RunNaive(const std::vector<DynamicBitset>& features,
   return st.Finish(std::move(merges));
 }
 
+/// Merge keys of every slot pair i < j, packed as the strict upper
+/// triangle of an n x n matrix: row i holds columns i+1..n-1 contiguously.
+/// n(n-1)/2 doubles take the bytes of a full n x n float matrix.
+class PairKeys {
+ public:
+  explicit PairKeys(std::size_t n) : row_start_(n) {
+    std::size_t offset = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      row_start_[i] = offset;
+      offset += n - i - 1;
+    }
+    keys_.resize(offset);
+  }
+
+  /// Row i's cells for j = i+1..n-1, at index j - i - 1.
+  double* Row(std::uint32_t i) { return keys_.data() + row_start_[i]; }
+
+  /// The cell of the unordered pair {x, y}, x != y.
+  double& Cell(std::uint32_t x, std::uint32_t y) {
+    if (x > y) std::swap(x, y);
+    return Row(x)[y - x - 1];
+  }
+
+ private:
+  std::vector<std::size_t> row_start_;
+  std::vector<double> keys_;
+};
+
+constexpr std::uint32_t kNoNeighbor =
+    std::numeric_limits<std::uint32_t>::max();
+/// Merge-sweep iterations between a cell prefetch and its use.
+constexpr std::uint32_t kPrefetchAhead = 32;
+/// Key of a pair with a retired slot, and the bound of a row without a
+/// candidate. Below every threshold, including count mode's -1.
+constexpr double kNoKey = -std::numeric_limits<double>::infinity();
+
+/// Dense engine: memoized cluster similarities (the thesis's O(|U|)
+/// Lance-Williams update per merge) with per-row nearest-neighbour bounds
+/// (the "generic" algorithm of Müllner, arXiv:1109.2378) in place of a
+/// global priority queue.
+///
+/// Every active pair (i, j), i < j, has a double merge key: the matrix
+/// value at seeding, the unrounded Lance-Williams result after a merge, or
+/// the from-scratch linkage for Total Jaccard. Lance-Williams reads the key
+/// rounded to float, the precision the memo has always had. Row i keeps a
+/// bound (nnsim[i], nn[i]) on its best candidate j > i — key at or above
+/// the threshold, not cannot-linked, ties to the lowest j. A bound is exact
+/// unless stale[i] is set, in which case it may overestimate the row's
+/// best. The selected merge is the best bound by (key desc, row asc); a
+/// stale winner is rescanned and the selection repeated. That order is the
+/// (similarity desc, slot_a asc, slot_b asc) order of a max-heap over all
+/// pairs, so the dendrogram is the same merge for merge.
 Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
                           const SimilarityMatrix& sims,
                           const HacOptions& options) {
@@ -328,41 +412,40 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
   ClusterState st;
   st.Init(n, features, options.linkage == LinkageKind::kTotal);
   ConstraintState cs = BuildConstraintState(n, options);
+  const bool constrained = cs.Active();
 
   // Worker pool for the O(n^2) phases. Width 1 (the default) bypasses the
-  // pool entirely — the exact legacy serial path. At any width the result
-  // is bit-identical to serial: chunk outputs are applied in ascending
-  // chunk order over an ordered contiguous partition, which reproduces the
-  // serial heap-push sequence, and every float/double is computed from the
-  // same inputs the serial path reads (no cross-chunk FP reductions).
+  // pool entirely. At any width the result is bit-identical to serial:
+  // every key cell and every row bound is written by the chunk that owns
+  // its row (or its candidate c in a merge sweep), each from the same
+  // inputs the serial path reads, and no FP reduction crosses chunks.
   const std::size_t pool_width =
       ThreadPool::ResolveThreadCount(options.num_threads);
   std::unique_ptr<ThreadPool> pool;
   if (pool_width > 1 && n > 1) pool = std::make_unique<ThreadPool>(pool_width);
-
-  // Memoized cluster-to-cluster similarities, indexed by slot pair. For the
-  // Lance-Williams-updatable linkages this is required for the O(|U|)
-  // per-merge update; for Total Jaccard similarities are recomputed from
-  // the AND/OR summaries (O(dim L / 64) each), so the matrix is unused.
-  const bool memoized = options.linkage != LinkageKind::kTotal;
-  std::vector<float> csim;
-  if (memoized) {
-    csim.resize(n * n);
-    auto fill_rows = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-          csim[i * n + j] = static_cast<float>(sims.At(i, j));
-        }
-      }
-    };
+  // Runs body(lo, hi) over [0, n) in chunks of at least `grain` slots.
+  auto parallel_rows = [&](std::size_t grain, auto&& body) {
     if (pool != nullptr) {
-      pool->ParallelFor(0, n, /*grain=*/64,
-                        [&](const ThreadPool::Chunk& c) {
-                          fill_rows(c.begin, c.end);
-                        });
+      pool->ParallelFor(0, n, grain, [&](const ThreadPool::Chunk& c) {
+        body(c.begin, c.end);
+      });
     } else {
-      fill_rows(0, n);
+      body(0, n);
     }
+  };
+
+  // For the Lance-Williams-updatable linkages the keys double as the memo;
+  // Total Jaccard recomputes each key from the AND/OR summaries
+  // (O(dim L / 64)), so its keys are filled once the must-links are in.
+  const bool memoized = options.linkage != LinkageKind::kTotal;
+  PairKeys keys(n);
+  if (memoized) {
+    parallel_rows(64, [&](std::size_t lo, std::size_t hi) {
+      for (std::uint32_t i = lo; i < hi; ++i) {
+        double* row = keys.Row(i);
+        for (std::size_t j = i + 1; j < n; ++j) row[j - i - 1] = sims.At(i, j);
+      }
+    });
   }
 
   // In count mode (max_clusters set) the similarity threshold is ignored:
@@ -370,41 +453,55 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
   const bool count_mode = options.max_clusters > 0;
   const double push_threshold = count_mode ? -1.0 : options.tau_c_sim;
 
-  std::priority_queue<HeapEntry> heap;
-  std::vector<HacMerge> merges;
+  std::vector<double> nnsim(n, kNoKey);
+  std::vector<std::uint32_t> nn(n, kNoNeighbor);
+  std::vector<std::uint8_t> stale(n, 0);
 
-  // Candidates and instrumentation produced by one chunk of a parallel
-  // scan. Buffered per chunk and flushed in ascending chunk order so heap
-  // pushes land in the serial iteration order; counters are exact integers
-  // so summation order is immaterial.
-  struct ChunkEmit {
-    std::vector<HeapEntry> entries;
-    std::uint64_t pairs_evaluated = 0;
-    std::uint64_t memo_hits = 0;
-  };
-  auto flush_emit = [&](const ChunkEmit& out) {
-    stats.pairs_evaluated += out.pairs_evaluated;
-    stats.memo_hits += out.memo_hits;
-    for (const HeapEntry& e : out.entries) {
-      heap.push(e);
-      ++stats.heap_pushes;
+  // Recomputes row i's bound exactly. Retired slots' cells hold kNoKey, so
+  // only the threshold and cannot-link need checking.
+  auto rescan = [&](std::uint32_t i) {
+    const double* row = keys.Row(i);
+    double best = kNoKey;
+    std::uint32_t best_j = kNoNeighbor;
+    for (std::uint32_t j = i + 1; j < n; ++j) {
+      const double k = row[j - i - 1];
+      // Strict >: the lowest j wins a tie.
+      if (k > best && k >= push_threshold &&
+          !(constrained && cs.Violates(i, j))) {
+        best = k;
+        best_j = j;
+      }
     }
+    nnsim[i] = best;
+    nn[i] = best_j;
+    stale[i] = 0;
   };
 
-  // Candidate re-evaluation against the freshly merged slot `a`: the
-  // per-merge O(|U|) loop, over candidate range [lo, hi). Thread-safe for
-  // disjoint ranges: iteration c reads csim rows c (its own) and column b
-  // (untouched) and writes csim[a][c] / csim[c][a] (owned by c).
-  auto reevaluate = [&](std::uint32_t a, std::uint32_t b, double size_a,
-                        double size_b, std::size_t lo, std::size_t hi,
-                        ChunkEmit& out) {
+  // Re-evaluation against the freshly merged slot a (b retired): the
+  // per-merge O(|U|) loop over candidates [lo, hi). Iteration c reads and
+  // writes only its own cells {c, a} and {c, b} and its own row state, so
+  // disjoint ranges never interfere. Before the rows are seeded (must-link
+  // preprocessing) only the keys are maintained.
+  auto sweep = [&](std::uint32_t a, std::uint32_t b, double size_a,
+                   double size_b, bool seeded, std::size_t lo,
+                   std::size_t hi) {
+    const std::uint32_t strided_end = std::max(a, b);
     for (std::uint32_t c = lo; c < hi; ++c) {
+      // Below the larger slot, cell {c, b} (and below both, {c, a} too)
+      // sits in row c: a new row every iteration, at a varying stride the
+      // hardware prefetcher cannot follow.
+      const std::uint32_t ahead = c + kPrefetchAhead;
+      if (ahead < hi && ahead < strided_end && ahead != a && ahead != b) {
+        __builtin_prefetch(&keys.Cell(ahead, a), 1);
+        __builtin_prefetch(&keys.Cell(ahead, b), 1);
+      }
       if (!st.active[c] || c == a) continue;
+      double& key_ca = keys.Cell(c, a);
+      double& key_cb = keys.Cell(c, b);
       double s;
       if (memoized) {
-        out.memo_hits += 2;
-        const double sca = csim[static_cast<std::size_t>(c) * n + a];
-        const double scb = csim[static_cast<std::size_t>(c) * n + b];
+        const double sca = static_cast<float>(key_ca);
+        const double scb = static_cast<float>(key_cb);
         switch (options.linkage) {
           case LinkageKind::kAverage:
             // The thesis's constant-time memoization update:
@@ -421,24 +518,40 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
             s = 0.0;
             assert(false);
         }
-        csim[static_cast<std::size_t>(a) * n + c] = static_cast<float>(s);
-        csim[static_cast<std::size_t>(c) * n + a] = static_cast<float>(s);
+        // A pair re-evaluated by a must-link merge is seeded again from its
+        // float memo, and the better of the two values is its key.
+        if (!seeded) {
+          s = std::max(s, static_cast<double>(static_cast<float>(s)));
+        }
       } else {
-        ++out.pairs_evaluated;
         s = LinkageFromScratch(st, sims, options.linkage, a, c);
       }
-      if (s >= push_threshold) {
-        const std::uint32_t lo_id = std::min(a, c);
-        const std::uint32_t hi_id = std::max(a, c);
-        out.entries.push_back(
-            {s, lo_id, hi_id, st.version[lo_id], st.version[hi_id]});
+      key_ca = s;
+      key_cb = kNoKey;
+      if (!seeded) continue;
+      if (c < a) {
+        // Row c sees both a and b. A new key ranking above the bound is the
+        // row's exact best (the bound still dominates every other cell);
+        // otherwise a bound on a or b may now overestimate.
+        if (s >= push_threshold &&
+            (s > nnsim[c] || (s == nnsim[c] && a < nn[c])) &&
+            !(constrained && cs.Violates(c, a))) {
+          nnsim[c] = s;
+          nn[c] = a;
+          stale[c] = 0;
+        } else if (nn[c] == a || nn[c] == b) {
+          stale[c] = 1;
+        }
+      } else if (c < b && nn[c] == b) {
+        stale[c] = 1;  // row c sees b but not a
       }
     }
   };
 
-  // Performs the merge of slot b into slot a at similarity `sim`,
-  // updating memoized similarities and pushing refreshed heap entries.
-  auto do_merge = [&](std::uint32_t a, std::uint32_t b, double sim) {
+  std::vector<HacMerge> merges;
+  // Merges slot b into slot a at similarity `sim`. After seeding a < b.
+  auto do_merge = [&](std::uint32_t a, std::uint32_t b, double sim,
+                      bool seeded) {
     PAYGO_TRACE_SPAN("hac.merge");
     ++stats.merges;
     const double size_a = static_cast<double>(st.members[a].size());
@@ -446,23 +559,27 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
     st.Merge(a, b);
     cs.MergeInto(a, b);
     merges.push_back({a, b, sim});
+    if (!seeded && !memoized) return;  // Total keys are filled at seeding
+    keys.Cell(a, b) = kNoKey;
 
     // Memoized re-evaluation is O(1) per candidate — only worth spreading
     // for very wide ranges; the Total-Jaccard recomputation is O(dim/64)
     // per candidate and parallelizes at much smaller n.
-    const std::size_t grain = memoized ? 4096 : 256;
-    const std::size_t chunks = pool != nullptr ? pool->NumChunks(n, grain) : 1;
-    if (chunks > 1) {
-      std::vector<ChunkEmit> outs(chunks);
-      pool->ParallelFor(0, n, grain, [&](const ThreadPool::Chunk& c) {
-        reevaluate(a, b, size_a, size_b, c.begin, c.end, outs[c.index]);
-      });
-      for (const ChunkEmit& out : outs) flush_emit(out);
+    parallel_rows(memoized ? 4096 : 256, [&](std::size_t lo, std::size_t hi) {
+      sweep(a, b, size_a, size_b, seeded, lo, hi);
+    });
+    const std::uint64_t candidates = n - merges.size() - 1;  // active c != a
+    if (memoized) {
+      stats.memo_hits += 2 * candidates;
     } else {
-      ChunkEmit out;
-      reevaluate(a, b, size_a, size_b, 0, n, out);
-      flush_emit(out);
+      stats.pairs_evaluated += candidates;
     }
+    if (!seeded) return;
+    rescan(a);
+    ++stats.row_rescans;
+    nnsim[b] = kNoKey;
+    nn[b] = kNoNeighbor;
+    stale[b] = 0;
   };
 
   // Must-link preprocessing.
@@ -473,71 +590,56 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
       const std::uint32_t a = slot_of[x];
       const std::uint32_t b = slot_of[y];
       if (a == b) continue;
-      do_merge(a, b, 1.0);
+      do_merge(a, b, 1.0, /*seeded=*/false);
       for (std::uint32_t i = 0; i < n; ++i) {
         if (slot_of[i] == b) slot_of[i] = a;
       }
     }
   }
 
-  // Initial pairwise candidate scan over rows [lo, hi) x (row, n). Pure
-  // reads of csim / cluster state, so chunks never interfere.
-  auto scan_rows = [&](std::size_t lo, std::size_t hi, ChunkEmit& out) {
-    for (std::uint32_t a = lo; a < hi; ++a) {
-      if (!st.active[a]) continue;
-      for (std::uint32_t b = a + 1; b < n; ++b) {
-        if (!st.active[b]) continue;
-        double s;
-        if (memoized) {
-          ++out.memo_hits;
-          s = csim[static_cast<std::size_t>(a) * n + b];
-        } else {
-          ++out.pairs_evaluated;
-          s = LinkageFromScratch(st, sims, options.linkage, a, b);
-        }
-        if (s >= push_threshold) {
-          out.entries.push_back({s, a, b, st.version[a], st.version[b]});
-        }
-      }
-    }
-  };
+  // Seed every active row's bound (and, for Total Jaccard, its keys). Row
+  // i costs n - i cells; a small grain plus chunk oversubscription keeps
+  // the triangular load balanced.
   {
     PAYGO_TRACE_SPAN("hac.parallel_pairs");
-    // Row a costs n - a pairs; small grain + chunk oversubscription keep
-    // the triangular load balanced.
-    const std::size_t grain = memoized ? 64 : 8;
-    const std::size_t chunks = pool != nullptr ? pool->NumChunks(n, grain) : 1;
-    if (chunks > 1) {
-      std::vector<ChunkEmit> outs(chunks);
-      pool->ParallelFor(0, n, grain, [&](const ThreadPool::Chunk& c) {
-        scan_rows(c.begin, c.end, outs[c.index]);
-      });
-      for (const ChunkEmit& out : outs) flush_emit(out);
-    } else {
-      ChunkEmit out;
-      scan_rows(0, n, out);
-      flush_emit(out);
+    parallel_rows(memoized ? 64 : 8, [&](std::size_t lo, std::size_t hi) {
+      for (std::uint32_t i = lo; i < hi; ++i) {
+        if (!st.active[i]) continue;
+        if (!memoized) {
+          double* row = keys.Row(i);
+          for (std::uint32_t j = i + 1; j < n; ++j) {
+            row[j - i - 1] =
+                st.active[j]
+                    ? LinkageFromScratch(st, sims, options.linkage, i, j)
+                    : kNoKey;
+          }
+        }
+        rescan(i);
+      }
+    });
+    if (!memoized) {
+      const std::uint64_t m = n - merges.size();  // active slots
+      stats.pairs_evaluated += m * (m - 1) / 2;
     }
   }
 
-  while (!heap.empty()) {
+  for (;;) {
     if (count_mode && n - merges.size() <= options.max_clusters) break;
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (!st.active[top.a] || !st.active[top.b]) {
-      ++stats.stale_skips;
+    std::uint32_t best = kNoNeighbor;
+    double best_sim = kNoKey;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (nnsim[i] > best_sim) {  // strict: the lowest row wins a tie
+        best_sim = nnsim[i];
+        best = i;
+      }
+    }
+    if (best == kNoNeighbor) break;  // no admissible pair left
+    if (stale[best]) {
+      rescan(best);
+      ++stats.row_rescans;
       continue;
     }
-    if (st.version[top.a] != top.va || st.version[top.b] != top.vb) {
-      ++stats.stale_skips;
-      continue;
-    }
-    if (!count_mode && top.sim < options.tau_c_sim) break;
-    // Cannot-link: skip the violating merge; the pair stays apart (new
-    // constraints only accumulate through merges, so dropping the entry
-    // permanently is sound).
-    if (cs.Violates(top.a, top.b)) continue;
-    do_merge(top.a, top.b, top.sim);
+    do_merge(best, nn[best], best_sim, /*seeded=*/true);
   }
   return st.Finish(std::move(merges));
 }
@@ -837,97 +939,34 @@ Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
     return Status::InvalidArgument(
         "feature count does not match similarity matrix size");
   }
-  if (options.tau_c_sim < 0.0 || options.tau_c_sim > 1.0) {
-    return Status::InvalidArgument("tau_c_sim must be in [0, 1]");
-  }
+  PAYGO_RETURN_NOT_OK(
+      ValidateHacOptions(features.size(), options, options.use_sparse_engine));
+  PAYGO_RETURN_NOT_OK(ValidateFeatures(features));
   if (features.empty()) return HacResult{};
-  for (std::size_t i = 1; i < features.size(); ++i) {
-    if (features[i].size() != features[0].size()) {
-      return Status::InvalidArgument(
-          "feature vectors have inconsistent dimensionality");
-    }
-  }
-  PAYGO_RETURN_NOT_OK(ValidateConstraints(features.size(), options));
-  if (options.use_sparse_engine) {
-    if (options.linkage == LinkageKind::kTotal) {
-      return Status::InvalidArgument(
-          "the sparse engine does not support Total Jaccard (it needs "
-          "cluster feature summaries, not pair similarities)");
-    }
-    if (options.max_clusters > 0) {
-      return Status::InvalidArgument(
-          "the sparse engine cannot merge feature-disjoint clusters and so "
-          "does not support max_clusters count mode");
-    }
-    if (options.tau_c_sim <= 0.0) {
-      return Status::InvalidArgument(
-          "the sparse engine requires tau_c_sim > 0 (zero-similarity pairs "
-          "are not materialized)");
-    }
-    return RunSparse(features, options);
-  }
+  if (options.use_sparse_engine) return RunSparse(features, options);
   if (options.use_naive_engine) return RunNaive(features, sims, options);
   return RunFast(features, sims, options);
 }
 
 Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
                            const HacOptions& options) {
-  if (options.use_sparse_engine) {
-    // The whole point of the sparse engine is skipping the dense O(n^2)
-    // similarity matrix; a 1x1 placeholder satisfies the shared
-    // validation path.
-    if (features.empty()) return HacResult{};
-    for (std::size_t i = 1; i < features.size(); ++i) {
-      if (features[i].size() != features[0].size()) {
-        return Status::InvalidArgument(
-            "feature vectors have inconsistent dimensionality");
-      }
-    }
-    if (options.tau_c_sim < 0.0 || options.tau_c_sim > 1.0) {
-      return Status::InvalidArgument("tau_c_sim must be in [0, 1]");
-    }
-    HacOptions validated = options;
-    PAYGO_RETURN_NOT_OK(ValidateConstraints(features.size(), validated));
-    if (validated.linkage == LinkageKind::kTotal) {
-      return Status::InvalidArgument(
-          "the sparse engine does not support Total Jaccard");
-    }
-    if (validated.max_clusters > 0) {
-      return Status::InvalidArgument(
-          "the sparse engine does not support max_clusters count mode");
-    }
-    if (validated.tau_c_sim <= 0.0) {
-      return Status::InvalidArgument(
-          "the sparse engine requires tau_c_sim > 0");
-    }
-    return RunSparse(features, validated);
-  }
+  PAYGO_RETURN_NOT_OK(
+      ValidateHacOptions(features.size(), options, options.use_sparse_engine));
+  PAYGO_RETURN_NOT_OK(ValidateFeatures(features));
+  if (features.empty()) return HacResult{};
+  // The whole point of the sparse engine is skipping the dense O(n^2)
+  // similarity matrix.
+  if (options.use_sparse_engine) return RunSparse(features, options);
   SimilarityMatrix sims(features, options.num_threads);
-  return Run(features, sims, options);
+  if (options.use_naive_engine) return RunNaive(features, sims, options);
+  return RunFast(features, sims, options);
 }
 
 Result<HacResult> Hac::RunOnGraph(const NeighborGraph& graph,
-                           const HacOptions& options) {
+                                  const HacOptions& options) {
+  PAYGO_RETURN_NOT_OK(
+      ValidateHacOptions(graph.num_nodes(), options, /*sparse=*/true));
   if (graph.num_nodes() == 0) return HacResult{};
-  if (options.tau_c_sim < 0.0 || options.tau_c_sim > 1.0) {
-    return Status::InvalidArgument("tau_c_sim must be in [0, 1]");
-  }
-  PAYGO_RETURN_NOT_OK(ValidateConstraints(graph.num_nodes(), options));
-  if (options.linkage == LinkageKind::kTotal) {
-    return Status::InvalidArgument(
-        "the sparse engine does not support Total Jaccard (it needs "
-        "cluster feature summaries, not pair similarities)");
-  }
-  if (options.max_clusters > 0) {
-    return Status::InvalidArgument(
-        "the sparse engine cannot merge feature-disjoint clusters and so "
-        "does not support max_clusters count mode");
-  }
-  if (options.tau_c_sim <= 0.0) {
-    return Status::InvalidArgument(
-        "the sparse engine requires tau_c_sim > 0 (zero-similarity pairs "
-        "are not materialized)");
-  }
   return RunSparseGraph(graph, options);
 }
 

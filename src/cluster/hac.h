@@ -7,10 +7,13 @@
 /// Starts from singleton clusters and repeatedly merges the most similar
 /// pair until the best pair's similarity drops below tau_c_sim. The fast
 /// engine keeps cluster similarities memoized (the thesis's O(|U|) update
-/// per merge) and finds the best pair with a lazy-deletion max-heap, giving
-/// O(n^2 log n) overall. A naive O(n^3) engine that recomputes linkage from
-/// the raw schema-pair similarities each iteration is kept as a correctness
-/// reference for tests.
+/// per merge) and finds the best pair through per-row nearest-neighbour
+/// bounds (Müllner's "generic" algorithm): each row keeps its best
+/// candidate, a merge refreshes or flags only the rows it touches, and only
+/// flagged rows are rescanned. O(n^2) memory; O(n^2) time per run in the
+/// typical case, O(n^3) in the worst. A naive O(n^3) engine that recomputes
+/// linkage from the raw schema-pair similarities each iteration is kept as
+/// a correctness reference for tests.
 
 #include <cstdint>
 #include <utility>
@@ -51,15 +54,15 @@ struct HacOptions {
   /// the Lance-Williams-updatable linkages (Avg/Min/Max); Total Jaccard
   /// and max_clusters count mode (which needs all pairs) are rejected.
   bool use_sparse_engine = false;
-  /// Worker threads for the O(n^2) phases of the fast engine (the initial
-  /// pairwise candidate scan and per-merge candidate re-evaluation) and
-  /// for the dense similarity-matrix build of the convenience overload.
+  /// Worker threads for the O(n^2) phases of the fast engine (row-bound
+  /// seeding and per-merge candidate re-evaluation) and for the dense
+  /// similarity-matrix build of the convenience overload.
   /// 0 = hardware_concurrency, 1 = the exact legacy serial path (default).
   /// The result is bit-identical to the serial path at every thread count
-  /// and for every linkage: chunked work is combined in ascending chunk
-  /// order over an ordered contiguous partition (reproducing the serial
-  /// heap-push sequence exactly), and merge candidates tie-break on
-  /// (similarity, slot_a, slot_b) — never on arrival order.
+  /// and for every linkage: every key cell and row bound is written by the
+  /// one chunk that owns its row, from the same inputs the serial path
+  /// reads, and merge candidates tie-break on (similarity, slot_a, slot_b)
+  /// — never on arrival order.
   std::size_t num_threads = 1;
   /// Instance-level constraints from user feedback (Chapter 7 future
   /// work): schema pairs that must end up in the same cluster — merged

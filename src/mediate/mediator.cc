@@ -5,27 +5,9 @@
 #include <unordered_map>
 
 #include "obs/trace.h"
+#include "util/union_find.h"
 
 namespace paygo {
-namespace {
-
-/// Union-find over attribute indices for single-link attribute clustering.
-struct UnionFind {
-  std::vector<std::uint32_t> parent;
-  explicit UnionFind(std::size_t n) : parent(n) {
-    for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  }
-  std::uint32_t Find(std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void Union(std::uint32_t a, std::uint32_t b) { parent[Find(a)] = Find(b); }
-};
-
-}  // namespace
 
 double AttributeNameSimilarity(const std::vector<std::string>& terms_a,
                                const std::vector<std::string>& terms_b,

@@ -4,23 +4,10 @@
 #include <cmath>
 #include <map>
 
+#include "util/union_find.h"
+
 namespace paygo {
 namespace {
-
-struct UnionFind {
-  std::vector<std::uint32_t> parent;
-  explicit UnionFind(std::size_t n) : parent(n) {
-    for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  }
-  std::uint32_t Find(std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void Union(std::uint32_t a, std::uint32_t b) { parent[Find(a)] = Find(b); }
-};
 
 /// Builds a MediatedSchema from a resolved clustering of the attributes.
 MediatedSchema CloseToSchema(const std::vector<DomainAttribute>& attrs,

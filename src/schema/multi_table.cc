@@ -3,25 +3,10 @@
 #include <algorithm>
 
 #include "mediate/mediator.h"
+#include "util/union_find.h"
 
 namespace paygo {
 namespace {
-
-/// Union-find over table indices.
-struct UnionFind {
-  std::vector<std::size_t> parent;
-  explicit UnionFind(std::size_t n) : parent(n) {
-    for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-  }
-  std::size_t Find(std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  }
-  void Union(std::size_t a, std::size_t b) { parent[Find(a)] = Find(b); }
-};
 
 bool TablesShareAttribute(const MultiTableSource::Table& a,
                           const MultiTableSource::Table& b,

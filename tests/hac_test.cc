@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
+#include "cluster/neighbor_graph.h"
+#include "obs/stats.h"
 #include "util/random.h"
 
 namespace paygo {
@@ -124,6 +128,68 @@ TEST(HacTest, InvalidArguments) {
   opts.tau_c_sim = 0.5;
   std::vector<DynamicBitset> ragged = {DynamicBitset(4), DynamicBitset(5)};
   EXPECT_TRUE(Hac::Run(ragged, opts).status().IsInvalidArgument());
+}
+
+TEST(HacTest, RaggedFeaturesRejectedBeforeTheMatrixIsBuilt) {
+  // The dense convenience overload once built the similarity matrix before
+  // checking widths: Jaccard of a 2-word and a 1-word bitset read past the
+  // shorter one (a heap-buffer-overflow under PAYGO_SANITIZE=address).
+  std::vector<DynamicBitset> ragged = {DynamicBitset(65), DynamicBitset(64)};
+  ragged[0].Set(64);
+  for (std::size_t threads : {1u, 2u}) {
+    HacOptions opts;
+    opts.num_threads = threads;
+    EXPECT_TRUE(Hac::Run(ragged, opts).status().IsInvalidArgument());
+  }
+}
+
+TEST(HacTest, RejectsNonFiniteTauAtEveryEntryPoint) {
+  const auto features = TwoGroupsAndOutlier();
+  const SimilarityMatrix sims(features);
+  const auto graph = NeighborGraph::Build(features, NeighborGraphOptions{});
+  ASSERT_TRUE(graph.ok());
+  for (double tau : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    for (bool sparse : {false, true}) {
+      HacOptions opts;
+      opts.tau_c_sim = tau;
+      opts.use_sparse_engine = sparse;
+      EXPECT_TRUE(Hac::Run(features, sims, opts).status().IsInvalidArgument())
+          << tau << " sparse=" << sparse;
+      EXPECT_TRUE(Hac::Run(features, opts).status().IsInvalidArgument())
+          << tau << " sparse=" << sparse;
+    }
+    HacOptions opts;
+    opts.tau_c_sim = tau;
+    EXPECT_TRUE(Hac::RunOnGraph(*graph, opts).status().IsInvalidArgument())
+        << tau;
+  }
+}
+
+TEST(HacTest, RowRescansCountDenseRunsOnly) {
+  StatsRegistry& reg = StatsRegistry::Global();
+  Counter* rescans = reg.GetCounter("paygo.hac.row_rescans");
+  Counter* pushes = reg.GetCounter("paygo.hac.heap_pushes");
+  const auto features = TwoGroupsAndOutlier();
+  HacOptions opts;
+  opts.tau_c_sim = 0.3;
+
+  const std::uint64_t rescans0 = rescans->value();
+  const std::uint64_t pushes0 = pushes->value();
+  const auto dense = Hac::Run(features, opts);
+  ASSERT_TRUE(dense.ok());
+  ASSERT_FALSE(dense->merges.empty());
+  // At least one rescan of the merged row per merge; no heap.
+  EXPECT_GE(rescans->value() - rescans0, dense->merges.size());
+  EXPECT_EQ(pushes->value(), pushes0);
+
+  const std::uint64_t rescans1 = rescans->value();
+  opts.use_sparse_engine = true;
+  const auto sparse = Hac::Run(features, opts);
+  ASSERT_TRUE(sparse.ok());
+  EXPECT_EQ(rescans->value(), rescans1);
+  EXPECT_GT(pushes->value(), pushes0);
 }
 
 TEST(HacTest, EmptyInputYieldsEmptyResult) {

@@ -1,18 +1,30 @@
 #!/usr/bin/env bash
-# Local CI gate: the tier-1 suite plus a ThreadSanitizer pass over the
-# serving runtime's concurrency tests.
+# Local CI gate: the tier-1 suite, a ThreadSanitizer pass over the
+# serving runtime's concurrency tests, and an AddressSanitizer +
+# UndefinedBehaviorSanitizer pass over the clustering, mediation and
+# classifier suites.
 #
-#   tools/ci.sh            # full run (tier-1 + TSan serve tests)
-#   tools/ci.sh --no-tsan  # tier-1 only
+#   tools/ci.sh                       # full run (tier-1 + TSan + ASan/UBSan)
+#   tools/ci.sh --no-tsan             # skip the TSan lane
+#   tools/ci.sh --no-asan             # skip the ASan/UBSan lane
+#   tools/ci.sh --no-tsan --no-asan   # tier-1 only
 #
-# Build trees: ./build (plain) and ./build-tsan (PAYGO_SANITIZE=thread).
-# Both are incremental across runs.
+# Build trees: ./build (plain), ./build-tsan (PAYGO_SANITIZE=thread) and
+# ./build-asan (PAYGO_SANITIZE=address,undefined). All are incremental
+# across runs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN_TSAN=1
-[[ "${1:-}" == "--no-tsan" ]] && RUN_TSAN=0
+RUN_ASAN=1
+for arg in "$@"; do
+  case "$arg" in
+    --no-tsan) RUN_TSAN=0 ;;
+    --no-asan) RUN_ASAN=0 ;;
+    *) echo "usage: tools/ci.sh [--no-tsan] [--no-asan]" >&2; exit 2 ;;
+  esac
+done
 
 JOBS=$(nproc 2>/dev/null || echo 2)
 
@@ -321,7 +333,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     clone_aliasing_test admin_server_test thread_pool_test \
     parallel_determinism_test shard_replication_test fleet_trace_test \
     zero_alloc_test batch_classify_test bitset_kernel_test \
-    sparse_hac_test neighbor_graph_test similarity_index_test -j "$JOBS"
+    sparse_hac_test neighbor_graph_test similarity_index_test \
+    hac_row_nn_differential_test -j "$JOBS"
 
   echo "==> tsan: trace_test"
   ./build-tsan/tests/trace_test
@@ -343,17 +356,36 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/batch_classify_test
   echo "==> tsan: zero_alloc_test (steady-state classify allocates nothing)"
   ./build-tsan/tests/zero_alloc_test
-  echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites + similarity_index_test (ctest -j)"
+  echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites + similarity_index_test + hac_row_nn_differential_test (ctest -j)"
   # Instrumented LCS scans are slow; the determinism harness and the
   # sparse-vs-dense fuzz honor PAYGO_DETERMINISM_SMALL and shrink their
   # corpora / round counts under TSan. sparse_hac_test and
   # neighbor_graph_test exercise the multi-threaded NeighborGraph build
   # and the parallel sparse row combines under the race detector;
   # similarity_index_test runs the per-chunk q-gram scratch of the parallel
-  # index build and concurrent-safe Match.
+  # index build and concurrent-safe Match; hac_row_nn_differential_test runs
+  # the dense engine's chunked seeding and merge sweeps at 2 and 4 threads.
   (cd build-tsan && PAYGO_DETERMINISM_SMALL=1 \
     ctest --output-on-failure -j "$JOBS" \
-      -R '^(thread_pool_test|parallel_determinism_test|sparse_hac_test|neighbor_graph_test|similarity_index_test)$')
+      -R '^(thread_pool_test|parallel_determinism_test|sparse_hac_test|neighbor_graph_test|similarity_index_test|hac_row_nn_differential_test)$')
+fi
+
+if [[ "$RUN_ASAN" == 1 ]]; then
+  ASAN_TESTS=(hac_test sparse_hac_test parallel_determinism_test
+    hac_row_nn_differential_test feedback_test mediator_test pmed_schema_test
+    naive_bayes_test approx_classifier_test
+    sparse_classifier_differential_test batch_classify_test)
+  echo "==> asan+ubsan: configure + build clustering, mediation and classifier tests (PAYGO_SANITIZE=address,undefined)"
+  cmake -B build-asan -S . -DPAYGO_SANITIZE=address,undefined >/dev/null
+  cmake --build build-asan --target "${ASAN_TESTS[@]}" -j "$JOBS"
+
+  echo "==> asan+ubsan: ${ASAN_TESTS[*]} (ctest -j)"
+  # Any out-of-bounds access, use-after-free, leak or undefined behaviour
+  # aborts the test (-fno-sanitize-recover=undefined). The determinism
+  # harness and the fuzzers shrink under PAYGO_DETERMINISM_SMALL.
+  ASAN_REGEX="^($(IFS='|'; echo "${ASAN_TESTS[*]}"))\$"
+  (cd build-asan && PAYGO_DETERMINISM_SMALL=1 \
+    ctest --output-on-failure -j "$JOBS" -R "$ASAN_REGEX")
 fi
 
 echo "==> ci: all green"
