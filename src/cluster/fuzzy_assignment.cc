@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace paygo {
 
@@ -22,12 +23,13 @@ Result<DomainModel> AssignFuzzyMemberships(
   std::vector<std::vector<std::pair<std::uint32_t, double>>> schema_domains(
       num_schemas);
   std::vector<double> dist(clusters.size());
-  for (std::uint32_t i = 0; i < num_schemas; ++i) {
+  // Full rows come from panel gathers; see SimilarityMatrix::ForEachRow.
+  auto assign_row = [&](std::size_t i, std::span<const float> row) {
     // Distances to every cluster; exact (distance ~0) memberships short-
     // circuit as in standard FCM.
     int exact = -1;
     for (std::uint32_t r = 0; r < clusters.size(); ++r) {
-      dist[r] = 1.0 - SchemaClusterSimilarity(sims, i, clusters[r]);
+      dist[r] = 1.0 - SchemaClusterSimilarity(row, clusters[r]);
       if (dist[r] < kEps && exact < 0) exact = static_cast<int>(r);
     }
     std::vector<double> memberships(clusters.size(), 0.0);
@@ -53,14 +55,15 @@ Result<DomainModel> AssignFuzzyMemberships(
           std::max_element(memberships.begin(), memberships.end()) -
           memberships.begin());
       schema_domains[i] = {{static_cast<std::uint32_t>(best), 1.0}};
-      continue;
+      return;
     }
     for (std::uint32_t r = 0; r < clusters.size(); ++r) {
       if (memberships[r] >= options.membership_cutoff) {
         schema_domains[i].emplace_back(r, memberships[r] / norm);
       }
     }
-  }
+  };
+  sims.ForEachRow(0, num_schemas, assign_row);
   return DomainModel::Build(clusters, std::move(schema_domains));
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -440,12 +441,16 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
   const bool memoized = options.linkage != LinkageKind::kTotal;
   PairKeys keys(n);
   if (memoized) {
-    parallel_rows(64, [&](std::size_t lo, std::size_t hi) {
-      for (std::uint32_t i = lo; i < hi; ++i) {
-        double* row = keys.Row(i);
-        for (std::size_t j = i + 1; j < n; ++j) row[j - i - 1] = sims.At(i, j);
-      }
-    });
+    // Full rows come from panel gathers: cell (i, j > i) is a column read
+    // of the matrix's lower triangle.
+    auto seed_row = [&](std::size_t i, std::span<const float> row) {
+      double* key = keys.Row(i);
+      for (std::size_t j = i + 1; j < n; ++j) key[j - i - 1] = row[j];
+    };
+    parallel_rows(SimilarityMatrix::kPanelRows,
+                  [&](std::size_t lo, std::size_t hi) {
+                    sims.ForEachRow(lo, hi, seed_row);
+                  });
   }
 
   // In count mode (max_clusters set) the similarity threshold is ignored:

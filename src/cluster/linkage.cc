@@ -29,54 +29,83 @@ const std::vector<LinkageKind>& AllLinkageKinds() {
   return kAll;
 }
 
+namespace {
+
+/// Rows between a GatherRows prefetch and its use.
+constexpr std::size_t kGatherPrefetchRows = 8;
+constexpr std::size_t kFloatsPerLine = 64 / sizeof(float);
+
+/// Row k of the triangle: Jaccard against every earlier schema, then the
+/// diagonal.
+std::shared_ptr<const float[]> ComputeRow(
+    const std::vector<DynamicBitset>& features, std::size_t k) {
+  std::shared_ptr<float[]> row = std::make_shared_for_overwrite<float[]>(k + 1);
+  for (std::size_t j = 0; j < k; ++j) {
+    row[j] =
+        static_cast<float>(DynamicBitset::Jaccard(features[j], features[k]));
+  }
+  row[k] = features[k].None() ? 0.0f : 1.0f;
+  return row;
+}
+
+}  // namespace
+
 SimilarityMatrix::SimilarityMatrix(const std::vector<DynamicBitset>& features,
                                    std::size_t num_threads)
-    : n_(features.size()), values_(n_ * n_, 0.0f) {
-  // Row i owns entries (i, j >= i) and their mirrors (j, i): rows write
-  // disjoint slots, so chunked rows race on nothing and the matrix is
-  // bit-identical at any thread count.
+    : rows_(features.size()) {
+  const std::size_t n = features.size();
+  // Each row is computed and stored by the one chunk that owns it, so
+  // chunked rows race on nothing and the matrix is bit-identical at any
+  // thread count.
   auto fill_rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      values_[i * n_ + i] = features[i].None() ? 0.0f : 1.0f;
-      for (std::size_t j = i + 1; j < n_; ++j) {
-        const float s = static_cast<float>(
-            DynamicBitset::Jaccard(features[i], features[j]));
-        values_[i * n_ + j] = s;
-        values_[j * n_ + i] = s;
-      }
-    }
+    for (std::size_t k = lo; k < hi; ++k) rows_[k] = ComputeRow(features, k);
   };
   const std::size_t width = ThreadPool::ResolveThreadCount(num_threads);
-  if (width > 1 && n_ > 1) {
+  if (width > 1 && n > 1) {
     ThreadPool pool(width);
-    // Rows are heavy (n - i Jaccards over dim-L bitsets each); a small
-    // grain plus chunk oversubscription balances the triangular load.
-    pool.ParallelFor(0, n_, /*grain=*/8, [&](const ThreadPool::Chunk& c) {
+    // Row k costs k Jaccards over dim-L bitsets; a small grain plus chunk
+    // oversubscription balances the triangular load.
+    pool.ParallelFor(0, n, /*grain=*/8, [&](const ThreadPool::Chunk& c) {
       fill_rows(c.begin, c.end);
     });
   } else {
-    fill_rows(0, n_);
+    fill_rows(0, n);
   }
 }
 
 SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
                                    const std::vector<DynamicBitset>& features)
-    : n_(features.size()), values_(n_ * n_, 0.0f) {
-  const std::size_t old_n = base.n_;
-  assert(n_ == old_n + 1);
-  // Old block row by row (the stride changed from old_n to n_), then the
-  // single new row/column.
-  for (std::size_t i = 0; i < old_n; ++i) {
-    const float* src = base.values_.data() + i * old_n;
-    std::copy(src, src + old_n, values_.data() + i * n_);
+    : rows_(base.rows_) {
+  assert(features.size() >= rows_.size());
+  rows_.reserve(features.size());
+  for (std::size_t k = rows_.size(); k < features.size(); ++k) {
+    rows_.push_back(ComputeRow(features, k));
   }
-  const std::size_t k = n_ - 1;
-  values_[k * n_ + k] = features[k].None() ? 0.0f : 1.0f;
-  for (std::size_t j = 0; j < k; ++j) {
-    const float s =
-        static_cast<float>(DynamicBitset::Jaccard(features[k], features[j]));
-    values_[k * n_ + j] = s;
-    values_[j * n_ + k] = s;
+}
+
+void SimilarityMatrix::GatherRows(std::size_t lo, std::size_t hi,
+                                  float* out) const {
+  const std::size_t n = size();
+  // Cells j <= i: row i's own stored prefix.
+  for (std::size_t i = lo; i < hi; ++i) {
+    const float* row = rows_[i].get();
+    std::copy(row, row + i + 1, out + (i - lo) * n);
+  }
+  // Cells j > i: column i of the triangle. Stored row j holds the panel's
+  // cells (i, j) for i in [lo, min(hi, j)) contiguously. Every j is a
+  // separate allocation the hardware prefetcher cannot predict, so the
+  // next rows' segments are prefetched by hand.
+  for (std::size_t j = lo + 1; j < n; ++j) {
+    const std::size_t next = j + kGatherPrefetchRows;
+    if (next < n) {
+      const float* ahead = rows_[next].get();
+      for (std::size_t i = lo; i < std::min(hi, next); i += kFloatsPerLine) {
+        __builtin_prefetch(ahead + i);
+      }
+    }
+    const float* row = rows_[j].get();
+    const std::size_t end = std::min(hi, j);
+    for (std::size_t i = lo; i < end; ++i) out[(i - lo) * n + j] = row[i];
   }
 }
 

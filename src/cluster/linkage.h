@@ -11,6 +11,10 @@
 /// (single-link analog), and Total Jaccard (set-based over cluster term
 /// summaries).
 
+#include <algorithm>
+#include <cstddef>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,38 +45,77 @@ const std::vector<LinkageKind>& AllLinkageKinds();
 ///
 /// The thesis notes all schema-to-schema similarities "should be computed
 /// and memoized in advance so as to avoid recomputing them multiple times
-/// during clustering"; this is that cache. Stored as a dense symmetric
-/// float matrix: 2323 schemas (DDH) need ~21 MB.
+/// during clustering"; this is that cache.
+///
+/// Storage is the packed lower triangle, one immutable row per schema:
+/// row k holds float(Jaccard(F_j, F_k)) for j < k followed by the diagonal
+/// (1, or 0 for an empty vector), k + 1 floats behind its own shared_ptr.
+/// n(n+1)/2 floats in all: 2323 schemas (DDH) need ~10.8 MB. Rows never
+/// change once built, so the extension constructor shares every old row
+/// with its base and only computes the appended ones; clones that extend
+/// the same base branch without copying or touching its cells.
+///
+/// At(i, j) reads row max(i, j) at index min(i, j). The upper half of a
+/// full row i is therefore a column of the triangle, one row per cell;
+/// readers that sweep whole rows go through ForEachRow, which gathers
+/// kPanelRows rows at a time so that a column is read kPanelRows
+/// contiguous cells at a time.
 class SimilarityMatrix {
  public:
-  /// Computes Jaccard(F_i, F_j) for all pairs. \p num_threads spreads the
-  /// O(n^2) fill over a worker pool (0 = hardware_concurrency, 1 = serial);
-  /// every entry is written by exactly one row chunk, so the matrix is
-  /// bit-identical at any thread count.
+  /// Rows gathered per ForEachRow panel.
+  static constexpr std::size_t kPanelRows = 32;
+
+  /// Computes Jaccard(F_i, F_j) for all pairs, each once. \p num_threads
+  /// spreads the O(n^2) fill over a worker pool (0 = hardware_concurrency,
+  /// 1 = serial); every row is written by exactly one row chunk, so the
+  /// matrix is bit-identical at any thread count.
   explicit SimilarityMatrix(const std::vector<DynamicBitset>& features,
                             std::size_t num_threads = 1);
 
   /// Extends \p base (built over features[0..n-1]) to cover \p features
-  /// (size n + 1, the last entry newly appended): old entries are copied
-  /// verbatim and only the new row/column's n Jaccards are computed —
-  /// O(n * dim) instead of the O(n^2 * dim) full fill. Jaccard is a pure
-  /// function of the two bitsets, so the result is bit-identical to a
-  /// from-scratch build over \p features. The delta write path's matrix
+  /// (size >= n, the tail newly appended): the n old rows are shared with
+  /// \p base and only the appended rows' Jaccards are computed — O(n * dim)
+  /// per appended schema instead of the O(n^2 * dim) full fill. Jaccard is
+  /// a pure function of the two bitsets, so the result is bit-identical to
+  /// a from-scratch build over \p features. The delta write path's matrix
   /// refresh.
   SimilarityMatrix(const SimilarityMatrix& base,
                    const std::vector<DynamicBitset>& features);
 
   /// s_sim(S_i, S_j); symmetric, At(i, i) == 1 for non-empty vectors.
   double At(std::size_t i, std::size_t j) const {
-    return values_[i * n_ + j];
+    return i >= j ? rows_[i][j] : rows_[j][i];
+  }
+
+  /// Stored row \p i: cells j = 0..i, row[j] == At(i, j).
+  std::span<const float> Row(std::size_t i) const {
+    return {rows_[i].get(), i + 1};
+  }
+
+  /// Calls fn(i, row) for i = lo..hi-1 in order, where row is the full
+  /// symmetric row i: size() floats with row[j] == At(i, j).
+  template <typename Fn>
+  void ForEachRow(std::size_t lo, std::size_t hi, Fn&& fn) const {
+    if (lo >= hi) return;
+    const std::size_t n = size();
+    std::vector<float> panel(std::min(kPanelRows, hi - lo) * n);
+    for (std::size_t begin = lo; begin < hi; begin += kPanelRows) {
+      const std::size_t end = std::min(hi, begin + kPanelRows);
+      GatherRows(begin, end, panel.data());
+      for (std::size_t i = begin; i < end; ++i) {
+        fn(i, std::span<const float>(panel.data() + (i - begin) * n, n));
+      }
+    }
   }
 
   /// Number of schemas.
-  std::size_t size() const { return n_; }
+  std::size_t size() const { return rows_.size(); }
 
  private:
-  std::size_t n_;
-  std::vector<float> values_;
+  /// Writes full rows lo..hi-1 into \p out, row-major with stride size().
+  void GatherRows(std::size_t lo, std::size_t hi, float* out) const;
+
+  std::vector<std::shared_ptr<const float[]>> rows_;
 };
 
 }  // namespace paygo

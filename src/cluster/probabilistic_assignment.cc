@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "util/thread_pool.h"
 
@@ -13,6 +14,14 @@ double SchemaClusterSimilarity(const SimilarityMatrix& sims,
   assert(!cluster.empty());
   double total = 0.0;
   for (std::uint32_t j : cluster) total += sims.At(schema_id, j);
+  return total / static_cast<double>(cluster.size());
+}
+
+double SchemaClusterSimilarity(std::span<const float> row,
+                               const std::vector<std::uint32_t>& cluster) {
+  assert(!cluster.empty());
+  double total = 0.0;
+  for (std::uint32_t j : cluster) total += static_cast<double>(row[j]);
   return total / static_cast<double>(cluster.size());
 }
 
@@ -85,10 +94,11 @@ Result<DomainModel> AssignProbabilities(const SimilarityMatrix& sims,
       num_schemas);
 
   std::vector<double> sc(clusters.size());
-  for (std::uint32_t i = 0; i < num_schemas; ++i) {
+  // Full rows come from panel gathers; see SimilarityMatrix::ForEachRow.
+  auto assign_row = [&](std::size_t i, std::span<const float> row) {
     double max_sim = 0.0;
     for (std::uint32_t r = 0; r < clusters.size(); ++r) {
-      sc[r] = SchemaClusterSimilarity(sims, i, clusters[r]);
+      sc[r] = SchemaClusterSimilarity(row, clusters[r]);
       max_sim = std::max(max_sim, sc[r]);
     }
     // D(S_i): domains passing both the absolute and the relative test.
@@ -101,15 +111,17 @@ Result<DomainModel> AssignProbabilities(const SimilarityMatrix& sims,
       norm += sc[r];
     }
     if (qualifying.empty()) {
-      if (options.strict_thesis_semantics) continue;  // dropped schema
+      if (options.strict_thesis_semantics) return;  // dropped schema
       // Fallback: full membership in the home cluster.
-      schema_domains[i].emplace_back(clustering.ClusterOf(i), 1.0);
-      continue;
+      schema_domains[i].emplace_back(
+          clustering.ClusterOf(static_cast<std::uint32_t>(i)), 1.0);
+      return;
     }
     for (std::uint32_t r : qualifying) {
       schema_domains[i].emplace_back(r, sc[r] / norm);
     }
-  }
+  };
+  sims.ForEachRow(0, num_schemas, assign_row);
   return DomainModel::Build(clusters, std::move(schema_domains));
 }
 

@@ -13,6 +13,7 @@
 /// domains D(S_i). theta quantifies the allowed uncertainty (thesis: 0.02).
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,12 @@ Result<DomainModel> AssignProbabilities(const NeighborGraph& graph,
 /// thesis's formula).
 double SchemaClusterSimilarity(const SimilarityMatrix& sims,
                                std::uint32_t schema_id,
+                               const std::vector<std::uint32_t>& cluster);
+
+/// s_c_sim over a full similarity row (row[j] == s_sim(S_i, S_j), e.g. from
+/// SimilarityMatrix::ForEachRow): bit-identical to the matrix overload,
+/// summing the same values in the same member order.
+double SchemaClusterSimilarity(std::span<const float> row,
                                const std::vector<std::uint32_t>& cluster);
 
 }  // namespace paygo

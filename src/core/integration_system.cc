@@ -344,42 +344,49 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
   inc_opts.tau_c_sim = options_.assignment.tau_c_sim;
   inc_opts.theta = options_.assignment.theta;
   const std::size_t old_num_domains = domains_.num_domains();
-  IncrementalClusterer inc(*tokenizer_, *vectorizer_, *features_, domains_,
-                           inc_opts);
-  PAYGO_ASSIGN_OR_RETURN(IncrementalAddResult result,
-                         inc.AddSchema(schema));
+  IncrementalAddResult result;
   // Adopt the updated state copy-on-write: readers of a snapshot that
   // shares the old components never see these swaps.
+  {
+    PAYGO_TRACE_SPAN("system.add_schema.assign");
+    IncrementalClusterer inc(*tokenizer_, *vectorizer_, *features_, domains_,
+                             inc_opts);
+    PAYGO_ASSIGN_OR_RETURN(result, inc.AddSchema(schema));
+    features_ = std::make_shared<const std::vector<DynamicBitset>>(
+        inc.TakeFeatures());
+    domains_ = inc.model();
+  }
   {
     auto corpus = std::make_shared<SchemaCorpus>(*corpus_);
     corpus->Add(std::move(schema), std::move(labels));
     corpus_ = std::move(corpus);
   }
-  features_ = std::make_shared<const std::vector<DynamicBitset>>(
-      inc.TakeFeatures());
-  domains_ = inc.model();
   clustering_.clusters = domains_.clusters();
   clustering_.merges.clear();  // merge history no longer describes the model
-  if (options_.sparse_build) {
-    if (options_.delta_mutations) {
-      // One appended schema: extend the graph by its (exact) row instead
-      // of rebuilding candidate generation from scratch.
-      graph_ = std::make_shared<const NeighborGraph>(*graph_, *features_);
+  {
+    PAYGO_TRACE_SPAN("system.add_schema.similarity");
+    if (options_.sparse_build) {
+      if (options_.delta_mutations) {
+        // One appended schema: extend the graph by its (exact) row instead
+        // of rebuilding candidate generation from scratch.
+        graph_ = std::make_shared<const NeighborGraph>(*graph_, *features_);
+      } else {
+        NeighborGraphOptions graph_options = options_.neighbor_graph;
+        graph_options.num_threads = options_.hac.num_threads;
+        PAYGO_ASSIGN_OR_RETURN(
+            NeighborGraph graph,
+            NeighborGraph::Build(*features_, graph_options));
+        graph_ = std::make_shared<const NeighborGraph>(std::move(graph));
+      }
+    } else if (options_.delta_mutations) {
+      // One appended schema: share every old row of the memoized matrix
+      // and compute only the new one (O(n * dim)) instead of refilling all
+      // O(n^2) pairs.
+      sims_ = std::make_shared<const SimilarityMatrix>(*sims_, *features_);
     } else {
-      NeighborGraphOptions graph_options = options_.neighbor_graph;
-      graph_options.num_threads = options_.hac.num_threads;
-      PAYGO_ASSIGN_OR_RETURN(
-          NeighborGraph graph,
-          NeighborGraph::Build(*features_, graph_options));
-      graph_ = std::make_shared<const NeighborGraph>(std::move(graph));
+      sims_ = std::make_shared<const SimilarityMatrix>(
+          *features_, options_.hac.num_threads);
     }
-  } else if (options_.delta_mutations) {
-    // One appended schema: extend the memoized matrix by its row/column
-    // (O(n * dim)) instead of refilling all O(n^2) pairs.
-    sims_ = std::make_shared<const SimilarityMatrix>(*sims_, *features_);
-  } else {
-    sims_ = std::make_shared<const SimilarityMatrix>(
-        *features_, options_.hac.num_threads);
   }
   sources_.resize(corpus_->size());
   if (options_.delta_mutations) {

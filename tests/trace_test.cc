@@ -7,7 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/integration_system.h"
 #include "strict_json.h"
+#include "synth/ddh_generator.h"
 
 namespace paygo {
 namespace {
@@ -201,6 +203,47 @@ TEST_F(TraceTest, ExportIsStrictJsonAndSortedByStart) {
   ASSERT_NE(outer_pos, std::string::npos);
   ASSERT_NE(inner_pos, std::string::npos);
   EXPECT_LT(outer_pos, inner_pos);
+}
+
+/// The collected span named \p name, or nullptr.
+const CollectedSpan* FindSpan(const std::vector<CollectedSpan>& spans,
+                              const std::string& name) {
+  for (const CollectedSpan& span : spans) {
+    if (name == span.name) return &span;
+  }
+  return nullptr;
+}
+
+TEST_F(TraceTest, AddSchemaAttributesSimilarityAndAssignment) {
+  const SchemaCorpus pool = MakeDdhCorpus({.num_schemas = 61, .seed = 7});
+  SchemaCorpus base("trace-base");
+  for (std::size_t i = 0; i + 1 < pool.size(); ++i) {
+    base.Add(pool.schema(i), pool.labels(i));
+  }
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "sparse_build" : "dense");
+    SystemOptions options;
+    options.sparse_build = sparse;
+    Tracer::Disable();
+    auto sys = IntegrationSystem::Build(base, options);
+    ASSERT_TRUE(sys.ok()) << sys.status();
+    Tracer::Enable();
+    SpanCollector collector;
+    const std::size_t last = pool.size() - 1;
+    ASSERT_TRUE(
+        (*sys)->AddSchema(pool.schema(last), pool.labels(last)).ok());
+    const CollectedSpan* add = FindSpan(collector.spans(), "system.add_schema");
+    ASSERT_NE(add, nullptr);
+    for (const char* child :
+         {"system.add_schema.similarity", "system.add_schema.assign"}) {
+      const CollectedSpan* span = FindSpan(collector.spans(), child);
+      ASSERT_NE(span, nullptr) << child;
+      EXPECT_EQ(span->depth, add->depth + 1) << child;
+      EXPECT_LE(add->start_us, span->start_us) << child;
+      EXPECT_GE(add->start_us + add->dur_us, span->start_us + span->dur_us)
+          << child;
+    }
+  }
 }
 
 TEST_F(TraceTest, NextTraceIdIsUniqueAndNonzero) {

@@ -374,8 +374,10 @@ if [[ "$RUN_ASAN" == 1 ]]; then
   ASAN_TESTS=(hac_test sparse_hac_test parallel_determinism_test
     hac_row_nn_differential_test feedback_test mediator_test pmed_schema_test
     naive_bayes_test approx_classifier_test
-    sparse_classifier_differential_test batch_classify_test)
-  echo "==> asan+ubsan: configure + build clustering, mediation and classifier tests (PAYGO_SANITIZE=address,undefined)"
+    sparse_classifier_differential_test batch_classify_test
+    linkage_test clone_aliasing_test delta_differential_test
+    model_io_roundtrip_test)
+  echo "==> asan+ubsan: configure + build clustering, snapshot, mediation and classifier tests (PAYGO_SANITIZE=address,undefined)"
   cmake -B build-asan -S . -DPAYGO_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan --target "${ASAN_TESTS[@]}" -j "$JOBS"
 
