@@ -14,6 +14,7 @@
 
 #include "cluster/hac.h"
 #include "cluster/linkage.h"
+#include "cluster/neighbor_graph.h"
 #include "cluster/probabilistic_assignment.h"
 #include "eval/clustering_metrics.h"
 #include "schema/corpus.h"
@@ -70,6 +71,17 @@ inline SweepPoint RunClusteringPoint(const PreparedCorpus& prep,
   point.model = std::move(*model);
   point.eval = EvaluateClustering(point.model, prep.corpus);
   return point;
+}
+
+/// Algorithm 2 without the dense matrix: the exact neighbor graph, then
+/// Hac::RunOnGraph. Same merges as Hac::Run on the dense matrix.
+inline Result<HacResult> ClusterOverGraph(
+    const std::vector<DynamicBitset>& features, const HacOptions& hac) {
+  NeighborGraphOptions graph_options;
+  graph_options.num_threads = hac.num_threads;
+  PAYGO_ASSIGN_OR_RETURN(NeighborGraph graph,
+                         NeighborGraph::Build(features, graph_options));
+  return Hac::RunOnGraph(graph, hac);
 }
 
 /// The tau grid of Figures 6.2-6.6.

@@ -12,9 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "cluster/hac.h"
 #include "cluster/neighbor_graph.h"
 #include "cluster/probabilistic_assignment.h"
+#include "obs/stats.h"
 #include "schema/feature_vector.h"
 #include "schema/lexicon.h"
 #include "synth/ddh_generator.h"
@@ -22,6 +24,8 @@
 #include "text/similarity_index.h"
 #include "text/term_similarity.h"
 #include "text/tokenizer.h"
+#include "util/random.h"
+#include "util/union_find.h"
 
 namespace paygo {
 namespace {
@@ -117,7 +121,7 @@ void BM_HacByLinkage(benchmark::State& state) {
 BENCHMARK(BM_HacByLinkage)->DenseRange(0, 3);
 
 void BM_HacSparseWebShape(benchmark::State& state) {
-  // The sparse engine's regime: many small feature-disjoint domains.
+  // The graph path's regime: many small feature-disjoint domains.
   ManyDomainOptions gen;
   gen.num_domains = static_cast<std::size_t>(state.range(0));
   const SchemaCorpus corpus = MakeManyDomainCorpus(gen);
@@ -127,9 +131,8 @@ void BM_HacSparseWebShape(benchmark::State& state) {
   const auto features = vec.VectorizeCorpus();
   HacOptions opts;
   opts.tau_c_sim = 0.25;
-  opts.use_sparse_engine = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Hac::Run(features, opts));
+    benchmark::DoNotOptimize(bench::ClusterOverGraph(features, opts));
   }
   state.SetLabel(std::to_string(corpus.size()) + " schemas");
   state.SetItemsProcessed(state.iterations() * corpus.size());
@@ -138,7 +141,7 @@ BENCHMARK(BM_HacSparseWebShape)->Arg(100)->Arg(300)->Arg(600);
 
 void BM_HacDenseWebShape(benchmark::State& state) {
   // Dense engine on the same web-shape corpora (includes the dense matrix
-  // build, which the sparse engine never needs).
+  // build, which the graph path never needs).
   ManyDomainOptions gen;
   gen.num_domains = static_cast<std::size_t>(state.range(0));
   const SchemaCorpus corpus = MakeManyDomainCorpus(gen);
@@ -263,7 +266,7 @@ struct ScalePoint {
   int merges_match_dense = -1;  // 1/0; -1 = dense not run
 };
 
-int RunSparseScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
+int RunGraphScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
                          const std::string& json_out) {
   using Clock = std::chrono::steady_clock;
   const auto secs = [](Clock::time_point a, Clock::time_point b) {
@@ -409,7 +412,7 @@ int RunSparseScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
     }
   }
 
-  // Thread-count determinism at the smallest corpus: the sparse engine must
+  // Thread-count determinism at the smallest corpus: the graph path must
   // reproduce the dense serial merges bitwise at every thread count.
   std::vector<std::size_t> thread_counts = {1, 2, 4};
   bool threads_identical = true;
@@ -501,6 +504,178 @@ int RunSparseScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
   return 0;
 }
 
+// --- the generic-attribute sweep (`--generic-sweep`) ---
+//
+// The graph path's worst case. Attributes any domain may carry ("name",
+// "price", "date") tie otherwise separate domains into one tau-component,
+// and a component of c schemas needs a key triangle of about 4 c^2 bytes.
+// The lane appends kGenericIds shared feature ids to MakeManyDomainFeatures
+// output; each schema carries all of them with probability `rate`. Per
+// (n, rate) point it first estimates the largest tau-component with a
+// union-find over the exact graph's edges at or above tau (no must-links,
+// no join slack: an estimate, used only to decide whether to run) and
+// its triangle bytes, 4 c^2. A point whose estimate exceeds
+// kMaxTriangleBytes is not clustered. The others run Hac::RunOnGraph and
+// report its seconds plus the component count and largest component the
+// library itself clustered (paygo.hac.components and
+// paygo.hac.largest_component). Everything runs on one thread.
+
+constexpr std::size_t kGenericIds = 4;
+constexpr double kMaxTriangleBytes = 2e9;
+
+std::vector<DynamicBitset> WithGenericIds(
+    const std::vector<DynamicBitset>& base, double rate, std::uint64_t seed,
+    std::size_t* carriers) {
+  const std::size_t dim = base.empty() ? 0 : base[0].size();
+  const std::size_t wide = (dim + kGenericIds + 63) / 64 * 64;
+  Rng rng(seed);
+  std::vector<DynamicBitset> out;
+  out.reserve(base.size());
+  *carriers = 0;
+  for (const DynamicBitset& f : base) {
+    DynamicBitset g(wide);
+    for (std::size_t j : f.SetBits()) g.Set(j);
+    if (rng.NextBernoulli(rate)) {
+      for (std::size_t k = 0; k < kGenericIds; ++k) g.Set(dim + k);
+      ++*carriers;
+    }
+    out.push_back(std::move(g));
+  }
+  return out;
+}
+
+struct GenericPoint {
+  std::size_t n = 0;
+  double rate = 0.0;
+  std::size_t carriers = 0;
+  std::uint64_t edges = 0;
+  double graph_seconds = 0.0;
+  std::size_t estimated_largest = 0;
+  double triangle_bytes = 0.0;  // 4 c^2 for estimated_largest c
+  double hac_seconds = -1.0;    // -1 = skipped; the rest is then unset
+  std::size_t components = 0;   // tau-components of two or more schemas
+  std::size_t largest = 0;
+  std::size_t clusters = 0;
+};
+
+int RunGenericSweepLane(std::size_t max_n, const std::string& json_out) {
+  using Clock = std::chrono::steady_clock;
+  const auto secs = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double>(b - a).count();
+  };
+  HacOptions hac;
+  hac.tau_c_sim = 0.25;
+  StatsRegistry& reg = StatsRegistry::Global();
+  const Counter* components = reg.GetCounter("paygo.hac.components");
+  const Gauge* largest = reg.GetGauge("paygo.hac.largest_component");
+  std::vector<GenericPoint> points;
+  for (const std::size_t n : {std::size_t{20000}, std::size_t{100000}}) {
+    if (n > max_n) continue;
+    ManyDomainFeatureOptions gen;
+    gen.num_schemas = n;
+    const auto base = MakeManyDomainFeatures(gen);
+    for (const double rate : {0.0, 0.01, 0.05}) {
+      GenericPoint p;
+      p.n = n;
+      p.rate = rate;
+      const auto features = WithGenericIds(base, rate, 20260 + n, &p.carriers);
+      const auto t0 = Clock::now();
+      const auto graph = NeighborGraph::Build(features, NeighborGraphOptions{});
+      if (!graph.ok()) {
+        std::fprintf(stderr, "generic-sweep: graph build failed at n=%zu: %s\n",
+                     n, graph.status().message().c_str());
+        return 1;
+      }
+      p.graph_seconds = secs(t0, Clock::now());
+      p.edges = graph->num_edges();
+
+      UnionFind uf(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        const auto [begin, end] = graph->Row(i);
+        for (const NeighborEdge* e = begin; e != end; ++e) {
+          if (e->id > i && e->sim >= hac.tau_c_sim) uf.Union(i, e->id);
+        }
+      }
+      std::vector<std::size_t> size(n, 0);
+      for (std::uint32_t i = 0; i < n; ++i) ++size[uf.Find(i)];
+      p.estimated_largest = *std::max_element(size.begin(), size.end());
+      p.triangle_bytes = 4.0 * static_cast<double>(p.estimated_largest) *
+                         static_cast<double>(p.estimated_largest);
+
+      if (p.triangle_bytes <= kMaxTriangleBytes) {
+        const std::uint64_t components_before = components->value();
+        const auto t1 = Clock::now();
+        const auto clustering = Hac::RunOnGraph(*graph, hac);
+        p.hac_seconds = secs(t1, Clock::now());
+        if (!clustering.ok()) {
+          std::fprintf(stderr, "generic-sweep: HAC failed at n=%zu: %s\n", n,
+                       clustering.status().message().c_str());
+          return 1;
+        }
+        p.components = components->value() - components_before;
+        p.largest = static_cast<std::size_t>(largest->value());
+        p.clusters = clustering->clusters.size();
+      }
+      std::fprintf(stderr,
+                   "n=%-7zu rate=%.2f carriers=%-6zu edges=%-9llu "
+                   "graph=%7.3fs est.largest=%-6zu triangle=%.3g B  ",
+                   n, rate, p.carriers,
+                   static_cast<unsigned long long>(p.edges), p.graph_seconds,
+                   p.estimated_largest, p.triangle_bytes);
+      if (p.hac_seconds < 0) {
+        std::fprintf(stderr, "hac=skipped\n");
+      } else {
+        std::fprintf(stderr, "components=%-6zu largest=%-6zu hac=%.3fs\n",
+                     p.components, p.largest, p.hac_seconds);
+      }
+      points.push_back(p);
+    }
+  }
+
+  if (json_out.empty()) return 0;
+  std::FILE* f = std::fopen(json_out.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "generic-sweep: cannot write %s\n", json_out.c_str());
+    return 1;
+  }
+  std::fprintf(f, "{\n  \"mode\": \"generic_sweep\",\n");
+  std::fprintf(f, "  \"tau_c_sim\": %.3f,\n  \"threads\": 1,\n",
+               hac.tau_c_sim);
+  std::fprintf(f,
+               "  \"generator\": {\"schemas_per_domain\": 32, "
+               "\"words_per_domain\": 24, \"seed\": 97, "
+               "\"generic_ids\": %zu},\n",
+               kGenericIds);
+  std::fprintf(f, "  \"max_triangle_bytes\": %.0f,\n  \"points\": [\n",
+               kMaxTriangleBytes);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const GenericPoint& p = points[i];
+    std::fprintf(f,
+                 "    {\"n\": %zu, \"rate\": %.2f, \"carriers\": %zu, "
+                 "\"edges\": %llu, \"graph_seconds\": %.6f, "
+                 "\"estimated_largest_component\": %zu, "
+                 "\"triangle_bytes\": %.0f, ",
+                 p.n, p.rate, p.carriers,
+                 static_cast<unsigned long long>(p.edges), p.graph_seconds,
+                 p.estimated_largest, p.triangle_bytes);
+    if (p.hac_seconds >= 0) {
+      std::fprintf(f,
+                   "\"hac_seconds\": %.6f, \"components\": %zu, "
+                   "\"largest_component\": %zu, \"clusters\": %zu}",
+                   p.hac_seconds, p.components, p.largest, p.clusters);
+    } else {
+      std::fprintf(f,
+                   "\"hac_seconds\": null, \"components\": null, "
+                   "\"largest_component\": null, \"clusters\": null}");
+    }
+    std::fprintf(f, "%s\n", i + 1 < points.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
+  std::fprintf(stderr, "generic-sweep: wrote %s\n", json_out.c_str());
+  return 0;
+}
+
 }  // namespace
 }  // namespace paygo
 
@@ -516,10 +691,16 @@ int RunSparseScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
 // machine-readable record without memorizing the two underlying flags.
 //
 // `--sparse-scaling` switches to the hand-rolled dense-matrix-free scaling
-// lane instead of google-benchmark (see RunSparseScalingLane above):
+// lane instead of google-benchmark (see RunGraphScalingLane above):
 //
 //   bench/perf_clustering --sparse-scaling --max-n=100000 --dense-max=8000
 //       --check
+//
+// `--generic-sweep` runs the generic-attribute worst case instead (see
+// RunGenericSweepLane): n = 20k and 100k (capped by --max-n) at generic
+// rates 0, 1% and 5%, on one thread:
+//
+//   bench/perf_clustering --generic-sweep --json-out=generic.json
 //
 // `--max-n=N` caps the corpus sweep (default 100000), `--dense-max=N` is
 // the largest n the dense baseline runs at (default 8000; 0 disables the
@@ -531,6 +712,7 @@ int main(int argc, char** argv) {
   std::string json_out = "BENCH_clustering.json";
   bool user_set_benchmark_out = false;
   bool sparse_scaling = false;
+  bool generic_sweep = false;
   bool sparse_check = false;
   std::size_t sparse_max_n = 100000;
   std::size_t sparse_dense_max = 8000;
@@ -558,6 +740,10 @@ int main(int argc, char** argv) {
       sparse_scaling = true;
       continue;
     }
+    if (arg == "--generic-sweep") {
+      generic_sweep = true;
+      continue;
+    }
     if (arg == "--check") {
       sparse_check = true;
       continue;
@@ -575,8 +761,11 @@ int main(int argc, char** argv) {
     if (arg.rfind("--benchmark_out", 0) == 0) user_set_benchmark_out = true;
     args.push_back(argv[i]);
   }
+  if (generic_sweep) {
+    return paygo::RunGenericSweepLane(sparse_max_n, json_out);
+  }
   if (sparse_scaling) {
-    return paygo::RunSparseScalingLane(sparse_max_n, sparse_dense_max,
+    return paygo::RunGraphScalingLane(sparse_max_n, sparse_dense_max,
                                        sparse_check, json_out);
   }
   if (!json_out.empty() && !user_set_benchmark_out) {

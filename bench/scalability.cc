@@ -52,15 +52,13 @@ int main() {
     const auto clustering = Hac::Run(features, sims, hac);
     const double t_hac = t.ElapsedSeconds();
 
-    // The sparse engine skips the dense matrix entirely: time it end to
-    // end (pair generation + clustering) for the comparison column. DDH is
-    // its worst case (dense within-domain blocks), so cap the cell size.
+    // The graph path skips the dense matrix entirely: time it end to end
+    // (graph build + per-component clustering) for the comparison column.
+    // DDH is its worst case (a few huge tau-components), so cap the size.
     double t_sparse = -1.0;
     if (n <= 2323) {
       t.Restart();
-      HacOptions sparse = hac;
-      sparse.use_sparse_engine = true;
-      const auto sparse_clustering = Hac::Run(features, sparse);
+      const auto sparse_clustering = bench::ClusterOverGraph(features, hac);
       t_sparse = t.ElapsedSeconds();
       if (!sparse_clustering.ok() ||
           sparse_clustering->clusters.size() !=
@@ -108,16 +106,16 @@ int main() {
                "saturates at the domain\nvocabulary); the dense similarity "
                "matrix and HAC grow ~quadratically and dominate; the\n"
                "factored classifier setup stays negligible at every size.\n"
-               "Note: DDH is the sparse engine's WORST case (5 huge "
-               "domains — nearly all within-\ndomain pairs share features, "
-               "and hash rows lose to flat arrays); see the next sweep\n"
-               "for its intended regime.\n";
+               "Note: DDH is the graph path's WORST case (5 huge "
+               "domains — nearly all within-\ndomain pairs share features "
+               "and each domain is one big tau-component); see the\n"
+               "next sweep for its intended regime.\n";
 
   // --- Part 2: the web shape — many small domains (the thesis's actual
-  // motivation). Cross-domain pairs share no features, so the sparse
-  // engine's work is ~linear in n while dense stays quadratic. ---
-  std::cout << "\n=== Web-shape scaling: many small domains (sparse "
-               "engine's regime) ===\n";
+  // motivation). Cross-domain pairs share no features, so the graph
+  // path's work is ~linear in n while dense stays quadratic. ---
+  std::cout << "\n=== Web-shape scaling: many small domains (the graph "
+               "path's regime) ===\n";
   TablePrinter web({"Domains", "Schemas", "dim L", "DenseMatrix+HAC(s)",
                     "SparseHAC(s)"});
   for (std::size_t domains : {100u, 300u, 600u, 1200u, 2400u}) {
@@ -146,8 +144,7 @@ int main() {
     WallTimer t;
     HacOptions sparse;
     sparse.tau_c_sim = 0.25;
-    sparse.use_sparse_engine = true;
-    const auto rs = Hac::Run(features, sparse);
+    const auto rs = bench::ClusterOverGraph(features, sparse);
     const double t_sparse = t.ElapsedSeconds();
     if (!rs.ok()) return 1;
     if (t_dense >= 0 && rs->clusters.size() != dense_clusters) {

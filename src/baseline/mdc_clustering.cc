@@ -31,10 +31,12 @@ struct ClusterModel {
   }
 };
 
-struct HeapEntry {
+/// A cluster pair in the merge heap; stale once either side's version
+/// moves on.
+struct MergeCandidate {
   double sim;
   std::uint32_t a, b, va, vb;
-  bool operator<(const HeapEntry& o) const {
+  bool operator<(const MergeCandidate& o) const {
     if (sim != o.sim) return sim < o.sim;
     if (a != o.a) return a > o.a;
     return b > o.b;
@@ -149,7 +151,7 @@ Result<HacResult> MdcBaseline::Run(const Lexicon& lexicon,
                                clusters[b].counts, clusters[b].total);
   };
 
-  std::priority_queue<HeapEntry> heap;
+  std::priority_queue<MergeCandidate> heap;
   for (std::uint32_t a = 0; a < n; ++a) {
     if (!clusters[a].active) continue;
     for (std::uint32_t b = a + 1; b < n; ++b) {
@@ -160,7 +162,7 @@ Result<HacResult> MdcBaseline::Run(const Lexicon& lexicon,
   }
 
   while (active > options.num_clusters && !heap.empty()) {
-    const HeapEntry top = heap.top();
+    const MergeCandidate top = heap.top();
     heap.pop();
     if (!clusters[top.a].active || !clusters[top.b].active) continue;
     if (clusters[top.a].version != top.va ||

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <queue>
 #include <span>
-#include <unordered_map>
+#include <string>
 #include <unordered_set>
 
 #include "cluster/neighbor_graph.h"
@@ -19,16 +20,17 @@
 namespace paygo {
 namespace {
 
-/// Per-run instrumentation accumulated in plain locals (the merge loops
+/// Per-call instrumentation accumulated in plain locals (the merge loops
 /// are the hottest code in the library; no atomics inside them) and
-/// flushed to the global registry once, on destruction.
+/// flushed to the global registry once, on destruction: a RunOnGraph call
+/// over many tau-components is one run.
 struct HacRunStats {
   std::uint64_t pairs_evaluated = 0;  ///< Linkages computed from scratch.
   std::uint64_t memo_hits = 0;        ///< Memoized cluster-sim reads.
   std::uint64_t merges = 0;
-  std::uint64_t row_rescans = 0;      ///< Dense engine: stale or merged rows.
-  std::uint64_t heap_pushes = 0;      ///< Sparse engine only.
-  std::uint64_t stale_skips = 0;      ///< Sparse engine: stale heap pops.
+  std::uint64_t row_rescans = 0;      ///< Stale or merged rows rescanned.
+  std::uint64_t components = 0;       ///< Row-NN engine runs.
+  std::uint64_t largest_component = 0;  ///< Slots of the largest such run.
 
   ~HacRunStats() {
     StatsRegistry& reg = StatsRegistry::Global();
@@ -37,31 +39,15 @@ struct HacRunStats {
     static Counter* memo = reg.GetCounter("paygo.hac.memo_hits");
     static Counter* merged = reg.GetCounter("paygo.hac.merges");
     static Counter* rescans = reg.GetCounter("paygo.hac.row_rescans");
-    static Counter* pushes = reg.GetCounter("paygo.hac.heap_pushes");
-    static Counter* stale = reg.GetCounter("paygo.hac.stale_skips");
+    static Counter* comps = reg.GetCounter("paygo.hac.components");
+    static Gauge* largest = reg.GetGauge("paygo.hac.largest_component");
     runs->Increment();
     pairs->Add(pairs_evaluated);
     memo->Add(memo_hits);
     merged->Add(merges);
     rescans->Add(row_rescans);
-    pushes->Add(heap_pushes);
-    stale->Add(stale_skips);
-  }
-};
-
-/// A candidate merge in the sparse engine's lazy-deletion heap. Entries
-/// become stale when either endpoint is merged; staleness is detected via
-/// per-slot versions.
-struct HeapEntry {
-  double sim;
-  std::uint32_t a, b;          // slot ids, a < b
-  std::uint32_t va, vb;        // slot versions at push time
-
-  bool operator<(const HeapEntry& other) const {
-    // Max-heap on similarity; deterministic tie-break on slot ids.
-    if (sim != other.sim) return sim < other.sim;
-    if (a != other.a) return a > other.a;
-    return b > other.b;
+    comps->Add(components);
+    largest->Set(static_cast<std::int64_t>(largest_component));
   }
 };
 
@@ -100,11 +86,10 @@ struct ConstraintState {
   }
 };
 
-/// Shared cluster bookkeeping for both engines.
+/// Cluster bookkeeping shared by the naive and row-NN engines.
 struct ClusterState {
   std::vector<std::vector<std::uint32_t>> members;  // per active slot
   std::vector<bool> active;
-  std::vector<std::uint32_t> version;
   // Total-Jaccard summaries: AND / OR of member feature vectors.
   std::vector<DynamicBitset> and_bits;
   std::vector<DynamicBitset> or_bits;
@@ -114,7 +99,6 @@ struct ClusterState {
             bool need_bits) {
     members.resize(n);
     active.assign(n, true);
-    version.assign(n, 0);
     track_bits = need_bits;
     for (std::uint32_t i = 0; i < n; ++i) members[i] = {i};
     if (need_bits) {
@@ -131,8 +115,6 @@ struct ClusterState {
     mb.clear();
     mb.shrink_to_fit();
     active[b] = false;
-    ++version[a];
-    ++version[b];
     if (track_bits) {
       and_bits[a] &= and_bits[b];
       or_bits[a] |= or_bits[b];
@@ -154,8 +136,19 @@ struct ClusterState {
   }
 };
 
+/// Total Jaccard of slots a and b from their AND/OR feature summaries.
+double TotalLinkage(const ClusterState& st, std::uint32_t a, std::uint32_t b) {
+  // Intersection of all features across both clusters ...
+  DynamicBitset all = st.and_bits[a];
+  all &= st.and_bits[b];
+  // ... over the union of all features across both clusters.
+  DynamicBitset any = st.or_bits[a];
+  any |= st.or_bits[b];
+  return DynamicBitset::Jaccard(all, any);
+}
+
 /// Cluster-to-cluster similarity recomputed from first principles — the
-/// reference used by the naive engine and, for Total Jaccard, by both.
+/// reference used by the naive engine.
 double LinkageFromScratch(const ClusterState& st, const SimilarityMatrix& sims,
                           LinkageKind kind, std::uint32_t a, std::uint32_t b) {
   switch (kind) {
@@ -186,19 +179,7 @@ double LinkageFromScratch(const ClusterState& st, const SimilarityMatrix& sims,
       return best;
     }
     case LinkageKind::kTotal:
-      return DynamicBitset::Jaccard(
-          // Intersection of all features across both clusters ...
-          [&] {
-            DynamicBitset x = st.and_bits[a];
-            x &= st.and_bits[b];
-            return x;
-          }(),
-          // ... over the union of all features across both clusters.
-          [&] {
-            DynamicBitset x = st.or_bits[a];
-            x |= st.or_bits[b];
-            return x;
-          }());
+      return TotalLinkage(st, a, b);
   }
   return 0.0;
 }
@@ -232,10 +213,10 @@ Status ValidateConstraints(std::size_t n, const HacOptions& options) {
   return Status::OK();
 }
 
-/// The option checks shared by every entry point. \p sparse adds the
-/// modes the sparse engine cannot run.
+/// The option checks shared by every entry point. \p graph adds the modes
+/// RunOnGraph cannot run: each can merge across tau-components.
 Status ValidateHacOptions(std::size_t n, const HacOptions& options,
-                          bool sparse) {
+                          bool graph) {
   // isfinite first: NaN passes every range comparison.
   if (!std::isfinite(options.tau_c_sim) || options.tau_c_sim < 0.0 ||
       options.tau_c_sim > 1.0) {
@@ -243,21 +224,21 @@ Status ValidateHacOptions(std::size_t n, const HacOptions& options,
         "tau_c_sim must be a finite value in [0, 1]");
   }
   PAYGO_RETURN_NOT_OK(ValidateConstraints(n, options));
-  if (!sparse) return Status::OK();
+  if (!graph) return Status::OK();
   if (options.linkage == LinkageKind::kTotal) {
     return Status::InvalidArgument(
-        "the sparse engine does not support Total Jaccard (it needs "
-        "cluster feature summaries, not pair similarities)");
+        "clustering over a neighbor graph does not support Total Jaccard "
+        "(it needs cluster feature summaries, not pair similarities)");
   }
   if (options.max_clusters > 0) {
     return Status::InvalidArgument(
-        "the sparse engine cannot merge feature-disjoint clusters and so "
-        "does not support max_clusters count mode");
+        "clustering over a neighbor graph cannot merge feature-disjoint "
+        "clusters and so does not support max_clusters count mode");
   }
   if (options.tau_c_sim <= 0.0) {
     return Status::InvalidArgument(
-        "the sparse engine requires tau_c_sim > 0 (zero-similarity pairs "
-        "are not materialized)");
+        "clustering over a neighbor graph requires tau_c_sim > 0 "
+        "(zero-similarity pairs are not materialized)");
   }
   return Status::OK();
 }
@@ -289,11 +270,9 @@ ConstraintState BuildConstraintState(std::size_t n,
   return cs;
 }
 
-Result<HacResult> RunNaive(const std::vector<DynamicBitset>& features,
-                           const SimilarityMatrix& sims,
-                           const HacOptions& options) {
-  PAYGO_TRACE_SPAN("hac.run");
-  HacRunStats stats;
+HacResult RunNaive(const std::vector<DynamicBitset>& features,
+                   const SimilarityMatrix& sims, const HacOptions& options,
+                   HacRunStats& stats) {
   const std::size_t n = features.size();
   ClusterState st;
   st.Init(n, features, options.linkage == LinkageKind::kTotal);
@@ -380,6 +359,11 @@ class PairKeys {
   std::vector<double> keys_;
 };
 
+/// Fills the initial merge keys of rows [lo, hi): cell (i, j) for every
+/// j > i. Called from concurrent chunks with disjoint row ranges.
+using KeySeeder =
+    std::function<void(std::size_t lo, std::size_t hi, PairKeys& keys)>;
+
 constexpr std::uint32_t kNoNeighbor =
     std::numeric_limits<std::uint32_t>::max();
 /// Merge-sweep iterations between a cell prefetch and its use.
@@ -388,13 +372,13 @@ constexpr std::uint32_t kPrefetchAhead = 32;
 /// candidate. Below every threshold, including count mode's -1.
 constexpr double kNoKey = -std::numeric_limits<double>::infinity();
 
-/// Dense engine: memoized cluster similarities (the thesis's O(|U|)
+/// The row-NN engine: memoized cluster similarities (the thesis's O(|U|)
 /// Lance-Williams update per merge) with per-row nearest-neighbour bounds
 /// (the "generic" algorithm of Müllner, arXiv:1109.2378) in place of a
 /// global priority queue.
 ///
-/// Every active pair (i, j), i < j, has a double merge key: the matrix
-/// value at seeding, the unrounded Lance-Williams result after a merge, or
+/// Every active pair (i, j), i < j, has a double merge key: the stored
+/// float similarity at seeding, the unrounded Lance-Williams result after a merge, or
 /// the from-scratch linkage for Total Jaccard. Lance-Williams reads the key
 /// rounded to float, the precision the memo has always had. Row i keeps a
 /// bound (nnsim[i], nn[i]) on its best candidate j > i — key at or above
@@ -404,26 +388,24 @@ constexpr double kNoKey = -std::numeric_limits<double>::infinity();
 /// stale winner is rescanned and the selection repeated. That order is the
 /// (similarity desc, slot_a asc, slot_b asc) order of a max-heap over all
 /// pairs, so the dendrogram is the same merge for merge.
-Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
-                          const SimilarityMatrix& sims,
-                          const HacOptions& options) {
-  PAYGO_TRACE_SPAN("hac.run");
-  HacRunStats stats;
-  const std::size_t n = features.size();
+///
+/// \p seed_keys fills the memoized linkages' initial keys; the dense path
+/// copies matrix rows, a tau-component scatters graph rows. \p features
+/// is read only by Total Jaccard. \p pool (null = serial) runs the O(n^2)
+/// phases. At any width the result is bit-identical to serial: every key
+/// cell and every row bound is written by the chunk that owns its row (or
+/// its candidate c in a merge sweep), each from the same inputs the serial
+/// path reads, and no FP reduction crosses chunks.
+HacResult RunFast(std::size_t n, const std::vector<DynamicBitset>& features,
+                  const KeySeeder& seed_keys, const HacOptions& options,
+                  ThreadPool* pool, HacRunStats& stats) {
+  ++stats.components;
+  stats.largest_component = std::max<std::uint64_t>(stats.largest_component, n);
   ClusterState st;
   st.Init(n, features, options.linkage == LinkageKind::kTotal);
   ConstraintState cs = BuildConstraintState(n, options);
   const bool constrained = cs.Active();
 
-  // Worker pool for the O(n^2) phases. Width 1 (the default) bypasses the
-  // pool entirely. At any width the result is bit-identical to serial:
-  // every key cell and every row bound is written by the chunk that owns
-  // its row (or its candidate c in a merge sweep), each from the same
-  // inputs the serial path reads, and no FP reduction crosses chunks.
-  const std::size_t pool_width =
-      ThreadPool::ResolveThreadCount(options.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (pool_width > 1 && n > 1) pool = std::make_unique<ThreadPool>(pool_width);
   // Runs body(lo, hi) over [0, n) in chunks of at least `grain` slots.
   auto parallel_rows = [&](std::size_t grain, auto&& body) {
     if (pool != nullptr) {
@@ -441,15 +423,9 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
   const bool memoized = options.linkage != LinkageKind::kTotal;
   PairKeys keys(n);
   if (memoized) {
-    // Full rows come from panel gathers: cell (i, j > i) is a column read
-    // of the matrix's lower triangle.
-    auto seed_row = [&](std::size_t i, std::span<const float> row) {
-      double* key = keys.Row(i);
-      for (std::size_t j = i + 1; j < n; ++j) key[j - i - 1] = row[j];
-    };
     parallel_rows(SimilarityMatrix::kPanelRows,
                   [&](std::size_t lo, std::size_t hi) {
-                    sims.ForEachRow(lo, hi, seed_row);
+                    seed_keys(lo, hi, keys);
                   });
   }
 
@@ -529,7 +505,7 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
           s = std::max(s, static_cast<double>(static_cast<float>(s)));
         }
       } else {
-        s = LinkageFromScratch(st, sims, options.linkage, a, c);
+        s = TotalLinkage(st, a, c);
       }
       key_ca = s;
       key_cb = kNoKey;
@@ -613,10 +589,7 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
         if (!memoized) {
           double* row = keys.Row(i);
           for (std::uint32_t j = i + 1; j < n; ++j) {
-            row[j - i - 1] =
-                st.active[j]
-                    ? LinkageFromScratch(st, sims, options.linkage, i, j)
-                    : kNoKey;
+            row[j - i - 1] = st.active[j] ? TotalLinkage(st, i, j) : kNoKey;
           }
         }
         rescan(i);
@@ -649,271 +622,242 @@ Result<HacResult> RunFast(const std::vector<DynamicBitset>& features,
   return st.Finish(std::move(merges));
 }
 
-/// Sparse engine: cluster similarities as sorted per-cluster rows fed by
-/// the NeighborGraph. Absent row entries mean similarity 0 — under
-/// kAverage an absent entry contributes 0 to the Lance-Williams
-/// combination, under kMin it forces 0 (some cross pair is disjoint),
-/// under kMax it is simply not a maximum candidate. Row seeding and the
-/// per-merge row-combine re-evaluation are parallel under the PR 3
-/// discipline: every row is owned by exactly one chunk, and heap pushes /
-/// row appends are buffered per chunk and flushed in ascending chunk
-/// order, so the engine is bit-identical at any thread count.
-Result<HacResult> RunSparseGraph(const NeighborGraph& graph,
-                                 const HacOptions& options) {
+/// Dense path: one engine run over the whole corpus, its keys seeded from
+/// the matrix's rows.
+Result<HacResult> RunOnMatrix(const std::vector<DynamicBitset>& features,
+                              const SimilarityMatrix& sims,
+                              const HacOptions& options) {
+  PAYGO_TRACE_SPAN("hac.run");
+  HacRunStats stats;
+  if (options.use_naive_engine) {
+    return RunNaive(features, sims, options, stats);
+  }
+  const std::size_t n = features.size();
+  const std::size_t width = ThreadPool::ResolveThreadCount(options.num_threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (width > 1 && n > 1) pool = std::make_unique<ThreadPool>(width);
+  // Full rows come from panel gathers: cell (i, j > i) is a column read of
+  // the matrix's lower triangle.
+  const KeySeeder from_matrix = [&](std::size_t lo, std::size_t hi,
+                                    PairKeys& keys) {
+    sims.ForEachRow(lo, hi, [&](std::size_t i, std::span<const float> row) {
+      double* key = keys.Row(i);
+      for (std::size_t j = i + 1; j < n; ++j) key[j - i - 1] = row[j];
+    });
+  };
+  return RunFast(n, features, from_matrix, options, pool.get(), stats);
+}
+
+constexpr std::uint32_t kNoComponent =
+    std::numeric_limits<std::uint32_t>::max();
+/// Largest merge-key triangle the graph path allocates for one
+/// tau-component: c(c-1)/2 doubles, so components of up to 23,170 schemas.
+constexpr std::size_t kMaxComponentKeyBytes = std::size_t{2} << 30;
+/// Graph edges this many doubles below tau still join components. An
+/// Avg-linkage key is a double average of float similarities and can round
+/// a few ulps above the largest of them; with the slack, every cross
+/// component key stays strictly below tau. A larger component is still
+/// exact, only less split.
+constexpr int kJoinSlackUlps = 8;
+
+/// The tau-components of two or more schemas.
+struct TauComponents {
+  /// Members of each component, ascending; largest component first, ties
+  /// by smallest member.
+  std::vector<std::vector<std::uint32_t>> members;
+  /// Per schema: its component, or kNoComponent when it is alone.
+  std::vector<std::uint32_t> component_of;
+  /// Per schema: its index inside its component.
+  std::vector<std::uint32_t> local_of;
+};
+
+TauComponents FindTauComponents(const NeighborGraph& graph,
+                                const HacOptions& options) {
+  const std::size_t n = graph.num_nodes();
+  UnionFind uf(n);
+  for (const auto& [x, y] : options.must_link) uf.Union(x, y);
+  double join_at = options.tau_c_sim;
+  for (int k = 0; k < kJoinSlackUlps; ++k) {
+    join_at = std::nextafter(join_at, 0.0);
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto [begin, end] = graph.Row(i);
+    for (const NeighborEdge* e = begin; e != end; ++e) {
+      if (e->id > i && e->sim >= join_at) uf.Union(i, e->id);
+    }
+  }
+
+  std::vector<std::uint32_t> root(n);
+  std::vector<std::uint32_t> size(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    root[i] = uf.Find(i);
+    ++size[root[i]];
+  }
+  TauComponents tc;
+  std::vector<std::uint32_t> index_of_root(n, kNoComponent);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t r = root[i];
+    if (size[r] < 2) continue;
+    if (index_of_root[r] == kNoComponent) {
+      index_of_root[r] = static_cast<std::uint32_t>(tc.members.size());
+      tc.members.emplace_back().reserve(size[r]);
+    }
+    tc.members[index_of_root[r]].push_back(i);
+  }
+  std::stable_sort(tc.members.begin(), tc.members.end(),
+                   [](const auto& x, const auto& y) {
+                     return x.size() > y.size();
+                   });
+  tc.component_of.assign(n, kNoComponent);
+  tc.local_of.assign(n, 0);
+  for (std::uint32_t k = 0; k < tc.members.size(); ++k) {
+    const auto& members = tc.members[k];
+    for (std::uint32_t li = 0; li < members.size(); ++li) {
+      tc.component_of[members[li]] = k;
+      tc.local_of[members[li]] = li;
+    }
+  }
+  return tc;
+}
+
+/// Clusters tau-component \p k with the row-NN engine. Its members' graph
+/// rows are scattered into the local key triangle (an absent edge keeps
+/// key 0, the exact Jaccard of the pair) and its constraints renumbered to
+/// local slots. Local slots follow global schema order, so every tie
+/// breaks as in one dense run over the whole corpus. Returns the merges
+/// and clusters in global schema ids.
+HacResult RunComponent(const NeighborGraph& graph, const TauComponents& tc,
+                       std::uint32_t k, HacOptions local, ThreadPool* pool,
+                       HacRunStats& stats) {
+  const std::vector<std::uint32_t>& members = tc.members[k];
+  const KeySeeder from_graph = [&](std::size_t lo, std::size_t hi,
+                                   PairKeys& keys) {
+    for (std::size_t li = lo; li < hi; ++li) {
+      const std::uint32_t g = members[li];
+      double* key = keys.Row(static_cast<std::uint32_t>(li));
+      const auto [begin, end] = graph.Row(g);
+      const NeighborEdge* e = std::upper_bound(
+          begin, end, g,
+          [](std::uint32_t id, const NeighborEdge& x) { return id < x.id; });
+      for (; e != end; ++e) {
+        if (tc.component_of[e->id] != k) continue;
+        key[tc.local_of[e->id] - li - 1] = e->sim;
+      }
+    }
+  };
+  HacResult r = RunFast(members.size(), /*features=*/{}, from_graph, local,
+                        pool, stats);
+  for (HacMerge& m : r.merges) {
+    m.slot_a = members[m.slot_a];
+    m.slot_b = members[m.slot_b];
+  }
+  for (auto& cluster : r.clusters) {
+    for (std::uint32_t& id : cluster) id = members[id];
+  }
+  return r;
+}
+
+/// Graph path: one row-NN run per tau-component, the runs interleaved into
+/// the dense engine's merge order. ResourceExhausted, before anything is
+/// clustered, when the largest component's key triangle would pass
+/// kMaxComponentKeyBytes.
+Result<HacResult> RunOnComponents(const NeighborGraph& graph,
+                                  const HacOptions& options) {
   PAYGO_TRACE_SPAN("hac.run");
   HacRunStats stats;
   const std::size_t n = graph.num_nodes();
-  ClusterState st;
-  st.Init(n, /*features=*/{}, /*need_bits=*/false);
-  ConstraintState cs = BuildConstraintState(n, options);
-  ThreadPool pool(ThreadPool::ResolveThreadCount(options.num_threads));
-
-  // Sparse symmetric similarity rows: sorted-by-id flat vectors, float
-  // values matching the dense engine's rounding so the two engines
-  // tie-break identically.
-  std::vector<std::vector<NeighborEdge>> row(n);
-  pool.ParallelFor(0, n, 64, [&](const ThreadPool::Chunk& chunk) {
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      auto [begin, end] = graph.Row(static_cast<std::uint32_t>(i));
-      row[i].assign(begin, end);
-    }
-  });
-
-  // Seed the heap with every edge at or above tau. Entries are buffered
-  // per chunk and flushed ascending; heap order itself only depends on
-  // (sim, a, b), never on push order.
-  std::priority_queue<HeapEntry> heap;
-  {
-    struct SeedOut {
-      std::vector<HeapEntry> entries;
-      std::uint64_t pairs = 0;
-    };
-    const std::size_t chunks = pool.NumChunks(n, 64);
-    std::vector<SeedOut> outs(chunks == 0 ? 1 : chunks);
-    pool.ParallelFor(0, n, 64, [&](const ThreadPool::Chunk& chunk) {
-      SeedOut& out = outs[chunk.index];
-      for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-        const std::uint32_t a = static_cast<std::uint32_t>(i);
-        for (const NeighborEdge& e : row[i]) {
-          if (e.id <= a) continue;
-          ++out.pairs;
-          if (e.sim >= options.tau_c_sim) {
-            out.entries.push_back({e.sim, a, e.id, 0, 0});
-          }
-        }
-      }
-    });
-    for (const SeedOut& out : outs) {
-      stats.pairs_evaluated += out.pairs;
-      for (const HeapEntry& e : out.entries) {
-        heap.push(e);
-        ++stats.heap_pushes;
-      }
+  const TauComponents tc = FindTauComponents(graph, options);
+  const std::size_t num = tc.members.size();
+  if (num > 0) {
+    const std::size_t c = tc.members[0].size();
+    const std::size_t bytes = c * (c - 1) / 2 * sizeof(double);
+    if (bytes > kMaxComponentKeyBytes) {
+      return Status::ResourceExhausted(
+          "tau-component of " + std::to_string(c) + " schemas needs a " +
+          std::to_string(bytes) + "-byte merge-key triangle, over the " +
+          std::to_string(kMaxComponentKeyBytes) +
+          "-byte budget; raise tau_c_sim or drop the features that join it");
     }
   }
 
-  // Reused per-merge scratch: the id-union of the two merged rows.
-  struct CombineItem {
-    std::uint32_t c;
-    float s_a, s_b;       // stored similarities to the merged slots
-    bool in_a, in_b;      // presence flags (absent means similarity 0)
-  };
-  std::vector<CombineItem> items;
-  std::vector<NeighborEdge> new_row;
+  // Per-component options: the same linkage and tau, the constraints that
+  // can bind inside the component in local slots. Must-link pairs keep
+  // their option order. A cannot-link pair across components can never be
+  // violated and is dropped.
+  std::vector<HacOptions> local(num);
+  for (HacOptions& o : local) {
+    o.linkage = options.linkage;
+    o.tau_c_sim = options.tau_c_sim;
+  }
+  for (const auto& [x, y] : options.must_link) {
+    local[tc.component_of[x]].must_link.emplace_back(tc.local_of[x],
+                                                     tc.local_of[y]);
+  }
+  for (const auto& [x, y] : options.cannot_link) {
+    const std::uint32_t k = tc.component_of[x];
+    if (k == kNoComponent || k != tc.component_of[y]) continue;
+    local[k].cannot_link.emplace_back(tc.local_of[x], tc.local_of[y]);
+  }
 
-  std::vector<HacMerge> merges;
-  auto do_merge = [&](std::uint32_t a, std::uint32_t b, double sim) {
-    PAYGO_TRACE_SPAN("hac.merge");
-    ++stats.merges;
-    const double size_a = static_cast<double>(st.members[a].size());
-    const double size_b = static_cast<double>(st.members[b].size());
-    const double total = size_a + size_b;
-    st.Merge(a, b);
-    cs.MergeInto(a, b);
-    merges.push_back({a, b, sim});
+  // Components run largest first, one after another on the one pool; the
+  // engine splits a phase across it only when the phase is large enough.
+  std::vector<HacResult> runs(num);
+  const std::size_t width = ThreadPool::ResolveThreadCount(options.num_threads);
+  std::unique_ptr<ThreadPool> pool;
+  if (width > 1 && num > 0) pool = std::make_unique<ThreadPool>(width);
+  for (std::uint32_t k = 0; k < num; ++k) {
+    runs[k] = RunComponent(graph, tc, k, std::move(local[k]), pool.get(),
+                           stats);
+  }
 
-    // Id-ascending union of rows a and b (linear two-pointer walk).
-    items.clear();
-    {
-      const auto& ra = row[a];
-      const auto& rb = row[b];
-      std::size_t x = 0, y = 0;
-      while (x < ra.size() || y < rb.size()) {
-        std::uint32_t c;
-        CombineItem item{0, 0.0f, 0.0f, false, false};
-        if (y >= rb.size() || (x < ra.size() && ra[x].id < rb[y].id)) {
-          c = ra[x].id;
-          item.s_a = ra[x].sim;
-          item.in_a = true;
-          ++x;
-        } else if (x >= ra.size() || rb[y].id < ra[x].id) {
-          c = rb[y].id;
-          item.s_b = rb[y].sim;
-          item.in_b = true;
-          ++y;
-        } else {
-          c = ra[x].id;
-          item.s_a = ra[x].sim;
-          item.s_b = rb[y].sim;
-          item.in_a = item.in_b = true;
-          ++x;
-          ++y;
-        }
-        if (c == a || c == b || !st.active[c]) continue;
-        item.c = c;
-        items.push_back(item);
-      }
-    }
-
-    // Lance-Williams re-evaluation per union id. Values are computed per
-    // slot from the same inputs the serial path reads (no cross-chunk FP
-    // reduction), so parallelizing the sweep cannot perturb them.
-    const std::size_t m = items.size();
-    auto evaluate = [&](std::size_t i) {
-      const CombineItem& it = items[i];
-      const double s_a = static_cast<double>(it.s_a);
-      const double s_b = static_cast<double>(it.s_b);
-      switch (options.linkage) {
-        case LinkageKind::kAverage:
-          return (size_a * s_a + size_b * s_b) / total;
-        case LinkageKind::kMin:
-          // Absent partner entry means a fully disjoint cross pair.
-          return (it.in_a && it.in_b) ? std::min(s_a, s_b) : 0.0;
-        case LinkageKind::kMax:
-          return std::max(s_a, s_b);
-        default:
-          assert(false);
-          return 0.0;
-      }
-    };
-    // Apply one union id: rewrite row[c] (erase the b entry, update or
-    // insert the a entry). Distinct ids touch distinct rows, so the
-    // parallel sweep below writes disjoint slots.
-    auto apply = [&](std::size_t i, double value) {
-      const std::uint32_t c = items[i].c;
-      auto& rc = row[c];
-      const auto pos_of = [&](std::uint32_t id) {
-        return std::lower_bound(
-            rc.begin(), rc.end(), id,
-            [](const NeighborEdge& e, std::uint32_t key) {
-              return e.id < key;
-            });
-      };
-      if (items[i].in_b) {
-        rc.erase(pos_of(b));
-      }
-      if (value > 0.0) {
-        const float fvalue = static_cast<float>(value);
-        auto it = pos_of(a);
-        if (it != rc.end() && it->id == a) {
-          it->sim = fvalue;
-        } else {
-          rc.insert(it, NeighborEdge{a, fvalue});
-        }
-      } else if (items[i].in_a) {
-        rc.erase(pos_of(a));
-      }
-    };
-    auto emit = [&](std::size_t i, double value,
-                    std::vector<NeighborEdge>* row_out,
-                    std::vector<HeapEntry>* heap_out) {
-      if (value <= 0.0) return;
-      row_out->push_back(NeighborEdge{items[i].c, static_cast<float>(value)});
-      // Push with the unrounded double, matching the dense engine, which
-      // also compares heap keys before the float store.
-      if (value >= options.tau_c_sim) {
-        const std::uint32_t lo = std::min(a, items[i].c);
-        const std::uint32_t hi = std::max(a, items[i].c);
-        heap_out->push_back({value, lo, hi, st.version[lo], st.version[hi]});
-      }
-    };
-
-    new_row.clear();
-    const std::size_t chunks = pool.NumChunks(m, 128);
-    if (chunks > 1) {
-      struct ChunkOut {
-        std::vector<NeighborEdge> row_entries;
-        std::vector<HeapEntry> heap_entries;
-      };
-      std::vector<ChunkOut> outs(chunks);
-      pool.ParallelFor(0, m, 128, [&](const ThreadPool::Chunk& chunk) {
-        ChunkOut& out = outs[chunk.index];
-        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          const double value = evaluate(i);
-          apply(i, value);
-          emit(i, value, &out.row_entries, &out.heap_entries);
-        }
-      });
-      for (ChunkOut& out : outs) {
-        new_row.insert(new_row.end(), out.row_entries.begin(),
-                       out.row_entries.end());
-        for (const HeapEntry& e : out.heap_entries) {
-          heap.push(e);
-          ++stats.heap_pushes;
-        }
-      }
-    } else {
-      std::vector<HeapEntry> heap_entries;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double value = evaluate(i);
-        apply(i, value);
-        emit(i, value, &new_row, &heap_entries);
-      }
-      for (const HeapEntry& e : heap_entries) {
-        heap.push(e);
-        ++stats.heap_pushes;
-      }
-    }
-    row[a] = new_row;  // union walk emits ids ascending, so this is sorted
-    row[b].clear();
-    row[b].shrink_to_fit();
-  };
-
-  // Must-link preprocessing.
+  // Interleave. The dense engine does the must-link merges first, in
+  // option order, skipping pairs already joined; each component's run
+  // starts with its own share of them in that same order.
+  HacResult result;
+  std::vector<std::size_t> cursor(num, 0);
   {
-    std::vector<std::uint32_t> slot_of(n);
-    for (std::uint32_t i = 0; i < n; ++i) slot_of[i] = i;
+    UnionFind joined(n);
     for (const auto& [x, y] : options.must_link) {
-      const std::uint32_t a = slot_of[x];
-      const std::uint32_t b = slot_of[y];
-      if (a == b) continue;
-      do_merge(a, b, 1.0);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (slot_of[i] == b) slot_of[i] = a;
-      }
+      if (joined.Find(x) == joined.Find(y)) continue;
+      joined.Union(x, y);
+      const std::uint32_t c = tc.component_of[x];
+      result.merges.push_back(runs[c].merges[cursor[c]++]);
     }
   }
-
-  while (!heap.empty()) {
-    const HeapEntry top = heap.top();
-    heap.pop();
-    if (!st.active[top.a] || !st.active[top.b]) {
-      ++stats.stale_skips;
-      continue;
-    }
-    if (st.version[top.a] != top.va || st.version[top.b] != top.vb) {
-      ++stats.stale_skips;
-      continue;
-    }
-    if (top.sim < options.tau_c_sim) break;
-    if (cs.Violates(top.a, top.b)) continue;
-    do_merge(top.a, top.b, top.sim);
+  // Then it always takes the best merge left anywhere. Components do not
+  // interact, so that is the best next merge of any component's sequence:
+  // a k-way merge on (similarity desc, slot_a asc, slot_b asc).
+  auto after = [&](std::uint32_t x, std::uint32_t y) {
+    const HacMerge& a = runs[x].merges[cursor[x]];
+    const HacMerge& b = runs[y].merges[cursor[y]];
+    if (a.similarity != b.similarity) return a.similarity < b.similarity;
+    if (a.slot_a != b.slot_a) return a.slot_a > b.slot_a;
+    return a.slot_b > b.slot_b;
+  };
+  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
+                      decltype(after)>
+      next_merge(after);
+  for (std::uint32_t c = 0; c < num; ++c) {
+    if (cursor[c] < runs[c].merges.size()) next_merge.push(c);
   }
-  return st.Finish(std::move(merges));
-}
+  while (!next_merge.empty()) {
+    const std::uint32_t c = next_merge.top();
+    next_merge.pop();
+    result.merges.push_back(runs[c].merges[cursor[c]++]);
+    if (cursor[c] < runs[c].merges.size()) next_merge.push(c);
+  }
 
-/// Features-in sparse entry point: builds the exact all-nonzero neighbor
-/// graph (the bitwise-equality contract; see neighbor_graph.h) and runs
-/// the graph engine over it.
-Result<HacResult> RunSparse(const std::vector<DynamicBitset>& features,
-                            const HacOptions& options) {
-  NeighborGraphOptions graph_options;
-  graph_options.mode = NeighborGraphMode::kExact;
-  graph_options.edge_tau = 0.0;
-  graph_options.num_threads = options.num_threads;
-  PAYGO_ASSIGN_OR_RETURN(NeighborGraph graph,
-                         NeighborGraph::Build(features, graph_options));
-  return RunSparseGraph(graph, options);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (tc.component_of[i] == kNoComponent) result.clusters.push_back({i});
+  }
+  for (HacResult& r : runs) {
+    for (auto& cluster : r.clusters) {
+      result.clusters.push_back(std::move(cluster));
+    }
+  }
+  std::sort(result.clusters.begin(), result.clusters.end(),
+            [](const auto& x, const auto& y) { return x[0] < y[0]; });
+  return result;
 }
 
 }  // namespace
@@ -945,34 +889,28 @@ Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
         "feature count does not match similarity matrix size");
   }
   PAYGO_RETURN_NOT_OK(
-      ValidateHacOptions(features.size(), options, options.use_sparse_engine));
+      ValidateHacOptions(features.size(), options, /*graph=*/false));
   PAYGO_RETURN_NOT_OK(ValidateFeatures(features));
   if (features.empty()) return HacResult{};
-  if (options.use_sparse_engine) return RunSparse(features, options);
-  if (options.use_naive_engine) return RunNaive(features, sims, options);
-  return RunFast(features, sims, options);
+  return RunOnMatrix(features, sims, options);
 }
 
 Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
                            const HacOptions& options) {
   PAYGO_RETURN_NOT_OK(
-      ValidateHacOptions(features.size(), options, options.use_sparse_engine));
+      ValidateHacOptions(features.size(), options, /*graph=*/false));
   PAYGO_RETURN_NOT_OK(ValidateFeatures(features));
   if (features.empty()) return HacResult{};
-  // The whole point of the sparse engine is skipping the dense O(n^2)
-  // similarity matrix.
-  if (options.use_sparse_engine) return RunSparse(features, options);
-  SimilarityMatrix sims(features, options.num_threads);
-  if (options.use_naive_engine) return RunNaive(features, sims, options);
-  return RunFast(features, sims, options);
+  const SimilarityMatrix sims(features, options.num_threads);
+  return RunOnMatrix(features, sims, options);
 }
 
 Result<HacResult> Hac::RunOnGraph(const NeighborGraph& graph,
                                   const HacOptions& options) {
   PAYGO_RETURN_NOT_OK(
-      ValidateHacOptions(graph.num_nodes(), options, /*sparse=*/true));
+      ValidateHacOptions(graph.num_nodes(), options, /*graph=*/true));
   if (graph.num_nodes() == 0) return HacResult{};
-  return RunSparseGraph(graph, options);
+  return RunOnComponents(graph, options);
 }
 
 }  // namespace paygo

@@ -5,15 +5,25 @@
 /// \brief Algorithm 2: agglomerative hierarchical clustering of schemas.
 ///
 /// Starts from singleton clusters and repeatedly merges the most similar
-/// pair until the best pair's similarity drops below tau_c_sim. The fast
-/// engine keeps cluster similarities memoized (the thesis's O(|U|) update
-/// per merge) and finds the best pair through per-row nearest-neighbour
-/// bounds (Müllner's "generic" algorithm): each row keeps its best
-/// candidate, a merge refreshes or flags only the rows it touches, and only
-/// flagged rows are rescanned. O(n^2) memory; O(n^2) time per run in the
-/// typical case, O(n^3) in the worst. A naive O(n^3) engine that recomputes
-/// linkage from the raw schema-pair similarities each iteration is kept as
-/// a correctness reference for tests.
+/// pair until the best pair's similarity drops below tau_c_sim. One engine
+/// does the merging: it keeps cluster similarities memoized (the thesis's
+/// O(|U|) update per merge) and finds the best pair through per-row
+/// nearest-neighbour bounds (Müllner's "generic" algorithm): each row keeps
+/// its best candidate, a merge refreshes or flags only the rows it touches,
+/// and only flagged rows are rescanned. O(n^2) memory; O(n^2) time per run
+/// in the typical case, O(n^3) in the worst.
+///
+/// Run() feeds the engine the whole dense SimilarityMatrix. RunOnGraph()
+/// feeds it one tau-component at a time. Under Avg, Min and Max linkage a
+/// merge at or above tau needs some cross pair at or above tau, so every
+/// cluster lies inside one connected component of the tau-graph (edges =
+/// pairs with similarity >= tau, plus the must-link pairs). Clustering each
+/// component on its own and interleaving the per-component merge sequences
+/// in the engine's (similarity desc, slot_a asc, slot_b asc) order gives
+/// the dense run's dendrogram merge for merge, in O(c^2) memory for the
+/// largest component c instead of O(n^2). A naive O(n^3) engine that
+/// recomputes linkage from the raw schema-pair similarities each iteration
+/// is kept as a correctness reference for tests.
 
 #include <cstdint>
 #include <utility>
@@ -40,23 +50,10 @@ struct HacOptions {
   std::size_t max_clusters = 0;
   /// Use the O(n^3) reference engine (tests only).
   bool use_naive_engine = false;
-  /// Use the sparse engine: candidate pairs come from an inverted feature
-  /// index (schemas sharing no feature have Jaccard 0 and can never merge
-  /// at tau > 0), and cluster similarities live in sparse per-cluster rows
-  /// instead of the dense n x n matrix. Memory and initial-similarity work
-  /// scale with the number of feature-sharing pairs rather than n^2 — the
-  /// web-scale regime of the thesis's motivation. Candidate generation,
-  /// row seeding, and per-merge row-combine re-evaluation all run on the
-  /// shared ThreadPool (see num_threads), and the candidate pairs come
-  /// from the NeighborGraph subsystem (exact mode), so the engine is
-  /// bit-identical to its serial run at any thread count and
-  /// merge-for-merge bitwise-identical to the dense fast engine. Supports
-  /// the Lance-Williams-updatable linkages (Avg/Min/Max); Total Jaccard
-  /// and max_clusters count mode (which needs all pairs) are rejected.
-  bool use_sparse_engine = false;
-  /// Worker threads for the O(n^2) phases of the fast engine (row-bound
-  /// seeding and per-merge candidate re-evaluation) and for the dense
-  /// similarity-matrix build of the convenience overload.
+  /// Worker threads for the O(n^2) phases of the engine (row-bound seeding
+  /// and per-merge candidate re-evaluation), for the dense
+  /// similarity-matrix build of the convenience overload. RunOnGraph
+  /// runs its tau-components one after another on one pool of this width.
   /// 0 = hardware_concurrency, 1 = the exact legacy serial path (default).
   /// The result is bit-identical to the serial path at every thread count
   /// and for every linkage: every key cell and row bound is written by the
@@ -113,13 +110,23 @@ class Hac {
   static Result<HacResult> Run(const std::vector<DynamicBitset>& features,
                                const HacOptions& options);
 
-  /// Sparse engine over a prebuilt NeighborGraph (use_sparse_engine is
-  /// implied; use_naive_engine is ignored). With an exact all-nonzero
-  /// graph this is merge-for-merge bitwise-identical to the dense fast
-  /// engine; with an LSH graph it is an approximation whose candidate
-  /// recall the graph's banding parameters bound.
+  /// Clusters over a prebuilt NeighborGraph without a dense matrix. The
+  /// graph's tau-components (edges at or above tau_c_sim, joined by the
+  /// must-link pairs) are clustered one by one, largest first, on one
+  /// ThreadPool; each gets a local key triangle of c(c-1)/2 doubles (about
+  /// 4 c^2 bytes) scattered from its members' graph rows, where an absent
+  /// edge counts as similarity 0. When the largest component's triangle
+  /// would pass 2 GiB (more than 23,170 schemas) the call returns
+  /// ResourceExhausted before clustering anything. With an exact
+  /// all-nonzero graph (the NeighborGraph default) the merges and clusters
+  /// are bitwise those of Run() on the dense matrix, at any thread count;
+  /// with a pruned or LSH graph they are those of Run() on the matrix the
+  /// graph describes.
+  /// Supports Avg, Min and Max linkage with tau_c_sim > 0; Total Jaccard
+  /// and max_clusters count mode, which can merge across components, are
+  /// rejected. use_naive_engine is ignored.
   static Result<HacResult> RunOnGraph(const NeighborGraph& graph,
-                               const HacOptions& options);
+                                      const HacOptions& options);
 };
 
 }  // namespace paygo

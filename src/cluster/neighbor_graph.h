@@ -30,7 +30,7 @@
 ///
 /// Edges are symmetric and stored CSR-style, each row sorted by neighbor
 /// id. With `edge_tau == 0` (the default) the exact mode keeps *all*
-/// nonzero edges, which is the contract the sparse HAC engine and the
+/// nonzero edges, which is the contract Hac::RunOnGraph and the
 /// sparse assignment path rely on for bitwise equality with the dense
 /// oracle (sub-tau pairwise similarities still feed linkage combines).
 

@@ -37,47 +37,11 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Build(
         sys->vectorizer_->VectorizeCorpus());
   }
 
-  if (options.sparse_build) {
-    // Algorithm 2/3, dense-matrix-free: the sparse neighbor graph stands
-    // in for the O(n^2) similarity matrix end to end.
-    {
-      PAYGO_TRACE_SPAN("system.build.similarity");
-      NeighborGraphOptions graph_options = options.neighbor_graph;
-      graph_options.num_threads = options.hac.num_threads;
-      PAYGO_ASSIGN_OR_RETURN(
-          NeighborGraph graph,
-          NeighborGraph::Build(*sys->features_, graph_options));
-      sys->graph_ = std::make_shared<const NeighborGraph>(std::move(graph));
-    }
-    PAYGO_ASSIGN_OR_RETURN(sys->clustering_,
-                           Hac::RunOnGraph(*sys->graph_, options.hac));
-    {
-      PAYGO_TRACE_SPAN("system.build.assign");
-      PAYGO_ASSIGN_OR_RETURN(
-          sys->domains_,
-          AssignProbabilities(*sys->graph_, sys->clustering_,
-                              options.assignment, options.hac.num_threads));
-    }
-  } else {
-    // Algorithm 2: clustering (with the memoized similarity matrix).
-    {
-      PAYGO_TRACE_SPAN("system.build.similarity");
-      sys->sims_ = std::make_shared<const SimilarityMatrix>(
-          *sys->features_, options.hac.num_threads);
-    }
-    PAYGO_ASSIGN_OR_RETURN(
-        sys->clustering_,
-        Hac::Run(*sys->features_, *sys->sims_, options.hac));
-
-    // Algorithm 3: probabilistic schema-to-domain assignment.
-    {
-      PAYGO_TRACE_SPAN("system.build.assign");
-      PAYGO_ASSIGN_OR_RETURN(
-          sys->domains_,
-          AssignProbabilities(*sys->sims_, sys->clustering_,
-                              options.assignment));
-    }
+  {
+    PAYGO_TRACE_SPAN("system.build.similarity");
+    PAYGO_RETURN_NOT_OK(sys->BuildSimilarities());
   }
+  PAYGO_RETURN_NOT_OK(sys->ClusterAndAssign(/*feedback=*/nullptr));
 
   // Section 4.4 mediation and the Chapter 5 classifier (all heavy
   // classifier work happens here, at setup time).
@@ -136,17 +100,7 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
     sys->features_ = std::make_shared<const std::vector<DynamicBitset>>(
         sys->vectorizer_->VectorizeCorpus());
   }
-  if (options.sparse_build) {
-    NeighborGraphOptions graph_options = options.neighbor_graph;
-    graph_options.num_threads = options.hac.num_threads;
-    PAYGO_ASSIGN_OR_RETURN(NeighborGraph graph,
-                           NeighborGraph::Build(*sys->features_,
-                                                graph_options));
-    sys->graph_ = std::make_shared<const NeighborGraph>(std::move(graph));
-  } else {
-    sys->sims_ = std::make_shared<const SimilarityMatrix>(
-        *sys->features_, options.hac.num_threads);
-  }
+  PAYGO_RETURN_NOT_OK(sys->BuildSimilarities());
 
   // The clustering result is reconstructed from the model (merge history
   // is not persisted — it only serves diagnostics).
@@ -232,6 +186,50 @@ std::unique_ptr<IntegrationSystem> IntegrationSystem::Clone() const {
   copy->mediations_ = mediations_;
   copy->sources_ = sources_;
   return copy;
+}
+
+Status IntegrationSystem::BuildSimilarities() {
+  if (options_.sparse_build) {
+    NeighborGraphOptions graph_options = options_.neighbor_graph;
+    graph_options.num_threads = options_.hac.num_threads;
+    PAYGO_ASSIGN_OR_RETURN(NeighborGraph graph,
+                           NeighborGraph::Build(*features_, graph_options));
+    graph_ = std::make_shared<const NeighborGraph>(std::move(graph));
+  } else {
+    sims_ = std::make_shared<const SimilarityMatrix>(*features_,
+                                                     options_.hac.num_threads);
+  }
+  return Status::OK();
+}
+
+Status IntegrationSystem::ClusterAndAssign(const FeedbackStore* feedback) {
+  HacOptions hac = options_.hac;
+  if (feedback != nullptr) {
+    hac.must_link = feedback->must_link();
+    hac.cannot_link = feedback->cannot_link();
+  }
+  HacResult clustering;
+  DomainModel domains;
+  if (options_.sparse_build) {
+    // Algorithms 2 and 3 over the neighbor graph, one tau-component at a
+    // time; the O(n^2) matrix is never allocated.
+    PAYGO_ASSIGN_OR_RETURN(clustering, Hac::RunOnGraph(*graph_, hac));
+    PAYGO_TRACE_SPAN("system.build.assign");
+    PAYGO_ASSIGN_OR_RETURN(
+        domains, AssignProbabilities(*graph_, clustering, options_.assignment,
+                                     options_.hac.num_threads));
+  } else {
+    PAYGO_ASSIGN_OR_RETURN(clustering, Hac::Run(*features_, *sims_, hac));
+    PAYGO_TRACE_SPAN("system.build.assign");
+    PAYGO_ASSIGN_OR_RETURN(
+        domains, AssignProbabilities(*sims_, clustering, options_.assignment));
+  }
+  if (feedback != nullptr) {
+    domains = PinFeedbackSchemas(clustering, domains, *feedback);
+  }
+  clustering_ = std::move(clustering);
+  domains_ = std::move(domains);
+  return Status::OK();
 }
 
 Status IntegrationSystem::RebuildDerivedState() {
@@ -365,27 +363,17 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
   clustering_.merges.clear();  // merge history no longer describes the model
   {
     PAYGO_TRACE_SPAN("system.add_schema.similarity");
-    if (options_.sparse_build) {
-      if (options_.delta_mutations) {
-        // One appended schema: extend the graph by its (exact) row instead
-        // of rebuilding candidate generation from scratch.
-        graph_ = std::make_shared<const NeighborGraph>(*graph_, *features_);
-      } else {
-        NeighborGraphOptions graph_options = options_.neighbor_graph;
-        graph_options.num_threads = options_.hac.num_threads;
-        PAYGO_ASSIGN_OR_RETURN(
-            NeighborGraph graph,
-            NeighborGraph::Build(*features_, graph_options));
-        graph_ = std::make_shared<const NeighborGraph>(std::move(graph));
-      }
-    } else if (options_.delta_mutations) {
+    if (!options_.delta_mutations) {
+      PAYGO_RETURN_NOT_OK(BuildSimilarities());
+    } else if (options_.sparse_build) {
+      // One appended schema: extend the graph by its (exact) row instead
+      // of rebuilding candidate generation from scratch.
+      graph_ = std::make_shared<const NeighborGraph>(*graph_, *features_);
+    } else {
       // One appended schema: share every old row of the memoized matrix
       // and compute only the new one (O(n * dim)) instead of refilling all
       // O(n^2) pairs.
       sims_ = std::make_shared<const SimilarityMatrix>(*sims_, *features_);
-    } else {
-      sims_ = std::make_shared<const SimilarityMatrix>(
-          *features_, options_.hac.num_threads);
     }
   }
   sources_.resize(corpus_->size());
@@ -415,19 +403,8 @@ Status IntegrationSystem::RebuildFromScratch() {
 
 Status IntegrationSystem::ApplyFeedback(const FeedbackStore& store) {
   if (store.has_explicit_feedback()) {
-    if (options_.sparse_build) {
-      return Status::FailedPrecondition(
-          "explicit-feedback reclustering needs the dense similarity "
-          "matrix; rebuild the system without sparse_build to apply "
-          "corrections");
-    }
-    PAYGO_ASSIGN_OR_RETURN(
-        DomainModel refined,
-        ReclusterWithFeedback(*features_, *sims_, options_.hac,
-                              options_.assignment, store));
-    domains_ = std::move(refined);
-    clustering_.clusters = domains_.clusters();
-    clustering_.merges.clear();
+    PAYGO_TRACE_SPAN("system.apply_feedback");
+    PAYGO_RETURN_NOT_OK(ClusterAndAssign(&store));
     PAYGO_RETURN_NOT_OK(RebuildDerivedState());
   }
   if (store.has_implicit_feedback() && classifier_ != nullptr) {

@@ -47,16 +47,21 @@ struct SystemOptions {
   AssignmentOptions assignment;
   ClassifierOptions classifier;
   MediatorOptions mediator;
-  /// Dense-matrix-free build: clustering and domain assignment run over
-  /// the sparse NeighborGraph (see neighbor_graph below) and the O(n^2)
-  /// SimilarityMatrix is never allocated — the web-scale path. The HAC
-  /// engine is forced sparse, so the hac options must satisfy its
-  /// contract (tau_c_sim > 0, no Total Jaccard, no max_clusters). With
-  /// the default exact graph the resulting clustering and domain model
-  /// are bitwise identical to the dense build; with an LSH graph they are
-  /// an approximation with bounded candidate recall. Explicit-feedback
-  /// reclustering (ApplyFeedback) still needs the dense matrix and is
-  /// rejected in this mode. Dense remains the default and the oracle.
+  /// Similarity substrate. Off (the default): the dense O(n^2)
+  /// SimilarityMatrix. On: the sparse NeighborGraph (see neighbor_graph
+  /// below), and the matrix is never allocated — the web-scale path.
+  /// Everything else is the same: Build, ApplyFeedback (explicit and
+  /// implicit), AddSchema, Restore and Clone all work in both modes, and
+  /// clustering runs the same engine, over the graph one tau-component at
+  /// a time (Hac::RunOnGraph), so the hac options must fit that path
+  /// (tau_c_sim > 0, no Total Jaccard, no max_clusters). Clustering memory
+  /// is then about 4 c^2 bytes for the largest tau-component c instead of
+  /// 4 n^2 for the corpus; a component of more than 23,170 schemas (2 GiB)
+  /// makes clustering return ResourceExhausted. Attributes shared across
+  /// domains can glue components together (see bench/perf_clustering
+  /// --generic-sweep). With the default exact graph the clustering and
+  /// domain model are bitwise those of the dense build; with an LSH graph
+  /// they are an approximation with bounded candidate recall.
   bool sparse_build = false;
   /// Neighbor-graph construction knobs for sparse_build (mode, LSH
   /// banding, hot-posting handling). num_threads is taken from
@@ -265,6 +270,14 @@ class IntegrationSystem {
 
  private:
   IntegrationSystem() = default;
+  /// Builds the similarity substrate over features_: the NeighborGraph in
+  /// sparse_build mode, the dense SimilarityMatrix otherwise.
+  Status BuildSimilarities();
+  /// Algorithms 2 and 3 over the substrate, the one place the dense and
+  /// graph paths branch. A non-null \p feedback adds its explicit
+  /// constraints to the HAC options and pins the schemas it names. Replaces
+  /// clustering_ and domains_ only on success.
+  Status ClusterAndAssign(const FeedbackStore* feedback);
   /// Rebuilds mediation (when enabled) and the classifier from the current
   /// corpus/features/domains — the full path, O(#domains) mediations plus a
   /// whole-model classifier build.

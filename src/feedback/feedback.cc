@@ -58,22 +58,9 @@ std::size_t FeedbackStore::impressions(std::uint32_t domain) const {
   return it == impressions_.end() ? 0 : it->second;
 }
 
-Result<DomainModel> ReclusterWithFeedback(
-    const std::vector<DynamicBitset>& features, const SimilarityMatrix& sims,
-    HacOptions hac_options, const AssignmentOptions& assignment_options,
-    const FeedbackStore& store) {
-  hac_options.must_link = store.must_link();
-  hac_options.cannot_link = store.cannot_link();
-  PAYGO_ASSIGN_OR_RETURN(HacResult clustering,
-                         Hac::Run(features, sims, hac_options));
-  PAYGO_ASSIGN_OR_RETURN(
-      DomainModel model,
-      AssignProbabilities(sims, clustering, assignment_options));
-
-  // Explicit feedback overrides the probabilistic assignment for the
-  // schemas it names: the user's word is ground truth, so corrected
-  // schemas sit in their (constraint-satisfying) cluster with
-  // probability 1.
+DomainModel PinFeedbackSchemas(const HacResult& clustering,
+                               const DomainModel& model,
+                               const FeedbackStore& store) {
   std::vector<std::vector<std::pair<std::uint32_t, double>>> sd(
       model.num_schemas());
   for (std::uint32_t i = 0; i < model.num_schemas(); ++i) {
@@ -92,6 +79,20 @@ Result<DomainModel> ReclusterWithFeedback(
     pin(b);
   }
   return DomainModel::Build(clustering.clusters, std::move(sd));
+}
+
+Result<DomainModel> ReclusterWithFeedback(
+    const std::vector<DynamicBitset>& features, const SimilarityMatrix& sims,
+    HacOptions hac_options, const AssignmentOptions& assignment_options,
+    const FeedbackStore& store) {
+  hac_options.must_link = store.must_link();
+  hac_options.cannot_link = store.cannot_link();
+  PAYGO_ASSIGN_OR_RETURN(HacResult clustering,
+                         Hac::Run(features, sims, hac_options));
+  PAYGO_ASSIGN_OR_RETURN(
+      DomainModel model,
+      AssignProbabilities(sims, clustering, assignment_options));
+  return PinFeedbackSchemas(clustering, model, store);
 }
 
 Result<NaiveBayesClassifier> AdjustClassifierWithClicks(

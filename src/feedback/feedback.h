@@ -70,8 +70,17 @@ class FeedbackStore {
   std::map<std::uint32_t, std::size_t> impressions_;
 };
 
-/// \brief Re-runs Algorithms 2+3 with the store's explicit constraints —
-/// the refinement step of the pay-as-you-go loop.
+/// \brief Overrides the probabilistic assignment for the schemas the
+/// store's explicit feedback names: the user's word is ground truth, so
+/// each sits in its (constraint-satisfying) cluster of \p clustering with
+/// probability 1. \p model must have been assigned from \p clustering.
+DomainModel PinFeedbackSchemas(const HacResult& clustering,
+                               const DomainModel& model,
+                               const FeedbackStore& store);
+
+/// \brief Re-runs Algorithms 2+3 on the dense matrix with the store's
+/// explicit constraints, then pins the named schemas — the refinement step
+/// of the pay-as-you-go loop.
 Result<DomainModel> ReclusterWithFeedback(
     const std::vector<DynamicBitset>& features, const SimilarityMatrix& sims,
     HacOptions hac_options, const AssignmentOptions& assignment_options,

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "util/bitset.h"
+#include "util/string_util.h"
 
 #ifndef PAYGO_BUILD_SANITIZER
 #define PAYGO_BUILD_SANITIZER ""
@@ -26,30 +27,6 @@ const char* CompilerString() {
 #else
   return "unknown";
 #endif
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -1,38 +1,14 @@
 #include "obs/exporter.h"
 
 #include <chrono>
-#include <cstdio>
 #include <sstream>
 #include <utility>
+
+#include "util/string_util.h"
 
 namespace paygo {
 
 namespace {
-
-/// Metric names are dotted identifiers today, but escaping keeps the output
-/// strict JSON even if someone registers a quote or backslash in a name.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::uint64_t NowMillis() {
   return static_cast<std::uint64_t>(

@@ -1,41 +1,11 @@
 #include "serve/slow_query_log.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "util/string_util.h"
+
 namespace paygo {
-
-namespace {
-
-void AppendJsonEscaped(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 void SlowQueryLog::MaybeRecord(SlowQueryEntry entry) {
   if (capacity_ == 0 || entry.total_us <= threshold_us_) return;
@@ -94,9 +64,8 @@ std::string SlowQueryLog::ToJson() const {
     if (!first_entry) os << ",";
     first_entry = false;
     os << "\n{\"trace_id\": " << e.trace_id << ", \"kind\": \"" << e.kind
-       << "\", \"query\": \"";
-    AppendJsonEscaped(os, e.query);
-    os << "\", \"total_us\": " << e.total_us
+       << "\", \"query\": \"" << JsonEscape(e.query)
+       << "\", \"total_us\": " << e.total_us
        << ", \"snapshot_generation\": " << e.snapshot_generation
        << ", \"spans\": [";
     bool first_span = true;

@@ -1,7 +1,6 @@
 #include "shard/router.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -10,6 +9,7 @@
 #include "obs/trace.h"
 #include "schema/corpus_io.h"
 #include "shard/wire.h"
+#include "util/string_util.h"
 
 namespace paygo {
 
@@ -37,36 +37,6 @@ struct RouterCounters {
     return counters;
   }
 };
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// One event of the merged fleet timeline: a TraceEvent plus the process
 /// it came from and its timestamp re-expressed on the router's clock.

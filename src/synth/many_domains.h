@@ -10,8 +10,8 @@
 /// opposite shape (5 huge domains). This generator produces the web shape:
 /// each pseudo-domain gets its own private vocabulary, so schemas of
 /// different domains share no features — exactly the regime where the
-/// sparse HAC engine's feature-sharing pair count is ~linear in n while
-/// the dense engines stay quadratic.
+/// neighbor graph's feature-sharing pair count is ~linear in n while the
+/// dense matrix stays quadratic.
 
 #include <cstdint>
 #include <vector>
@@ -47,7 +47,7 @@ SchemaCorpus MakeManyDomainCorpus(const ManyDomainOptions& options = {});
 /// space: each pseudo-domain draws a private vocabulary of feature ids
 /// from the shared [0, dim) space, so bitset memory is n * dim bits and
 /// expected posting-list length is (n * features_per_schema) / dim —
-/// bounded, which keeps the sparse engine's candidate-pair count ~linear
+/// bounded, which keeps the neighbor graph's candidate-pair count ~linear
 /// in n. Cross-domain vocabulary collisions are rare but possible, exactly
 /// like accidental term sharing on the web.
 struct ManyDomainFeatureOptions {

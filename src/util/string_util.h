@@ -31,6 +31,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// True iff every character of \p s is an ASCII letter.
 bool IsAlphaAscii(std::string_view s);
 
+/// Returns \p s escaped for the inside of a JSON string literal: quote,
+/// backslash, \\n, \\r and \\t as their short escapes, every other
+/// control byte below 0x20 as \\u00XX. Other bytes pass through.
+std::string JsonEscape(std::string_view s);
+
 /// Formats a double with \p precision digits after the decimal point.
 std::string FormatDouble(double value, int precision = 3);
 

@@ -6,6 +6,7 @@
 #include "classify/naive_bayes.h"
 #include "cluster/dendrogram.h"
 #include "cluster/hac.h"
+#include "cluster/neighbor_graph.h"
 #include "eval/clustering_metrics.h"
 #include "schema/feature_vector.h"
 #include "schema/lexicon.h"
@@ -24,9 +25,9 @@ DynamicBitset Bits(std::size_t dim, std::initializer_list<std::size_t> set) {
   return b;
 }
 
-// --- Dendrogram over the sparse engine's merge history ---
+// --- Dendrogram over the graph path's merge history ---
 
-TEST(CoverageTest, DendrogramWorksOnSparseEngineOutput) {
+TEST(CoverageTest, DendrogramWorksOnGraphPathOutput) {
   std::vector<DynamicBitset> f(6, DynamicBitset(16));
   for (std::size_t b : {0u, 1u, 2u}) {
     f[0].Set(b);
@@ -41,9 +42,10 @@ TEST(CoverageTest, DendrogramWorksOnSparseEngineOutput) {
   f[4].Set(14);
   f[5].Set(15);
   HacOptions opts;
-  opts.use_sparse_engine = true;
   opts.tau_c_sim = 0.3;
-  const auto result = Hac::Run(f, opts);
+  const auto graph = NeighborGraph::Build(f, NeighborGraphOptions{});
+  ASSERT_TRUE(graph.ok());
+  const auto result = Hac::RunOnGraph(*graph, opts);
   ASSERT_TRUE(result.ok());
   const auto dendro = Dendrogram::Build(f.size(), *result);
   ASSERT_TRUE(dendro.ok()) << dendro.status();
@@ -54,8 +56,8 @@ TEST(CoverageTest, DendrogramWorksOnSparseEngineOutput) {
   EXPECT_EQ(cut, expected);
 }
 
-// --- Constrained clustering composes with the sparse engine and the
-// dendrogram (must-link merges recorded at similarity 1.0) ---
+// --- Constrained clustering composes with the dendrogram (must-link
+// merges recorded at similarity 1.0) ---
 
 TEST(CoverageTest, MustLinkMergeAppearsAtFullSimilarityInDendrogram) {
   std::vector<DynamicBitset> f(3, DynamicBitset(8));
@@ -233,8 +235,9 @@ TEST(CoverageTest, ManyDomainCorpusClustersPerfectly) {
   const auto features = vec.VectorizeCorpus();
   HacOptions hac;
   hac.tau_c_sim = 0.2;
-  hac.use_sparse_engine = true;
-  const auto clustering = Hac::Run(features, hac);
+  const auto graph = NeighborGraph::Build(features, NeighborGraphOptions{});
+  ASSERT_TRUE(graph.ok());
+  const auto clustering = Hac::RunOnGraph(*graph, hac);
   ASSERT_TRUE(clustering.ok());
   AssignmentOptions assign;
   assign.tau_c_sim = 0.2;
@@ -246,7 +249,7 @@ TEST(CoverageTest, ManyDomainCorpusClustersPerfectly) {
   EXPECT_GT(eval.avg_recall, 0.9);
 }
 
-// --- Deterministic tie-breaking of the heap engine ---
+// --- Deterministic tie-breaking of the row-NN engine ---
 
 TEST(CoverageTest, IdenticalRunsProduceIdenticalMergeHistories) {
   Rng rng(777);

@@ -151,45 +151,55 @@ TEST(HacTest, RejectsNonFiniteTauAtEveryEntryPoint) {
   for (double tau : {std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity(),
                      -std::numeric_limits<double>::infinity()}) {
-    for (bool sparse : {false, true}) {
-      HacOptions opts;
-      opts.tau_c_sim = tau;
-      opts.use_sparse_engine = sparse;
-      EXPECT_TRUE(Hac::Run(features, sims, opts).status().IsInvalidArgument())
-          << tau << " sparse=" << sparse;
-      EXPECT_TRUE(Hac::Run(features, opts).status().IsInvalidArgument())
-          << tau << " sparse=" << sparse;
-    }
     HacOptions opts;
     opts.tau_c_sim = tau;
+    EXPECT_TRUE(Hac::Run(features, sims, opts).status().IsInvalidArgument())
+        << tau;
+    EXPECT_TRUE(Hac::Run(features, opts).status().IsInvalidArgument()) << tau;
     EXPECT_TRUE(Hac::RunOnGraph(*graph, opts).status().IsInvalidArgument())
         << tau;
   }
 }
 
-TEST(HacTest, RowRescansCountDenseRunsOnly) {
+TEST(HacTest, CountersFlushOncePerCall) {
   StatsRegistry& reg = StatsRegistry::Global();
+  Counter* runs = reg.GetCounter("paygo.hac.runs");
+  Counter* merges = reg.GetCounter("paygo.hac.merges");
   Counter* rescans = reg.GetCounter("paygo.hac.row_rescans");
-  Counter* pushes = reg.GetCounter("paygo.hac.heap_pushes");
+  Counter* components = reg.GetCounter("paygo.hac.components");
+  Gauge* largest = reg.GetGauge("paygo.hac.largest_component");
   const auto features = TwoGroupsAndOutlier();
   HacOptions opts;
   opts.tau_c_sim = 0.3;
 
-  const std::uint64_t rescans0 = rescans->value();
-  const std::uint64_t pushes0 = pushes->value();
+  // A dense run is one component: the whole corpus.
+  std::uint64_t runs0 = runs->value();
+  std::uint64_t rescans0 = rescans->value();
+  std::uint64_t components0 = components->value();
   const auto dense = Hac::Run(features, opts);
   ASSERT_TRUE(dense.ok());
   ASSERT_FALSE(dense->merges.empty());
-  // At least one rescan of the merged row per merge; no heap.
+  EXPECT_EQ(runs->value() - runs0, 1u);
+  // At least one rescan of the merged row per merge.
   EXPECT_GE(rescans->value() - rescans0, dense->merges.size());
-  EXPECT_EQ(pushes->value(), pushes0);
+  EXPECT_EQ(components->value() - components0, 1u);
+  EXPECT_EQ(largest->value(), static_cast<std::int64_t>(features.size()));
 
-  const std::uint64_t rescans1 = rescans->value();
-  opts.use_sparse_engine = true;
-  const auto sparse = Hac::Run(features, opts);
+  // The graph path runs the engine once per tau-component (the two groups;
+  // the outlier is alone) and still counts one run.
+  const auto graph = NeighborGraph::Build(features, NeighborGraphOptions{});
+  ASSERT_TRUE(graph.ok());
+  runs0 = runs->value();
+  rescans0 = rescans->value();
+  components0 = components->value();
+  const std::uint64_t merges0 = merges->value();
+  const auto sparse = Hac::RunOnGraph(*graph, opts);
   ASSERT_TRUE(sparse.ok());
-  EXPECT_EQ(rescans->value(), rescans1);
-  EXPECT_GT(pushes->value(), pushes0);
+  EXPECT_EQ(runs->value() - runs0, 1u);
+  EXPECT_EQ(merges->value() - merges0, sparse->merges.size());
+  EXPECT_GE(rescans->value() - rescans0, sparse->merges.size());
+  EXPECT_EQ(components->value() - components0, 2u);
+  EXPECT_EQ(largest->value(), 3);
 }
 
 TEST(HacTest, EmptyInputYieldsEmptyResult) {
@@ -234,7 +244,7 @@ TEST(HacTest, MaxClustersMatchesNaiveEngine) {
   EXPECT_EQ(rf->clusters.size(), 3u);
 }
 
-/// Property: the heap engine produces the same final clustering as the
+/// Property: the row-NN engine produces the same final clustering as the
 /// naive O(n^3) reference, across all four linkages and several thresholds.
 struct EngineParam {
   LinkageKind linkage;

@@ -244,31 +244,9 @@ TEST(NeighborGraphTest, EmptyAndSingletonInputs) {
 
 // --- the sparse end-to-end build path through IntegrationSystem ---
 
-TEST(NeighborGraphTest, SparseSystemBuildMatchesDense) {
-  ManyDomainOptions gen;
-  gen.num_domains = 40;
-  SchemaCorpus corpus = MakeManyDomainCorpus(gen);
-
-  SystemOptions dense_opts;
-  dense_opts.hac.tau_c_sim = 0.25;
-  const auto dense = IntegrationSystem::Build(corpus, dense_opts);
-  ASSERT_TRUE(dense.ok()) << dense.status();
-
-  SystemOptions sparse_opts = dense_opts;
-  sparse_opts.sparse_build = true;
-  sparse_opts.hac.use_sparse_engine = true;
-  const auto sparse = IntegrationSystem::Build(corpus, sparse_opts);
-  ASSERT_TRUE(sparse.ok()) << sparse.status();
-
-  EXPECT_FALSE((*sparse)->has_similarities());
-  EXPECT_TRUE((*sparse)->has_neighbor_graph());
-  EXPECT_TRUE((*dense)->has_similarities());
-  EXPECT_FALSE((*dense)->has_neighbor_graph());
-
-  // Identical clustering and identical probabilistic assignments.
-  ASSERT_EQ((*dense)->clustering().clusters, (*sparse)->clustering().clusters);
-  const DomainModel& dm = (*dense)->domains();
-  const DomainModel& sm = (*sparse)->domains();
+/// Same clusters and bitwise-equal membership doubles, schema by schema.
+void ExpectModelsBitwiseEqual(const DomainModel& dm, const DomainModel& sm) {
+  ASSERT_EQ(dm.clusters(), sm.clusters());
   ASSERT_EQ(dm.num_domains(), sm.num_domains());
   ASSERT_EQ(dm.num_schemas(), sm.num_schemas());
   for (std::uint32_t s = 0; s < dm.num_schemas(); ++s) {
@@ -282,12 +260,105 @@ TEST(NeighborGraphTest, SparseSystemBuildMatchesDense) {
       EXPECT_EQ(md[k].second, ms[k].second) << "schema " << s;
     }
   }
+}
 
-  // Explicit feedback needs the dense matrix and must be rejected cleanly
-  // in sparse mode.
-  FeedbackStore store;
-  ASSERT_TRUE(store.RecordMustLink(0, 1).ok());
-  EXPECT_TRUE((*sparse)->ApplyFeedback(store).IsFailedPrecondition());
+SchemaCorpus FortyDomainCorpus() {
+  ManyDomainOptions gen;
+  gen.num_domains = 40;
+  return MakeManyDomainCorpus(gen);
+}
+
+TEST(NeighborGraphTest, SparseSystemBuildMatchesDense) {
+  const SchemaCorpus corpus = FortyDomainCorpus();
+  SystemOptions dense_opts;
+  dense_opts.hac.tau_c_sim = 0.25;
+  const auto dense = IntegrationSystem::Build(corpus, dense_opts);
+  ASSERT_TRUE(dense.ok()) << dense.status();
+
+  SystemOptions sparse_opts = dense_opts;
+  sparse_opts.sparse_build = true;
+  const auto sparse = IntegrationSystem::Build(corpus, sparse_opts);
+  ASSERT_TRUE(sparse.ok()) << sparse.status();
+
+  EXPECT_FALSE((*sparse)->has_similarities());
+  EXPECT_TRUE((*sparse)->has_neighbor_graph());
+  EXPECT_TRUE((*dense)->has_similarities());
+  EXPECT_FALSE((*dense)->has_neighbor_graph());
+
+  // Identical clustering and identical probabilistic assignments.
+  ASSERT_EQ((*dense)->clustering().clusters, (*sparse)->clustering().clusters);
+  ExpectModelsBitwiseEqual((*dense)->domains(), (*sparse)->domains());
+}
+
+TEST(NeighborGraphTest, SparseSystemFeedbackMatchesDense) {
+  const SchemaCorpus corpus = FortyDomainCorpus();
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    SystemOptions dense_opts;
+    dense_opts.hac.tau_c_sim = 0.25;
+    dense_opts.hac.num_threads = threads;
+    auto dense = IntegrationSystem::Build(corpus, dense_opts);
+    ASSERT_TRUE(dense.ok()) << dense.status();
+    SystemOptions sparse_opts = dense_opts;
+    sparse_opts.sparse_build = true;
+    auto sparse = IntegrationSystem::Build(corpus, sparse_opts);
+    ASSERT_TRUE(sparse.ok()) << sparse.status();
+
+    // Feedback that changes the clustering: move one schema out of its
+    // cluster into a feature-disjoint one (a must-link across
+    // tau-components), split another cluster with a cannot-link, and join
+    // two schemas of different clusters outright.
+    // Copies: ApplyFeedback replaces the clustering they come from.
+    std::vector<std::vector<std::uint32_t>> multi;
+    for (const auto& c : (*dense)->clustering().clusters) {
+      if (c.size() >= 3) multi.push_back(c);
+    }
+    ASSERT_GE(multi.size(), 4u);
+    FeedbackStore store;
+    ASSERT_TRUE(
+        store.RecordCorrection(multi[0][0], multi[0][1], multi[1][0]).ok());
+    ASSERT_TRUE(store.RecordCannotLink(multi[2][0], multi[2][2]).ok());
+    ASSERT_TRUE(store.RecordMustLink(multi[3][1], multi[1][2]).ok());
+    for (std::uint32_t d = 0; d < 5; ++d) {
+      store.RecordImpression(d);
+      if (d % 2 == 0) store.RecordClick(d);
+    }
+
+    ASSERT_TRUE((*dense)->ApplyFeedback(store).ok());
+    const Status applied = (*sparse)->ApplyFeedback(store);
+    ASSERT_TRUE(applied.ok()) << applied;
+    EXPECT_FALSE((*sparse)->has_similarities());
+
+    const DomainModel& dm = (*dense)->domains();
+    ExpectModelsBitwiseEqual(dm, (*sparse)->domains());
+    // The refined runs' merge histories, slot for slot, with == on the
+    // similarity doubles.
+    const std::vector<HacMerge>& md = (*dense)->clustering().merges;
+    const std::vector<HacMerge>& ms = (*sparse)->clustering().merges;
+    ASSERT_EQ(md.size(), ms.size());
+    EXPECT_FALSE(md.empty());
+    for (std::size_t k = 0; k < md.size(); ++k) {
+      ASSERT_EQ(md[k].slot_a, ms[k].slot_a) << "merge " << k;
+      ASSERT_EQ(md[k].slot_b, ms[k].slot_b) << "merge " << k;
+      ASSERT_EQ(md[k].similarity, ms[k].similarity) << "merge " << k;
+    }
+    // The feedback took: the corrected schema left its old cluster-mate
+    // and joined the exemplar it was pointed at.
+    const HacResult& refined = (*sparse)->clustering();
+    EXPECT_NE(refined.ClusterOf(multi[0][0]), refined.ClusterOf(multi[0][1]));
+    EXPECT_EQ(refined.ClusterOf(multi[0][0]), refined.ClusterOf(multi[1][0]));
+    EXPECT_NE(refined.ClusterOf(multi[2][0]), refined.ClusterOf(multi[2][2]));
+
+    // Implicit feedback reweighted the same priors: same rankings.
+    const auto rd = (*dense)->ClassifyKeywordQuery("price year make model");
+    const auto rs = (*sparse)->ClassifyKeywordQuery("price year make model");
+    ASSERT_TRUE(rd.ok() && rs.ok());
+    ASSERT_EQ(rd->size(), rs->size());
+    for (std::size_t k = 0; k < rd->size(); ++k) {
+      EXPECT_EQ((*rd)[k].domain, (*rs)[k].domain);
+      EXPECT_EQ((*rd)[k].log_posterior, (*rs)[k].log_posterior);
+    }
+  }
 }
 
 }  // namespace

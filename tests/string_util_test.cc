@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "strict_json.h"
+
 namespace paygo {
 namespace {
 
@@ -58,6 +62,20 @@ TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(0.12345, 3), "0.123");
   EXPECT_EQ(FormatDouble(1.0, 2), "1.00");
   EXPECT_EQ(FormatDouble(-2.5, 1), "-2.5");
+}
+
+TEST(StringUtilTest, JsonEscapeEmitsStrictJsonForEveryControlByte) {
+  EXPECT_EQ(JsonEscape("a\"b\\c\nd\re\tf"), "a\\\"b\\\\c\\nd\\re\\tf");
+  EXPECT_EQ(JsonEscape(std::string(1, '\0')), "\\u0000");
+  EXPECT_EQ(JsonEscape("\x1f"), "\\u001f");
+  EXPECT_EQ(JsonEscape("caf\xc3\xa9 \x7f"), "caf\xc3\xa9 \x7f");
+  // Every byte below 0x20, plus quote, backslash and DEL, inside one
+  // string literal: the result must parse as strict JSON.
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) all.push_back(static_cast<char>(c));
+  all += "\"\\/\x7f end";
+  const std::string doc = "{\"s\": \"" + JsonEscape(all) + "\"}";
+  EXPECT_TRUE(strict_json::IsValid(doc)) << strict_json::ErrorOf(doc);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "core/integration_system.h"
 #include "strict_json.h"
 #include "synth/ddh_generator.h"
+#include "synth/many_domains.h"
 
 namespace paygo {
 namespace {
@@ -243,6 +244,36 @@ TEST_F(TraceTest, AddSchemaAttributesSimilarityAndAssignment) {
       EXPECT_GE(add->start_us + add->dur_us, span->start_us + span->dur_us)
           << child;
     }
+  }
+}
+
+TEST_F(TraceTest, GraphHacIsOneRunSpanOverManyComponents) {
+  ManyDomainFeatureOptions gen;
+  gen.num_schemas = 320;  // ~10 pseudo-domains, so many tau-components
+  const auto features = MakeManyDomainFeatures(gen);
+  Tracer::Disable();
+  const auto graph = NeighborGraph::Build(features, NeighborGraphOptions{});
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Tracer::ClearAll();
+    Tracer::Enable();
+    HacOptions options;
+    options.num_threads = threads;
+    const auto result = Hac::RunOnGraph(*graph, options);
+    Tracer::Disable();
+    ASSERT_TRUE(result.ok()) << result.status();
+    std::size_t runs = 0, merges = 0;
+    for (const TraceEvent& e : Tracer::SnapshotEvents()) {
+      const std::string name = e.name;
+      runs += name == "hac.run";
+      merges += name == "hac.merge";
+    }
+    // One span for the call, whatever the component count; every merge of
+    // every component (on any pool lane) still gets its own.
+    EXPECT_EQ(runs, 1u);
+    EXPECT_EQ(merges, result->merges.size());
+    EXPECT_GT(result->merges.size(), 0u);
   }
 }
 

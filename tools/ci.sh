@@ -361,7 +361,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # sparse-vs-dense fuzz honor PAYGO_DETERMINISM_SMALL and shrink their
   # corpora / round counts under TSan. sparse_hac_test and
   # neighbor_graph_test exercise the multi-threaded NeighborGraph build
-  # and the parallel sparse row combines under the race detector;
+  # and the tau-components clustered one after another on one pool
+  # under the race detector;
   # similarity_index_test runs the per-chunk q-gram scratch of the parallel
   # index build and concurrent-safe Match; hac_row_nn_differential_test runs
   # the dense engine's chunked seeding and merge sweeps at 2 and 4 threads.
@@ -376,7 +377,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
     naive_bayes_test approx_classifier_test
     sparse_classifier_differential_test batch_classify_test
     linkage_test clone_aliasing_test delta_differential_test
-    model_io_roundtrip_test)
+    model_io_roundtrip_test neighbor_graph_test system_refinement_test
+    trace_test)
   echo "==> asan+ubsan: configure + build clustering, snapshot, mediation and classifier tests (PAYGO_SANITIZE=address,undefined)"
   cmake -B build-asan -S . -DPAYGO_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan --target "${ASAN_TESTS[@]}" -j "$JOBS"

@@ -326,7 +326,6 @@ bool ParseCommon(int argc, char** argv, int first, CliOptions* out) {
   // The LSH recall guarantee is evaluated at the clustering threshold,
   // whatever order --tau and --lsh appeared in.
   out->system.neighbor_graph.recall_tau = out->system.hac.tau_c_sim;
-  if (out->system.sparse_build) out->system.hac.use_sparse_engine = true;
   return true;
 }
 
