@@ -1,12 +1,13 @@
 /// \file perf_write_path.cc
 /// \brief AddSchema churn benchmark of the delta write path.
 ///
-/// Builds a DDH-like integration system once per corpus size, then streams
-/// extra schemas into it the way the serving writer does — clone, mutate,
+/// Builds an integration system once per corpus, then streams extra
+/// schemas into it the way the serving writer does — clone, mutate,
 /// adopt — under both write paths:
 ///   * delta  — SystemOptions::delta_mutations = true (the default):
-///     one-row similarity extension, touched-domain mediation, incremental
-///     classifier refresh;
+///     the arrival's sparse similarity row from the feature postings,
+///     one-row matrix or graph extension, touched-domain mediation,
+///     incremental classifier refresh;
 ///   * full   — delta_mutations = false: the legacy rebuild-everything
 ///     path, kept as the baseline.
 /// Reports p50/p99/mean mutation latency per path and the speedup. A third
@@ -14,18 +15,37 @@
 /// snapshot staleness: the time from submitting AddSchemaAsync until a
 /// reader polling server.generation() can observe the new snapshot.
 ///
-/// The delta run also exports the paygo.classifier.domains_refreshed /
-/// domains_reused counters, the direct evidence that classifier work is
-/// O(affected domains); `--check` turns that into a PASS/FAIL gate for CI
-/// (refreshed domains must stay within a small per-add budget).
+/// Two corpus shapes (--shape):
+///   * ddh (default): DDH-like corpora of --corpora sizes on the dense
+///     similarity matrix; arrivals are generated on top of the base;
+///   * web: MakeManyDomainCorpus at --domains pseudo-domains with
+///     sparse_build, arrivals held out evenly across the corpus so they
+///     join existing domains — the shape where an arrival shares features
+///     with only a handful of schemas.
+///
+/// The delta run exports two O(delta) witnesses, both turned into PASS/FAIL
+/// gates by `--check`:
+///   * paygo.classifier.domains_refreshed / domains_reused: refreshed
+///     domains must stay within a small per-add budget;
+///   * paygo.arrival.postings_visited: on the web shape, the posting-list
+///     entries read per arrival must stay within n / 8 for a base corpus of
+///     n schemas (reported, not gated, on ddh, whose few domains make every
+///     list long).
+/// A second, traced delta pass reports each add's mean self time in every
+/// span it records (system.clone, system.add_schema, its .assign and
+/// .similarity children, system.mediate_delta, system.update_classifier
+/// and theirs), so the per-add latency can be accounted for span by span.
 ///
 /// Output: JSON on stdout (and, unless --json-out is empty, the same
 /// object wrapped with provenance into BENCH_write.json — schema in
 /// bench/README.md). Flags:
-///   --corpora 500,2000   comma-separated corpus sizes
+///   --shape ddh|web      corpus shape (default ddh)
+///   --corpora 500,2000   ddh: comma-separated base corpus sizes
+///   --domains N          web: pseudo-domains (default 1000)
 ///   --adds N             schemas streamed per corpus (default 40)
-///   --smoke              tiny preset (one 120-schema corpus, 8 adds)
-///   --check              exit 1 if classifier refresh work is not O(delta)
+///   --smoke              tiny preset (ddh: one 120-schema corpus; web:
+///                        200 domains; 8 adds)
+///   --check              exit 1 if refresh or postings work is not O(delta)
 ///   --json-out FILE      machine-readable output ("" disables)
 ///   --human              readable summary instead of JSON
 
@@ -34,16 +54,20 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/integration_system.h"
 #include "obs/stats.h"
+#include "obs/trace.h"
 #include "serve/paygo_server.h"
 #include "synth/ddh_generator.h"
+#include "synth/many_domains.h"
 
 namespace {
 
@@ -51,7 +75,9 @@ using namespace paygo;
 using Clock = std::chrono::steady_clock;
 
 struct BenchOptions {
+  std::string shape = "ddh";
   std::vector<std::size_t> corpora = {500, 2000};
+  std::size_t domains = 1000;
   std::size_t adds = 40;
   bool check = false;
   std::string json_out = "BENCH_write.json";  // "" disables the file
@@ -91,17 +117,15 @@ struct LatencySummary {
 /// The writer's per-update work, measured end to end: clone the served
 /// system, fold one schema in, adopt the draft.
 std::vector<double> RunChurn(const IntegrationSystem& base, bool delta_mode,
-                             const SchemaCorpus& pool, std::size_t first,
-                             std::size_t adds) {
+                             const SchemaCorpus& arrivals) {
   auto sys = base.Clone();
   sys->set_delta_mutations(delta_mode);
   std::vector<double> us;
-  us.reserve(adds);
-  for (std::size_t i = 0; i < adds; ++i) {
+  us.reserve(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const Clock::time_point t0 = Clock::now();
     auto draft = sys->Clone();
-    auto added = draft->AddSchema(pool.schema(first + i),
-                                 pool.labels(first + i));
+    auto added = draft->AddSchema(arrivals.schema(i), arrivals.labels(i));
     us.push_back(MicrosSince(t0));
     if (!added.ok()) {
       std::cerr << "AddSchema failed: " << added.status() << "\n";
@@ -115,8 +139,7 @@ std::vector<double> RunChurn(const IntegrationSystem& base, bool delta_mode,
 /// Streams the same adds through a live server; staleness is how long a
 /// generation-polling reader waits for each add to become visible.
 std::vector<double> RunServedStaleness(const IntegrationSystem& base,
-                                       const SchemaCorpus& pool,
-                                       std::size_t first, std::size_t adds) {
+                                       const SchemaCorpus& arrivals) {
   auto sys = base.Clone();
   ServeOptions serve;
   serve.num_workers = 1;
@@ -126,12 +149,11 @@ std::vector<double> RunServedStaleness(const IntegrationSystem& base,
     std::exit(1);
   }
   std::vector<double> us;
-  us.reserve(adds);
-  for (std::size_t i = 0; i < adds; ++i) {
+  us.reserve(arrivals.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
     const std::uint64_t gen_before = server.generation();
     const Clock::time_point t0 = Clock::now();
-    auto fut = server.AddSchemaAsync(pool.schema(first + i),
-                                     pool.labels(first + i));
+    auto fut = server.AddSchemaAsync(arrivals.schema(i), arrivals.labels(i));
     while (server.generation() == gen_before) {
       std::this_thread::yield();
     }
@@ -145,6 +167,88 @@ std::vector<double> RunServedStaleness(const IntegrationSystem& base,
   return us;
 }
 
+/// Streams the arrivals once more on the delta path with tracing on and
+/// returns every recorded span's self time (its duration minus its direct
+/// children's) in microseconds, summed by span name and averaged per add.
+std::map<std::string, double> ArrivalSpanSelfMicros(
+    const IntegrationSystem& base, const SchemaCorpus& arrivals) {
+  Tracer::ClearAll();
+  Tracer::Enable();
+  RunChurn(base, /*delta_mode=*/true, arrivals);
+  Tracer::Disable();
+  // Sorted so that a parent precedes its children even when they start in
+  // the same microsecond; a span's parent is then the latest earlier span
+  // one level up on the same thread that contains it.
+  std::vector<TraceEvent> events = Tracer::SnapshotEvents();
+  std::sort(events.begin(), events.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return std::tie(a.tid, a.start_us, a.depth) <
+                     std::tie(b.tid, b.start_us, b.depth);
+            });
+  std::vector<double> self(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    self[i] = static_cast<double>(events[i].dur_us);
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& child = events[i];
+    for (std::size_t j = i; j-- > 0;) {
+      const TraceEvent& p = events[j];
+      if (p.tid == child.tid && p.depth + 1 == child.depth &&
+          p.start_us + p.dur_us >= child.start_us + child.dur_us) {
+        self[j] -= static_cast<double>(child.dur_us);
+        break;
+      }
+    }
+  }
+  std::map<std::string, double> out;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    out[events[i].name] += self[i] / static_cast<double>(arrivals.size());
+  }
+  return out;
+}
+
+/// One base corpus plus the schemas that arrive into it.
+struct Workload {
+  std::string key;  ///< Result key, e.g. "corpus_2000" or "web_1000".
+  SchemaCorpus base;
+  SchemaCorpus arrivals;
+  SystemOptions options;
+  /// Posting entries an arrival may read under --check; 0 = not gated.
+  std::uint64_t visited_budget = 0;
+};
+
+std::vector<Workload> MakeWorkloads(const BenchOptions& opts) {
+  std::vector<Workload> out;
+  if (opts.shape == "web") {
+    const SchemaCorpus all =
+        MakeManyDomainCorpus({.num_domains = opts.domains});
+    Workload w{"web_" + std::to_string(opts.domains),
+               SchemaCorpus("web-base"), SchemaCorpus("web-new"), {}, 0};
+    w.options.sparse_build = true;
+    const std::size_t stride = std::max<std::size_t>(1, all.size() / opts.adds);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const bool held = i % stride == stride / 2 && w.arrivals.size() < opts.adds;
+      (held ? w.arrivals : w.base).Add(all.schema(i), all.labels(i));
+    }
+    w.visited_budget = w.base.size() / 8;
+    out.push_back(std::move(w));
+    return out;
+  }
+  for (std::size_t corpus_size : opts.corpora) {
+    // One pool holds base + extras so both paths fold identical schemas.
+    const SchemaCorpus pool = MakeDdhCorpus(
+        {.num_schemas = corpus_size + opts.adds, .seed = 17});
+    Workload w{"corpus_" + std::to_string(corpus_size),
+               SchemaCorpus("ddh-base"), SchemaCorpus("ddh-new"), {}, 0};
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      (i < corpus_size ? w.base : w.arrivals)
+          .Add(pool.schema(i), pool.labels(i));
+    }
+    out.push_back(std::move(w));
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -154,7 +258,11 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--corpora" && next()) {
+    if (arg == "--shape" && next()) {
+      opts.shape = argv[i];
+    } else if (arg == "--domains" && next()) {
+      opts.domains = static_cast<std::size_t>(std::atoll(argv[i]));
+    } else if (arg == "--corpora" && next()) {
       opts.corpora.clear();
       std::stringstream ss(argv[i]);
       std::string piece;
@@ -166,6 +274,7 @@ int main(int argc, char** argv) {
       opts.adds = static_cast<std::size_t>(std::atoi(argv[i]));
     } else if (arg == "--smoke") {
       opts.corpora = {120};
+      opts.domains = 200;
       opts.adds = 8;
     } else if (arg == "--check") {
       opts.check = true;
@@ -178,41 +287,50 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (opts.shape != "ddh" && opts.shape != "web") {
+    std::cerr << "unknown --shape " << opts.shape << " (ddh|web)\n";
+    return 2;
+  }
+  if (opts.adds == 0) {
+    std::cerr << "--adds must be positive\n";
+    return 2;
+  }
 
   Counter* refreshed =
       StatsRegistry::Global().GetCounter("paygo.classifier.domains_refreshed");
   Counter* reused =
       StatsRegistry::Global().GetCounter("paygo.classifier.domains_reused");
+  Counter* visited =
+      StatsRegistry::Global().GetCounter("paygo.arrival.postings_visited");
 
   bool check_failed = false;
   std::ostringstream results;
   std::ostringstream human;
   results << "{";
   bool first_corpus = true;
-  for (std::size_t corpus_size : opts.corpora) {
-    // One pool holds base + extras so both paths fold identical schemas.
-    const SchemaCorpus pool = MakeDdhCorpus(
-        {.num_schemas = corpus_size + opts.adds, .seed = 17});
-    SchemaCorpus base_corpus("ddh-base");
-    for (std::size_t i = 0; i < corpus_size; ++i) {
-      base_corpus.Add(pool.schema(i), pool.labels(i));
-    }
-    auto built = IntegrationSystem::Build(std::move(base_corpus));
+  for (const Workload& w : MakeWorkloads(opts)) {
+    auto built = IntegrationSystem::Build(w.base, w.options);
     if (!built.ok()) {
       std::cerr << built.status() << "\n";
       return 1;
     }
+    const std::size_t adds = w.arrivals.size();
 
     const std::vector<double> full_us =
-        RunChurn(**built, /*delta_mode=*/false, pool, corpus_size, opts.adds);
+        RunChurn(**built, /*delta_mode=*/false, w.arrivals);
     refreshed->Reset();
     reused->Reset();
+    visited->Reset();
     const std::vector<double> delta_us =
-        RunChurn(**built, /*delta_mode=*/true, pool, corpus_size, opts.adds);
+        RunChurn(**built, /*delta_mode=*/true, w.arrivals);
     const std::uint64_t delta_refreshed = refreshed->value();
     const std::uint64_t delta_reused = reused->value();
+    const double visited_per_add =
+        static_cast<double>(visited->value()) / static_cast<double>(adds);
+    const std::map<std::string, double> span_self_us =
+        ArrivalSpanSelfMicros(**built, w.arrivals);
     const std::vector<double> staleness_us =
-        RunServedStaleness(**built, pool, corpus_size, opts.adds);
+        RunServedStaleness(**built, w.arrivals);
 
     const LatencySummary full = LatencySummary::Of(full_us);
     const LatencySummary delta = LatencySummary::Of(delta_us);
@@ -223,31 +341,50 @@ int main(int argc, char** argv) {
         delta.mean_us > 0.0 ? full.mean_us / delta.mean_us : 0.0;
     const std::size_t num_domains = (*built)->domains().num_domains();
 
-    // The O(delta) gate: across all adds, the classifier must have fully
+    // The O(delta) gates: across all adds, the classifier must have fully
     // recomputed only a small per-add number of domains — not the whole
     // model. The budget is loose (a schema can legitimately join several
-    // qualifying domains) but catastrophically smaller than D * adds.
+    // qualifying domains) but catastrophically smaller than D * adds. On
+    // the web shape an arrival must also read only a small share of the
+    // posting lists, not a corpus-wide scan.
     const std::uint64_t budget =
-        opts.adds * std::max<std::uint64_t>(4, num_domains / 10);
-    const bool ok = delta_refreshed <= budget;
-    if (!ok) check_failed = true;
+        adds * std::max<std::uint64_t>(4, num_domains / 10);
+    const bool refresh_ok = delta_refreshed <= budget;
+    const bool visited_ok =
+        w.visited_budget == 0 ||
+        visited_per_add <= static_cast<double>(w.visited_budget);
+    if (!refresh_ok || !visited_ok) check_failed = true;
+
+    std::ostringstream spans_json;
+    const char* sep = "";
+    for (const auto& [name, us] : span_self_us) {
+      spans_json << sep << "\"" << name << "\": " << us;
+      sep = ", ";
+    }
 
     if (!first_corpus) results << ", ";
     first_corpus = false;
-    results << "\"corpus_" << corpus_size << "\": {\"adds\": " << opts.adds
+    results << "\"" << w.key << "\": {\"schemas\": " << w.base.size()
+            << ", \"adds\": " << adds
             << ", \"full\": " << full.ToJson()
             << ", \"delta\": " << delta.ToJson()
             << ", \"speedup_p50\": " << speedup_p50
             << ", \"speedup_mean\": " << speedup_mean
             << ", \"staleness\": " << staleness.ToJson()
+            << ", \"span_self_us\": {" << spans_json.str() << "}"
             << ", \"classifier\": {\"num_domains\": " << num_domains
             << ", \"domains_refreshed\": " << delta_refreshed
             << ", \"domains_reused\": " << delta_reused
             << ", \"refresh_budget\": " << budget
-            << ", \"o_delta\": " << (ok ? "true" : "false") << "}}";
+            << ", \"o_delta\": " << (refresh_ok ? "true" : "false") << "}"
+            << ", \"arrival\": {\"postings_visited_per_add\": "
+            << visited_per_add
+            << ", \"visited_budget\": " << w.visited_budget
+            << ", \"o_delta\": " << (visited_ok ? "true" : "false")
+            << "}}";
 
-    human << "corpus " << corpus_size << " (" << num_domains
-          << " domains), " << opts.adds << " adds:\n"
+    human << w.key << " (" << w.base.size() << " schemas, " << num_domains
+          << " domains), " << adds << " adds:\n"
           << "  full   p50 " << full.p50_us << "us  p99 " << full.p99_us
           << "us  mean " << full.mean_us << "us\n"
           << "  delta  p50 " << delta.p50_us << "us  p99 " << delta.p99_us
@@ -255,9 +392,19 @@ int main(int argc, char** argv) {
           << speedup_p50 << "x p50, " << speedup_mean << "x mean)\n"
           << "  staleness p50 " << staleness.p50_us << "us  p99 "
           << staleness.p99_us << "us\n"
-          << "  classifier refreshed " << delta_refreshed << " / reused "
+          << "  delta self time per add:\n";
+    for (const auto& [name, us] : span_self_us) {
+      human << "    " << name << " " << us << "us\n";
+    }
+    human << "  classifier refreshed " << delta_refreshed << " / reused "
           << delta_reused << " domain rebuilds (budget " << budget << ", "
-          << (ok ? "O(delta) OK" : "O(delta) VIOLATED") << ")\n";
+          << (refresh_ok ? "O(delta) OK" : "O(delta) VIOLATED") << ")\n"
+          << "  postings visited per add " << visited_per_add;
+    if (w.visited_budget > 0) {
+      human << " (budget " << w.visited_budget << ", "
+            << (visited_ok ? "O(delta) OK" : "O(delta) VIOLATED") << ")";
+    }
+    human << "\n";
   }
   results << "}";
 
@@ -268,11 +415,17 @@ int main(int argc, char** argv) {
             .count();
     std::ofstream out(opts.json_out, std::ios::trunc);
     out << "{\"bench\": \"write_path\", \"ts_ms\": " << ts_ms
-        << ", \"config\": {\"corpora\": [";
-    for (std::size_t i = 0; i < opts.corpora.size(); ++i) {
-      out << (i ? ", " : "") << opts.corpora[i];
+        << ", \"config\": {\"shape\": \"" << opts.shape << "\", ";
+    if (opts.shape == "web") {
+      out << "\"domains\": " << opts.domains;
+    } else {
+      out << "\"corpora\": [";
+      for (std::size_t i = 0; i < opts.corpora.size(); ++i) {
+        out << (i ? ", " : "") << opts.corpora[i];
+      }
+      out << "]";
     }
-    out << "], \"adds\": " << opts.adds << "}, \"results\": "
+    out << ", \"adds\": " << opts.adds << "}, \"results\": "
         << results.str() << "}\n";
     if (!out) {
       std::cerr << "failed writing " << opts.json_out << "\n";
@@ -287,8 +440,8 @@ int main(int argc, char** argv) {
     std::cout << results.str() << "\n";
   }
   if (opts.check && check_failed) {
-    std::cerr << "FAIL: classifier refresh work exceeded the O(delta) "
-                 "budget\n";
+    std::cerr << "FAIL: classifier refresh or postings work exceeded the "
+                 "O(delta) budget\n";
     return 1;
   }
   return 0;

@@ -12,21 +12,32 @@
 ///
 ///  * the schema is featurized against the frozen lexicon (terms never
 ///    seen before cannot contribute — their fraction is tracked as drift);
+///  * its s_sim row against the existing schemas is read from the
+///    inverted feature index (FeaturePostings::JaccardRow): only schemas
+///    sharing a feature with it are touched, and every other s_sim is
+///    exactly 0;
 ///  * its similarity to every existing cluster is computed exactly as in
-///    Algorithm 3 (average s_sim to the cluster's members);
+///    Algorithm 3 (average s_sim to the cluster's members) from that sparse
+///    row — absent entries are scattered back as 0.0, so each cluster sum
+///    adds the same doubles in the same member order as a dense scan;
 ///  * it joins every cluster passing the tau/theta tests with normalized
 ///    probabilities, or opens a fresh singleton domain.
 ///
+/// IntegrationSystem::AddSchema runs the same steps (FeaturizeArrival,
+/// its own shared index, AssignArrival) and hands the one sparse row on to
+/// its similarity matrix or neighbor graph.
 /// When accumulated drift is high the clusterer recommends a full rebuild
 /// — the "refine later" half of the pay-as-you-go contract.
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "cluster/hac.h"
 #include "cluster/linkage.h"
 #include "cluster/probabilistic_assignment.h"
+#include "schema/feature_postings.h"
 #include "schema/feature_vector.h"
 #include "schema/schema.h"
 #include "text/tokenizer.h"
@@ -58,11 +69,37 @@ struct IncrementalAddResult {
   double unseen_term_fraction = 0.0;
 };
 
+/// \brief A newcomer featurized against the frozen lexicon.
+struct ArrivalVector {
+  DynamicBitset features;
+  /// Fraction of the schema's terms absent from the frozen lexicon.
+  double unseen_term_fraction = 0.0;
+};
+
+/// Tokenizes \p schema and vectorizes its terms against the frozen
+/// lexicon. InvalidArgument when it has no attributes or no term survives
+/// extraction.
+Result<ArrivalVector> FeaturizeArrival(const Tokenizer& tokenizer,
+                                       const FeatureVectorizer& vectorizer,
+                                       const Schema& schema);
+
+/// Algorithm 3 for one newcomer, id model.num_schemas(), given its exact
+/// sparse s_sim row against the model's schemas (FeaturePostings::
+/// JaccardRow). Returns the model grown by the newcomer: a member of every
+/// qualifying domain with normalized probability and a hard member of the
+/// most similar one, or the only member of a fresh singleton domain. Sets
+/// \p out's schema_id, memberships and created_new_domain.
+DomainModel AssignArrival(const DomainModel& model,
+                          std::span<const JaccardEntry> row,
+                          const IncrementalOptions& options,
+                          IncrementalAddResult* out);
+
 /// \brief Folds newly arriving schemas into an existing clustering.
 class IncrementalClusterer {
  public:
   /// Takes over a built model. \p vectorizer and \p tokenizer must outlive
-  /// the clusterer; \p features are the existing schemas' vectors (copied).
+  /// the clusterer; \p features are the existing schemas' vectors, which
+  /// the clusterer indexes once (FeaturePostings) and keeps.
   IncrementalClusterer(const Tokenizer& tokenizer,
                        const FeatureVectorizer& vectorizer,
                        std::vector<DynamicBitset> features,
@@ -72,16 +109,11 @@ class IncrementalClusterer {
   /// Adds one schema; returns its assignment.
   Result<IncrementalAddResult> AddSchema(const Schema& schema);
 
-  /// The current domain model (rebuilt lazily after additions).
-  const DomainModel& model() const;
+  /// The current domain model, added schemas included.
+  const DomainModel& model() const { return model_; }
 
   /// Feature vectors including added schemas (corpus order).
   const std::vector<DynamicBitset>& features() const { return features_; }
-
-  /// Moves the feature vectors out (corpus order), leaving the clusterer
-  /// drained — the delta write path's way to adopt them without an
-  /// O(#schemas * dim) copy. Call last.
-  std::vector<DynamicBitset> TakeFeatures() { return std::move(features_); }
 
   /// Number of schemas added since construction.
   std::size_t num_added() const { return num_added_; }
@@ -100,11 +132,8 @@ class IncrementalClusterer {
   const FeatureVectorizer& vectorizer_;
   IncrementalOptions options_;
   std::vector<DynamicBitset> features_;
-  // Mutable clustering state.
-  std::vector<std::vector<std::uint32_t>> clusters_;
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> schema_domains_;
-  mutable DomainModel cached_model_;
-  mutable bool model_dirty_ = true;
+  FeaturePostings postings_;  ///< Index of features_.
+  DomainModel model_;
   std::size_t num_added_ = 0;
   double drift_sum_ = 0.0;
 };

@@ -48,6 +48,16 @@ std::shared_ptr<const float[]> ComputeRow(
   return row;
 }
 
+/// Row k of the triangle from schema k's sparse row against the k earlier
+/// schemas: float(sim) at the row's ids, +0 elsewhere, then the diagonal.
+std::shared_ptr<const float[]> RowFromSparse(
+    std::span<const JaccardEntry> row, std::size_t k, bool nonempty) {
+  std::shared_ptr<float[]> out = std::make_shared<float[]>(k + 1);
+  for (const JaccardEntry& e : row) out[e.id] = static_cast<float>(e.sim);
+  out[k] = nonempty ? 1.0f : 0.0f;
+  return out;
+}
+
 }  // namespace
 
 SimilarityMatrix::SimilarityMatrix(const std::vector<DynamicBitset>& features,
@@ -74,12 +84,22 @@ SimilarityMatrix::SimilarityMatrix(const std::vector<DynamicBitset>& features,
 }
 
 SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
+                                   std::span<const JaccardEntry> row,
+                                   bool nonempty)
+    : rows_(base.rows_) {
+  rows_.push_back(RowFromSparse(row, rows_.size(), nonempty));
+}
+
+SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
                                    const std::vector<DynamicBitset>& features)
     : rows_(base.rows_) {
   assert(features.size() >= rows_.size());
+  FeaturePostings postings(std::span(features.data(), rows_.size()));
   rows_.reserve(features.size());
   for (std::size_t k = rows_.size(); k < features.size(); ++k) {
-    rows_.push_back(ComputeRow(features, k));
+    rows_.push_back(RowFromSparse(postings.JaccardRow(features[k]), k,
+                                  !features[k].None()));
+    postings.Append(features[k]);
   }
 }
 

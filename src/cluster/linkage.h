@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "schema/feature_postings.h"
 #include "util/bitset.h"
 
 namespace paygo {
@@ -72,13 +73,19 @@ class SimilarityMatrix {
   explicit SimilarityMatrix(const std::vector<DynamicBitset>& features,
                             std::size_t num_threads = 1);
 
+  /// Appends one schema, id n = base.size(), given its exact similarity
+  /// row against the n old schemas (FeaturePostings::JaccardRow: ascending
+  /// ids, zeros omitted) and whether it sets any feature. The old rows are
+  /// shared with \p base; the new row holds float(sim) at the row's ids,
+  /// +0 elsewhere (what float(Jaccard) is for a pair sharing no feature)
+  /// and the diagonal, so it is bit-identical to a from-scratch build's.
+  /// No Jaccard work: the delta write path's matrix refresh.
+  SimilarityMatrix(const SimilarityMatrix& base,
+                   std::span<const JaccardEntry> row, bool nonempty);
+
   /// Extends \p base (built over features[0..n-1]) to cover \p features
-  /// (size >= n, the tail newly appended): the n old rows are shared with
-  /// \p base and only the appended rows' Jaccards are computed — O(n * dim)
-  /// per appended schema instead of the O(n^2 * dim) full fill. Jaccard is
-  /// a pure function of the two bitsets, so the result is bit-identical to
-  /// a from-scratch build over \p features. The delta write path's matrix
-  /// refresh.
+  /// (size >= n, the tail newly appended): indexes the prefix, then appends
+  /// each tail schema's JaccardRow in order with the row constructor above.
   SimilarityMatrix(const SimilarityMatrix& base,
                    const std::vector<DynamicBitset>& features);
 

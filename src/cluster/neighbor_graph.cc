@@ -199,9 +199,25 @@ void NeighborGraph::PruneTopK(std::size_t top_k, std::size_t num_threads) {
 Result<NeighborGraph> NeighborGraph::Build(
     const std::vector<DynamicBitset>& features,
     const NeighborGraphOptions& options) {
+  PAYGO_RETURN_NOT_OK(ValidateInput(features, options));
+  return Build(features,
+               options.mode == NeighborGraphMode::kExact
+                   ? FeaturePostings(features)
+                   : FeaturePostings(),
+               options);
+}
+
+Result<NeighborGraph> NeighborGraph::Build(
+    const std::vector<DynamicBitset>& features,
+    const FeaturePostings& postings, const NeighborGraphOptions& options) {
   PAYGO_TRACE_SPAN("hac.neighbor_graph");
   PAYGO_RETURN_NOT_OK(ValidateInput(features, options));
   const std::size_t n = features.size();
+  if (options.mode == NeighborGraphMode::kExact &&
+      postings.num_schemas() != n) {
+    return Status::InvalidArgument(
+        "the feature postings index a different number of schemas");
+  }
   const std::size_t width = ThreadPool::ResolveThreadCount(options.num_threads);
   ThreadPool pool(width);
 
@@ -219,46 +235,21 @@ Result<NeighborGraph> NeighborGraph::Build(
 
   if (options.mode == NeighborGraphMode::kExact) {
     // ---- Exact mode: inverted-index enumeration + heavy-set sweep. ----
-    const std::size_t dim = n == 0 ? 0 : features.front().size();
-    // Posting lists, CSR layout, schema ids ascending by construction.
-    std::vector<std::uint32_t> posting_len(dim, 0);
-    {
-      std::vector<std::size_t> bits;
-      for (std::size_t i = 0; i < n; ++i) {
-        features[i].AppendSetBits(&bits);
-        for (std::size_t b : bits) ++posting_len[b];
-        bits.clear();
-      }
-    }
+    // Lists longer than the hot limit are skipped below; the schemas on
+    // them are heavy.
     const std::size_t hot_limit =
         options.hot_posting_limit > 0
             ? options.hot_posting_limit
             : std::max<std::size_t>(64, n / 8);
-    std::vector<std::uint64_t> post_off(dim + 1, 0);
-    for (std::size_t f = 0; f < dim; ++f) {
-      const bool hot = posting_len[f] > hot_limit;
-      post_off[f + 1] = post_off[f] + (hot ? 0 : posting_len[f]);
-    }
-    std::vector<std::uint32_t> post_ids(post_off.empty() ? 0 : post_off[dim]);
     std::vector<std::uint8_t> heavy(n, 0);
+    for (std::size_t f = 0; f < postings.dim(); ++f) {
+      const std::span<const std::uint32_t> list = postings.List(f);
+      if (list.size() <= hot_limit) continue;
+      for (std::uint32_t i : list) heavy[i] = 1;
+    }
     std::vector<std::uint32_t> heavy_ids;
-    {
-      std::vector<std::uint64_t> cursor(post_off.begin(), post_off.end() - 1);
-      std::vector<std::size_t> bits;
-      for (std::size_t i = 0; i < n; ++i) {
-        features[i].AppendSetBits(&bits);
-        for (std::size_t b : bits) {
-          if (posting_len[b] > hot_limit) {
-            heavy[i] = 1;
-          } else {
-            post_ids[cursor[b]++] = static_cast<std::uint32_t>(i);
-          }
-        }
-        bits.clear();
-      }
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (heavy[i]) heavy_ids.push_back(i);
-      }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (heavy[i]) heavy_ids.push_back(i);
     }
 
     // Per-chunk candidate generation with flat scratch accumulators. Each
@@ -284,12 +275,11 @@ Result<NeighborGraph> NeighborGraph::Build(
         bits.clear();
         features[a].AppendSetBits(&bits);
         for (std::size_t f : bits) {
-          if (posting_len[f] > hot_limit) continue;
-          const std::uint32_t* pb = post_ids.data() + post_off[f];
-          const std::uint32_t* pe = post_ids.data() + post_off[f + 1];
+          const std::span<const std::uint32_t> list = postings.List(f);
+          if (list.size() > hot_limit) continue;
           // Postings are ascending; skip to entries past `a`.
-          const std::uint32_t* it = std::upper_bound(pb, pe, a);
-          for (; it != pe; ++it) {
+          for (auto it = std::upper_bound(list.begin(), list.end(), a);
+               it != list.end(); ++it) {
             const std::uint32_t b = *it;
             if (counts[b]++ == 0) touched.push_back(b);
           }
@@ -455,44 +445,55 @@ Result<NeighborGraph> NeighborGraph::Build(
 }
 
 NeighborGraph::NeighborGraph(const NeighborGraph& base,
-                             const std::vector<DynamicBitset>& features) {
-  const std::size_t old_n = base.num_nodes();
-  const std::size_t n = features.size();
-  assert(n >= old_n);
-  NeighborGraphStats stats = base.stats_;
-  std::vector<std::uint8_t> nonempty(n, 0);
-  for (std::size_t i = 0; i < old_n; ++i) nonempty[i] = base.nonempty_[i];
-  for (std::size_t i = old_n; i < n; ++i) {
-    nonempty[i] = features[i].None() ? 0 : 1;
-  }
-  std::vector<Triple> upper;
-  upper.reserve(base.edges_.size() / 2);
-  for (std::uint32_t a = 0; a < old_n; ++a) {
-    auto [it, end] = base.Row(a);
-    for (; it != end; ++it) {
-      if (it->id > a) upper.push_back(Triple{a, it->id, it->sim});
+                             std::span<const JaccardEntry> row, bool nonempty)
+    : nonempty_(base.nonempty_),
+      stats_(base.stats_),
+      mode_(base.mode_),
+      edge_tau_(base.edge_tau_) {
+  const std::size_t n = base.num_nodes();
+  const auto id = static_cast<std::uint32_t>(n);
+  std::vector<NeighborEdge> fresh;
+  fresh.reserve(row.size());
+  for (const JaccardEntry& e : row) {
+    ++stats_.candidates_verified;
+    const float fsim = static_cast<float>(e.sim);
+    if (edge_tau_ > 0.0 && static_cast<double>(fsim) < edge_tau_) {
+      ++stats_.candidates_pruned;
+      continue;
     }
+    fresh.push_back(NeighborEdge{e.id, fsim});
   }
-  // New tail rows are exact regardless of the base graph's mode: the
-  // incremental path trades O(n) kernel scans per added schema for not
-  // having to retain posting lists or MinHash signatures.
-  for (std::uint32_t b = static_cast<std::uint32_t>(old_n); b < n; ++b) {
-    for (std::uint32_t a = 0; a < b; ++a) {
-      const double sim = DynamicBitset::Jaccard(features[a], features[b]);
-      ++stats.candidates_verified;
-      if (sim <= 0.0) continue;
-      const float fsim = static_cast<float>(sim);
-      if (base.edge_tau_ > 0.0 &&
-          static_cast<double>(fsim) < base.edge_tau_) {
-        ++stats.candidates_pruned;
-        continue;
-      }
-      upper.push_back(Triple{a, b, fsim});
+  nonempty_.push_back(nonempty ? 1 : 0);
+  offsets_.resize(n + 2);
+  edges_.reserve(base.edges_.size() + 2 * fresh.size());
+  // Every stored id is below the new one, so it goes last in each touched
+  // row and the rows stay sorted.
+  auto next = fresh.begin();
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto [begin, end] = base.Row(i);
+    edges_.insert(edges_.end(), begin, end);
+    if (next != fresh.end() && next->id == i) {
+      edges_.push_back(NeighborEdge{id, next->sim});
+      ++next;
     }
+    offsets_[i + 1] = edges_.size();
   }
-  *this = FromTriples(n, upper, std::move(nonempty), stats, 1);
-  mode_ = base.mode_;
-  edge_tau_ = base.edge_tau_;
+  edges_.insert(edges_.end(), fresh.begin(), fresh.end());
+  offsets_[n + 1] = edges_.size();
+  stats_.num_edges = edges_.size() / 2;
+}
+
+NeighborGraph::NeighborGraph(const NeighborGraph& base,
+                             const std::vector<DynamicBitset>& features)
+    : NeighborGraph(base) {
+  assert(features.size() >= base.num_nodes());
+  FeaturePostings postings(
+      std::span(features.data(), base.num_nodes()));
+  for (std::size_t b = base.num_nodes(); b < features.size(); ++b) {
+    *this = NeighborGraph(*this, postings.JaccardRow(features[b]),
+                          !features[b].None());
+    postings.Append(features[b]);
+  }
 }
 
 }  // namespace paygo

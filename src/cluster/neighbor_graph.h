@@ -8,14 +8,14 @@
 /// cluster builds at a few thousand schemas. The neighbor graph replaces it
 /// with per-schema adjacency rows holding only the pairs that can matter:
 ///
-///  * **Exact mode** enumerates candidate pairs from an inverted feature
-///    index (schemas sharing no feature have Jaccard 0), accumulating
-///    intersection counts in per-chunk flat scratch arrays instead of one
-///    global hash map. Features whose posting list exceeds a hot limit are
-///    excluded from enumeration; the schemas containing them form a "heavy"
-///    set swept pairwise with the SIMD AndCount/Jaccard kernels, so hot
-///    posting lists cannot blow enumeration up quadratically while every
-///    edge stays exact. Rows hold `float(DynamicBitset::Jaccard(a, b))` —
+///  * **Exact mode** enumerates candidate pairs from the inverted feature
+///    index (FeaturePostings; schemas sharing no feature have Jaccard 0),
+///    accumulating intersection counts in per-chunk flat scratch arrays
+///    instead of one global hash map. Features whose posting list exceeds
+///    a hot limit are skipped during enumeration; the schemas containing
+///    them form a "heavy" set swept pairwise with the SIMD AndCount/Jaccard
+///    kernels, so hot posting lists cannot blow enumeration up
+///    quadratically while every edge stays exact. Rows hold `float(DynamicBitset::Jaccard(a, b))` —
 ///    bit-for-bit the values the dense matrix stores — and the build is
 ///    bit-identical at any thread count.
 ///
@@ -36,8 +36,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "schema/feature_postings.h"
 #include "util/bitset.h"
 #include "util/status.h"
 
@@ -113,11 +115,28 @@ class NeighborGraph {
   static Result<NeighborGraph> Build(const std::vector<DynamicBitset>& features,
                                      const NeighborGraphOptions& options);
 
+  /// Build with the caller's index of \p features (exact mode enumerates
+  /// from its lists; LSH mode ignores it). IntegrationSystem keeps the
+  /// index for arrivals, so it is built once.
+  static Result<NeighborGraph> Build(const std::vector<DynamicBitset>& features,
+                                     const FeaturePostings& postings,
+                                     const NeighborGraphOptions& options);
+
+  /// Appends one schema, id num_nodes(), given its exact similarity row
+  /// against every node (FeaturePostings::JaccardRow: ascending ids,
+  /// zeros omitted) and whether it sets any feature. The new id is larger
+  /// than every id already stored, so it is spliced onto the end of each
+  /// touched row and no row is re-sorted: O(edges) copying, no Jaccard
+  /// work. The row is exact whatever the base's mode; entries below the
+  /// base's edge_tau are dropped as Build drops them, and top_k is not
+  /// re-applied. The delta write path's graph refresh.
+  NeighborGraph(const NeighborGraph& base, std::span<const JaccardEntry> row,
+                bool nonempty);
+
   /// Extension constructor, mirroring SimilarityMatrix(base, features):
   /// \p features is the full corpus whose prefix \p base was built over.
-  /// Rows for the new tail schemas are computed exactly (brute-force
-  /// kernel Jaccard against every earlier schema), so incremental adds do
-  /// not depend on retained posting lists or signatures.
+  /// Indexes the prefix, then appends each tail schema's JaccardRow in
+  /// order with the row constructor above.
   NeighborGraph(const NeighborGraph& base,
                 const std::vector<DynamicBitset>& features);
 

@@ -177,6 +177,7 @@ std::unique_ptr<IntegrationSystem> IntegrationSystem::Clone() const {
   copy->lexicon_ = lexicon_;
   copy->vectorizer_ = vectorizer_;
   copy->features_ = features_;
+  copy->postings_ = postings_;
   copy->sims_ = sims_;
   copy->graph_ = graph_;
   copy->clustering_ = clustering_;
@@ -189,11 +190,13 @@ std::unique_ptr<IntegrationSystem> IntegrationSystem::Clone() const {
 }
 
 Status IntegrationSystem::BuildSimilarities() {
+  postings_ = std::make_shared<const FeaturePostings>(*features_);
   if (options_.sparse_build) {
     NeighborGraphOptions graph_options = options_.neighbor_graph;
     graph_options.num_threads = options_.hac.num_threads;
-    PAYGO_ASSIGN_OR_RETURN(NeighborGraph graph,
-                           NeighborGraph::Build(*features_, graph_options));
+    PAYGO_ASSIGN_OR_RETURN(
+        NeighborGraph graph,
+        NeighborGraph::Build(*features_, *postings_, graph_options));
     graph_ = std::make_shared<const NeighborGraph>(std::move(graph));
   } else {
     sims_ = std::make_shared<const SimilarityMatrix>(*features_,
@@ -336,23 +339,33 @@ Status IntegrationSystem::RebuildDerivedStateDelta(
 Result<IncrementalAddResult> IntegrationSystem::AddSchema(
     Schema schema, std::vector<std::string> labels) {
   PAYGO_TRACE_SPAN("system.add_schema");
-  // Delegate the Algorithm 3-style assignment to the incremental engine,
-  // seeded with the system's current state.
   IncrementalOptions inc_opts;
   inc_opts.tau_c_sim = options_.assignment.tau_c_sim;
   inc_opts.theta = options_.assignment.theta;
   const std::size_t old_num_domains = domains_.num_domains();
   IncrementalAddResult result;
+  std::vector<JaccardEntry> row;
+  bool nonempty = false;
   // Adopt the updated state copy-on-write: readers of a snapshot that
   // shares the old components never see these swaps.
   {
     PAYGO_TRACE_SPAN("system.add_schema.assign");
-    IncrementalClusterer inc(*tokenizer_, *vectorizer_, *features_, domains_,
-                             inc_opts);
-    PAYGO_ASSIGN_OR_RETURN(result, inc.AddSchema(schema));
-    features_ = std::make_shared<const std::vector<DynamicBitset>>(
-        inc.TakeFeatures());
-    domains_ = inc.model();
+    PAYGO_ASSIGN_OR_RETURN(ArrivalVector arrival,
+                           FeaturizeArrival(*tokenizer_, *vectorizer_, schema));
+    // The newcomer's exact s_sim row, read once from the posting lists of
+    // its own features: Algorithm 3 here and the matrix or graph below
+    // both consume it.
+    row = postings_->JaccardRow(arrival.features);
+    domains_ = AssignArrival(domains_, row, inc_opts, &result);
+    result.unseen_term_fraction = arrival.unseen_term_fraction;
+    nonempty = !arrival.features.None();
+    // The one O(n * dim) copy left per arrival: features() hands out the
+    // whole vector by reference.
+    auto features = std::make_shared<std::vector<DynamicBitset>>();
+    features->reserve(features_->size() + 1);
+    features->assign(features_->begin(), features_->end());
+    features->push_back(std::move(arrival.features));
+    features_ = std::move(features);
   }
   {
     auto corpus = std::make_shared<SchemaCorpus>(*corpus_);
@@ -365,15 +378,18 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
     PAYGO_TRACE_SPAN("system.add_schema.similarity");
     if (!options_.delta_mutations) {
       PAYGO_RETURN_NOT_OK(BuildSimilarities());
-    } else if (options_.sparse_build) {
-      // One appended schema: extend the graph by its (exact) row instead
-      // of rebuilding candidate generation from scratch.
-      graph_ = std::make_shared<const NeighborGraph>(*graph_, *features_);
     } else {
-      // One appended schema: share every old row of the memoized matrix
-      // and compute only the new one (O(n * dim)) instead of refilling all
-      // O(n^2) pairs.
-      sims_ = std::make_shared<const SimilarityMatrix>(*sims_, *features_);
+      // One appended schema: index it, then share every old row of the
+      // matrix (or splice the new id onto the graph's touched rows) and
+      // add its row from the sparse one — no Jaccard is recomputed.
+      auto postings = std::make_shared<FeaturePostings>(*postings_);
+      postings->Append(features_->back());
+      postings_ = std::move(postings);
+      if (options_.sparse_build) {
+        graph_ = std::make_shared<const NeighborGraph>(*graph_, row, nonempty);
+      } else {
+        sims_ = std::make_shared<const SimilarityMatrix>(*sims_, row, nonempty);
+      }
     }
   }
   sources_.resize(corpus_->size());

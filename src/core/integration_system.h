@@ -31,6 +31,7 @@
 #include "integrate/query_engine.h"
 #include "mediate/mediator.h"
 #include "schema/corpus.h"
+#include "schema/feature_postings.h"
 #include "schema/feature_vector.h"
 #include "schema/lexicon.h"
 #include "text/tokenizer.h"
@@ -138,8 +139,9 @@ class IntegrationSystem {
 
   /// Structurally shared copy for copy-on-write snapshotting: the
   /// immutable heavyweights — corpus, tokenizer, lexicon, similarity
-  /// index/vectorizer, per-schema feature vectors, similarity matrix,
-  /// classifier, per-domain mediations, attached tuple stores — sit behind
+  /// index/vectorizer, per-schema feature vectors, feature postings,
+  /// similarity matrix, classifier, per-domain mediations, attached tuple
+  /// stores — sit behind
   /// shared_ptr<const T>, so a clone is O(#components + #domains +
   /// #schemas) pointer copies, independent of corpus text, matrix, or
   /// model size. Mutators copy-on-write exactly the components they
@@ -192,7 +194,9 @@ class IntegrationSystem {
   /// re-clustering (the incremental path of cluster/incremental.h): the
   /// schema joins qualifying domains or opens a new singleton, the
   /// affected domains' mediation is rebuilt, and the classifier is
-  /// refreshed. The lexicon stays frozen — the returned
+  /// refreshed. The schema's similarity row is read once from the feature
+  /// postings, at a cost set by the schemas that share its features; the
+  /// same sparse row feeds Algorithm 3 and extends the matrix or graph. The lexicon stays frozen — the returned
   /// unseen_term_fraction reports the drift; call Build() afresh when it
   /// accumulates.
   Result<IncrementalAddResult> AddSchema(
@@ -227,6 +231,8 @@ class IntegrationSystem {
   const Lexicon& lexicon() const { return *lexicon_; }
   const FeatureVectorizer& vectorizer() const { return *vectorizer_; }
   const std::vector<DynamicBitset>& features() const { return *features_; }
+  /// The inverted index of features(), kept for arrivals.
+  const FeaturePostings& postings() const { return *postings_; }
   /// Requires has_similarities() (absent in sparse_build mode).
   const SimilarityMatrix& similarities() const { return *sims_; }
   bool has_similarities() const { return sims_ != nullptr; }
@@ -270,8 +276,9 @@ class IntegrationSystem {
 
  private:
   IntegrationSystem() = default;
-  /// Builds the similarity substrate over features_: the NeighborGraph in
-  /// sparse_build mode, the dense SimilarityMatrix otherwise.
+  /// Indexes features_ (postings_), then builds the similarity substrate
+  /// over them: the NeighborGraph in sparse_build mode, the dense
+  /// SimilarityMatrix otherwise.
   Status BuildSimilarities();
   /// Algorithms 2 and 3 over the substrate, the one place the dense and
   /// graph paths branch. A non-null \p feedback adds its explicit
@@ -302,6 +309,7 @@ class IntegrationSystem {
   std::shared_ptr<const Lexicon> lexicon_;
   std::shared_ptr<const FeatureVectorizer> vectorizer_;
   std::shared_ptr<const std::vector<DynamicBitset>> features_;
+  std::shared_ptr<const FeaturePostings> postings_;  // index of features_
   std::shared_ptr<const SimilarityMatrix> sims_;  // null in sparse_build mode
   std::shared_ptr<const NeighborGraph> graph_;    // non-null iff sparse_build
   HacResult clustering_;

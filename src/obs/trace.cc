@@ -6,6 +6,8 @@
 #include <mutex>
 #include <sstream>
 
+#include "obs/stats.h"
+
 namespace paygo {
 
 namespace {
@@ -55,6 +57,12 @@ void TraceRing::Append(const char* name, std::uint64_t start_us,
                        std::uint32_t depth) {
   const std::uint64_t index = head_.load(std::memory_order_relaxed);
   Slot& slot = slots_[index % kCapacity];
+  if (slot.seq.load(std::memory_order_relaxed) != kEmpty) {
+    // Wrapped onto a retained event: it is lost to every later export.
+    static Counter* dropped =
+        StatsRegistry::Global().GetCounter("paygo.trace.dropped");
+    dropped->Increment();
+  }
   // Invalidate the slot first so a concurrent reader cannot mistake a
   // half-written payload for the previous (valid) event.
   slot.seq.store(kEmpty, std::memory_order_release);

@@ -66,7 +66,10 @@ struct CollectedSpan {
 
 /// \brief Fixed-capacity single-writer ring of finished spans.
 ///
-/// The owning thread appends; any thread may Snapshot() concurrently.
+/// The owning thread appends; any thread may Snapshot() concurrently. An
+/// Append past kCapacity overwrites the oldest retained event, which no
+/// later export can see; each such overwrite adds one to the
+/// paygo.trace.dropped counter (slots emptied by Clear() do not count).
 class TraceRing {
  public:
   static constexpr std::size_t kCapacity = 8192;

@@ -9,34 +9,37 @@ namespace paygo {
 std::size_t SchemaCorpus::Add(Schema schema, std::vector<std::string> labels) {
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-  schemas_.push_back(std::move(schema));
-  labels_.push_back(std::move(labels));
-  return schemas_.size() - 1;
+  rows_.push_back(std::make_shared<const Row>(
+      Row{std::move(schema), std::move(labels)}));
+  return rows_.size() - 1;
 }
 
 std::vector<std::string> SchemaCorpus::AllLabels() const {
   std::set<std::string> all;
-  for (const auto& ls : labels_) all.insert(ls.begin(), ls.end());
+  for (const auto& row : rows_) {
+    all.insert(row->labels.begin(), row->labels.end());
+  }
   return std::vector<std::string>(all.begin(), all.end());
 }
 
 CorpusStats SchemaCorpus::ComputeStats(const Tokenizer& tokenizer) const {
   CorpusStats stats;
-  stats.num_schemas = schemas_.size();
-  if (schemas_.empty()) return stats;
+  stats.num_schemas = rows_.size();
+  if (rows_.empty()) return stats;
 
   std::size_t total_terms = 0;
-  for (const Schema& s : schemas_) {
-    const std::size_t n = tokenizer.TokenizeAll(s.attributes).size();
+  for (const auto& row : rows_) {
+    const std::size_t n = tokenizer.TokenizeAll(row->schema.attributes).size();
     stats.max_terms_per_schema = std::max(stats.max_terms_per_schema, n);
     total_terms += n;
   }
   stats.avg_terms_per_schema =
-      static_cast<double>(total_terms) / static_cast<double>(schemas_.size());
+      static_cast<double>(total_terms) / static_cast<double>(rows_.size());
 
   std::map<std::string, std::size_t> per_label;
   std::size_t total_labels = 0;
-  for (const auto& ls : labels_) {
+  for (const auto& row : rows_) {
+    const std::vector<std::string>& ls = row->labels;
     stats.max_labels_per_schema = std::max(stats.max_labels_per_schema,
                                            ls.size());
     total_labels += ls.size();
@@ -44,7 +47,7 @@ CorpusStats SchemaCorpus::ComputeStats(const Tokenizer& tokenizer) const {
   }
   stats.num_labels = per_label.size();
   stats.avg_labels_per_schema =
-      static_cast<double>(total_labels) / static_cast<double>(schemas_.size());
+      static_cast<double>(total_labels) / static_cast<double>(rows_.size());
   if (!per_label.empty()) {
     std::size_t total_schemas_in_labels = 0;
     for (const auto& [label, count] : per_label) {
@@ -62,8 +65,8 @@ CorpusStats SchemaCorpus::ComputeStats(const Tokenizer& tokenizer) const {
 SchemaCorpus SchemaCorpus::Union(const SchemaCorpus& a, const SchemaCorpus& b,
                                  std::string name) {
   SchemaCorpus out(std::move(name));
-  for (std::size_t i = 0; i < a.size(); ++i) out.Add(a.schema(i), a.labels(i));
-  for (std::size_t i = 0; i < b.size(); ++i) out.Add(b.schema(i), b.labels(i));
+  out.rows_ = a.rows_;
+  out.rows_.insert(out.rows_.end(), b.rows_.begin(), b.rows_.end());
   return out;
 }
 

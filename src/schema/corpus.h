@@ -7,8 +7,14 @@
 /// Each schema may carry a set of ground-truth domain labels B(S_i)
 /// (Section 6.1.2) used only for evaluation — the clustering and
 /// classification algorithms never see them.
+///
+/// Each schema and its labels live in one immutable row behind a
+/// shared_ptr. Copying a corpus copies the row handles, not the schema
+/// text, so IntegrationSystem::AddSchema's copy-on-write corpus (and the
+/// teardown of the snapshot it replaces) is pointer work.
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -40,16 +46,15 @@ class SchemaCorpus {
   /// Returns the schema's index.
   std::size_t Add(Schema schema, std::vector<std::string> labels = {});
 
-  std::size_t size() const { return schemas_.size(); }
-  bool empty() const { return schemas_.empty(); }
+  std::size_t size() const { return rows_.size(); }
+  bool empty() const { return rows_.empty(); }
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  const Schema& schema(std::size_t i) const { return schemas_[i]; }
-  const std::vector<Schema>& schemas() const { return schemas_; }
+  const Schema& schema(std::size_t i) const { return rows_[i]->schema; }
   /// Ground-truth labels B(S_i) of schema \p i (evaluation only).
   const std::vector<std::string>& labels(std::size_t i) const {
-    return labels_[i];
+    return rows_[i]->labels;
   }
 
   /// All distinct labels across the corpus, sorted.
@@ -64,9 +69,12 @@ class SchemaCorpus {
                             std::string name);
 
  private:
+  struct Row {
+    Schema schema;
+    std::vector<std::string> labels;  ///< Sorted, distinct.
+  };
   std::string name_;
-  std::vector<Schema> schemas_;
-  std::vector<std::vector<std::string>> labels_;
+  std::vector<std::shared_ptr<const Row>> rows_;
 };
 
 }  // namespace paygo

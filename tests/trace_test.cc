@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/integration_system.h"
+#include "obs/stats.h"
 #include "strict_json.h"
 #include "synth/ddh_generator.h"
 #include "synth/many_domains.h"
@@ -171,6 +173,23 @@ TEST_F(TraceTest, RingWrapsAroundKeepingNewestEvents) {
   EXPECT_EQ(events.front().start_us, 100u);
   EXPECT_EQ(events.back().start_us, total - 1);
   EXPECT_EQ(events.front().tid, 42u);
+}
+
+TEST_F(TraceTest, OverflowCountsEachOverwrittenEventAsDropped) {
+  Counter* dropped = StatsRegistry::Global().GetCounter("paygo.trace.dropped");
+  auto ring = std::make_unique<TraceRing>(43);
+  const std::uint64_t before = dropped->value();
+  constexpr std::size_t kOverflow = 37;
+  for (std::size_t i = 0; i < TraceRing::kCapacity + kOverflow; ++i) {
+    ring->Append("drop.span", i, 1, 0, 0);
+  }
+  EXPECT_EQ(dropped->value() - before, kOverflow);
+  // Slots emptied by Clear() hold nothing to lose.
+  ring->Clear();
+  for (std::size_t i = 0; i < TraceRing::kCapacity; ++i) {
+    ring->Append("drop.span", i, 1, 0, 0);
+  }
+  EXPECT_EQ(dropped->value() - before, kOverflow);
 }
 
 TEST_F(TraceTest, ClearDropsRetainedEvents) {

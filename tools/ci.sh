@@ -112,6 +112,14 @@ echo "==> smoke: perf_write_path --smoke --check (O(delta) classifier refresh)"
   > "$SMOKE_DIR/write-path.json"
 echo "    delta write path within the O(delta) refresh budget"
 
+echo "==> smoke: perf_write_path --shape web --smoke --check (O(delta) arrival row)"
+# The many-domain sparse_build shape at 200 pseudo-domains: besides the
+# refresh budget, each arrival must read at most n/8 posting-list entries
+# (counter paygo.arrival.postings_visited) — no corpus-wide scan.
+./build/bench/perf_write_path --shape web --smoke --check --json-out "" \
+  > "$SMOKE_DIR/write-path-web.json"
+echo "    web arrivals within the O(delta) postings budget"
+
 echo "==> smoke: perf_classifier --smoke --check (batch sweep >= 2x, p99 budget)"
 # The batch-classification regression gate: batch-64 single-thread
 # throughput must stay >= 2x batch-1 through the struct-of-arrays sweep,
@@ -378,7 +386,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
     sparse_classifier_differential_test batch_classify_test
     linkage_test clone_aliasing_test delta_differential_test
     model_io_roundtrip_test neighbor_graph_test system_refinement_test
-    trace_test)
+    trace_test arrival_row_test incremental_test)
   echo "==> asan+ubsan: configure + build clustering, snapshot, mediation and classifier tests (PAYGO_SANITIZE=address,undefined)"
   cmake -B build-asan -S . -DPAYGO_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan --target "${ASAN_TESTS[@]}" -j "$JOBS"
