@@ -23,14 +23,27 @@
 ///     join existing domains — the shape where an arrival shares features
 ///     with only a handful of schemas.
 ///
-/// The delta run exports two O(delta) witnesses, both turned into PASS/FAIL
-/// gates by `--check`:
+/// The delta run exports three O(delta) witnesses, all turned into
+/// PASS/FAIL gates by `--check`:
 ///   * paygo.classifier.domains_refreshed / domains_reused: refreshed
 ///     domains must stay within a small per-add budget;
 ///   * paygo.arrival.postings_visited: on the web shape, the posting-list
 ///     entries read per arrival must stay within n / 8 for a base corpus of
 ///     n schemas (reported, not gated, on ddh, whose few domains make every
-///     list long).
+///     list long);
+///   * heap allocations per add (clone + AddSchema + dropping the old
+///     snapshot), counted by this binary's own global operator new. They
+///     are counted in an untimed delta run that goes first, so it appends
+///     into the built system's feature and membership blocks the way a
+///     serving writer does (a chain that starts from a snapshot a sibling
+///     already appended to pays one O(n) block copy on its first add).
+///     Allocations and bytes per add are reported. On the web shape the
+///     same count on a twin built without mediation must stay within the
+///     same n / 8, so no step may copy the per-schema or per-domain rows
+///     one allocation each. Mediation is left out of the gate because
+///     re-mediating a touched domain makes hundreds of allocations: O(delta),
+///     but a cost that does not shrink with n, so no n-relative budget
+///     could hold it at every corpus size.
 /// A second, traced delta pass reports each add's mean self time in every
 /// span it records (system.clone, system.add_schema, its .assign and
 /// .similarity children, system.mediate_delta, system.update_classifier
@@ -45,17 +58,20 @@
 ///   --adds N             schemas streamed per corpus (default 40)
 ///   --smoke              tiny preset (ddh: one 120-schema corpus; web:
 ///                        200 domains; 8 adds)
-///   --check              exit 1 if refresh or postings work is not O(delta)
+///   --check              exit 1 if refresh, postings work or allocations
+///                        are not O(delta)
 ///   --json-out FILE      machine-readable output ("" disables)
 ///   --human              readable summary instead of JSON
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -68,6 +84,53 @@
 #include "serve/paygo_server.h"
 #include "synth/ddh_generator.h"
 #include "synth/many_domains.h"
+
+namespace {
+
+/// Heap allocations (and their bytes) made by any thread of this process.
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
+
+void* CountedAlloc(std::size_t size, std::size_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  void* p = align == 0 ? std::malloc(size == 0 ? 1 : size)
+                       : std::aligned_alloc(align, size == 0 ? align : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+// Counting global allocation hooks; every form funnels through malloc/free.
+void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new[](std::size_t size) { return CountedAlloc(size, 0); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+// GCC pairs free() with the replaced operator new and warns about it.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace {
 
@@ -114,15 +177,28 @@ struct LatencySummary {
   }
 };
 
+/// Heap traffic of a churn run, summed over its adds.
+struct HeapTally {
+  std::uint64_t allocations = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t max_allocations = 0;  ///< Of the single heaviest add.
+};
+
 /// The writer's per-update work, measured end to end: clone the served
-/// system, fold one schema in, adopt the draft.
+/// system, fold one schema in, adopt the draft (dropping the old one).
+/// With \p tally, also counts that work's heap allocations.
 std::vector<double> RunChurn(const IntegrationSystem& base, bool delta_mode,
-                             const SchemaCorpus& arrivals) {
+                             const SchemaCorpus& arrivals,
+                             HeapTally* tally = nullptr) {
   auto sys = base.Clone();
   sys->set_delta_mutations(delta_mode);
   std::vector<double> us;
   us.reserve(arrivals.size());
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    const std::uint64_t allocs0 =
+        g_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t bytes0 =
+        g_allocated_bytes.load(std::memory_order_relaxed);
     const Clock::time_point t0 = Clock::now();
     auto draft = sys->Clone();
     auto added = draft->AddSchema(arrivals.schema(i), arrivals.labels(i));
@@ -132,6 +208,14 @@ std::vector<double> RunChurn(const IntegrationSystem& base, bool delta_mode,
       std::exit(1);
     }
     sys = std::move(draft);
+    if (tally != nullptr) {
+      const std::uint64_t allocs =
+          g_allocations.load(std::memory_order_relaxed) - allocs0;
+      tally->allocations += allocs;
+      tally->bytes += g_allocated_bytes.load(std::memory_order_relaxed) -
+                      bytes0;
+      tally->max_allocations = std::max(tally->max_allocations, allocs);
+    }
   }
   return us;
 }
@@ -213,7 +297,8 @@ struct Workload {
   SchemaCorpus base;
   SchemaCorpus arrivals;
   SystemOptions options;
-  /// Posting entries an arrival may read under --check; 0 = not gated.
+  /// Posting entries an arrival may read, and heap allocations an add may
+  /// make, under --check; 0 = not gated.
   std::uint64_t visited_budget = 0;
 };
 
@@ -316,6 +401,27 @@ int main(int argc, char** argv) {
     }
     const std::size_t adds = w.arrivals.size();
 
+    HeapTally heap;
+    RunChurn(**built, /*delta_mode=*/true, w.arrivals, &heap);
+    HeapTally unmediated;
+    if (w.visited_budget > 0) {
+      SystemOptions bare = w.options;
+      bare.build_mediation = false;
+      auto twin = IntegrationSystem::Build(w.base, bare);
+      if (!twin.ok()) {
+        std::cerr << twin.status() << "\n";
+        return 1;
+      }
+      RunChurn(**twin, /*delta_mode=*/true, w.arrivals, &unmediated);
+    }
+    const double allocs_per_add =
+        static_cast<double>(heap.allocations) / static_cast<double>(adds);
+    const double alloc_bytes_per_add =
+        static_cast<double>(heap.bytes) / static_cast<double>(adds);
+    const double unmediated_allocs_per_add =
+        static_cast<double>(unmediated.allocations) /
+        static_cast<double>(adds);
+
     const std::vector<double> full_us =
         RunChurn(**built, /*delta_mode=*/false, w.arrivals);
     refreshed->Reset();
@@ -353,7 +459,10 @@ int main(int argc, char** argv) {
     const bool visited_ok =
         w.visited_budget == 0 ||
         visited_per_add <= static_cast<double>(w.visited_budget);
-    if (!refresh_ok || !visited_ok) check_failed = true;
+    const bool allocs_ok =
+        w.visited_budget == 0 ||
+        unmediated_allocs_per_add <= static_cast<double>(w.visited_budget);
+    if (!refresh_ok || !visited_ok || !allocs_ok) check_failed = true;
 
     std::ostringstream spans_json;
     const char* sep = "";
@@ -380,7 +489,13 @@ int main(int argc, char** argv) {
             << ", \"arrival\": {\"postings_visited_per_add\": "
             << visited_per_add
             << ", \"visited_budget\": " << w.visited_budget
-            << ", \"o_delta\": " << (visited_ok ? "true" : "false")
+            << ", \"o_delta\": " << (visited_ok ? "true" : "false") << "}"
+            << ", \"heap\": {\"allocs_per_add\": " << allocs_per_add
+            << ", \"alloc_bytes_per_add\": " << alloc_bytes_per_add
+            << ", \"max_allocs_one_add\": " << heap.max_allocations
+            << ", \"unmediated_allocs_per_add\": " << unmediated_allocs_per_add
+            << ", \"alloc_budget\": " << w.visited_budget
+            << ", \"o_delta\": " << (allocs_ok ? "true" : "false")
             << "}}";
 
     human << w.key << " (" << w.base.size() << " schemas, " << num_domains
@@ -403,6 +518,14 @@ int main(int argc, char** argv) {
     if (w.visited_budget > 0) {
       human << " (budget " << w.visited_budget << ", "
             << (visited_ok ? "O(delta) OK" : "O(delta) VIOLATED") << ")";
+    }
+    human << "\n  heap allocations per add " << allocs_per_add << " ("
+          << alloc_bytes_per_add << " bytes; heaviest add "
+          << heap.max_allocations << ")";
+    if (w.visited_budget > 0) {
+      human << "\n  without mediation " << unmediated_allocs_per_add
+            << " (budget " << w.visited_budget << ", "
+            << (allocs_ok ? "O(delta) OK" : "O(delta) VIOLATED") << ")";
     }
     human << "\n";
   }
@@ -440,8 +563,8 @@ int main(int argc, char** argv) {
     std::cout << results.str() << "\n";
   }
   if (opts.check && check_failed) {
-    std::cerr << "FAIL: classifier refresh or postings work exceeded the "
-                 "O(delta) budget\n";
+    std::cerr << "FAIL: classifier refresh, postings work or heap "
+                 "allocations exceeded the O(delta) budget\n";
     return 1;
   }
   return 0;

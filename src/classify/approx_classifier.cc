@@ -21,7 +21,7 @@ void ClampIntoOpenUnit(DomainConditionals* c) {
 
 DomainConditionals ExpectedWorld(const DomainModel& model,
                                  std::uint32_t domain,
-                                 const std::vector<DynamicBitset>& features,
+                                 std::span<const DynamicBitset> features,
                                  std::size_t num_schemas_total) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
   const double p = dim > 0 ? 1.0 / static_cast<double>(dim) : 0.5;
@@ -53,7 +53,7 @@ DomainConditionals ExpectedWorld(const DomainModel& model,
 }
 
 DomainConditionals MonteCarlo(const DomainModel& model, std::uint32_t domain,
-                              const std::vector<DynamicBitset>& features,
+                              std::span<const DynamicBitset> features,
                               std::size_t num_schemas_total,
                               std::size_t num_samples, Rng& rng) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
@@ -114,7 +114,7 @@ DomainConditionals MonteCarlo(const DomainModel& model, std::uint32_t domain,
 
 Result<DomainConditionals> ComputeApproxDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
+    std::span<const DynamicBitset> features, std::size_t num_schemas_total,
     const ApproxClassifierOptions& options) {
   if (num_schemas_total == 0) {
     return Status::InvalidArgument("num_schemas_total must be positive");
@@ -137,7 +137,7 @@ Result<DomainConditionals> ComputeApproxDomainConditionals(
 }
 
 Result<NaiveBayesClassifier> BuildApproxClassifier(
-    const DomainModel& model, const std::vector<DynamicBitset>& features,
+    const DomainModel& model, std::span<const DynamicBitset> features,
     std::size_t num_schemas_total, const ApproxClassifierOptions& options) {
   if (features.size() != model.num_schemas()) {
     return Status::InvalidArgument(

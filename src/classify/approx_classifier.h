@@ -19,6 +19,7 @@
 ///    variance ~ 1/K.
 
 #include <cstdint>
+#include <span>
 
 #include "classify/naive_bayes.h"
 #include "cluster/probabilistic_assignment.h"
@@ -47,14 +48,14 @@ struct ApproxClassifierOptions {
 /// \brief Builds a NaiveBayesClassifier whose per-domain conditionals are
 /// approximated instead of computed exactly.
 Result<NaiveBayesClassifier> BuildApproxClassifier(
-    const DomainModel& model, const std::vector<DynamicBitset>& features,
+    const DomainModel& model, std::span<const DynamicBitset> features,
     std::size_t num_schemas_total, const ApproxClassifierOptions& options = {});
 
 /// Approximate conditionals for one domain (exposed for accuracy tests
 /// against ComputeDomainConditionals).
 Result<DomainConditionals> ComputeApproxDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
+    std::span<const DynamicBitset> features, std::size_t num_schemas_total,
     const ApproxClassifierOptions& options);
 
 }  // namespace paygo

@@ -142,7 +142,7 @@ Status CheckExhaustiveBudget(std::uint32_t domain, std::size_t num_uncertain,
   return Status::OK();
 }
 
-/// The scorer's clamp (PrecomputeDomain): keeps log q and log(1 - q)
+/// The scorer's clamp (SetDomain): keeps log q and log(1 - q)
 /// finite. The exact engines apply it to their output too, so their
 /// conditionals are strictly inside (0, 1) even at dim 1, where p = 1 and
 /// the m-estimate can round to exactly 1.0. Clamping twice is a no-op, so
@@ -292,16 +292,59 @@ DomainConditionals ConditionalsBuilder::Finish(double prior) && {
   return std::move(out_);
 }
 
-Result<DomainConditionals> ComputeDomainConditionals(
-    const DomainModel& model, std::uint32_t domain,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
-    ClassifierEngine engine, std::size_t max_uncertain_exhaustive) {
+namespace {
+
+/// Pr(D_r) from the domain's world mass (Eq. 5.5's 1/|S|).
+double PriorFromMass(double mass, std::size_t num_schemas_total) {
+  return mass > 0.0 ? mass / static_cast<double>(num_schemas_total) : 0.0;
+}
+
+/// One domain's conditionals (prior left 0) with its |S|-free world mass.
+struct DomainFit {
+  DomainConditionals conditionals;
+  double mass = 0.0;
+};
+
+/// One domain's members split by certainty, with the possible-world
+/// accumulators over its uncertain ones.
+struct DomainWorlds {
+  std::vector<std::uint32_t> certain;
+  std::vector<std::uint32_t> uncertain;
+  WorldAccumulators acc;
+};
+
+Result<DomainWorlds> AccumulateDomain(const DomainModel& model,
+                                      std::uint32_t domain,
+                                      ClassifierEngine engine,
+                                      std::size_t max_uncertain_exhaustive) {
+  DomainWorlds w;
+  w.certain = model.CertainSchemas(domain);
+  w.uncertain = model.UncertainSchemas(domain);
+  const std::vector<double> probs = UncertainProbs(model, domain, w.uncertain);
+  switch (engine) {
+    case ClassifierEngine::kExhaustive:
+      PAYGO_RETURN_NOT_OK(CheckExhaustiveBudget(domain, w.uncertain.size(),
+                                                max_uncertain_exhaustive));
+      w.acc = AccumulateExhaustive(probs, w.certain.size());
+      break;
+    case ClassifierEngine::kFactored:
+      w.acc = AccumulateFactored(probs, w.certain.size());
+      break;
+  }
+  return w;
+}
+
+Result<DomainFit> FitDomain(const DomainModel& model, std::uint32_t domain,
+                            std::span<const DynamicBitset> features,
+                            ClassifierEngine engine,
+                            std::size_t max_uncertain_exhaustive) {
+  PAYGO_TRACE_SPAN("classify.domain_conditionals");
   const std::size_t dim = features.empty() ? 0 : features[0].size();
   const double p = dim > 0 ? 1.0 / static_cast<double>(dim) : 0.5;
-
-  const std::vector<std::uint32_t> certain = model.CertainSchemas(domain);
-  const std::vector<std::uint32_t> uncertain = model.UncertainSchemas(domain);
-  const std::vector<double> probs = UncertainProbs(model, domain, uncertain);
+  PAYGO_ASSIGN_OR_RETURN(
+      const DomainWorlds w,
+      AccumulateDomain(model, domain, engine, max_uncertain_exhaustive));
+  const WorldAccumulators& acc = w.acc;
 
   // Possible worlds for this domain: 2^u subsets of the uncertain schemas
   // (saturated for u >= 63). The exhaustive engine enumerates all of them;
@@ -311,46 +354,67 @@ Result<DomainConditionals> ComputeDomainConditionals(
   static Counter* enumerated =
       reg.GetCounter("paygo.classifier.subsets_enumerated");
   static Counter* pruned = reg.GetCounter("paygo.classifier.subsets_pruned");
-  const std::size_t u = probs.size();
+  const std::size_t u = w.uncertain.size();
   const std::uint64_t possible =
       u >= 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << u);
-
-  PAYGO_TRACE_SPAN("classify.domain_conditionals");
-  WorldAccumulators acc;
-  switch (engine) {
-    case ClassifierEngine::kExhaustive:
-      PAYGO_RETURN_NOT_OK(CheckExhaustiveBudget(domain, uncertain.size(),
-                                                max_uncertain_exhaustive));
-      acc = AccumulateExhaustive(probs, certain.size());
-      enumerated->Add(possible);
-      break;
-    case ClassifierEngine::kFactored:
-      acc = AccumulateFactored(probs, certain.size());
-      enumerated->Add(u + 1);
-      pruned->Add(possible - std::min<std::uint64_t>(possible, u + 1));
-      break;
+  if (engine == ClassifierEngine::kExhaustive) {
+    enumerated->Add(possible);
+  } else {
+    enumerated->Add(u + 1);
+    pruned->Add(possible - std::min<std::uint64_t>(possible, u + 1));
   }
 
-  if (acc.mass <= 0.0) return FlatConditionals(dim);
+  DomainFit fit;
+  fit.mass = acc.mass;
+  if (acc.mass <= 0.0) {
+    fit.conditionals = FlatConditionals(dim);
+    return fit;
+  }
   // Every feature no member has keeps the m-estimate's smoothing term
   // alone; the members' features are the exceptions.
   ConditionalsBuilder row(dim);
-  for (std::uint32_t s : certain) row.AddSupport(features[s]);
-  for (std::uint32_t s : uncertain) row.AddSupport(features[s]);
+  for (std::uint32_t s : w.certain) row.AddSupport(features[s]);
+  for (std::uint32_t s : w.uncertain) row.AddSupport(features[s]);
   const double inv_mass = 1.0 / acc.mass;
   const double smooth = p * acc.t1 * inv_mass;  // contribution of the p*m term
   const double slope = acc.t0 * inv_mass;       // per certain-member count
   row.Start(smooth);
-  for (std::uint32_t s : certain) row.Add(features[s], slope);
-  for (std::size_t i = 0; i < uncertain.size(); ++i) {
-    row.Add(features[uncertain[i]], acc.h[i] * inv_mass);
+  for (std::uint32_t s : w.certain) row.Add(features[s], slope);
+  for (std::size_t i = 0; i < u; ++i) {
+    row.Add(features[w.uncertain[i]], acc.h[i] * inv_mass);
   }
+  fit.conditionals = std::move(row).Finish(0.0);
+  fit.conditionals.default_q1 = ClampQ1(fit.conditionals.default_q1);
+  for (double& q : fit.conditionals.exception_q1) q = ClampQ1(q);
+  return fit;
+}
+
+/// The world mass of one domain: the same accumulation FitDomain runs
+/// (the mass sum is independent of the other accumulators, so the bits
+/// are the same).
+Result<double> ComputeDomainMass(const DomainModel& model,
+                                 std::uint32_t domain, ClassifierEngine engine,
+                                 std::size_t max_uncertain_exhaustive) {
+  PAYGO_ASSIGN_OR_RETURN(
+      const DomainWorlds w,
+      AccumulateDomain(model, domain, engine, max_uncertain_exhaustive));
+  return w.acc.mass;
+}
+
+constexpr double kUnknownMass = std::numeric_limits<double>::quiet_NaN();
+
+}  // namespace
+
+Result<DomainConditionals> ComputeDomainConditionals(
+    const DomainModel& model, std::uint32_t domain,
+    std::span<const DynamicBitset> features, std::size_t num_schemas_total,
+    ClassifierEngine engine, std::size_t max_uncertain_exhaustive) {
+  PAYGO_ASSIGN_OR_RETURN(
+      DomainFit fit,
+      FitDomain(model, domain, features, engine, max_uncertain_exhaustive));
   // The only place the corpus size enters (Eq. 5.5's 1/|S|).
-  DomainConditionals out =
-      std::move(row).Finish(acc.mass / static_cast<double>(num_schemas_total));
-  out.default_q1 = ClampQ1(out.default_q1);
-  for (double& q : out.exception_q1) q = ClampQ1(q);
-  return out;
+  fit.conditionals.prior = PriorFromMass(fit.mass, num_schemas_total);
+  return std::move(fit.conditionals);
 }
 
 Result<double> ComputeDomainPrior(const DomainModel& model,
@@ -358,29 +422,14 @@ Result<double> ComputeDomainPrior(const DomainModel& model,
                                   std::size_t num_schemas_total,
                                   ClassifierEngine engine,
                                   std::size_t max_uncertain_exhaustive) {
-  const std::vector<std::uint32_t> certain = model.CertainSchemas(domain);
-  const std::vector<std::uint32_t> uncertain = model.UncertainSchemas(domain);
-  const std::vector<double> probs = UncertainProbs(model, domain, uncertain);
-  // Run the same accumulation the full computation runs (the mass sum is
-  // independent of the other accumulators, so summing it alone in the same
-  // order yields the same bits), then apply the same final 1/|S|.
-  WorldAccumulators acc;
-  switch (engine) {
-    case ClassifierEngine::kExhaustive:
-      PAYGO_RETURN_NOT_OK(CheckExhaustiveBudget(domain, uncertain.size(),
-                                                max_uncertain_exhaustive));
-      acc = AccumulateExhaustive(probs, certain.size());
-      break;
-    case ClassifierEngine::kFactored:
-      acc = AccumulateFactored(probs, certain.size());
-      break;
-  }
-  if (acc.mass <= 0.0) return 0.0;
-  return acc.mass / static_cast<double>(num_schemas_total);
+  PAYGO_ASSIGN_OR_RETURN(
+      const double mass,
+      ComputeDomainMass(model, domain, engine, max_uncertain_exhaustive));
+  return PriorFromMass(mass, num_schemas_total);
 }
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
-    const DomainModel& model, const std::vector<DynamicBitset>& features,
+    const DomainModel& model, std::span<const DynamicBitset> features,
     std::size_t num_schemas_total, const ClassifierOptions& options) {
   if (features.size() != model.num_schemas()) {
     return Status::InvalidArgument(
@@ -392,18 +441,16 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
   NaiveBayesClassifier clf;
   clf.options_ = options;
   clf.dim_ = features.empty() ? 0 : features[0].size();
-  clf.conditionals_.reserve(model.num_domains());
   clf.singleton_domain_.reserve(model.num_domains());
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
-    PAYGO_ASSIGN_OR_RETURN(
-        DomainConditionals cond,
-        ComputeDomainConditionals(model, r, features, num_schemas_total,
-                                  options.engine,
-                                  options.max_uncertain_exhaustive));
-    clf.conditionals_.push_back(std::move(cond));
+    PAYGO_ASSIGN_OR_RETURN(DomainFit fit,
+                           FitDomain(model, r, features, options.engine,
+                                     options.max_uncertain_exhaustive));
+    const double prior = PriorFromMass(fit.mass, num_schemas_total);
+    clf.SetDomain(r, std::move(fit.conditionals), prior, fit.mass);
     clf.singleton_domain_.push_back(model.IsSingletonDomain(r));
   }
-  clf.Precompute();
+  clf.PublishMemory();
   return clf;
 }
 
@@ -413,29 +460,35 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::FromConditionals(
   PAYGO_RETURN_NOT_OK(ValidateConditionals(conditionals));
   NaiveBayesClassifier clf;
   clf.options_ = options;
-  clf.dim_ = conditionals.empty() ? 0 : conditionals[0].dim;
-  clf.conditionals_ = std::move(conditionals);
   clf.singleton_domain_ = std::move(singleton_domain);
-  clf.singleton_domain_.resize(clf.conditionals_.size(), false);
-  clf.Precompute();
+  clf.singleton_domain_.resize(conditionals.size(), false);
+  clf.AdoptConditionals(std::move(conditionals));
+  clf.PublishMemory();
   return clf;
 }
 
-void NaiveBayesClassifier::Precompute() {
+void NaiveBayesClassifier::AdoptConditionals(
+    std::vector<DomainConditionals> conditionals) {
   // All remaining query-independent work (Section 5.3): per-domain base
   // score with every feature absent, plus per-feature log-odds so a query
   // only pays for its set features.
-  rows_.resize(conditionals_.size());
-  for (std::size_t r = 0; r < conditionals_.size(); ++r) PrecomputeDomain(r);
-  PublishMemory();
+  dim_ = conditionals.empty() ? 0 : conditionals[0].dim;
+  for (std::size_t r = 0; r < conditionals.size(); ++r) {
+    const double prior = conditionals[r].prior;
+    SetDomain(r, std::move(conditionals[r]), prior, kUnknownMass);
+  }
 }
 
-void NaiveBayesClassifier::PrecomputeDomain(std::size_t r) {
-  const DomainConditionals& c = conditionals_[r];
-  ScoringRow& row = rows_[r];
+void NaiveBayesClassifier::SetDomain(std::size_t r,
+                                     DomainConditionals conditionals,
+                                     double prior, double mass) {
+  DomainRow row;
+  row.conditionals = std::move(conditionals);
+  row.conditionals.prior = 0.0;
+  const DomainConditionals& c = row.conditionals;
   const double dq = ClampQ1(c.default_q1);
   const double default_log1mq = std::log1p(-dq);
-  row.index.assign((dim_ + 63) / 64, ScoringRow::RankWord{});
+  row.index.assign((dim_ + 63) / 64, RankWord{});
   row.log_odds.resize(c.exceptions.size() + 1);
   row.log_odds[0] = std::log(dq) - default_log1mq;
   // sum_j log(1 - q1[j]) over every feature in ascending j, exactly the
@@ -453,34 +506,60 @@ void NaiveBayesClassifier::PrecomputeDomain(std::size_t r) {
   }
   for (; j < dim_; ++j) s += default_log1mq;
   std::uint64_t rank = 1;
-  for (ScoringRow::RankWord& w : row.index) {
+  for (RankWord& w : row.index) {
     w.rank = rank;
     rank += static_cast<std::uint64_t>(std::popcount(w.bits));
   }
   row.log1mq_sum = s;
+  if (r == rows_.size()) {
+    rows_.push_back(std::move(row));
+    views_.emplace_back();
+    bases_.push_back(0.0);
+    priors_.push_back(prior);
+    masses_.push_back(mass);
+  } else {
+    rows_.Set(r, std::move(row));
+    priors_[r] = prior;
+    masses_[r] = mass;
+  }
+  views_[r] = RowView(rows_[r]);
   RefreshBase(r);
 }
 
 void NaiveBayesClassifier::RefreshBase(std::size_t r) {
   constexpr double kNegInf = -1e300;
-  const double prior = conditionals_[r].prior;
-  rows_[r].base = (prior > 0.0 ? std::log(prior) : kNegInf) +
-                  rows_[r].log1mq_sum;
+  const double prior = priors_[r];
+  bases_[r] = (prior > 0.0 ? std::log(prior) : kNegInf) + rows_[r].log1mq_sum;
+}
+
+DomainConditionals NaiveBayesClassifier::Conditionals(
+    std::uint32_t domain) const {
+  DomainConditionals out = rows_[domain].conditionals;
+  out.prior = priors_[domain];
+  return out;
+}
+
+std::vector<DomainConditionals> NaiveBayesClassifier::conditionals() const {
+  std::vector<DomainConditionals> out;
+  out.reserve(rows_.size());
+  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+    out.push_back(Conditionals(r));
+  }
+  return out;
+}
+
+std::size_t NaiveBayesClassifier::DomainRow::HeapBytes() const {
+  return conditionals.exceptions.capacity() * sizeof(std::uint32_t) +
+         conditionals.exception_q1.capacity() * sizeof(double) +
+         index.capacity() * sizeof(RankWord) +
+         log_odds.capacity() * sizeof(double);
 }
 
 std::size_t NaiveBayesClassifier::MemoryBytes() const {
-  std::size_t bytes = conditionals_.capacity() * sizeof(DomainConditionals) +
-                      rows_.capacity() * sizeof(ScoringRow) +
-                      singleton_domain_.capacity() / 8;
-  for (const DomainConditionals& c : conditionals_) {
-    bytes += c.exceptions.capacity() * sizeof(std::uint32_t) +
-             c.exception_q1.capacity() * sizeof(double);
-  }
-  for (const ScoringRow& row : rows_) {
-    bytes += row.index.capacity() * sizeof(ScoringRow::RankWord) +
-             row.log_odds.capacity() * sizeof(double);
-  }
-  return bytes;
+  return rows_.MemoryBytes() + views_.capacity() * sizeof(RowView) +
+         (bases_.capacity() + priors_.capacity() + masses_.capacity()) *
+             sizeof(double) +
+         singleton_domain_.capacity() / 8;
 }
 
 void NaiveBayesClassifier::PublishMemory() const {
@@ -491,7 +570,7 @@ void NaiveBayesClassifier::PublishMemory() const {
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
     const NaiveBayesClassifier& base, const DomainModel& model,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
+    std::span<const DynamicBitset> features, std::size_t num_schemas_total,
     const std::vector<std::uint32_t>& affected_domains) {
   if (features.size() != model.num_schemas()) {
     return Status::InvalidArgument(
@@ -512,21 +591,6 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
   static Counter* reused = reg.GetCounter("paygo.classifier.domains_reused");
   PAYGO_TRACE_SPAN("classify.update_domains");
 
-  // Copies O(nonzeros + |D| * dim / 64): the sparse conditionals and the
-  // scoring rows' exception bitmaps.
-  NaiveBayesClassifier clf;
-  clf.options_ = base.options_;
-  clf.dim_ = base.dim_;
-  clf.conditionals_ = base.conditionals_;
-  clf.rows_ = base.rows_;
-  const std::size_t old_domains = base.num_domains();
-  clf.conditionals_.resize(model.num_domains());
-  clf.rows_.resize(model.num_domains());
-  clf.singleton_domain_.resize(model.num_domains());
-  for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
-    clf.singleton_domain_[r] = model.IsSingletonDomain(r);
-  }
-
   std::vector<bool> affected(model.num_domains(), false);
   for (std::uint32_t r : affected_domains) {
     if (r >= model.num_domains()) {
@@ -536,41 +600,52 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
     affected[r] = true;
   }
   // Domains the base classifier has never seen are necessarily affected.
-  for (std::size_t r = old_domains; r < model.num_domains(); ++r) {
+  for (std::size_t r = base.num_domains(); r < model.num_domains(); ++r) {
     affected[r] = true;
   }
 
+  // Copies handles and the flat per-domain scalars, never a row.
+  NaiveBayesClassifier clf = base;
+  clf.singleton_domain_.resize(model.num_domains());
+  for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
+    clf.singleton_domain_[r] = model.IsSingletonDomain(r);
+  }
+  std::uint64_t num_refreshed = 0;
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
     if (affected[r]) {
       PAYGO_ASSIGN_OR_RETURN(
-          clf.conditionals_[r],
-          ComputeDomainConditionals(model, r, features, num_schemas_total,
-                                    clf.options_.engine,
-                                    clf.options_.max_uncertain_exhaustive));
-      clf.PrecomputeDomain(r);
-      refreshed->Increment();
-    } else {
-      // Untouched schema set: q1 and log-odds are bitwise what Build()
-      // would produce (the accumulators never see |S|); only the prior's
-      // 1/|S| normalizer changed.
-      PAYGO_ASSIGN_OR_RETURN(
-          clf.conditionals_[r].prior,
-          ComputeDomainPrior(model, r, num_schemas_total, clf.options_.engine,
-                             clf.options_.max_uncertain_exhaustive));
-      clf.RefreshBase(r);
-      reused->Increment();
+          DomainFit fit,
+          FitDomain(model, r, features, clf.options_.engine,
+                    clf.options_.max_uncertain_exhaustive));
+      const double prior = PriorFromMass(fit.mass, num_schemas_total);
+      clf.SetDomain(r, std::move(fit.conditionals), prior, fit.mass);
+      ++num_refreshed;
+      continue;
     }
+    // Untouched schema set: q1 and log-odds are bitwise what Build() would
+    // produce (the accumulators never see |S|), and so is the mass; only
+    // the prior's 1/|S| normalizer changed.
+    if (std::isnan(clf.masses_[r])) {
+      PAYGO_ASSIGN_OR_RETURN(
+          clf.masses_[r],
+          ComputeDomainMass(model, r, clf.options_.engine,
+                            clf.options_.max_uncertain_exhaustive));
+    }
+    clf.priors_[r] = PriorFromMass(clf.masses_[r], num_schemas_total);
+    clf.RefreshBase(r);
   }
+  refreshed->Add(num_refreshed);
+  reused->Add(model.num_domains() - num_refreshed);
   clf.PublishMemory();
   return clf;
 }
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::WithPriors(
     const std::vector<double>& priors) const {
-  if (priors.size() != conditionals_.size()) {
+  if (priors.size() != num_domains()) {
     return Status::InvalidArgument(
         "WithPriors got " + std::to_string(priors.size()) +
-        " priors for " + std::to_string(conditionals_.size()) + " domains");
+        " priors for " + std::to_string(num_domains()) + " domains");
   }
   for (std::size_t r = 0; r < priors.size(); ++r) {
     if (!std::isfinite(priors[r]) || priors[r] < 0.0) {
@@ -579,10 +654,8 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::WithPriors(
     }
   }
   NaiveBayesClassifier clf = *this;
-  for (std::size_t r = 0; r < priors.size(); ++r) {
-    clf.conditionals_[r].prior = priors[r];
-    clf.RefreshBase(r);
-  }
+  clf.priors_ = priors;
+  for (std::size_t r = 0; r < priors.size(); ++r) clf.RefreshBase(r);
   return clf;
 }
 
@@ -609,12 +682,12 @@ void NaiveBayesClassifier::ClassifyInto(const DynamicBitset& query,
   scratch->set_bits.clear();
   query.AppendSetBits(&scratch->set_bits);
   out->clear();
-  out->reserve(rows_.size());
+  out->reserve(views_.size());
   const std::size_t* begin = scratch->set_bits.data();
   const std::size_t* end = begin + scratch->set_bits.size();
-  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+  for (std::uint32_t r = 0; r < views_.size(); ++r) {
     if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
-    out->push_back({r, RowView(rows_[r]).Score(rows_[r].base, begin, end)});
+    out->push_back({r, views_[r].Score(bases_[r], begin, end)});
   }
   // std::sort is in-place (introsort) — no heap traffic.
   std::sort(out->begin(), out->end(), ScoreBefore);
@@ -672,7 +745,7 @@ void NaiveBayesClassifier::ClassifyBatchInto(
   }
   for (std::size_t b = 0; b < batch; ++b) {
     (*out)[b].clear();
-    (*out)[b].reserve(rows_.size());
+    (*out)[b].reserve(views_.size());
   }
 
   // The struct-of-arrays sweep: domain-major, so each domain's scoring
@@ -688,10 +761,10 @@ void NaiveBayesClassifier::ClassifyBatchInto(
   const std::size_t total = scratch->batch_indices.size();
   scratch->batch_slots.resize(total);
   std::uint32_t* slots = scratch->batch_slots.data();
-  for (std::uint32_t r = 0; r < rows_.size(); ++r) {
+  for (std::uint32_t r = 0; r < views_.size(); ++r) {
     if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
-    const RowView row(rows_[r]);
-    const double base = rows_[r].base;
+    const RowView row = views_[r];
+    const double base = bases_[r];
     for (std::size_t k = 0; k < total; ++k) slots[k] = row.Slot(idx[k]);
     for (std::size_t b = 0; b < batch; ++b) {
       double s = base;

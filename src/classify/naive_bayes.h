@@ -43,10 +43,17 @@
 /// accumulators (the 1/|S| prior normalizer is applied once, at the end),
 /// so q1 is bitwise independent of the corpus size. That is what makes
 /// UpdateDomains() exact: when a schema arrives, only the domains whose
-/// schema sets changed need their conditionals recomputed — every other
-/// domain keeps its conditionals verbatim and merely has its prior
-/// rescaled to the new |S| (recomputed through the same accumulation loop,
-/// so the result is bit-identical to a from-scratch Build()).
+/// schema sets changed need their conditionals recomputed.
+///
+/// Each domain's |S|-independent part (its conditionals and scoring row)
+/// is one immutable shared row, and the classifier caches each domain's
+/// world mass, the |S|-free numerator of its prior. The |S|-dependent
+/// scalars (prior, base score) live in flat per-domain arrays next to a
+/// flat array of row pointers, so scoring reads a domain's row through one
+/// load, as a plain vector of rows would. An update therefore shares every
+/// untouched domain's row (one handle copy) and sets its prior to
+/// mass / |S|, which is bitwise what the accumulation in
+/// ComputeDomainPrior returns; only the touched domains are recomputed.
 
 #include <bit>
 #include <cstdint>
@@ -55,6 +62,7 @@
 
 #include "cluster/probabilistic_assignment.h"
 #include "util/bitset.h"
+#include "util/shared_rows.h"
 #include "util/status.h"
 
 namespace paygo {
@@ -161,7 +169,7 @@ class NaiveBayesClassifier {
   /// Builds the classifier from the domain model and the schema feature
   /// vectors (corpus order). \p num_schemas_total is |S| (Equation 5.5).
   static Result<NaiveBayesClassifier> Build(
-      const DomainModel& model, const std::vector<DynamicBitset>& features,
+      const DomainModel& model, std::span<const DynamicBitset> features,
       std::size_t num_schemas_total, const ClassifierOptions& options = {});
 
   /// Wraps externally computed conditionals (the approximate engines of
@@ -175,9 +183,11 @@ class NaiveBayesClassifier {
 
   /// Incremental refresh: a classifier for \p model where only the domains
   /// in \p affected_domains (plus any domains \p base does not cover yet)
-  /// have their conditionals recomputed; every other domain reuses \p
-  /// base's conditionals and precomputed log-odds verbatim, and has its
-  /// prior recomputed for the new \p num_schemas_total. Exact, not approximate:
+  /// have their conditionals recomputed; every other domain shares \p
+  /// base's row (conditionals and precomputed log-odds) and has its prior
+  /// set to its cached world mass over the new \p num_schemas_total (a
+  /// base built by FromConditionals has no masses yet; each is accumulated
+  /// from \p model on first use and kept in the result). Exact:
   /// the factored engine makes each domain's conditionals depend only on
   /// its own membership rows and its members' feature vectors, so the
   /// result is bit-identical to Build() over the same inputs. Domains must
@@ -186,7 +196,7 @@ class NaiveBayesClassifier {
   /// or membership probabilities changed.
   static Result<NaiveBayesClassifier> UpdateDomains(
       const NaiveBayesClassifier& base, const DomainModel& model,
-      const std::vector<DynamicBitset>& features,
+      std::span<const DynamicBitset> features,
       std::size_t num_schemas_total,
       const std::vector<std::uint32_t>& affected_domains);
 
@@ -229,28 +239,37 @@ class NaiveBayesClassifier {
                          std::vector<std::vector<DomainScore>>* out) const;
 
   /// Number of domains the classifier covers.
-  std::size_t num_domains() const { return conditionals_.size(); }
+  std::size_t num_domains() const { return priors_.size(); }
   /// Feature-space dimensionality.
   std::size_t dim() const { return dim_; }
 
   /// Pr(D_r) — for tests and inspection.
-  double Prior(std::uint32_t domain) const {
-    return conditionals_[domain].prior;
-  }
+  double Prior(std::uint32_t domain) const { return priors_[domain]; }
   /// Pr(F_j = 1 | D_r) — for tests and inspection.
   double FeatureProb(std::uint32_t domain, std::size_t j) const {
-    return conditionals_[domain].Q1(j);
+    return rows_[domain].conditionals.Q1(j);
+  }
+
+  /// True when this classifier and \p other hold domain \p domain's
+  /// conditionals and scoring row in one shared object (UpdateDomains and
+  /// WithPriors share the rows they do not recompute).
+  bool SharesDomainRow(const NaiveBayesClassifier& other,
+                       std::uint32_t domain) const {
+    return rows_.handle(domain) == other.rows_.handle(domain);
   }
 
   /// Heap bytes held by the model: conditionals, scoring rows and the
   /// per-domain scalars. Build, FromConditionals and UpdateDomains publish
-  /// it as the gauge paygo.classifier.model_bytes.
+  /// it as the gauge paygo.classifier.model_bytes. O(1).
   std::size_t MemoryBytes() const;
 
-  /// All per-domain conditionals (for persistence and the feedback layer).
-  const std::vector<DomainConditionals>& conditionals() const {
-    return conditionals_;
-  }
+  /// A copy of domain \p domain's conditionals, prior included. O(row).
+  DomainConditionals Conditionals(std::uint32_t domain) const;
+  /// A copy of every domain's conditionals, priors included (for
+  /// persistence). O(model): the classifier keeps them in shared
+  /// per-domain rows, not in one vector; compare one domain through
+  /// Conditionals(r).
+  std::vector<DomainConditionals> conditionals() const;
   /// Per-domain singleton flags, as passed at construction.
   const std::vector<bool>& singleton_domains() const {
     return singleton_domain_;
@@ -259,42 +278,48 @@ class NaiveBayesClassifier {
   const ClassifierOptions& options() const { return options_; }
 
  private:
-  /// The precomputed scoring terms of one domain:
-  ///   score(Q) = base + sum over set features j of log_odds(j),
-  /// where base = log prior + log1mq_sum (the cached sum_j log(1 - q1[j]))
-  /// and log_odds(j) = log q1[j] - log(1 - q1[j]). `log_odds` holds the
+  /// Exception bitmap word j/64 with its rank.
+  struct RankWord {
+    std::uint64_t bits = 0;
+    /// 1 + the number of exceptions in the words before this one.
+    std::uint64_t rank = 0;
+  };
+
+  /// One domain's |S|-independent part, immutable and shared: its
+  /// conditionals (prior left 0; priors_ holds it) and precomputed scoring
+  /// terms. score(Q) = base + sum over set features j of log_odds(j), with
+  /// base = log prior + log1mq_sum (the cached sum_j log(1 - q1[j])) and
+  /// log_odds(j) = log q1[j] - log(1 - q1[j]). `log_odds` holds the
   /// default's log-odds in slot 0 and exception k's in slot k + 1, so
   /// log_odds(j) = log_odds[Slot(j)] with Slot(j) = 0 when bit j of the
   /// exception bitmap is clear, else the word's rank plus the popcount of
   /// its set bits below j.
-  struct ScoringRow {
-    struct RankWord {
-      /// Exception bitmap word j/64.
-      std::uint64_t bits = 0;
-      /// 1 + the number of exceptions in the words before this one.
-      std::uint64_t rank = 0;
-    };
-    double base = 0.0;
+  struct DomainRow {
+    DomainConditionals conditionals;
     /// Kept apart from base so a prior-only change (incremental arrivals
     /// rescale every prior; click feedback reweights them) refreshes base
     /// without the O(dim) log evaluations.
     double log1mq_sum = 0.0;
     std::vector<RankWord> index;
     std::vector<double> log_odds;
+
+    std::size_t HeapBytes() const;
   };
 
-  /// A scoring row's lookup arrays, held in locals across a domain's loop.
+  /// A scoring row's lookup arrays. Kept in a flat per-domain array, so
+  /// the scoring loops reach a domain's row in one load.
   struct RowView {
-    const ScoringRow::RankWord* index;
-    const double* log_odds;
+    const RankWord* index = nullptr;
+    const double* log_odds = nullptr;
 
-    explicit RowView(const ScoringRow& row)
+    RowView() = default;
+    explicit RowView(const DomainRow& row)
         : index(row.index.data()), log_odds(row.log_odds.data()) {}
 
     /// Slot(j) in O(1). Only the integer slot branches, never a double,
     /// so a caller's running sum stays in a register.
     std::uint32_t Slot(std::size_t j) const {
-      const ScoringRow::RankWord& w = index[j >> 6];
+      const RankWord& w = index[j >> 6];
       const std::uint64_t bit = std::uint64_t{1} << (j & 63);
       std::uint64_t slot = 0;
       if ((w.bits & bit) != 0) {
@@ -314,36 +339,45 @@ class NaiveBayesClassifier {
   };
 
   NaiveBayesClassifier() = default;
-  void Precompute();
-  /// Recomputes rows_[r] from conditionals_[r]. The single canonical
-  /// per-domain precompute — both the full Build() and the incremental
-  /// UpdateDomains() go through it, which is what keeps the two paths
-  /// bit-identical.
-  void PrecomputeDomain(std::size_t r);
-  /// rows_[r].base from the domain's prior and cached log1mq_sum.
+  /// Adopts \p conditionals (priors into priors_, masses unknown) and
+  /// precomputes every row.
+  void AdoptConditionals(std::vector<DomainConditionals> conditionals);
+  /// Installs domain r's row (r <= num rows: replace or append) with
+  /// \p conditionals (prior ignored), \p prior and world \p mass. The single
+  /// canonical per-domain precompute: Build, FromConditionals and
+  /// UpdateDomains all go through it, which keeps them bit-identical.
+  void SetDomain(std::size_t r, DomainConditionals conditionals, double prior,
+                 double mass);
+  /// bases_[r] from the domain's prior and cached log1mq_sum.
   void RefreshBase(std::size_t r);
   /// Publishes MemoryBytes() on the model-bytes gauge.
   void PublishMemory() const;
 
   ClassifierOptions options_;
   std::size_t dim_ = 0;
-  std::vector<DomainConditionals> conditionals_;
+  SharedRows<DomainRow> rows_;
+  // Flat per-domain arrays, indexed by domain id.
+  std::vector<RowView> views_;  ///< rows_[r]'s lookup arrays.
+  std::vector<double> bases_;   ///< log prior + log1mq_sum.
+  std::vector<double> priors_;
+  /// World mass: |S| * prior as the engines accumulate it, independent of
+  /// |S|. NaN when unknown (conditionals given without their model).
+  std::vector<double> masses_;
   std::vector<bool> singleton_domain_;
-  std::vector<ScoringRow> rows_;
 };
 
 /// Computes the exact per-domain conditionals for one domain. Exposed for
 /// tests (the exhaustive/factored agreement property) and the perf bench.
 Result<DomainConditionals> ComputeDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
+    std::span<const DynamicBitset> features, std::size_t num_schemas_total,
     ClassifierEngine engine, std::size_t max_uncertain_exhaustive);
 
 /// Computes only Pr(D_r) for one domain — the cheap O(|S-hat|^2) slice of
 /// ComputeDomainConditionals, accumulated through the identical loop so
-/// the result is bit-identical to the full computation's prior. This is
-/// what lets UpdateDomains rescale unaffected domains' priors to a new
-/// corpus size without touching their conditionals.
+/// the result is bit-identical to the full computation's prior. Equal to
+/// the world mass the classifier caches per domain, divided by
+/// \p num_schemas_total (0 when the mass is not positive).
 Result<double> ComputeDomainPrior(const DomainModel& model,
                                   std::uint32_t domain,
                                   std::size_t num_schemas_total,

@@ -95,15 +95,15 @@ struct ClusterState {
   std::vector<DynamicBitset> or_bits;
   bool track_bits = false;
 
-  void Init(std::size_t n, const std::vector<DynamicBitset>& features,
+  void Init(std::size_t n, std::span<const DynamicBitset> features,
             bool need_bits) {
     members.resize(n);
     active.assign(n, true);
     track_bits = need_bits;
     for (std::uint32_t i = 0; i < n; ++i) members[i] = {i};
     if (need_bits) {
-      and_bits = features;
-      or_bits = features;
+      and_bits.assign(features.begin(), features.end());
+      or_bits.assign(features.begin(), features.end());
     }
   }
 
@@ -243,7 +243,7 @@ Status ValidateHacOptions(std::size_t n, const HacOptions& options,
   return Status::OK();
 }
 
-Status ValidateFeatures(const std::vector<DynamicBitset>& features) {
+Status ValidateFeatures(std::span<const DynamicBitset> features) {
   for (std::size_t i = 1; i < features.size(); ++i) {
     if (features[i].size() != features[0].size()) {
       return Status::InvalidArgument(
@@ -270,7 +270,7 @@ ConstraintState BuildConstraintState(std::size_t n,
   return cs;
 }
 
-HacResult RunNaive(const std::vector<DynamicBitset>& features,
+HacResult RunNaive(std::span<const DynamicBitset> features,
                    const SimilarityMatrix& sims, const HacOptions& options,
                    HacRunStats& stats) {
   const std::size_t n = features.size();
@@ -396,7 +396,7 @@ constexpr double kNoKey = -std::numeric_limits<double>::infinity();
 /// cell and every row bound is written by the chunk that owns its row (or
 /// its candidate c in a merge sweep), each from the same inputs the serial
 /// path reads, and no FP reduction crosses chunks.
-HacResult RunFast(std::size_t n, const std::vector<DynamicBitset>& features,
+HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
                   const KeySeeder& seed_keys, const HacOptions& options,
                   ThreadPool* pool, HacRunStats& stats) {
   ++stats.components;
@@ -624,7 +624,7 @@ HacResult RunFast(std::size_t n, const std::vector<DynamicBitset>& features,
 
 /// Dense path: one engine run over the whole corpus, its keys seeded from
 /// the matrix's rows.
-Result<HacResult> RunOnMatrix(const std::vector<DynamicBitset>& features,
+Result<HacResult> RunOnMatrix(std::span<const DynamicBitset> features,
                               const SimilarityMatrix& sims,
                               const HacOptions& options) {
   PAYGO_TRACE_SPAN("hac.run");
@@ -881,7 +881,7 @@ std::size_t HacResult::NumSingletons() const {
   return c;
 }
 
-Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
+Result<HacResult> Hac::Run(std::span<const DynamicBitset> features,
                            const SimilarityMatrix& sims,
                            const HacOptions& options) {
   if (features.size() != sims.size()) {
@@ -895,7 +895,7 @@ Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
   return RunOnMatrix(features, sims, options);
 }
 
-Result<HacResult> Hac::Run(const std::vector<DynamicBitset>& features,
+Result<HacResult> Hac::Run(std::span<const DynamicBitset> features,
                            const HacOptions& options) {
   PAYGO_RETURN_NOT_OK(
       ValidateHacOptions(features.size(), options, /*graph=*/false));

@@ -26,6 +26,7 @@
 /// is kept as a correctness reference for tests.
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -102,12 +103,12 @@ class Hac {
   /// precomputed \p sims must describe the same schemas. \p features is
   /// only consulted by the Total-Jaccard linkage (cluster AND/OR
   /// summaries); the other linkages work from \p sims alone.
-  static Result<HacResult> Run(const std::vector<DynamicBitset>& features,
+  static Result<HacResult> Run(std::span<const DynamicBitset> features,
                                const SimilarityMatrix& sims,
                                const HacOptions& options);
 
   /// Convenience overload that computes the similarity matrix itself.
-  static Result<HacResult> Run(const std::vector<DynamicBitset>& features,
+  static Result<HacResult> Run(std::span<const DynamicBitset> features,
                                const HacOptions& options);
 
   /// Clusters over a prebuilt NeighborGraph without a dense matrix. The

@@ -40,15 +40,15 @@ DomainModel AssignArrival(const DomainModel& model,
   for (const JaccardEntry& e : row) {
     if (e.id < n) sims[e.id] = e.sim;
   }
-  std::vector<std::vector<std::uint32_t>> clusters = model.clusters();
+  const SharedRows<std::vector<std::uint32_t>>& clusters = model.clusters();
   double max_sim = 0.0;
   std::vector<double> sc(clusters.size(), 0.0);
   for (std::uint32_t r = 0; r < clusters.size(); ++r) {
+    const std::vector<std::uint32_t>& cluster = clusters[r];
     double total = 0.0;
-    for (std::uint32_t j : clusters[r]) total += sims[j];
-    sc[r] = clusters[r].empty()
-                ? 0.0
-                : total / static_cast<double>(clusters[r].size());
+    for (std::uint32_t j : cluster) total += sims[j];
+    sc[r] = cluster.empty() ? 0.0
+                            : total / static_cast<double>(cluster.size());
     max_sim = std::max(max_sim, sc[r]);
   }
 
@@ -61,40 +61,31 @@ DomainModel AssignArrival(const DomainModel& model,
     norm += sc[r];
   }
 
+  // Home cluster: the most similar qualifying one, or a fresh singleton.
+  auto home = static_cast<std::uint32_t>(clusters.size());
   if (qualifying.empty()) {
-    // Open a fresh singleton domain.
-    const auto new_domain = static_cast<std::uint32_t>(clusters.size());
-    clusters.push_back({out->schema_id});
-    out->memberships = {{new_domain, 1.0}};
+    out->memberships = {{home, 1.0}};
     out->created_new_domain = true;
   } else {
-    // Home cluster: the most similar qualifying one.
-    std::uint32_t home = qualifying[0];
+    home = qualifying[0];
     for (std::uint32_t r : qualifying) {
       if (sc[r] > sc[home]) home = r;
     }
-    clusters[home].push_back(out->schema_id);
-    std::sort(clusters[home].begin(), clusters[home].end());
     for (std::uint32_t r : qualifying) {
       out->memberships.emplace_back(r, sc[r] / norm);
     }
   }
-
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> schema_domains(
-      n + 1);
-  for (std::uint32_t i = 0; i < n; ++i) schema_domains[i] = model.DomainsOf(i);
-  schema_domains[n] = out->memberships;
-  return DomainModel::Build(std::move(clusters), std::move(schema_domains));
+  return model.WithArrival(out->memberships, home);
 }
 
 IncrementalClusterer::IncrementalClusterer(
     const Tokenizer& tokenizer, const FeatureVectorizer& vectorizer,
-    std::vector<DynamicBitset> features, const DomainModel& model,
+    std::span<const DynamicBitset> features, const DomainModel& model,
     IncrementalOptions options)
     : tokenizer_(tokenizer),
       vectorizer_(vectorizer),
       options_(options),
-      features_(std::move(features)),
+      features_(std::vector<DynamicBitset>(features.begin(), features.end())),
       postings_(features_),
       model_(model) {}
 

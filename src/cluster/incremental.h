@@ -21,7 +21,11 @@
 ///    row — absent entries are scattered back as 0.0, so each cluster sum
 ///    adds the same doubles in the same member order as a dense scan;
 ///  * it joins every cluster passing the tau/theta tests with normalized
-///    probabilities, or opens a fresh singleton domain.
+///    probabilities, or opens a fresh singleton domain. The grown model
+///    (DomainModel::WithArrival) appends the newcomer's membership row to
+///    the block the old model's rows live in and replaces only the rows
+///    of the domains it joins; every other cluster and member list stays
+///    shared, so the arrival copies no row of the model.
 ///
 /// IntegrationSystem::AddSchema runs the same steps (FeaturizeArrival,
 /// its own shared index, AssignArrival) and hands the one sparse row on to
@@ -87,8 +91,9 @@ Result<ArrivalVector> FeaturizeArrival(const Tokenizer& tokenizer,
 /// sparse s_sim row against the model's schemas (FeaturePostings::
 /// JaccardRow). Returns the model grown by the newcomer: a member of every
 /// qualifying domain with normalized probability and a hard member of the
-/// most similar one, or the only member of a fresh singleton domain. Sets
-/// \p out's schema_id, memberships and created_new_domain.
+/// most similar one, or the only member of a fresh singleton domain. The
+/// result shares every row it does not change with \p model. Sets \p out's
+/// schema_id, memberships and created_new_domain.
 DomainModel AssignArrival(const DomainModel& model,
                           std::span<const JaccardEntry> row,
                           const IncrementalOptions& options,
@@ -99,10 +104,10 @@ class IncrementalClusterer {
  public:
   /// Takes over a built model. \p vectorizer and \p tokenizer must outlive
   /// the clusterer; \p features are the existing schemas' vectors, which
-  /// the clusterer indexes once (FeaturePostings) and keeps.
+  /// the clusterer copies, indexes once (FeaturePostings) and keeps.
   IncrementalClusterer(const Tokenizer& tokenizer,
                        const FeatureVectorizer& vectorizer,
-                       std::vector<DynamicBitset> features,
+                       std::span<const DynamicBitset> features,
                        const DomainModel& model,
                        IncrementalOptions options = {});
 
@@ -113,7 +118,7 @@ class IncrementalClusterer {
   const DomainModel& model() const { return model_; }
 
   /// Feature vectors including added schemas (corpus order).
-  const std::vector<DynamicBitset>& features() const { return features_; }
+  const FeatureRows& features() const { return features_; }
 
   /// Number of schemas added since construction.
   std::size_t num_added() const { return num_added_; }
@@ -131,7 +136,7 @@ class IncrementalClusterer {
   const Tokenizer& tokenizer_;
   const FeatureVectorizer& vectorizer_;
   IncrementalOptions options_;
-  std::vector<DynamicBitset> features_;
+  FeatureRows features_;
   FeaturePostings postings_;  ///< Index of features_.
   DomainModel model_;
   std::size_t num_added_ = 0;

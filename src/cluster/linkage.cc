@@ -38,7 +38,7 @@ constexpr std::size_t kFloatsPerLine = 64 / sizeof(float);
 /// Row k of the triangle: Jaccard against every earlier schema, then the
 /// diagonal.
 std::shared_ptr<const float[]> ComputeRow(
-    const std::vector<DynamicBitset>& features, std::size_t k) {
+    std::span<const DynamicBitset> features, std::size_t k) {
   std::shared_ptr<float[]> row = std::make_shared_for_overwrite<float[]>(k + 1);
   for (std::size_t j = 0; j < k; ++j) {
     row[j] =
@@ -60,7 +60,7 @@ std::shared_ptr<const float[]> RowFromSparse(
 
 }  // namespace
 
-SimilarityMatrix::SimilarityMatrix(const std::vector<DynamicBitset>& features,
+SimilarityMatrix::SimilarityMatrix(std::span<const DynamicBitset> features,
                                    std::size_t num_threads)
     : rows_(features.size()) {
   const std::size_t n = features.size();
@@ -91,7 +91,7 @@ SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
 }
 
 SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
-                                   const std::vector<DynamicBitset>& features)
+                                   std::span<const DynamicBitset> features)
     : rows_(base.rows_) {
   assert(features.size() >= rows_.size());
   FeaturePostings postings(std::span(features.data(), rows_.size()));

@@ -70,7 +70,7 @@ class SimilarityMatrix {
   /// spreads the O(n^2) fill over a worker pool (0 = hardware_concurrency,
   /// 1 = serial); every row is written by exactly one row chunk, so the
   /// matrix is bit-identical at any thread count.
-  explicit SimilarityMatrix(const std::vector<DynamicBitset>& features,
+  explicit SimilarityMatrix(std::span<const DynamicBitset> features,
                             std::size_t num_threads = 1);
 
   /// Appends one schema, id n = base.size(), given its exact similarity
@@ -87,7 +87,7 @@ class SimilarityMatrix {
   /// (size >= n, the tail newly appended): indexes the prefix, then appends
   /// each tail schema's JaccardRow in order with the row constructor above.
   SimilarityMatrix(const SimilarityMatrix& base,
-                   const std::vector<DynamicBitset>& features);
+                   std::span<const DynamicBitset> features);
 
   /// s_sim(S_i, S_j); symmetric, At(i, i) == 1 for non-empty vectors.
   double At(std::size_t i, std::size_t j) const {

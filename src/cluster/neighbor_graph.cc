@@ -45,7 +45,7 @@ void FlushStats(const NeighborGraphStats& s) {
   builds->Increment();
 }
 
-Status ValidateInput(const std::vector<DynamicBitset>& features,
+Status ValidateInput(std::span<const DynamicBitset> features,
                      const NeighborGraphOptions& options) {
   if (options.edge_tau < 0.0 || options.edge_tau >= 1.0) {
     return Status::InvalidArgument("edge_tau must be in [0, 1)");
@@ -197,7 +197,7 @@ void NeighborGraph::PruneTopK(std::size_t top_k, std::size_t num_threads) {
 }
 
 Result<NeighborGraph> NeighborGraph::Build(
-    const std::vector<DynamicBitset>& features,
+    std::span<const DynamicBitset> features,
     const NeighborGraphOptions& options) {
   PAYGO_RETURN_NOT_OK(ValidateInput(features, options));
   return Build(features,
@@ -208,7 +208,7 @@ Result<NeighborGraph> NeighborGraph::Build(
 }
 
 Result<NeighborGraph> NeighborGraph::Build(
-    const std::vector<DynamicBitset>& features,
+    std::span<const DynamicBitset> features,
     const FeaturePostings& postings, const NeighborGraphOptions& options) {
   PAYGO_TRACE_SPAN("hac.neighbor_graph");
   PAYGO_RETURN_NOT_OK(ValidateInput(features, options));
@@ -484,7 +484,7 @@ NeighborGraph::NeighborGraph(const NeighborGraph& base,
 }
 
 NeighborGraph::NeighborGraph(const NeighborGraph& base,
-                             const std::vector<DynamicBitset>& features)
+                             std::span<const DynamicBitset> features)
     : NeighborGraph(base) {
   assert(features.size() >= base.num_nodes());
   FeaturePostings postings(

@@ -112,13 +112,13 @@ class NeighborGraph {
 
   /// Builds the graph over \p features (one bitset per schema, all the
   /// same dimensionality) according to \p options.
-  static Result<NeighborGraph> Build(const std::vector<DynamicBitset>& features,
+  static Result<NeighborGraph> Build(std::span<const DynamicBitset> features,
                                      const NeighborGraphOptions& options);
 
   /// Build with the caller's index of \p features (exact mode enumerates
   /// from its lists; LSH mode ignores it). IntegrationSystem keeps the
   /// index for arrivals, so it is built once.
-  static Result<NeighborGraph> Build(const std::vector<DynamicBitset>& features,
+  static Result<NeighborGraph> Build(std::span<const DynamicBitset> features,
                                      const FeaturePostings& postings,
                                      const NeighborGraphOptions& options);
 
@@ -138,7 +138,7 @@ class NeighborGraph {
   /// Indexes the prefix, then appends each tail schema's JaccardRow in
   /// order with the row constructor above.
   NeighborGraph(const NeighborGraph& base,
-                const std::vector<DynamicBitset>& features);
+                std::span<const DynamicBitset> features);
 
   std::size_t num_nodes() const {
     return offsets_.empty() ? 0 : offsets_.size() - 1;

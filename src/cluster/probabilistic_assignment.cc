@@ -27,21 +27,47 @@ double SchemaClusterSimilarity(std::span<const float> row,
 
 DomainModel DomainModel::Build(
     std::vector<std::vector<std::uint32_t>> clusters,
-    std::vector<std::vector<std::pair<std::uint32_t, double>>>
-        schema_domains) {
-  DomainModel model;
-  model.clusters_ = std::move(clusters);
-  model.schema_domains_ = std::move(schema_domains);
-  model.domain_schemas_.assign(model.clusters_.size(), {});
-  for (std::uint32_t i = 0; i < model.schema_domains_.size(); ++i) {
-    for (const auto& [domain, prob] : model.schema_domains_[i]) {
-      model.domain_schemas_[domain].emplace_back(i, prob);
+    std::vector<Memberships> schema_domains) {
+  std::vector<Memberships> domain_schemas(clusters.size());
+  for (std::uint32_t i = 0; i < schema_domains.size(); ++i) {
+    for (const auto& [domain, prob] : schema_domains[i]) {
+      domain_schemas[domain].emplace_back(i, prob);
     }
   }
-  for (auto& ds : model.domain_schemas_) {
+  for (auto& ds : domain_schemas) {
     std::sort(ds.begin(), ds.end());
   }
+  DomainModel model;
+  model.clusters_ = SharedRows<std::vector<std::uint32_t>>(std::move(clusters));
+  model.schema_domains_ = std::move(schema_domains);
+  model.domain_schemas_ = SharedRows<Memberships>(std::move(domain_schemas));
   return model;
+}
+
+DomainModel DomainModel::WithArrival(Memberships memberships,
+                                     std::uint32_t home) const {
+  const auto id = static_cast<std::uint32_t>(num_schemas());
+  DomainModel grown = *this;
+  if (home == num_domains()) {
+    grown.clusters_.push_back({id});
+    grown.domain_schemas_.push_back({});
+  } else {
+    std::vector<std::uint32_t> cluster = Cluster(home);
+    cluster.push_back(id);
+    grown.clusters_.Set(home, std::move(cluster));
+  }
+  for (const auto& [domain, prob] : memberships) {
+    Memberships members = grown.SchemasOf(domain);
+    members.emplace_back(id, prob);
+    grown.domain_schemas_.Set(domain, std::move(members));
+  }
+  grown.schema_domains_.push_back(std::move(memberships));
+  return grown;
+}
+
+std::size_t DomainModel::MemoryBytes() const {
+  return clusters_.MemoryBytes() + schema_domains_.MemoryBytes() +
+         domain_schemas_.MemoryBytes();
 }
 
 double DomainModel::Membership(std::uint32_t schema_id,

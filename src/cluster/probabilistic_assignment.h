@@ -20,6 +20,7 @@
 #include "cluster/hac.h"
 #include "cluster/linkage.h"
 #include "cluster/neighbor_graph.h"
+#include "util/shared_rows.h"
 #include "util/status.h"
 
 namespace paygo {
@@ -42,8 +43,17 @@ struct AssignmentOptions {
 
 /// \brief The probabilistic domain model: clusters plus membership
 /// probabilities Pr(S_i in D_r).
+///
+/// Copy-on-write: the per-schema membership rows sit in an append-shared
+/// block (AppendRows) and every per-domain row (cluster, member list) is an
+/// immutable shared handle (SharedRows). Copying a model copies handles,
+/// and WithArrival grows a model by one schema while sharing every row it
+/// does not change.
 class DomainModel {
  public:
+  /// (id, probability) pairs: a schema's domains or a domain's schemas.
+  using Memberships = std::vector<std::pair<std::uint32_t, double>>;
+
   /// Number of domains (== number of clusters).
   std::size_t num_domains() const { return domain_schemas_.size(); }
   /// Number of schemas in the underlying corpus.
@@ -53,14 +63,12 @@ class DomainModel {
   double Membership(std::uint32_t schema_id, std::uint32_t domain_id) const;
 
   /// The qualifying domains D(S_i) with their probabilities.
-  const std::vector<std::pair<std::uint32_t, double>>& DomainsOf(
-      std::uint32_t schema_id) const {
+  const Memberships& DomainsOf(std::uint32_t schema_id) const {
     return schema_domains_[schema_id];
   }
 
   /// S(D_r): schemas with non-zero membership in D_r, with probabilities.
-  const std::vector<std::pair<std::uint32_t, double>>& SchemasOf(
-      std::uint32_t domain_id) const {
+  const Memberships& SchemasOf(std::uint32_t domain_id) const {
     return domain_schemas_[domain_id];
   }
 
@@ -75,8 +83,13 @@ class DomainModel {
   const std::vector<std::uint32_t>& Cluster(std::uint32_t domain_id) const {
     return clusters_[domain_id];
   }
-  const std::vector<std::vector<std::uint32_t>>& clusters() const {
+  /// All clusters; iterates as const std::vector<std::uint32_t>&.
+  const SharedRows<std::vector<std::uint32_t>>& clusters() const {
     return clusters_;
+  }
+  /// All per-domain member lists (SchemasOf), for sharing checks.
+  const SharedRows<Memberships>& domain_rows() const {
+    return domain_schemas_;
   }
 
   /// True iff the domain's originating cluster is a singleton (an
@@ -89,18 +102,28 @@ class DomainModel {
   /// assigned schemas, 0 for dropped ones under strict semantics).
   double TotalMembership(std::uint32_t schema_id) const;
 
+  /// The model grown by schema num_schemas() with \p memberships
+  /// (ascending domain ids, each below num_domains() + 1) and hard cluster
+  /// \p home; home == num_domains() opens a new domain holding only the
+  /// newcomer. Equal to Build over the grown inputs: the new id is the
+  /// largest, so appending it keeps every row sorted. Copies only the rows
+  /// of the domains the newcomer joins; every other row stays shared.
+  DomainModel WithArrival(Memberships memberships, std::uint32_t home) const;
+
+  /// Heap bytes of the model: the membership block and rows, and the
+  /// per-domain rows with their handles. Shared rows count in full.
+  std::size_t MemoryBytes() const;
+
   /// Builds the model; exposed via AssignProbabilities().
-  static DomainModel Build(
-      std::vector<std::vector<std::uint32_t>> clusters,
-      std::vector<std::vector<std::pair<std::uint32_t, double>>>
-          schema_domains);
+  static DomainModel Build(std::vector<std::vector<std::uint32_t>> clusters,
+                           std::vector<Memberships> schema_domains);
 
  private:
-  std::vector<std::vector<std::uint32_t>> clusters_;
+  SharedRows<std::vector<std::uint32_t>> clusters_;
   // Per schema: sorted (domain, probability>0) pairs.
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> schema_domains_;
+  AppendRows<Memberships> schema_domains_;
   // Per domain: sorted (schema, probability>0) pairs.
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> domain_schemas_;
+  SharedRows<Memberships> domain_schemas_;
 };
 
 /// \brief Runs Algorithm 3 on the clustering output.

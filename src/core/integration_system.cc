@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "obs/stats.h"
 #include "obs/trace.h"
 
 namespace paygo {
@@ -33,20 +34,16 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Build(
     }
     sys->vectorizer_ = std::make_shared<const FeatureVectorizer>(
         *sys->lexicon_, options.features);
-    sys->features_ = std::make_shared<const std::vector<DynamicBitset>>(
+    sys->features_ = std::make_shared<const FeatureRows>(
         sys->vectorizer_->VectorizeCorpus());
   }
 
   {
     PAYGO_TRACE_SPAN("system.build.similarity");
-    PAYGO_RETURN_NOT_OK(sys->BuildSimilarities());
+    PAYGO_ASSIGN_OR_RETURN(sys->substrate_,
+                           sys->BuildSimilarities(*sys->features_));
   }
-  PAYGO_RETURN_NOT_OK(sys->ClusterAndAssign(/*feedback=*/nullptr));
-
-  // Section 4.4 mediation and the Chapter 5 classifier (all heavy
-  // classifier work happens here, at setup time).
-  PAYGO_RETURN_NOT_OK(sys->RebuildDerivedState());
-
+  PAYGO_RETURN_NOT_OK(sys->Recluster(/*feedback=*/nullptr));
   sys->sources_.resize(sys->corpus_->size());
   return sys;
 }
@@ -54,8 +51,7 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Build(
 Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
     SchemaCorpus corpus, SystemOptions options, DomainModel model,
     std::vector<DomainConditionals> conditionals,
-    std::vector<std::string> lexicon_terms,
-    std::vector<DynamicBitset> features) {
+    std::vector<std::string> lexicon_terms, FeatureRows features) {
   if (corpus.empty()) {
     return Status::InvalidArgument("corpus is empty");
   }
@@ -90,27 +86,28 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
         std::move(lexicon_terms), *sys->corpus_, *sys->tokenizer_));
     sys->vectorizer_ = std::make_shared<const FeatureVectorizer>(
         *sys->lexicon_, options.features);
-    sys->features_ = std::make_shared<const std::vector<DynamicBitset>>(
-        std::move(features));
+    sys->features_ = std::make_shared<const FeatureRows>(std::move(features));
   } else {
     sys->lexicon_ = std::make_shared<const Lexicon>(
         Lexicon::Build(*sys->corpus_, *sys->tokenizer_));
     sys->vectorizer_ = std::make_shared<const FeatureVectorizer>(
         *sys->lexicon_, options.features);
-    sys->features_ = std::make_shared<const std::vector<DynamicBitset>>(
+    sys->features_ = std::make_shared<const FeatureRows>(
         sys->vectorizer_->VectorizeCorpus());
   }
-  PAYGO_RETURN_NOT_OK(sys->BuildSimilarities());
+  PAYGO_ASSIGN_OR_RETURN(sys->substrate_,
+                         sys->BuildSimilarities(*sys->features_));
 
-  // The clustering result is reconstructed from the model (merge history
-  // is not persisted — it only serves diagnostics).
-  sys->clustering_.clusters = model.clusters();
-  sys->domains_ = std::move(model);
+  // clustering() reads the model's partition (merge history is not
+  // persisted — it only serves diagnostics).
+  sys->model_clustering_ = std::make_shared<ModelClustering>();
+  sys->domains_ = std::make_shared<const DomainModel>(std::move(model));
+  const DomainModel& domains = *sys->domains_;
 
   if (options.build_mediation) {
-    sys->mediations_.reserve(sys->domains_.num_domains());
-    for (std::uint32_t r = 0; r < sys->domains_.num_domains(); ++r) {
-      const auto& members = sys->domains_.SchemasOf(r);
+    sys->mediations_.reserve(domains.num_domains());
+    for (std::uint32_t r = 0; r < domains.num_domains(); ++r) {
+      const auto& members = domains.SchemasOf(r);
       if (members.empty()) {
         sys->mediations_.push_back(std::make_shared<const DomainMediation>());
         continue;
@@ -125,7 +122,7 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
   }
 
   if (!conditionals.empty()) {
-    if (conditionals.size() != sys->domains_.num_domains()) {
+    if (conditionals.size() != domains.num_domains()) {
       return Status::InvalidArgument(
           "restored classifier covers a different number of domains than "
           "the model");
@@ -143,9 +140,9 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
           "); were different tokenizer options used?");
     }
     std::vector<bool> singleton;
-    singleton.reserve(sys->domains_.num_domains());
-    for (std::uint32_t r = 0; r < sys->domains_.num_domains(); ++r) {
-      singleton.push_back(sys->domains_.IsSingletonDomain(r));
+    singleton.reserve(domains.num_domains());
+    for (std::uint32_t r = 0; r < domains.num_domains(); ++r) {
+      singleton.push_back(domains.IsSingletonDomain(r));
     }
     PAYGO_ASSIGN_OR_RETURN(
         NaiveBayesClassifier classifier,
@@ -159,6 +156,7 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
   }
 
   sys->sources_.resize(sys->corpus_->size());
+  sys->PublishMemory();
   return sys;
 }
 
@@ -177,10 +175,9 @@ std::unique_ptr<IntegrationSystem> IntegrationSystem::Clone() const {
   copy->lexicon_ = lexicon_;
   copy->vectorizer_ = vectorizer_;
   copy->features_ = features_;
-  copy->postings_ = postings_;
-  copy->sims_ = sims_;
-  copy->graph_ = graph_;
+  copy->substrate_ = substrate_;
   copy->clustering_ = clustering_;
+  copy->model_clustering_ = model_clustering_;
   copy->domains_ = domains_;
   copy->classifier_ = classifier_;
   copy->query_featurizer_ = query_featurizer_;
@@ -189,23 +186,25 @@ std::unique_ptr<IntegrationSystem> IntegrationSystem::Clone() const {
   return copy;
 }
 
-Status IntegrationSystem::BuildSimilarities() {
-  postings_ = std::make_shared<const FeaturePostings>(*features_);
+Result<IntegrationSystem::Substrate> IntegrationSystem::BuildSimilarities(
+    const FeatureRows& features) const {
+  Substrate out;
+  out.postings = std::make_shared<const FeaturePostings>(features);
   if (options_.sparse_build) {
     NeighborGraphOptions graph_options = options_.neighbor_graph;
     graph_options.num_threads = options_.hac.num_threads;
     PAYGO_ASSIGN_OR_RETURN(
         NeighborGraph graph,
-        NeighborGraph::Build(*features_, *postings_, graph_options));
-    graph_ = std::make_shared<const NeighborGraph>(std::move(graph));
+        NeighborGraph::Build(features, *out.postings, graph_options));
+    out.graph = std::make_shared<const NeighborGraph>(std::move(graph));
   } else {
-    sims_ = std::make_shared<const SimilarityMatrix>(*features_,
-                                                     options_.hac.num_threads);
+    out.sims = std::make_shared<const SimilarityMatrix>(
+        features, options_.hac.num_threads);
   }
-  return Status::OK();
+  return out;
 }
 
-Status IntegrationSystem::ClusterAndAssign(const FeedbackStore* feedback) {
+Status IntegrationSystem::Recluster(const FeedbackStore* feedback) {
   HacOptions hac = options_.hac;
   if (feedback != nullptr) {
     hac.must_link = feedback->must_link();
@@ -216,124 +215,131 @@ Status IntegrationSystem::ClusterAndAssign(const FeedbackStore* feedback) {
   if (options_.sparse_build) {
     // Algorithms 2 and 3 over the neighbor graph, one tau-component at a
     // time; the O(n^2) matrix is never allocated.
-    PAYGO_ASSIGN_OR_RETURN(clustering, Hac::RunOnGraph(*graph_, hac));
+    const NeighborGraph& graph = *substrate_.graph;
+    PAYGO_ASSIGN_OR_RETURN(clustering, Hac::RunOnGraph(graph, hac));
     PAYGO_TRACE_SPAN("system.build.assign");
     PAYGO_ASSIGN_OR_RETURN(
-        domains, AssignProbabilities(*graph_, clustering, options_.assignment,
+        domains, AssignProbabilities(graph, clustering, options_.assignment,
                                      options_.hac.num_threads));
   } else {
-    PAYGO_ASSIGN_OR_RETURN(clustering, Hac::Run(*features_, *sims_, hac));
+    const SimilarityMatrix& sims = *substrate_.sims;
+    PAYGO_ASSIGN_OR_RETURN(clustering, Hac::Run(*features_, sims, hac));
     PAYGO_TRACE_SPAN("system.build.assign");
     PAYGO_ASSIGN_OR_RETURN(
-        domains, AssignProbabilities(*sims_, clustering, options_.assignment));
+        domains, AssignProbabilities(sims, clustering, options_.assignment));
   }
   if (feedback != nullptr) {
     domains = PinFeedbackSchemas(clustering, domains, *feedback);
   }
-  clustering_ = std::move(clustering);
-  domains_ = std::move(domains);
+  // Section 4.4 mediation and the Chapter 5 classifier (all heavy
+  // classifier work happens here, at setup time).
+  PAYGO_ASSIGN_OR_RETURN(Derived derived,
+                         DeriveState(*corpus_, *features_, domains,
+                                     /*base=*/nullptr, {}));
+  clustering_ = std::make_shared<const HacResult>(std::move(clustering));
+  model_clustering_ = nullptr;
+  domains_ = std::make_shared<const DomainModel>(std::move(domains));
+  Adopt(std::move(derived));
+  PublishMemory();
   return Status::OK();
 }
 
-Status IntegrationSystem::RebuildDerivedState() {
-  PAYGO_TRACE_SPAN("system.rebuild_derived");
+Result<IntegrationSystem::Derived> IntegrationSystem::DeriveState(
+    const SchemaCorpus& corpus, const FeatureRows& features,
+    const DomainModel& domains, const IntegrationSystem* base,
+    const std::vector<std::uint32_t>& affected_domains) const {
+  PAYGO_TRACE_SPAN(base == nullptr ? "system.rebuild_derived"
+                                   : "system.rebuild_derived_delta");
+  // With a base, a domain is rebuilt only when listed in affected_domains
+  // or new; every other domain's members did not change, and
+  // BuildForDomain and the factored conditionals depend only on those.
+  std::vector<bool> affected(domains.num_domains(), base == nullptr);
+  if (base != nullptr) {
+    for (std::uint32_t r : affected_domains) {
+      if (r < affected.size()) affected[r] = true;
+    }
+    for (std::size_t r = base->domains_->num_domains(); r < affected.size();
+         ++r) {
+      affected[r] = true;
+    }
+  }
+  Derived out;
   if (options_.build_mediation) {
-    PAYGO_TRACE_SPAN("system.mediate");
-    std::vector<std::shared_ptr<const DomainMediation>> mediations;
-    mediations.reserve(domains_.num_domains());
-    for (std::uint32_t r = 0; r < domains_.num_domains(); ++r) {
-      const auto& members = domains_.SchemasOf(r);
+    PAYGO_TRACE_SPAN(base == nullptr ? "system.mediate"
+                                     : "system.mediate_delta");
+    out.mediations.reserve(domains.num_domains());
+    for (std::uint32_t r = 0; r < domains.num_domains(); ++r) {
+      if (!affected[r] && r < base->mediations_.size()) {
+        out.mediations.push_back(base->mediations_[r]);
+        continue;
+      }
+      const auto& members = domains.SchemasOf(r);
       if (members.empty()) {
         // Empty domain: empty mediation.
-        mediations.push_back(std::make_shared<const DomainMediation>());
+        out.mediations.push_back(std::make_shared<const DomainMediation>());
         continue;
       }
-      auto med = Mediator::BuildForDomain(*corpus_, *tokenizer_, members,
-                                          options_.mediator);
-      if (!med.ok()) return med.status();
-      mediations.push_back(
-          std::make_shared<const DomainMediation>(std::move(*med)));
+      PAYGO_ASSIGN_OR_RETURN(
+          DomainMediation med,
+          Mediator::BuildForDomain(corpus, *tokenizer_, members,
+                                   options_.mediator));
+      out.mediations.push_back(
+          std::make_shared<const DomainMediation>(std::move(med)));
     }
-    mediations_ = std::move(mediations);
   }
   if (options_.build_classifier) {
-    PAYGO_TRACE_SPAN("system.build_classifier");
-    auto clf = NaiveBayesClassifier::Build(domains_, *features_,
-                                           corpus_->size(),
-                                           options_.classifier);
-    if (!clf.ok()) return clf.status();
-    classifier_ =
-        std::make_shared<const NaiveBayesClassifier>(std::move(*clf));
-    if (query_featurizer_ == nullptr) {
-      query_featurizer_ = std::make_shared<const QueryFeaturizer>(
-          *tokenizer_, *vectorizer_);
+    if (base != nullptr && base->classifier_ != nullptr) {
+      PAYGO_TRACE_SPAN("system.update_classifier");
+      std::vector<std::uint32_t> touched;
+      for (std::uint32_t r = 0; r < affected.size(); ++r) {
+        if (affected[r]) touched.push_back(r);
+      }
+      PAYGO_ASSIGN_OR_RETURN(
+          NaiveBayesClassifier clf,
+          NaiveBayesClassifier::UpdateDomains(*base->classifier_, domains,
+                                              features, corpus.size(),
+                                              touched));
+      out.classifier =
+          std::make_shared<const NaiveBayesClassifier>(std::move(clf));
+    } else {
+      PAYGO_TRACE_SPAN("system.build_classifier");
+      PAYGO_ASSIGN_OR_RETURN(
+          NaiveBayesClassifier clf,
+          NaiveBayesClassifier::Build(domains, features, corpus.size(),
+                                      options_.classifier));
+      out.classifier =
+          std::make_shared<const NaiveBayesClassifier>(std::move(clf));
     }
   }
-  return Status::OK();
+  return out;
 }
 
-Status IntegrationSystem::RebuildDerivedStateDelta(
-    const std::vector<std::uint32_t>& affected_domains,
-    std::size_t old_num_domains) {
-  PAYGO_TRACE_SPAN("system.rebuild_derived_delta");
-  std::vector<bool> affected(domains_.num_domains(), false);
-  for (std::uint32_t r : affected_domains) {
-    if (r < affected.size()) affected[r] = true;
-  }
-  for (std::size_t r = old_num_domains; r < affected.size(); ++r) {
-    affected[r] = true;
-  }
-  if (options_.build_mediation) {
-    PAYGO_TRACE_SPAN("system.mediate_delta");
-    std::vector<std::shared_ptr<const DomainMediation>> mediations;
-    mediations.reserve(domains_.num_domains());
-    for (std::uint32_t r = 0; r < domains_.num_domains(); ++r) {
-      if (r < mediations_.size() && !affected[r]) {
-        // BuildForDomain is a pure function of the domain's members, which
-        // did not change — share the existing mediation.
-        mediations.push_back(mediations_[r]);
-        continue;
-      }
-      const auto& members = domains_.SchemasOf(r);
-      if (members.empty()) {
-        mediations.push_back(std::make_shared<const DomainMediation>());
-        continue;
-      }
-      auto med = Mediator::BuildForDomain(*corpus_, *tokenizer_, members,
-                                          options_.mediator);
-      if (!med.ok()) return med.status();
-      mediations.push_back(
-          std::make_shared<const DomainMediation>(std::move(*med)));
-    }
-    mediations_ = std::move(mediations);
-  }
-  if (options_.build_classifier && classifier_ != nullptr) {
-    PAYGO_TRACE_SPAN("system.update_classifier");
-    std::vector<std::uint32_t> touched;
-    touched.reserve(affected.size());
-    for (std::uint32_t r = 0; r < affected.size(); ++r) {
-      if (affected[r]) touched.push_back(r);
-    }
-    auto clf = NaiveBayesClassifier::UpdateDomains(
-        *classifier_, domains_, *features_, corpus_->size(), touched);
-    if (!clf.ok()) return clf.status();
-    classifier_ =
-        std::make_shared<const NaiveBayesClassifier>(std::move(*clf));
-  } else if (options_.build_classifier) {
-    // No base classifier to update (never happens on the Build() path);
-    // fall back to the full build.
-    auto clf = NaiveBayesClassifier::Build(domains_, *features_,
-                                           corpus_->size(),
-                                           options_.classifier);
-    if (!clf.ok()) return clf.status();
-    classifier_ =
-        std::make_shared<const NaiveBayesClassifier>(std::move(*clf));
+void IntegrationSystem::Adopt(Derived derived) {
+  if (options_.build_mediation) mediations_ = std::move(derived.mediations);
+  if (options_.build_classifier) {
+    classifier_ = std::move(derived.classifier);
     if (query_featurizer_ == nullptr) {
-      query_featurizer_ = std::make_shared<const QueryFeaturizer>(
-          *tokenizer_, *vectorizer_);
+      query_featurizer_ =
+          std::make_shared<const QueryFeaturizer>(*tokenizer_, *vectorizer_);
     }
   }
-  return Status::OK();
+}
+
+const HacResult& IntegrationSystem::clustering() const {
+  if (clustering_ != nullptr) return *clustering_;
+  ModelClustering& lazy = *model_clustering_;
+  std::call_once(lazy.once, [&] {
+    lazy.result.clusters = domains_->clusters().ToVector();
+  });
+  return lazy.result;
+}
+
+void IntegrationSystem::PublishMemory() const {
+  StatsRegistry& reg = StatsRegistry::Global();
+  static Gauge* features_bytes = reg.GetGauge("paygo.features.bytes");
+  static Gauge* domains_bytes = reg.GetGauge("paygo.domains.bytes");
+  features_bytes->Set(static_cast<std::int64_t>(features_->MemoryBytes()));
+  domains_bytes->Set(static_cast<std::int64_t>(domains_->MemoryBytes()));
 }
 
 Result<IncrementalAddResult> IntegrationSystem::AddSchema(
@@ -342,12 +348,13 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
   IncrementalOptions inc_opts;
   inc_opts.tau_c_sim = options_.assignment.tau_c_sim;
   inc_opts.theta = options_.assignment.theta;
-  const std::size_t old_num_domains = domains_.num_domains();
   IncrementalAddResult result;
+  // Every new component is built into a local and adopted only once all
+  // of them exist, so a failure leaves this system as it was. Readers of
+  // a snapshot that shares the old components never see the swaps.
   std::vector<JaccardEntry> row;
-  bool nonempty = false;
-  // Adopt the updated state copy-on-write: readers of a snapshot that
-  // shares the old components never see these swaps.
+  std::shared_ptr<const DomainModel> domains;
+  std::shared_ptr<const FeatureRows> features;
   {
     PAYGO_TRACE_SPAN("system.add_schema.assign");
     PAYGO_ASSIGN_OR_RETURN(ArrivalVector arrival,
@@ -355,56 +362,62 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
     // The newcomer's exact s_sim row, read once from the posting lists of
     // its own features: Algorithm 3 here and the matrix or graph below
     // both consume it.
-    row = postings_->JaccardRow(arrival.features);
-    domains_ = AssignArrival(domains_, row, inc_opts, &result);
+    row = substrate_.postings->JaccardRow(arrival.features);
+    domains = std::make_shared<const DomainModel>(
+        AssignArrival(*domains_, row, inc_opts, &result));
     result.unseen_term_fraction = arrival.unseen_term_fraction;
-    nonempty = !arrival.features.None();
-    // The one O(n * dim) copy left per arrival: features() hands out the
-    // whole vector by reference.
-    auto features = std::make_shared<std::vector<DynamicBitset>>();
-    features->reserve(features_->size() + 1);
-    features->assign(features_->begin(), features_->end());
-    features->push_back(std::move(arrival.features));
-    features_ = std::move(features);
+    // Appends in place when this snapshot ends where its block does.
+    auto grown = std::make_shared<FeatureRows>(*features_);
+    grown->push_back(std::move(arrival.features));
+    features = std::move(grown);
   }
-  {
-    auto corpus = std::make_shared<SchemaCorpus>(*corpus_);
-    corpus->Add(std::move(schema), std::move(labels));
-    corpus_ = std::move(corpus);
-  }
-  clustering_.clusters = domains_.clusters();
-  clustering_.merges.clear();  // merge history no longer describes the model
+  auto corpus = std::make_shared<SchemaCorpus>(*corpus_);
+  corpus->Add(std::move(schema), std::move(labels));
+  Substrate substrate;
   {
     PAYGO_TRACE_SPAN("system.add_schema.similarity");
     if (!options_.delta_mutations) {
-      PAYGO_RETURN_NOT_OK(BuildSimilarities());
+      PAYGO_ASSIGN_OR_RETURN(substrate, BuildSimilarities(*features));
     } else {
       // One appended schema: index it, then share every old row of the
       // matrix (or splice the new id onto the graph's touched rows) and
       // add its row from the sparse one — no Jaccard is recomputed.
-      auto postings = std::make_shared<FeaturePostings>(*postings_);
-      postings->Append(features_->back());
-      postings_ = std::move(postings);
+      const bool nonempty = !features->back().None();
+      auto postings = std::make_shared<FeaturePostings>(*substrate_.postings);
+      postings->Append(features->back());
+      substrate.postings = std::move(postings);
       if (options_.sparse_build) {
-        graph_ = std::make_shared<const NeighborGraph>(*graph_, row, nonempty);
+        substrate.graph =
+            std::make_shared<const NeighborGraph>(*substrate_.graph, row,
+                                                  nonempty);
       } else {
-        sims_ = std::make_shared<const SimilarityMatrix>(*sims_, row, nonempty);
+        substrate.sims =
+            std::make_shared<const SimilarityMatrix>(*substrate_.sims, row,
+                                                     nonempty);
       }
     }
   }
-  sources_.resize(corpus_->size());
-  if (options_.delta_mutations) {
-    // The schema joined result.memberships' domains (or opened a new one);
-    // every other domain's member set is untouched.
-    std::vector<std::uint32_t> affected;
-    affected.reserve(result.memberships.size());
-    for (const auto& [domain, prob] : result.memberships) {
-      affected.push_back(domain);
-    }
-    PAYGO_RETURN_NOT_OK(RebuildDerivedStateDelta(affected, old_num_domains));
-  } else {
-    PAYGO_RETURN_NOT_OK(RebuildDerivedState());
+  // The schema joined result.memberships' domains (or opened a new one);
+  // on the delta path every other domain's member set is untouched.
+  std::vector<std::uint32_t> affected;
+  affected.reserve(result.memberships.size());
+  for (const auto& [domain, prob] : result.memberships) {
+    affected.push_back(domain);
   }
+  PAYGO_ASSIGN_OR_RETURN(
+      Derived derived,
+      DeriveState(*corpus, *features, *domains,
+                  options_.delta_mutations ? this : nullptr, affected));
+
+  sources_.resize(corpus->size());
+  corpus_ = std::move(corpus);
+  features_ = std::move(features);
+  substrate_ = std::move(substrate);
+  domains_ = std::move(domains);
+  clustering_ = nullptr;  // the HAC result no longer covers the corpus
+  model_clustering_ = std::make_shared<ModelClustering>();
+  Adopt(std::move(derived));
+  PublishMemory();
   return result;
 }
 
@@ -420,8 +433,7 @@ Status IntegrationSystem::RebuildFromScratch() {
 Status IntegrationSystem::ApplyFeedback(const FeedbackStore& store) {
   if (store.has_explicit_feedback()) {
     PAYGO_TRACE_SPAN("system.apply_feedback");
-    PAYGO_RETURN_NOT_OK(ClusterAndAssign(&store));
-    PAYGO_RETURN_NOT_OK(RebuildDerivedState());
+    PAYGO_RETURN_NOT_OK(Recluster(&store));
   }
   if (store.has_implicit_feedback() && classifier_ != nullptr) {
     PAYGO_ASSIGN_OR_RETURN(NaiveBayesClassifier adjusted,
@@ -566,9 +578,9 @@ Result<std::vector<RankedTuple>> IntegrationSystem::AnswerStructuredQuery(
 std::string IntegrationSystem::DescribeDomain(std::uint32_t domain,
                                               std::size_t max_members) const {
   std::ostringstream os;
-  const auto& members = domains_.SchemasOf(domain);
+  const auto& members = domains_->SchemasOf(domain);
   os << "Domain " << domain << " (" << members.size() << " schemas";
-  if (domains_.IsSingletonDomain(domain)) os << ", unclustered";
+  if (domains_->IsSingletonDomain(domain)) os << ", unclustered";
   os << ")\n";
   if (!mediations_.empty()) {
     os << "  mediated schema:";

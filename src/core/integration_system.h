@@ -14,6 +14,7 @@
 /// with probability-ranked tuples.
 
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -120,13 +121,14 @@ class IntegrationSystem {
   /// corpus: it is frozen to exactly those terms (Lexicon::FromTerms) and
   /// \p features — which must then have corpus.size() entries of dimension
   /// lexicon_terms.size() — is adopted verbatim as the per-schema feature
-  /// vectors. This is the only correct way to restore a system whose corpus
-  /// grew through AddSchema after Build: those schemas were featurized by
-  /// VectorizeExternalTerms against the frozen lexicon, so re-deriving the
-  /// lexicon from the grown corpus would change the feature space and
-  /// silently (or loudly, via the dim check) diverge from the persisted
-  /// classifier. Snapshot formats v2 and v3 persist both (see
-  /// persist/model_io.h).
+  /// vectors (a std::vector is moved in; another system's features() is
+  /// shared, not copied). This is the only correct way to restore a system
+  /// whose corpus grew through AddSchema after Build: those schemas were
+  /// featurized by VectorizeExternalTerms against the frozen lexicon, so
+  /// re-deriving the lexicon from the grown corpus would change the
+  /// feature space and silently (or loudly, via the dim check) diverge
+  /// from the persisted classifier. Snapshot formats v2 and v3 persist both
+  /// (see persist/model_io.h).
   ///
   /// Non-empty \p conditionals must cover every domain of \p model, pass
   /// ValidateConditionals, and share the lexicon's dim; otherwise Restore
@@ -134,21 +136,22 @@ class IntegrationSystem {
   static Result<std::unique_ptr<IntegrationSystem>> Restore(
       SchemaCorpus corpus, SystemOptions options, DomainModel model,
       std::vector<DomainConditionals> conditionals,
-      std::vector<std::string> lexicon_terms = {},
-      std::vector<DynamicBitset> features = {});
+      std::vector<std::string> lexicon_terms = {}, FeatureRows features = {});
 
-  /// Structurally shared copy for copy-on-write snapshotting: the
-  /// immutable heavyweights — corpus, tokenizer, lexicon, similarity
-  /// index/vectorizer, per-schema feature vectors, feature postings,
-  /// similarity matrix, classifier, per-domain mediations, attached tuple
-  /// stores — sit behind
-  /// shared_ptr<const T>, so a clone is O(#components + #domains +
-  /// #schemas) pointer copies, independent of corpus text, matrix, or
-  /// model size. Mutators copy-on-write exactly the components they
-  /// replace (a fresh corpus/feature vector on append, the touched
-  /// domains' mediations, one tuple store), so mutating the clone never
-  /// disturbs concurrent readers of the original: shared components are
-  /// const and never written in place.
+  /// Structurally shared copy for copy-on-write snapshotting: every
+  /// component — corpus, tokenizer, lexicon, similarity index/vectorizer,
+  /// feature vectors, feature postings, similarity matrix or graph,
+  /// clustering, domain model, classifier, per-domain mediations, attached
+  /// tuple stores — sits behind a shared_ptr<const T>, so a clone copies
+  /// one handle per component plus the handle arrays of the per-domain
+  /// mediations and the per-schema corpus rows and tuple stores
+  /// (O(#domains + #schemas) pointer copies), independent of corpus text,
+  /// feature, matrix or model size. Mutators replace components
+  /// copy-on-write. An arrival appends to the feature and membership
+  /// blocks in place (slots no older snapshot reads; see
+  /// util/shared_rows.h) and replaces only the rows it changes: the
+  /// touched domains' model rows, classifier rows and mediations. Mutating
+  /// the clone never disturbs concurrent readers of the original.
   std::unique_ptr<IntegrationSystem> Clone() const;
 
   // --- runtime: keyword queries (Chapter 5) ---
@@ -196,9 +199,11 @@ class IntegrationSystem {
   /// affected domains' mediation is rebuilt, and the classifier is
   /// refreshed. The schema's similarity row is read once from the feature
   /// postings, at a cost set by the schemas that share its features; the
-  /// same sparse row feeds Algorithm 3 and extends the matrix or graph. The lexicon stays frozen — the returned
-  /// unseen_term_fraction reports the drift; call Build() afresh when it
-  /// accumulates.
+  /// same sparse row feeds Algorithm 3 and extends the matrix or graph.
+  /// The lexicon stays frozen — the returned unseen_term_fraction reports
+  /// the drift; call Build() afresh when it accumulates. Failure-atomic:
+  /// on an error (for example the exhaustive classifier engine's
+  /// ResourceExhausted) the system is left exactly as it was.
   Result<IncrementalAddResult> AddSchema(
       Schema schema, std::vector<std::string> labels = {});
 
@@ -230,17 +235,25 @@ class IntegrationSystem {
   const Tokenizer& tokenizer() const { return *tokenizer_; }
   const Lexicon& lexicon() const { return *lexicon_; }
   const FeatureVectorizer& vectorizer() const { return *vectorizer_; }
-  const std::vector<DynamicBitset>& features() const { return *features_; }
+  /// Per-schema feature vectors in corpus order; converts to
+  /// std::span<const DynamicBitset>. Its address identifies the snapshot.
+  const FeatureRows& features() const { return *features_; }
   /// The inverted index of features(), kept for arrivals.
-  const FeaturePostings& postings() const { return *postings_; }
+  const FeaturePostings& postings() const { return *substrate_.postings; }
   /// Requires has_similarities() (absent in sparse_build mode).
-  const SimilarityMatrix& similarities() const { return *sims_; }
-  bool has_similarities() const { return sims_ != nullptr; }
+  const SimilarityMatrix& similarities() const { return *substrate_.sims; }
+  bool has_similarities() const { return substrate_.sims != nullptr; }
   /// Requires has_neighbor_graph() (present in sparse_build mode).
-  const NeighborGraph& neighbor_graph() const { return *graph_; }
-  bool has_neighbor_graph() const { return graph_ != nullptr; }
-  const HacResult& clustering() const { return clustering_; }
-  const DomainModel& domains() const { return domains_; }
+  const NeighborGraph& neighbor_graph() const { return *substrate_.graph; }
+  bool has_neighbor_graph() const { return substrate_.graph != nullptr; }
+  /// The Algorithm 2 result of the last clustering run (Build,
+  /// ApplyFeedback with explicit feedback, RebuildFromScratch). After an
+  /// arrival, and on a restored system, it is the model's partition
+  /// (domains().clusters()) without merges: arrivals do not re-cluster,
+  /// and merge history is not persisted. That form is built on first read,
+  /// so AddSchema copies no cluster rows.
+  const HacResult& clustering() const;
+  const DomainModel& domains() const { return *domains_; }
   /// Requires build_classifier.
   const NaiveBayesClassifier& classifier() const { return *classifier_; }
   bool has_classifier() const { return classifier_ != nullptr; }
@@ -276,44 +289,65 @@ class IntegrationSystem {
 
  private:
   IntegrationSystem() = default;
-  /// Indexes features_ (postings_), then builds the similarity substrate
-  /// over them: the NeighborGraph in sparse_build mode, the dense
-  /// SimilarityMatrix otherwise.
-  Status BuildSimilarities();
-  /// Algorithms 2 and 3 over the substrate, the one place the dense and
-  /// graph paths branch. A non-null \p feedback adds its explicit
-  /// constraints to the HAC options and pins the schemas it names. Replaces
-  /// clustering_ and domains_ only on success.
-  Status ClusterAndAssign(const FeedbackStore* feedback);
-  /// Rebuilds mediation (when enabled) and the classifier from the current
-  /// corpus/features/domains — the full path, O(#domains) mediations plus a
-  /// whole-model classifier build.
-  Status RebuildDerivedState();
-  /// The delta path: rebuilds mediation only for \p affected_domains (ids
-  /// >= \p old_num_domains are implicitly affected — they are new), keeps
-  /// every other domain's mediation shared, and refreshes the classifier
-  /// via NaiveBayesClassifier::UpdateDomains. Bit-identical to
-  /// RebuildDerivedState because BuildForDomain and the factored
-  /// conditionals depend only on the domain's own members.
-  Status RebuildDerivedStateDelta(
-      const std::vector<std::uint32_t>& affected_domains,
-      std::size_t old_num_domains);
+  /// The similarity substrate over one feature snapshot.
+  struct Substrate {
+    std::shared_ptr<const FeaturePostings> postings;  ///< index of features
+    std::shared_ptr<const SimilarityMatrix> sims;  ///< null in sparse_build
+    std::shared_ptr<const NeighborGraph> graph;    ///< non-null iff sparse
+  };
+  /// Mediation (when enabled) and classifier (when enabled) for a model.
+  struct Derived {
+    std::vector<std::shared_ptr<const DomainMediation>> mediations;
+    std::shared_ptr<const NaiveBayesClassifier> classifier;
+  };
 
-  // All heavyweight components are shared_ptr<const T>: Clone() copies the
-  // pointers, mutators replace whole components copy-on-write. HacResult /
-  // DomainModel stay by value — they are mutated piecemeal by the
-  // incremental and feedback paths and are O(#schemas) small.
+  /// Indexes \p features, then builds the similarity substrate over them:
+  /// the NeighborGraph in sparse_build mode, the dense SimilarityMatrix
+  /// otherwise.
+  Result<Substrate> BuildSimilarities(const FeatureRows& features) const;
+  /// Algorithms 2 and 3 over the substrate (the one place the dense and
+  /// graph paths branch), then the full derived state. A non-null
+  /// \p feedback adds its explicit constraints to the HAC options and pins
+  /// the schemas it names. Replaces clustering_, domains_, mediations_ and
+  /// classifier_ only on success.
+  Status Recluster(const FeedbackStore* feedback);
+  /// Mediation and classifier for \p domains over \p corpus and
+  /// \p features. With a null \p base, the full path: every domain's
+  /// mediation plus a whole-model classifier build. With \p base (this
+  /// system before an arrival), the delta path: only \p affected_domains
+  /// and domains new since \p base are rebuilt, every other mediation is
+  /// shared and the classifier is refreshed via
+  /// NaiveBayesClassifier::UpdateDomains. Bit-identical to the full path
+  /// because BuildForDomain and the factored conditionals depend only on
+  /// the domain's own members. Writes nothing.
+  Result<Derived> DeriveState(
+      const SchemaCorpus& corpus, const FeatureRows& features,
+      const DomainModel& domains, const IntegrationSystem* base,
+      const std::vector<std::uint32_t>& affected_domains) const;
+  /// Installs \p derived's enabled parts.
+  void Adopt(Derived derived);
+  /// Publishes the feature and domain-model byte gauges.
+  void PublishMemory() const;
+
+  // Every component is a shared_ptr<const T> (or, for the substrate,
+  // three of them): Clone() copies the pointers, mutators replace whole
+  // components copy-on-write.
   SystemOptions options_;
   std::shared_ptr<const SchemaCorpus> corpus_;
   std::shared_ptr<const Tokenizer> tokenizer_;
   std::shared_ptr<const Lexicon> lexicon_;
   std::shared_ptr<const FeatureVectorizer> vectorizer_;
-  std::shared_ptr<const std::vector<DynamicBitset>> features_;
-  std::shared_ptr<const FeaturePostings> postings_;  // index of features_
-  std::shared_ptr<const SimilarityMatrix> sims_;  // null in sparse_build mode
-  std::shared_ptr<const NeighborGraph> graph_;    // non-null iff sparse_build
-  HacResult clustering_;
-  DomainModel domains_;
+  std::shared_ptr<const FeatureRows> features_;
+  Substrate substrate_;
+  /// clustering() when no HAC run describes the model: the model's
+  /// partition, filled once, on first read, by whichever thread gets there.
+  struct ModelClustering {
+    std::once_flag once;
+    HacResult result;
+  };
+  std::shared_ptr<const HacResult> clustering_;  ///< null: use the next
+  std::shared_ptr<ModelClustering> model_clustering_;
+  std::shared_ptr<const DomainModel> domains_;
   std::shared_ptr<const NaiveBayesClassifier> classifier_;
   std::shared_ptr<const QueryFeaturizer> query_featurizer_;
   std::vector<std::shared_ptr<const DomainMediation>> mediations_;

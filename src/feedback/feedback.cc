@@ -82,7 +82,7 @@ DomainModel PinFeedbackSchemas(const HacResult& clustering,
 }
 
 Result<DomainModel> ReclusterWithFeedback(
-    const std::vector<DynamicBitset>& features, const SimilarityMatrix& sims,
+    std::span<const DynamicBitset> features, const SimilarityMatrix& sims,
     HacOptions hac_options, const AssignmentOptions& assignment_options,
     const FeedbackStore& store) {
   hac_options.must_link = store.must_link();

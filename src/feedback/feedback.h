@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -82,7 +83,7 @@ DomainModel PinFeedbackSchemas(const HacResult& clustering,
 /// explicit constraints, then pins the named schemas — the refinement step
 /// of the pay-as-you-go loop.
 Result<DomainModel> ReclusterWithFeedback(
-    const std::vector<DynamicBitset>& features, const SimilarityMatrix& sims,
+    std::span<const DynamicBitset> features, const SimilarityMatrix& sims,
     HacOptions hac_options, const AssignmentOptions& assignment_options,
     const FeedbackStore& store);
 

@@ -315,7 +315,7 @@ Result<std::vector<std::string>> ParseLexiconSection(std::string_view text) {
 /// The v2 features section: per-schema sparse set-bit index lists.
 /// "f <schema> <count> j1 j2 ..." — bitsets are sparse (a schema's terms
 /// plus similar lexicon terms), so indices beat raw words.
-std::string SerializeFeaturesSection(const std::vector<DynamicBitset>& features,
+std::string SerializeFeaturesSection(std::span<const DynamicBitset> features,
                                      std::size_t dim) {
   std::ostringstream os;
   os << "counts " << features.size() << " " << dim << "\n";

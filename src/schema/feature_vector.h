@@ -17,8 +17,13 @@
 #include "text/similarity_index.h"
 #include "text/term_similarity.h"
 #include "util/bitset.h"
+#include "util/shared_rows.h"
 
 namespace paygo {
+
+/// Per-schema feature vectors in corpus order, as a snapshot holds them:
+/// copies share one block and an arrival appends in place (AppendRows).
+using FeatureRows = AppendRows<DynamicBitset>;
 
 /// \brief Options of the feature-vector construction.
 struct FeatureVectorizerOptions {

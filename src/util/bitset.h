@@ -39,6 +39,11 @@ class DynamicBitset {
   /// Number of bits (the dimensionality of the vector).
   std::size_t size() const { return num_bits_; }
 
+  /// Heap bytes of the word array.
+  std::size_t HeapBytes() const {
+    return words_.capacity() * sizeof(std::uint64_t);
+  }
+
   /// True iff bit \p i is set. \p i must be < size().
   bool Test(std::size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & 1u;

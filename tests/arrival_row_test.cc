@@ -94,7 +94,9 @@ std::vector<DynamicBitset> SystemFeatures(SchemaCorpus corpus) {
   options.build_classifier = false;
   auto sys = IntegrationSystem::Build(std::move(corpus), options);
   EXPECT_TRUE(sys.ok()) << sys.status();
-  return sys.ok() ? (*sys)->features() : std::vector<DynamicBitset>{};
+  if (!sys.ok()) return {};
+  const FeatureRows& features = (*sys)->features();
+  return {features.begin(), features.end()};
 }
 
 /// Random vectors with a few empty ones mixed in.
@@ -328,7 +330,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadWidths, SparseChainTest,
 /// Algorithm 3 for a newcomer from a dense Jaccard scan, written out
 /// directly: the oracle AssignArrival's sparse sums must match bitwise.
 std::vector<std::pair<std::uint32_t, double>> DenseMemberships(
-    const DomainModel& model, const std::vector<DynamicBitset>& features,
+    const DomainModel& model, std::span<const DynamicBitset> features,
     const DynamicBitset& arrival, const IncrementalOptions& options) {
   std::vector<double> sc;
   double max_sim = 0.0;

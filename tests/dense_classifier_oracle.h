@@ -17,6 +17,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -140,7 +141,7 @@ inline double Smoothing(std::size_t dim) {
 /// One domain's dense conditionals from an exact engine.
 inline DenseConditionals ExactRow(const DomainModel& model,
                                   std::uint32_t domain,
-                                  const std::vector<DynamicBitset>& features,
+                                  std::span<const DynamicBitset> features,
                                   std::size_t num_schemas_total,
                                   ClassifierEngine engine) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
@@ -180,7 +181,7 @@ inline double ApproxClamp(double q) {
 /// One domain's dense conditionals from the expected-world approximation.
 inline DenseConditionals ExpectedWorldRow(
     const DomainModel& model, std::uint32_t domain,
-    const std::vector<DynamicBitset>& features,
+    std::span<const DynamicBitset> features,
     std::size_t num_schemas_total) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
   const double p = Smoothing(dim);
@@ -209,7 +210,7 @@ inline DenseConditionals ExpectedWorldRow(
 /// (the per-domain seed derivation of approx_classifier.cc).
 inline DenseConditionals MonteCarloRow(
     const DomainModel& model, std::uint32_t domain,
-    const std::vector<DynamicBitset>& features, std::size_t num_schemas_total,
+    std::span<const DynamicBitset> features, std::size_t num_schemas_total,
     std::size_t num_samples, std::uint64_t seed) {
   Rng rng(seed * 0x9E3779B97F4A7C15ULL + domain);
   const std::size_t dim = features.empty() ? 0 : features[0].size();

@@ -265,7 +265,7 @@ Result<NaiveBayesClassifier> BuildWith(Engine engine, const DomainModel& model,
 
 std::vector<DenseConditionals> OracleRows(Engine engine,
                                           const DomainModel& model,
-                                          const std::vector<DynamicBitset>& f,
+                                          std::span<const DynamicBitset> f,
                                           std::size_t total) {
   std::vector<DenseConditionals> rows;
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {

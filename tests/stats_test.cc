@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/integration_system.h"
 #include "serve/server_metrics.h"
 #include "serve/slow_query_log.h"
 #include "strict_json.h"
@@ -164,6 +165,32 @@ TEST(StatsRegistryTest, PrometheusSanitizesNamesAndExpandsHistograms) {
 
 TEST(StatsRegistryTest, GlobalIsASingleton) {
   EXPECT_EQ(&StatsRegistry::Global(), &StatsRegistry::Global());
+}
+
+TEST(StatsRegistryTest, BuildPublishesComponentByteGauges) {
+  StatsRegistry& reg = StatsRegistry::Global();
+  Gauge* features = reg.GetGauge("paygo.features.bytes");
+  Gauge* domains = reg.GetGauge("paygo.domains.bytes");
+  Gauge* classifier = reg.GetGauge("paygo.classifier.model_bytes");
+  features->Set(0);
+  domains->Set(0);
+  classifier->Set(0);
+  SchemaCorpus corpus("gauges");
+  corpus.Add(Schema("a", {"departure airport", "airline"}));
+  corpus.Add(Schema("b", {"departure", "airline", "class"}));
+  corpus.Add(Schema("c", {"title", "author", "year"}));
+  auto sys = IntegrationSystem::Build(std::move(corpus));
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  EXPECT_GT(features->value(), 0);
+  EXPECT_GT(domains->value(), 0);
+  EXPECT_GT(classifier->value(), 0);
+  EXPECT_EQ(features->value(),
+            static_cast<std::int64_t>((*sys)->features().MemoryBytes()));
+  EXPECT_EQ(domains->value(),
+            static_cast<std::int64_t>((*sys)->domains().MemoryBytes()));
+  const std::string prom = reg.ToPrometheus();
+  EXPECT_NE(prom.find("paygo_features_bytes"), std::string::npos);
+  EXPECT_NE(prom.find("paygo_domains_bytes"), std::string::npos);
 }
 
 TEST(ServerMetricsTest, ToJsonIsStrictlyValid) {

@@ -115,10 +115,12 @@ echo "    delta write path within the O(delta) refresh budget"
 echo "==> smoke: perf_write_path --shape web --smoke --check (O(delta) arrival row)"
 # The many-domain sparse_build shape at 200 pseudo-domains: besides the
 # refresh budget, each arrival must read at most n/8 posting-list entries
-# (counter paygo.arrival.postings_visited) — no corpus-wide scan.
+# (counter paygo.arrival.postings_visited) — no corpus-wide scan — and
+# each clone + AddSchema, mediation aside, may make at most n/8 heap
+# allocations, so no step copies the per-schema or per-domain rows.
 ./build/bench/perf_write_path --shape web --smoke --check --json-out "" \
   > "$SMOKE_DIR/write-path-web.json"
-echo "    web arrivals within the O(delta) postings budget"
+echo "    web arrivals within the O(delta) postings and allocation budgets"
 
 echo "==> smoke: perf_classifier --smoke --check (batch sweep >= 2x, p99 budget)"
 # The batch-classification regression gate: batch-64 single-thread
@@ -342,7 +344,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     parallel_determinism_test shard_replication_test fleet_trace_test \
     zero_alloc_test batch_classify_test bitset_kernel_test \
     sparse_hac_test neighbor_graph_test similarity_index_test \
-    hac_row_nn_differential_test -j "$JOBS"
+    hac_row_nn_differential_test arrival_sharing_test -j "$JOBS"
 
   echo "==> tsan: trace_test"
   ./build-tsan/tests/trace_test
@@ -364,6 +366,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/batch_classify_test
   echo "==> tsan: zero_alloc_test (steady-state classify allocates nothing)"
   ./build-tsan/tests/zero_alloc_test
+  echo "==> tsan: arrival_sharing_test (sibling clones append to one block)"
+  ./build-tsan/tests/arrival_sharing_test
   echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites + similarity_index_test + hac_row_nn_differential_test (ctest -j)"
   # Instrumented LCS scans are slow; the determinism harness and the
   # sparse-vs-dense fuzz honor PAYGO_DETERMINISM_SMALL and shrink their
@@ -386,7 +390,7 @@ if [[ "$RUN_ASAN" == 1 ]]; then
     sparse_classifier_differential_test batch_classify_test
     linkage_test clone_aliasing_test delta_differential_test
     model_io_roundtrip_test neighbor_graph_test system_refinement_test
-    trace_test arrival_row_test incremental_test)
+    trace_test arrival_row_test incremental_test arrival_sharing_test)
   echo "==> asan+ubsan: configure + build clustering, snapshot, mediation and classifier tests (PAYGO_SANITIZE=address,undefined)"
   cmake -B build-asan -S . -DPAYGO_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan --target "${ASAN_TESTS[@]}" -j "$JOBS"
