@@ -260,8 +260,6 @@ struct ScalePoint {
   double graph_seconds = 0.0;   // exact graph build alone
   std::uint64_t edges = 0;
   std::uint64_t candidates = 0;
-  double lsh_seconds = 0.0;     // LSH graph build + sparse HAC
-  std::uint64_t lsh_edges = 0;
   double dense_seconds = -1.0;  // dense matrix + fast HAC; -1 = not run
   int merges_match_dense = -1;  // 1/0; -1 = dense not run
 };
@@ -303,10 +301,7 @@ int RunGraphScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
     Result<HacResult> sparse = HacResult{};
     for (int r = 0; r < reps; ++r) {
       const auto t0 = Clock::now();
-      NeighborGraphOptions go;
-      go.mode = NeighborGraphMode::kExact;
-      go.recall_tau = hac.tau_c_sim;
-      auto graph = NeighborGraph::Build(features, go);
+      auto graph = NeighborGraph::Build(features, NeighborGraphOptions{});
       if (!graph.ok()) {
         std::fprintf(stderr, "sparse-scaling: graph build failed at n=%zu: %s\n",
                      n, graph.status().message().c_str());
@@ -327,29 +322,6 @@ int RunGraphScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
       }
       p.edges = graph->num_edges();
       p.candidates = graph->stats().candidates_generated;
-    }
-
-    for (int r = 0; r < reps; ++r) {
-      const auto t0 = Clock::now();
-      NeighborGraphOptions go;
-      go.mode = NeighborGraphMode::kMinHashLsh;
-      go.recall_tau = hac.tau_c_sim;
-      auto graph = NeighborGraph::Build(features, go);
-      if (!graph.ok()) {
-        std::fprintf(stderr, "sparse-scaling: LSH build failed at n=%zu: %s\n",
-                     n, graph.status().message().c_str());
-        return 1;
-      }
-      const auto lsh = Hac::RunOnGraph(*graph, hac);
-      if (!lsh.ok()) {
-        std::fprintf(stderr, "sparse-scaling: LSH HAC failed at n=%zu: %s\n",
-                     n, lsh.status().message().c_str());
-        return 1;
-      }
-      const auto t1 = Clock::now();
-      const double total = secs(t0, t1);
-      if (r == 0 || total < p.lsh_seconds) p.lsh_seconds = total;
-      p.lsh_edges = graph->num_edges();
     }
 
     if (n <= dense_max) {
@@ -379,11 +351,10 @@ int RunGraphScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
 
     std::fprintf(stderr,
                  "n=%-7zu dim=%-6zu sparse=%8.3fs (graph %7.3fs, %llu edges, "
-                 "%llu cands)  lsh=%8.3fs (%llu edges)  dense=%s\n",
+                 "%llu cands)  dense=%s\n",
                  p.n, p.dim, p.sparse_seconds, p.graph_seconds,
                  static_cast<unsigned long long>(p.edges),
-                 static_cast<unsigned long long>(p.candidates), p.lsh_seconds,
-                 static_cast<unsigned long long>(p.lsh_edges),
+                 static_cast<unsigned long long>(p.candidates),
                  p.dense_seconds < 0
                      ? "-"
                      : (std::to_string(p.dense_seconds) + "s").c_str());
@@ -425,7 +396,6 @@ int RunGraphScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
     if (!dense.ok()) return 1;
     for (std::size_t t : thread_counts) {
       NeighborGraphOptions go;
-      go.mode = NeighborGraphMode::kExact;
       go.num_threads = t;
       auto graph = NeighborGraph::Build(features, go);
       if (!graph.ok()) return 1;
@@ -459,12 +429,10 @@ int RunGraphScalingLane(std::size_t max_n, std::size_t dense_max, bool check,
       std::fprintf(f,
                    "    {\"n\": %zu, \"dim\": %zu, \"sparse_seconds\": %.6f, "
                    "\"graph_seconds\": %.6f, \"edges\": %llu, "
-                   "\"candidates_generated\": %llu, \"lsh_seconds\": %.6f, "
-                   "\"lsh_edges\": %llu, ",
+                   "\"candidates_generated\": %llu, ",
                    p.n, p.dim, p.sparse_seconds, p.graph_seconds,
                    static_cast<unsigned long long>(p.edges),
-                   static_cast<unsigned long long>(p.candidates),
-                   p.lsh_seconds, static_cast<unsigned long long>(p.lsh_edges));
+                   static_cast<unsigned long long>(p.candidates));
       if (p.dense_seconds >= 0) {
         std::fprintf(f, "\"dense_seconds\": %.6f, \"speedup\": %.2f, ",
                      p.dense_seconds,

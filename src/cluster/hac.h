@@ -118,11 +118,9 @@ class Hac {
   /// 4 c^2 bytes) scattered from its members' graph rows, where an absent
   /// edge counts as similarity 0. When the largest component's triangle
   /// would pass 2 GiB (more than 23,170 schemas) the call returns
-  /// ResourceExhausted before clustering anything. With an exact
-  /// all-nonzero graph (the NeighborGraph default) the merges and clusters
-  /// are bitwise those of Run() on the dense matrix, at any thread count;
-  /// with a pruned or LSH graph they are those of Run() on the matrix the
-  /// graph describes.
+  /// ResourceExhausted before clustering anything. The graph holds every
+  /// nonzero similarity exactly, so the merges and clusters are bitwise
+  /// those of Run() on the dense matrix, at any thread count.
   /// Supports Avg, Min and Max linkage with tau_c_sim > 0; Total Jaccard
   /// and max_clusters count mode, which can merge across components, are
   /// rejected. use_naive_engine is ignored.

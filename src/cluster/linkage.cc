@@ -1,7 +1,6 @@
 #include "cluster/linkage.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 
 #include "util/thread_pool.h"
@@ -88,19 +87,6 @@ SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
                                    bool nonempty)
     : rows_(base.rows_) {
   rows_.push_back(RowFromSparse(row, rows_.size(), nonempty));
-}
-
-SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
-                                   std::span<const DynamicBitset> features)
-    : rows_(base.rows_) {
-  assert(features.size() >= rows_.size());
-  FeaturePostings postings(std::span(features.data(), rows_.size()));
-  rows_.reserve(features.size());
-  for (std::size_t k = rows_.size(); k < features.size(); ++k) {
-    rows_.push_back(RowFromSparse(postings.JaccardRow(features[k]), k,
-                                  !features[k].None()));
-    postings.Append(features[k]);
-  }
 }
 
 void SimilarityMatrix::GatherRows(std::size_t lo, std::size_t hi,

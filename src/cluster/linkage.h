@@ -52,9 +52,9 @@ const std::vector<LinkageKind>& AllLinkageKinds();
 /// row k holds float(Jaccard(F_j, F_k)) for j < k followed by the diagonal
 /// (1, or 0 for an empty vector), k + 1 floats behind its own shared_ptr.
 /// n(n+1)/2 floats in all: 2323 schemas (DDH) need ~10.8 MB. Rows never
-/// change once built, so the extension constructor shares every old row
-/// with its base and only computes the appended ones; clones that extend
-/// the same base branch without copying or touching its cells.
+/// change once built, so the row constructor shares every old row with its
+/// base and only adds the appended one; clones that extend the same base
+/// branch without copying or touching its cells.
 ///
 /// At(i, j) reads row max(i, j) at index min(i, j). The upper half of a
 /// full row i is therefore a column of the triangle, one row per cell;
@@ -82,12 +82,6 @@ class SimilarityMatrix {
   /// No Jaccard work: the delta write path's matrix refresh.
   SimilarityMatrix(const SimilarityMatrix& base,
                    std::span<const JaccardEntry> row, bool nonempty);
-
-  /// Extends \p base (built over features[0..n-1]) to cover \p features
-  /// (size >= n, the tail newly appended): indexes the prefix, then appends
-  /// each tail schema's JaccardRow in order with the row constructor above.
-  SimilarityMatrix(const SimilarityMatrix& base,
-                   std::span<const DynamicBitset> features);
 
   /// s_sim(S_i, S_j); symmetric, At(i, i) == 1 for non-empty vectors.
   double At(std::size_t i, std::size_t j) const {

@@ -138,8 +138,8 @@ Result<DomainModel> AssignProbabilities(const SimilarityMatrix& sims,
 ///
 /// Candidate domains for schema S_i are the clusters containing any of its
 /// graph neighbors plus its home cluster; every other cluster has
-/// s_c_sim = 0 < tau_c_sim and can never qualify. When \p graph is an exact
-/// all-nonzero graph (edge_tau == 0) the result is bitwise identical to the
+/// s_c_sim = 0 < tau_c_sim and can never qualify. The graph holds every
+/// nonzero similarity exactly, so the result is bitwise identical to the
 /// dense overload: per-cluster sums walk members in the same ascending order
 /// and absent entries contribute exactly 0.0. Requires tau_c_sim > 0 (with
 /// tau = 0 the dense semantics assign zero-similarity domains, which a

@@ -61,12 +61,12 @@ struct SystemOptions {
   /// 4 n^2 for the corpus; a component of more than 23,170 schemas (2 GiB)
   /// makes clustering return ResourceExhausted. Attributes shared across
   /// domains can glue components together (see bench/perf_clustering
-  /// --generic-sweep). With the default exact graph the clustering and
-  /// domain model are bitwise those of the dense build; with an LSH graph
-  /// they are an approximation with bounded candidate recall.
+  /// --generic-sweep). The graph holds every nonzero similarity exactly,
+  /// so the clustering and domain model are bitwise those of the dense
+  /// build.
   bool sparse_build = false;
-  /// Neighbor-graph construction knobs for sparse_build (mode, LSH
-  /// banding, hot-posting handling). num_threads is taken from
+  /// Neighbor-graph construction knobs for sparse_build (hot-posting
+  /// handling; neither knob changes the graph). num_threads is taken from
   /// hac.num_threads, not from here.
   NeighborGraphOptions neighbor_graph;
   /// Skip mediation (clustering/classification-only deployments).

@@ -4,8 +4,13 @@
 /// \file string_util.h
 /// \brief Small string helpers shared across the library.
 
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace paygo {
@@ -38,6 +43,22 @@ std::string JsonEscape(std::string_view s);
 
 /// Formats a double with \p precision digits after the decimal point.
 std::string FormatDouble(double value, int precision = 3);
+
+/// Parses all of \p s as a decimal number of type \p T with
+/// std::from_chars. Empty input, leading whitespace or '+', trailing
+/// characters and values out of T's range are rejected, as is any sign for
+/// an unsigned T and inf or nan for a floating-point T.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view s) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  return value;
+}
 
 }  // namespace paygo
 

@@ -28,6 +28,7 @@
 
 #include "cluster/neighbor_graph.h"
 #include "core/integration_system.h"
+#include "extend_by_arrivals.h"
 #include "obs/stats.h"
 #include "schema/feature_postings.h"
 #include "synth/ddh_generator.h"
@@ -186,7 +187,7 @@ TEST(ArrivalRowTest, HotListsStayExact) {
                                           features.begin() + 560);
   auto base = NeighborGraph::Build(prefix, NeighborGraphOptions{});
   ASSERT_TRUE(base.ok()) << base.status();
-  const NeighborGraph extended(*base, features);
+  const NeighborGraph extended = ExtendByArrivals(*base, features);
   auto scratch = NeighborGraph::Build(features, NeighborGraphOptions{});
   ASSERT_TRUE(scratch.ok()) << scratch.status();
   ExpectGraphsEqual(extended, *scratch, "hot graph");

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "extend_by_arrivals.h"
 #include "util/random.h"
 
 namespace paygo {
@@ -118,9 +119,9 @@ TEST(SimilarityMatrixTest, ExtensionChainMatchesScratchBuildAtAnyThreadCount) {
   chain.emplace_back(Prefix(f, 100));
   // Single-row extensions 100 -> 120, then one 30-row extension to 150.
   for (std::size_t n = 101; n <= 120; ++n) {
-    chain.emplace_back(chain.back(), Prefix(f, n));
+    chain.push_back(ExtendByArrivals(chain.back(), Prefix(f, n)));
   }
-  chain.emplace_back(chain.back(), f);
+  chain.push_back(ExtendByArrivals(chain.back(), f));
   for (const SimilarityMatrix& ext : chain) {
     const std::vector<DynamicBitset> prefix = Prefix(f, ext.size());
     for (std::size_t threads : {1u, 2u, 4u}) {
@@ -134,8 +135,8 @@ TEST(SimilarityMatrixTest, ExtensionChainMatchesScratchBuildAtAnyThreadCount) {
 TEST(SimilarityMatrixTest, ExtensionSharesEveryBaseRow) {
   const std::vector<DynamicBitset> f = RandomFeatures(80, 17);
   const SimilarityMatrix base(Prefix(f, 70));
-  const SimilarityMatrix one(base, Prefix(f, 71));
-  const SimilarityMatrix many(one, f);
+  const SimilarityMatrix one = ExtendByArrivals(base, Prefix(f, 71));
+  const SimilarityMatrix many = ExtendByArrivals(one, f);
   for (std::size_t i = 0; i < base.size(); ++i) {
     EXPECT_EQ(one.Row(i).data(), base.Row(i).data()) << "row " << i;
     EXPECT_EQ(many.Row(i).data(), base.Row(i).data()) << "row " << i;
@@ -152,8 +153,8 @@ TEST(SimilarityMatrixTest, BranchedExtensionsLeaveBaseAndSiblingIntact) {
   }
   const SimilarityMatrix base(Prefix(left, 60));
   const SimilarityMatrix base_copy(Prefix(left, 60));
-  const SimilarityMatrix left_child(base, left);
-  const SimilarityMatrix right_child(base, right);
+  const SimilarityMatrix left_child = ExtendByArrivals(base, left);
+  const SimilarityMatrix right_child = ExtendByArrivals(base, right);
   EXPECT_EQ(CellMismatches(left_child, SimilarityMatrix(left)), 0u);
   EXPECT_EQ(CellMismatches(right_child, SimilarityMatrix(right)), 0u);
   EXPECT_EQ(CellMismatches(base, base_copy), 0u);
@@ -163,7 +164,7 @@ TEST(SimilarityMatrixTest, BranchedExtensionsLeaveBaseAndSiblingIntact) {
 TEST(SimilarityMatrixTest, ExtensionByNothingSharesEverything) {
   const std::vector<DynamicBitset> f = RandomFeatures(10, 31);
   const SimilarityMatrix base(f);
-  const SimilarityMatrix same(base, f);
+  const SimilarityMatrix same = ExtendByArrivals(base, f);
   ASSERT_EQ(same.size(), base.size());
   for (std::size_t i = 0; i < base.size(); ++i) {
     EXPECT_EQ(same.Row(i).data(), base.Row(i).data());

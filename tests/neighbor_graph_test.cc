@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "cluster/neighbor_graph.h"
 #include "core/integration_system.h"
+#include "extend_by_arrivals.h"
 #include "synth/many_domains.h"
 #include "util/random.h"
 
@@ -26,19 +26,18 @@ std::vector<DynamicBitset> RandomFeatures(Rng& rng, std::size_t n,
   return features;
 }
 
-/// The brute-force oracle: every pair with nonzero Jaccard >= edge_tau.
+/// The brute-force oracle: every pair with nonzero Jaccard.
 struct OracleEdge {
   std::uint32_t a, b;
   float sim;
 };
 
-std::vector<OracleEdge> BruteForce(const std::vector<DynamicBitset>& features,
-                                   double edge_tau) {
+std::vector<OracleEdge> BruteForce(const std::vector<DynamicBitset>& features) {
   std::vector<OracleEdge> edges;
   for (std::uint32_t a = 0; a < features.size(); ++a) {
     for (std::uint32_t b = a + 1; b < features.size(); ++b) {
       const double j = DynamicBitset::Jaccard(features[a], features[b]);
-      if (j > 0.0 && j >= edge_tau) {
+      if (j > 0.0) {
         edges.push_back({a, b, static_cast<float>(j)});
       }
     }
@@ -48,8 +47,8 @@ std::vector<OracleEdge> BruteForce(const std::vector<DynamicBitset>& features,
 
 void ExpectMatchesOracle(const NeighborGraph& graph,
                          const std::vector<DynamicBitset>& features,
-                         double edge_tau, const std::string& label) {
-  const auto oracle = BruteForce(features, edge_tau);
+                         const std::string& label) {
+  const auto oracle = BruteForce(features);
   ASSERT_EQ(graph.num_edges(), oracle.size()) << label;
   for (const OracleEdge& e : oracle) {
     // Stored similarity must be bitwise the float-rounded exact Jaccard,
@@ -81,7 +80,7 @@ TEST(NeighborGraphTest, ExactMatchesBruteForce) {
     opts.num_threads = threads;
     const auto graph = NeighborGraph::Build(features, opts);
     ASSERT_TRUE(graph.ok()) << graph.status();
-    ExpectMatchesOracle(*graph, features, 0.0,
+    ExpectMatchesOracle(*graph, features,
                         "threads=" + std::to_string(threads));
     EXPECT_EQ(graph->stats().num_edges, graph->num_edges());
     EXPECT_GE(graph->stats().candidates_verified, graph->num_edges());
@@ -99,100 +98,8 @@ TEST(NeighborGraphTest, ExactWithForcedHotPostingsMatchesBruteForce) {
     opts.num_threads = threads;
     const auto graph = NeighborGraph::Build(features, opts);
     ASSERT_TRUE(graph.ok()) << graph.status();
-    ExpectMatchesOracle(*graph, features, 0.0,
+    ExpectMatchesOracle(*graph, features,
                         "hot=1 threads=" + std::to_string(threads));
-  }
-}
-
-TEST(NeighborGraphTest, EdgeTauFiltersLowSimilarityEdges) {
-  Rng rng(37);
-  const auto features = RandomFeatures(rng, 50, 64);
-  NeighborGraphOptions opts;
-  opts.edge_tau = 0.3;
-  const auto graph = NeighborGraph::Build(features, opts);
-  ASSERT_TRUE(graph.ok()) << graph.status();
-  ExpectMatchesOracle(*graph, features, 0.3, "edge_tau=0.3");
-  EXPECT_GT(graph->stats().candidates_pruned, 0u);
-}
-
-TEST(NeighborGraphTest, TopKPruningKeepsSymmetricUnion) {
-  Rng rng(41);
-  const auto features = RandomFeatures(rng, 60, 64);
-  NeighborGraphOptions opts;
-  opts.top_k = 5;
-  const auto graph = NeighborGraph::Build(features, opts);
-  ASSERT_TRUE(graph.ok()) << graph.status();
-
-  NeighborGraphOptions full_opts;
-  const auto full = NeighborGraph::Build(features, full_opts);
-  ASSERT_TRUE(full.ok());
-  ASSERT_LE(graph->num_edges(), full->num_edges());
-
-  // Every kept edge exists in the full graph with the same similarity, and
-  // the graph stays symmetric.
-  for (std::uint32_t i = 0; i < features.size(); ++i) {
-    const auto [begin, end] = graph->Row(i);
-    for (const NeighborEdge* e = begin; e != end; ++e) {
-      ASSERT_EQ(full->Similarity(i, e->id), e->sim);
-      ASSERT_EQ(graph->Similarity(e->id, i), e->sim);
-    }
-  }
-  // An edge survives iff it ranks in the top-k by (sim desc, id asc) of at
-  // least one endpoint; check each node's k best full-graph neighbors are
-  // all present.
-  for (std::uint32_t i = 0; i < features.size(); ++i) {
-    const auto [begin, end] = full->Row(i);
-    std::vector<NeighborEdge> row(begin, end);
-    std::sort(row.begin(), row.end(), [](const auto& x, const auto& y) {
-      if (x.sim != y.sim) return x.sim > y.sim;
-      return x.id < y.id;
-    });
-    for (std::size_t k = 0; k < std::min<std::size_t>(5, row.size()); ++k) {
-      ASSERT_GT(graph->Similarity(i, row[k].id), 0.0f)
-          << "node " << i << " lost top-" << k << " neighbor " << row[k].id;
-    }
-  }
-}
-
-TEST(NeighborGraphTest, ChooseBandingMeetsRecallTarget) {
-  for (double tau : {0.2, 0.25, 0.4, 0.6}) {
-    std::size_t bands = 0, rows = 0;
-    NeighborGraph::ChooseBanding(128, tau, 0.95, &bands, &rows);
-    ASSERT_GE(rows, 1u);
-    ASSERT_GE(bands, 1u);
-    ASSERT_LE(bands * rows, 128u);
-    EXPECT_GE(NeighborGraph::CollisionProbability(tau, bands, rows), 0.95)
-        << "tau=" << tau;
-    // Tau-awareness: the same parameters at a clearly higher similarity
-    // collide at least as often.
-    EXPECT_GE(NeighborGraph::CollisionProbability(tau + 0.2, bands, rows),
-              NeighborGraph::CollisionProbability(tau, bands, rows));
-  }
-  // Higher tau affords more rows per band (fewer false positives).
-  std::size_t b_lo = 0, r_lo = 0, b_hi = 0, r_hi = 0;
-  NeighborGraph::ChooseBanding(128, 0.2, 0.95, &b_lo, &r_lo);
-  NeighborGraph::ChooseBanding(128, 0.7, 0.95, &b_hi, &r_hi);
-  EXPECT_GE(r_hi, r_lo);
-}
-
-TEST(NeighborGraphTest, LshEdgesAreExactSubsetOfBruteForce) {
-  Rng rng(53);
-  const auto features = RandomFeatures(rng, 80, 96);
-  NeighborGraphOptions opts;
-  opts.mode = NeighborGraphMode::kMinHashLsh;
-  opts.recall_tau = 0.25;
-  const auto graph = NeighborGraph::Build(features, opts);
-  ASSERT_TRUE(graph.ok()) << graph.status();
-  EXPECT_GT(graph->stats().bands_probed, 0u);
-  EXPECT_GT(graph->stats().lsh_bands, 0u);
-  // Every surviving edge carries the exact float Jaccard.
-  for (std::uint32_t i = 0; i < features.size(); ++i) {
-    const auto [begin, end] = graph->Row(i);
-    for (const NeighborEdge* e = begin; e != end; ++e) {
-      ASSERT_EQ(e->sim,
-                static_cast<float>(
-                    DynamicBitset::Jaccard(features[i], features[e->id])));
-    }
   }
 }
 
@@ -204,22 +111,20 @@ TEST(NeighborGraphTest, ExtendMatchesFullRebuild) {
   NeighborGraphOptions opts;
   const auto base = NeighborGraph::Build(prefix, opts);
   ASSERT_TRUE(base.ok());
-  const NeighborGraph extended(*base, features);
+  const NeighborGraph extended = ExtendByArrivals(*base, features);
   ASSERT_EQ(extended.num_nodes(), features.size());
-  ExpectMatchesOracle(extended, features, 0.0, "extended");
+  ExpectMatchesOracle(extended, features, "extended");
 }
 
 TEST(NeighborGraphTest, RejectsBadOptions) {
   std::vector<DynamicBitset> f(2, DynamicBitset(8));
   f[0].Set(1);
   f[1].Set(1);
-  NeighborGraphOptions opts;
-  opts.edge_tau = 1.5;
-  EXPECT_TRUE(NeighborGraph::Build(f, opts).status().IsInvalidArgument());
-  opts.edge_tau = 0.0;
-  opts.mode = NeighborGraphMode::kMinHashLsh;
-  opts.num_hashes = 0;
-  EXPECT_TRUE(NeighborGraph::Build(f, opts).status().IsInvalidArgument());
+  // Postings over a different number of schemas.
+  const FeaturePostings postings(std::span(f.data(), 1));
+  EXPECT_TRUE(NeighborGraph::Build(f, postings, NeighborGraphOptions{})
+                  .status()
+                  .IsInvalidArgument());
   // Mismatched dimensions.
   std::vector<DynamicBitset> bad = {DynamicBitset(8), DynamicBitset(16)};
   EXPECT_TRUE(

@@ -401,72 +401,6 @@ TEST(SparseHacFuzzTest, PooledLargeComponentMatchesDense) {
   }
 }
 
-// --- LSH mode: recall floor against the dense tau-edge oracle ---
-//
-// The LSH graph may miss edges (recall < 1) but every edge it keeps is
-// exactly verified. Against the oracle set {pairs with Jaccard >=
-// recall_tau} from the dense matrix, the banding chosen by ChooseBanding
-// must recover at least the configured recall floor. Seeds are fixed, so
-// the assertion is deterministic.
-TEST(SparseHacLshTest, RecallFloorAgainstDenseOracle) {
-  ManyDomainFeatureOptions gen;
-  gen.num_schemas = SmallFuzzMode() ? 300 : 1000;
-  const auto features = MakeManyDomainFeatures(gen);
-  const double tau = 0.25;
-
-  NeighborGraphOptions go;
-  go.mode = NeighborGraphMode::kMinHashLsh;
-  go.recall_tau = tau;
-  go.target_recall = 0.95;
-  const auto graph = NeighborGraph::Build(features, go);
-  ASSERT_TRUE(graph.ok()) << graph.status();
-
-  std::size_t oracle = 0, found = 0;
-  for (std::uint32_t a = 0; a < features.size(); ++a) {
-    for (std::uint32_t b = a + 1; b < features.size(); ++b) {
-      if (DynamicBitset::Jaccard(features[a], features[b]) < tau) continue;
-      ++oracle;
-      if (graph->Similarity(a, b) > 0.0f) ++found;
-    }
-  }
-  ASSERT_GT(oracle, 0u);
-  const double recall = static_cast<double>(found) / oracle;
-  // The banding guarantees >= 0.95 in expectation at exactly tau; pairs
-  // above tau collide with higher probability, so the realized recall
-  // should clear a 0.9 floor comfortably.
-  EXPECT_GE(recall, 0.9) << found << "/" << oracle;
-
-  // Seed-determinism across thread counts: identical edge sets.
-  NeighborGraphOptions go4 = go;
-  go4.num_threads = 4;
-  const auto graph4 = NeighborGraph::Build(features, go4);
-  ASSERT_TRUE(graph4.ok());
-  ASSERT_EQ(graph->num_edges(), graph4->num_edges());
-  for (std::uint32_t i = 0; i < features.size(); ++i) {
-    const auto [b1, e1] = graph->Row(i);
-    const auto [b4, e4] = graph4->Row(i);
-    ASSERT_EQ(e1 - b1, e4 - b4) << "row " << i;
-    for (std::ptrdiff_t k = 0; k < e1 - b1; ++k) {
-      ASSERT_EQ(b1[k].id, b4[k].id) << "row " << i;
-      ASSERT_EQ(b1[k].sim, b4[k].sim) << "row " << i;
-    }
-  }
-
-  // Clustering the LSH graph still recovers the many-domains structure:
-  // compare cluster count against the dense run loosely (recall misses can
-  // only fail to merge, never wrongly merge — every kept edge is exact).
-  HacOptions hopts;
-  hopts.tau_c_sim = tau;
-  const auto lsh_clusters = Hac::RunOnGraph(*graph, hopts);
-  ASSERT_TRUE(lsh_clusters.ok());
-  const auto dense_clusters = Hac::Run(features, hopts);
-  ASSERT_TRUE(dense_clusters.ok());
-  EXPECT_GE(lsh_clusters->clusters.size(), dense_clusters->clusters.size());
-  EXPECT_LE(lsh_clusters->clusters.size(),
-            dense_clusters->clusters.size() +
-                dense_clusters->clusters.size() / 5 + 5);
-}
-
 TEST(SparseHacTest, DisjointSchemasNeverMerge) {
   std::vector<DynamicBitset> f(3, DynamicBitset(9));
   f[0].Set(0);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "strict_json.h"
@@ -76,6 +78,53 @@ TEST(StringUtilTest, JsonEscapeEmitsStrictJsonForEveryControlByte) {
   all += "\"\\/\x7f end";
   const std::string doc = "{\"s\": \"" + JsonEscape(all) + "\"}";
   EXPECT_TRUE(strict_json::IsValid(doc)) << strict_json::ErrorOf(doc);
+}
+
+TEST(StringUtilTest, ParseNumberAcceptsWholeDecimalValues) {
+  EXPECT_EQ(ParseNumber<std::size_t>("0"), 0u);
+  EXPECT_EQ(ParseNumber<std::size_t>("4"), 4u);
+  EXPECT_EQ(ParseNumber<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(ParseNumber<int>("-7"), -7);
+  EXPECT_EQ(ParseNumber<double>("0.25"), 0.25);
+  EXPECT_EQ(ParseNumber<double>("-1.5e-3"), -1.5e-3);
+  EXPECT_EQ(ParseNumber<double>("2"), 2.0);
+}
+
+TEST(StringUtilTest, ParseNumberRejectsEmptyInput) {
+  EXPECT_EQ(ParseNumber<std::size_t>(""), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>(""), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>(""), std::nullopt);
+}
+
+TEST(StringUtilTest, ParseNumberRejectsSignsOnUnsigned) {
+  EXPECT_EQ(ParseNumber<std::size_t>("-1"), std::nullopt);
+  EXPECT_EQ(ParseNumber<std::size_t>("-0"), std::nullopt);
+  EXPECT_EQ(ParseNumber<std::uint64_t>("+3"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("+3"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("+0.5"), std::nullopt);
+}
+
+TEST(StringUtilTest, ParseNumberRejectsTrailingGarbage) {
+  EXPECT_EQ(ParseNumber<std::size_t>("abc"), std::nullopt);
+  EXPECT_EQ(ParseNumber<std::size_t>("4x"), std::nullopt);
+  EXPECT_EQ(ParseNumber<std::size_t>("4 "), std::nullopt);
+  EXPECT_EQ(ParseNumber<std::size_t>(" 4"), std::nullopt);
+  EXPECT_EQ(ParseNumber<std::size_t>("4.0"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("12abc"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("abc"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("0.25x"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("1e"), std::nullopt);
+}
+
+TEST(StringUtilTest, ParseNumberRejectsOverflowAndNonFinite) {
+  EXPECT_EQ(ParseNumber<std::uint64_t>("18446744073709551616"),
+            std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("2147483648"), std::nullopt);
+  EXPECT_EQ(ParseNumber<int>("-2147483649"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("1e400"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("inf"), std::nullopt);
+  EXPECT_EQ(ParseNumber<double>("nan"), std::nullopt);
 }
 
 }  // namespace

@@ -61,11 +61,41 @@ if ! diff -q "$SMOKE_DIR/dense.txt" "$SMOKE_DIR/sparse.txt" >/dev/null; then
 fi
 echo "    dense and sparse cluster output identical"
 
+echo "==> smoke: paygo_cli cluster --sparse --threads 4 (parallel graph build)"
+# The neighbor graph's chunked build and RunOnGraph's pool must give the
+# serial dense output through the CLI too.
+./build/tools/paygo_cli cluster "$SMOKE_DIR/corpus.txt" --sparse --threads 4 \
+  > "$SMOKE_DIR/sparse4.txt"
+if ! diff -q "$SMOKE_DIR/dense.txt" "$SMOKE_DIR/sparse4.txt" >/dev/null; then
+  echo "FAIL: --sparse --threads 4 clustering differs from the dense build" >&2
+  diff "$SMOKE_DIR/dense.txt" "$SMOKE_DIR/sparse4.txt" | head -20 >&2
+  exit 1
+fi
+echo "    dense serial and sparse 4-thread cluster output identical"
+
+echo "==> smoke: paygo_cli rejects malformed numeric flags (exit 2)"
+# Each value must be refused while parsing, before any work or thread
+# starts: a sign on a count, trailing garbage, a non-number, an overflow.
+for bad in "--threads -1" "--threads abc" "--threads 4x" "--tau abc" \
+           "--tau 0.25x" "--threads 5000" \
+           "--threads 99999999999999999999999"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  ./build/tools/paygo_cli cluster "$SMOKE_DIR/corpus.txt" $bad \
+    >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: paygo_cli cluster $bad exited $rc, expected 2" >&2
+    exit 1
+  fi
+done
+echo "    every malformed value exits 2"
+
 echo "==> smoke: perf_clustering --sparse-scaling --check (scaled down)"
-# The dense-matrix-free scaling lane at CI size: sparse must beat dense by
-# >= 5x at the largest dense-feasible n and reproduce the dense merges
-# bitwise at 1/2/4 threads (full curve: --max-n=100000 --dense-max=8000;
-# schema in bench/README.md).
+# The dense-matrix-free scaling lane at CI size: the exact neighbor graph
+# plus Hac::RunOnGraph must beat the dense matrix plus Hac::Run by >= 5x
+# at the largest dense-feasible n and reproduce the dense merges bitwise
+# at 1/2/4 threads (full curve: --max-n=100000 --dense-max=8000; schema
+# in bench/README.md).
 ./build/bench/perf_clustering --sparse-scaling --max-n=4000 --dense-max=2000 \
   --check --json-out="$SMOKE_DIR/BENCH_clustering.json" \
   2> "$SMOKE_DIR/sparse-scaling.log"

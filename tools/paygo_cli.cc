@@ -31,10 +31,11 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,27 +89,26 @@ commands:
                                          kernel, cmake toggles, compiler)
 
 options (cluster/classify/snapshot):
-  --batch <n>     (classify) score the query n times through one batch
-                  sweep AND the single path, verify the rankings are
-                  identical, and report both per-query timings
+  --batch <n>     (classify) score the query n times (at most 1000000)
+                  through one batch sweep AND the single path, verify the
+                  rankings are identical, and report both per-query
+                  timings
   --tau <v>       clustering threshold tau_c_sim (default 0.25)
   --theta <v>     uncertainty threshold theta (default 0.02)
   --linkage <k>   avg | min | max | total (default avg)
-  --threads <n>   worker threads for clustering + index builds
-                  (0 = hardware concurrency, default 1 = serial;
+  --threads <n>   worker threads for clustering + index builds, at most
+                  1024 (0 = hardware concurrency, default 1 = serial;
                   results are bit-identical at any setting)
   --sparse        (cluster) dense-matrix-free build: cluster over the
-                  sparse neighbor graph instead of the O(n^2) similarity
-                  matrix; output is bitwise identical to the dense build
-  --lsh           with --sparse: approximate candidate generation via
-                  MinHash/LSH banding (recall-bounded at tau; every
-                  surviving edge still exactly verified)
+                  exact sparse neighbor graph instead of the O(n^2)
+                  similarity matrix; output is bitwise identical to the
+                  dense build
   --eval          also score clustering against corpus labels
 
 options (serve-bench):
-  --serve-threads <n>      client threads (default 4)
+  --serve-threads <n>      client threads (default 4, at most 1024)
   --serve-seconds <s>      load duration per phase (default 2)
-  --serve-workers <n>      server worker threads (default 4)
+  --serve-workers <n>      server worker threads (default 4, at most 1024)
   --serve-queue-depth <n>  admission-control queue depth (default 256)
   --slow-us <n>            slow-query log threshold in us (default 0:
                            every request qualifies for the slow_queries
@@ -132,7 +132,8 @@ options (shard-node/shard-router):
                            (no corpus file; /readyz flips 200 when the
                            first replicated snapshot installs)
   --shards <n>             with --shard-index: consistent-hash partition
-  --shard-index <i>        the corpus and serve only shard i's share
+  --shard-index <i>        the corpus into n <= 4096 shards and serve only
+                           shard i's share
   --poll-ms <n>            replica poll cadence (default 200)
   --shard <host:port>      (shard-router; repeatable) fleet member to
                            scatter the query to
@@ -152,6 +153,9 @@ observability (cluster/classify/serve-bench):
   --trace-out <file>  enable tracing; write Chrome trace-event JSON on
                       exit (load in Perfetto / chrome://tracing)
   --stats-json <file> write the StatsRegistry dump as JSON on exit
+
+Numeric values must be plain decimal numbers (no sign on counts, ports
+or durations); any other value exits with status 2.
 )";
   return 2;
 }
@@ -184,6 +188,39 @@ struct CliOptions {
   std::vector<std::string> positional;
 };
 
+/// Upper bound for every thread-count flag: far above any core count, far
+/// below what would exhaust the process's threads.
+constexpr std::size_t kMaxThreads = 1024;
+/// Upper bounds for flags that size an allocation up front.
+constexpr std::size_t kMaxRepeats = 1000000;  // --batch, --queries
+constexpr std::size_t kMaxShards = 4096;
+
+/// Reads flag \p name's value \p v as a \p T in [lo, hi] into \p out.
+/// Prints why and returns false when \p v is missing, is not entirely a
+/// decimal number (ParseNumber), or is out of range.
+template <typename T>
+bool ParseFlag(const std::string& name, const char* v, T* out,
+               T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  if (v == nullptr) {
+    std::cerr << name << " needs a value\n";
+    return false;
+  }
+  const std::optional<T> value = ParseNumber<T>(v);
+  if (!value || *value < lo || *value > hi) {
+    std::cerr << "invalid value '" << v << "' for " << name;
+    if (hi != std::numeric_limits<T>::max()) {
+      std::cerr << " (expected " << lo << " to " << hi << ")";
+    } else if (lo != std::numeric_limits<T>::lowest()) {
+      std::cerr << " (expected at least " << lo << ")";
+    }
+    std::cerr << "\n";
+    return false;
+  }
+  *out = *value;
+  return true;
+}
+
 bool ParseCommon(int argc, char** argv, int first, CliOptions* out) {
   for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -191,14 +228,12 @@ bool ParseCommon(int argc, char** argv, int first, CliOptions* out) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--tau") {
-      const char* v = next();
-      if (!v) return false;
-      out->system.hac.tau_c_sim = std::atof(v);
+      if (!ParseFlag(arg, next(), &out->system.hac.tau_c_sim)) return false;
       out->system.assignment.tau_c_sim = out->system.hac.tau_c_sim;
     } else if (arg == "--theta") {
-      const char* v = next();
-      if (!v) return false;
-      out->system.assignment.theta = std::atof(v);
+      if (!ParseFlag(arg, next(), &out->system.assignment.theta)) {
+        return false;
+      }
     } else if (arg == "--linkage") {
       const char* v = next();
       if (!v) return false;
@@ -216,90 +251,79 @@ bool ParseCommon(int argc, char** argv, int first, CliOptions* out) {
         return false;
       }
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      const std::size_t n = static_cast<std::size_t>(std::atoi(v));
+      std::size_t n = 0;
+      if (!ParseFlag(arg, next(), &n, std::size_t{0}, kMaxThreads)) {
+        return false;
+      }
       out->system.hac.num_threads = n;
       out->system.features.num_threads = n;
     } else if (arg == "--sparse") {
       out->system.sparse_build = true;
-    } else if (arg == "--lsh") {
-      out->system.sparse_build = true;
-      out->system.neighbor_graph.mode = NeighborGraphMode::kMinHashLsh;
     } else if (arg == "--eval") {
       out->eval = true;
     } else if (arg == "--newick") {
       out->newick = true;
     } else if (arg == "--queries") {
-      const char* v = next();
-      if (!v) return false;
-      out->queries_per_size = static_cast<std::size_t>(std::atoi(v));
-      if (out->queries_per_size == 0) return false;
+      if (!ParseFlag(arg, next(), &out->queries_per_size, std::size_t{1},
+                     kMaxRepeats)) {
+        return false;
+      }
     } else if (arg == "--serve-threads") {
-      const char* v = next();
-      if (!v) return false;
-      out->serve_threads = static_cast<std::size_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), &out->serve_threads, std::size_t{0},
+                     kMaxThreads)) {
+        return false;
+      }
     } else if (arg == "--serve-seconds") {
-      const char* v = next();
-      if (!v) return false;
-      out->serve_seconds = std::atof(v);
+      // Bounded so that the millisecond count cannot overflow.
+      if (!ParseFlag(arg, next(), &out->serve_seconds, 0.0, 1e6)) {
+        return false;
+      }
     } else if (arg == "--serve-workers") {
-      const char* v = next();
-      if (!v) return false;
-      out->serve_workers = static_cast<std::size_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), &out->serve_workers, std::size_t{0},
+                     kMaxThreads)) {
+        return false;
+      }
     } else if (arg == "--serve-queue-depth") {
-      const char* v = next();
-      if (!v) return false;
-      out->serve_queue_depth = static_cast<std::size_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), &out->serve_queue_depth)) return false;
     } else if (arg == "--slow-us") {
-      const char* v = next();
-      if (!v) return false;
-      out->slow_us = static_cast<std::uint64_t>(std::atoll(v));
+      if (!ParseFlag(arg, next(), &out->slow_us)) return false;
     } else if (arg == "--admin-port") {
-      const char* v = next();
-      if (!v) return false;
-      out->admin_port = std::atoi(v);
+      if (!ParseFlag(arg, next(), &out->admin_port, 0, 65535)) return false;
     } else if (arg == "--export-jsonl") {
       const char* v = next();
       if (!v) return false;
       out->export_jsonl = v;
     } else if (arg == "--export-interval-ms") {
-      const char* v = next();
-      if (!v) return false;
-      out->export_interval_ms = static_cast<std::uint64_t>(std::atoll(v));
+      if (!ParseFlag(arg, next(), &out->export_interval_ms)) return false;
     } else if (arg == "--shard-port") {
-      const char* v = next();
-      if (!v) return false;
-      out->shard_port = std::atoi(v);
+      if (!ParseFlag(arg, next(), &out->shard_port, 0, 65535)) return false;
     } else if (arg == "--primary") {
       const char* v = next();
       if (!v) return false;
       out->primary = v;
     } else if (arg == "--shards") {
-      const char* v = next();
-      if (!v) return false;
-      out->shards_total = static_cast<std::size_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), &out->shards_total, std::size_t{0},
+                     kMaxShards)) {
+        return false;
+      }
     } else if (arg == "--shard-index") {
-      const char* v = next();
-      if (!v) return false;
-      out->shard_index = static_cast<std::size_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), &out->shard_index)) return false;
     } else if (arg == "--poll-ms") {
-      const char* v = next();
-      if (!v) return false;
-      out->poll_ms = static_cast<std::uint64_t>(std::atoll(v));
+      if (!ParseFlag(arg, next(), &out->poll_ms)) return false;
     } else if (arg == "--shard") {
       const char* v = next();
       if (!v) return false;
       out->shard_addrs.push_back(v);
     } else if (arg == "--batch") {
-      const char* v = next();
-      if (!v) return false;
-      out->classify_batch = static_cast<std::size_t>(std::atoi(v));
-      if (out->classify_batch == 0) return false;
+      if (!ParseFlag(arg, next(), &out->classify_batch, std::size_t{1},
+                     kMaxRepeats)) {
+        return false;
+      }
     } else if (arg.rfind("--batch=", 0) == 0) {
-      out->classify_batch =
-          static_cast<std::size_t>(std::atoi(arg.c_str() + 8));
-      if (out->classify_batch == 0) return false;
+      if (!ParseFlag("--batch", arg.c_str() + 8, &out->classify_batch,
+                     std::size_t{1}, kMaxRepeats)) {
+        return false;
+      }
     } else if (arg == "--trace-out") {
       const char* v = next();
       if (!v) return false;
@@ -323,9 +347,6 @@ bool ParseCommon(int argc, char** argv, int first, CliOptions* out) {
       out->positional.push_back(arg);
     }
   }
-  // The LSH recall guarantee is evaluated at the clustering threshold,
-  // whatever order --tau and --lsh appeared in.
-  out->system.neighbor_graph.recall_tau = out->system.hac.tau_c_sim;
   return true;
 }
 
