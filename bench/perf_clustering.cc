@@ -651,8 +651,7 @@ int RunGenericSweepLane(std::size_t max_n, const std::string& json_out) {
 // argv) adds N to the thread sweep of the scaling benchmarks, so a box
 // with more cores can extend the curve without recompiling:
 //
-//   bench/perf_clustering --threads=16 \
-//       --benchmark_filter='Threads'
+//   bench/perf_clustering --threads=16 --benchmark_filter='Threads'
 //
 // `--json-out=FILE` (default BENCH_clustering.json; empty disables)
 // forwards to google-benchmark's JSON file reporter, giving CI a

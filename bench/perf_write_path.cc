@@ -23,7 +23,7 @@
 ///     join existing domains — the shape where an arrival shares features
 ///     with only a handful of schemas.
 ///
-/// The delta run exports three O(delta) witnesses, all turned into
+/// The delta run exports four O(delta) witnesses, all turned into
 /// PASS/FAIL gates by `--check`:
 ///   * paygo.classifier.domains_refreshed / domains_reused: refreshed
 ///     domains must stay within a small per-add budget;
@@ -31,6 +31,13 @@
 ///     entries read per arrival must stay within n / 8 for a base corpus of
 ///     n schemas (reported, not gated, on ddh, whose few domains make every
 ///     list long);
+///   * paygo.mediate.domains_rebuilt: every touched domain's mediation
+///     must be extended from its old one (domains_extended), never
+///     re-mediated from scratch — exact, since every arrival appends to
+///     its domains' member lists. Reported per add with the other
+///     paygo.mediate.* counters: mappings_reused / mappings_computed
+///     (member mappings copied from the old mediation or computed) and
+///     name_sims (attribute-name similarity calls);
 ///   * heap allocations per add (clone + AddSchema + dropping the old
 ///     snapshot), counted by this binary's own global operator new. They
 ///     are counted in an untimed delta run that goes first, so it appends
@@ -41,9 +48,10 @@
 ///     same count on a twin built without mediation must stay within the
 ///     same n / 8, so no step may copy the per-schema or per-domain rows
 ///     one allocation each. Mediation is left out of the gate because
-///     re-mediating a touched domain makes hundreds of allocations: O(delta),
-///     but a cost that does not shrink with n, so no n-relative budget
-///     could hold it at every corpus size.
+///     a touched domain's new mediation copies or recomputes one mapping
+///     per member, a few allocations each: a cost that grows with the
+///     domain, not with n, so no n-relative budget could hold it at every
+///     corpus size.
 /// A second, traced delta pass reports each add's mean self time in every
 /// span it records (system.clone, system.add_schema, its .assign and
 /// .similarity children, system.mediate_delta, system.update_classifier
@@ -58,8 +66,8 @@
 ///   --adds N             schemas streamed per corpus (default 40)
 ///   --smoke              tiny preset (ddh: one 120-schema corpus; web:
 ///                        200 domains; 8 adds)
-///   --check              exit 1 if refresh, postings work or allocations
-///                        are not O(delta)
+///   --check              exit 1 if refresh, postings work, mediation or
+///                        allocations are not O(delta)
 ///   --json-out FILE      machine-readable output ("" disables)
 ///   --human              readable summary instead of JSON
 
@@ -387,6 +395,15 @@ int main(int argc, char** argv) {
       StatsRegistry::Global().GetCounter("paygo.classifier.domains_reused");
   Counter* visited =
       StatsRegistry::Global().GetCounter("paygo.arrival.postings_visited");
+  // The paygo.mediate.* counters, in report order.
+  const std::vector<std::string> mediate = {
+      "domains_extended", "domains_rebuilt", "mappings_reused",
+      "mappings_computed", "name_sims"};
+  std::vector<Counter*> mediate_counters;
+  for (const std::string& name : mediate) {
+    mediate_counters.push_back(
+        StatsRegistry::Global().GetCounter("paygo.mediate." + name));
+  }
 
   bool check_failed = false;
   std::ostringstream results;
@@ -427,12 +444,20 @@ int main(int argc, char** argv) {
     refreshed->Reset();
     reused->Reset();
     visited->Reset();
+    for (Counter* c : mediate_counters) c->Reset();
     const std::vector<double> delta_us =
         RunChurn(**built, /*delta_mode=*/true, w.arrivals);
     const std::uint64_t delta_refreshed = refreshed->value();
     const std::uint64_t delta_reused = reused->value();
     const double visited_per_add =
         static_cast<double>(visited->value()) / static_cast<double>(adds);
+    const std::uint64_t domains_rebuilt =
+        mediate_counters[1]->value();  // paygo.mediate.domains_rebuilt
+    std::vector<double> mediate_per_add;
+    for (Counter* c : mediate_counters) {
+      mediate_per_add.push_back(static_cast<double>(c->value()) /
+                                static_cast<double>(adds));
+    }
     const std::map<std::string, double> span_self_us =
         ArrivalSpanSelfMicros(**built, w.arrivals);
     const std::vector<double> staleness_us =
@@ -462,7 +487,17 @@ int main(int argc, char** argv) {
     const bool allocs_ok =
         w.visited_budget == 0 ||
         unmediated_allocs_per_add <= static_cast<double>(w.visited_budget);
-    if (!refresh_ok || !visited_ok || !allocs_ok) check_failed = true;
+    // Every arrival appends to its domains' member lists, so each touched
+    // mediation must be an extension of the old one.
+    const bool mediate_ok = domains_rebuilt == 0;
+    if (!refresh_ok || !visited_ok || !allocs_ok || !mediate_ok) {
+      check_failed = true;
+    }
+    std::ostringstream mediate_json;
+    for (std::size_t k = 0; k < mediate.size(); ++k) {
+      mediate_json << "\"" << mediate[k] << "_per_add\": "
+                   << mediate_per_add[k] << ", ";
+    }
 
     std::ostringstream spans_json;
     const char* sep = "";
@@ -486,6 +521,8 @@ int main(int argc, char** argv) {
             << ", \"domains_reused\": " << delta_reused
             << ", \"refresh_budget\": " << budget
             << ", \"o_delta\": " << (refresh_ok ? "true" : "false") << "}"
+            << ", \"mediate\": {" << mediate_json.str()
+            << "\"o_delta\": " << (mediate_ok ? "true" : "false") << "}"
             << ", \"arrival\": {\"postings_visited_per_add\": "
             << visited_per_add
             << ", \"visited_budget\": " << w.visited_budget
@@ -519,6 +556,12 @@ int main(int argc, char** argv) {
       human << " (budget " << w.visited_budget << ", "
             << (visited_ok ? "O(delta) OK" : "O(delta) VIOLATED") << ")";
     }
+    human << "\n  mediation per add:";
+    for (std::size_t k = 0; k < mediate.size(); ++k) {
+      human << " " << mediate[k] << " " << mediate_per_add[k];
+    }
+    human << " (" << (mediate_ok ? "O(delta) OK" : "O(delta) VIOLATED")
+          << ")";
     human << "\n  heap allocations per add " << allocs_per_add << " ("
           << alloc_bytes_per_add << " bytes; heaviest add "
           << heap.max_allocations << ")";
@@ -563,8 +606,8 @@ int main(int argc, char** argv) {
     std::cout << results.str() << "\n";
   }
   if (opts.check && check_failed) {
-    std::cerr << "FAIL: classifier refresh, postings work or heap "
-                 "allocations exceeded the O(delta) budget\n";
+    std::cerr << "FAIL: classifier refresh, postings work, mediation or "
+                 "heap allocations exceeded the O(delta) budget\n";
     return 1;
   }
   return 0;

@@ -14,14 +14,11 @@ namespace {
 void FlushStats(const NeighborGraphStats& s) {
   static Counter* generated =
       StatsRegistry::Global().GetCounter("paygo.hac.sparse.candidates_generated");
-  static Counter* verified =
-      StatsRegistry::Global().GetCounter("paygo.hac.sparse.candidates_verified");
   static Counter* edges =
       StatsRegistry::Global().GetCounter("paygo.hac.sparse.graph_edges");
   static Counter* builds =
       StatsRegistry::Global().GetCounter("paygo.hac.sparse.graph_builds");
   generated->Add(s.candidates_generated);
-  verified->Add(s.candidates_verified);
   edges->Add(s.num_edges);
   builds->Increment();
 }
@@ -147,8 +144,6 @@ Result<NeighborGraph> NeighborGraph::Build(
     upper.insert(upper.end(), out.triples.begin(), out.triples.end());
     g.stats_.candidates_generated += out.generated;
   }
-  // Each touched candidate is scored exactly once.
-  g.stats_.candidates_verified = g.stats_.candidates_generated;
   g.stats_.num_edges = upper.size();
 
   g.nonempty_.resize(n);
@@ -206,7 +201,7 @@ NeighborGraph::NeighborGraph(const NeighborGraph& base,
     edges_.push_back(NeighborEdge{e.id, static_cast<float>(e.sim)});
   }
   offsets_[n + 1] = edges_.size();
-  stats_.candidates_verified += row.size();
+  stats_.candidates_generated += row.size();
   stats_.num_edges = edges_.size() / 2;
 }
 

@@ -49,8 +49,8 @@ struct NeighborGraphOptions {
 
 /// \brief Build-time telemetry, also flushed to paygo.hac.sparse.* counters.
 struct NeighborGraphStats {
-  std::uint64_t candidates_generated = 0;  ///< Candidate pairs found.
-  std::uint64_t candidates_verified = 0;   ///< Pairs exactly scored.
+  /// Candidate pairs found; each is scored exactly once.
+  std::uint64_t candidates_generated = 0;
   std::uint64_t num_edges = 0;             ///< Undirected edges.
 };
 

@@ -110,14 +110,15 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
       const auto& members = domains.SchemasOf(r);
       if (members.empty()) {
         sys->mediations_.push_back(std::make_shared<const DomainMediation>());
-        continue;
+      } else {
+        PAYGO_ASSIGN_OR_RETURN(
+            DomainMediation med,
+            Mediator::BuildForDomain(*sys->corpus_, *sys->tokenizer_, members,
+                                     options.mediator));
+        sys->mediations_.push_back(
+            std::make_shared<const DomainMediation>(std::move(med)));
       }
-      PAYGO_ASSIGN_OR_RETURN(
-          DomainMediation med,
-          Mediator::BuildForDomain(*sys->corpus_, *sys->tokenizer_, members,
-                                   options.mediator));
-      sys->mediations_.push_back(
-          std::make_shared<const DomainMediation>(std::move(med)));
+      sys->mediation_bytes_ += sys->mediations_.back()->MemoryBytes();
     }
   }
 
@@ -182,6 +183,7 @@ std::unique_ptr<IntegrationSystem> IntegrationSystem::Clone() const {
   copy->classifier_ = classifier_;
   copy->query_featurizer_ = query_featurizer_;
   copy->mediations_ = mediations_;
+  copy->mediation_bytes_ = mediation_bytes_;
   copy->sources_ = sources_;
   return copy;
 }
@@ -252,7 +254,7 @@ Result<IntegrationSystem::Derived> IntegrationSystem::DeriveState(
                                    : "system.rebuild_derived_delta");
   // With a base, a domain is rebuilt only when listed in affected_domains
   // or new; every other domain's members did not change, and
-  // BuildForDomain and the factored conditionals depend only on those.
+  // Mediator::Extend and the factored conditionals depend only on those.
   std::vector<bool> affected(domains.num_domains(), base == nullptr);
   if (base != nullptr) {
     for (std::uint32_t r : affected_domains) {
@@ -268,23 +270,31 @@ Result<IntegrationSystem::Derived> IntegrationSystem::DeriveState(
     PAYGO_TRACE_SPAN(base == nullptr ? "system.mediate"
                                      : "system.mediate_delta");
     out.mediations.reserve(domains.num_domains());
+    // The running byte total: the base's, minus each replaced mediation,
+    // plus each new one.
+    out.mediation_bytes = base != nullptr ? base->mediation_bytes_ : 0;
+    const DomainMediation empty;
     for (std::uint32_t r = 0; r < domains.num_domains(); ++r) {
-      if (!affected[r] && r < base->mediations_.size()) {
+      const bool in_base = base != nullptr && r < base->mediations_.size();
+      if (!affected[r] && in_base) {
         out.mediations.push_back(base->mediations_[r]);
         continue;
       }
+      if (in_base) out.mediation_bytes -= base->mediations_[r]->MemoryBytes();
       const auto& members = domains.SchemasOf(r);
       if (members.empty()) {
         // Empty domain: empty mediation.
         out.mediations.push_back(std::make_shared<const DomainMediation>());
-        continue;
+      } else {
+        // A touched domain extends its old mediation by the arrival.
+        PAYGO_ASSIGN_OR_RETURN(
+            DomainMediation med,
+            Mediator::Extend(in_base ? *base->mediations_[r] : empty, corpus,
+                             *tokenizer_, members, options_.mediator));
+        out.mediations.push_back(
+            std::make_shared<const DomainMediation>(std::move(med)));
       }
-      PAYGO_ASSIGN_OR_RETURN(
-          DomainMediation med,
-          Mediator::BuildForDomain(corpus, *tokenizer_, members,
-                                   options_.mediator));
-      out.mediations.push_back(
-          std::make_shared<const DomainMediation>(std::move(med)));
+      out.mediation_bytes += out.mediations.back()->MemoryBytes();
     }
   }
   if (options_.build_classifier) {
@@ -315,7 +325,10 @@ Result<IntegrationSystem::Derived> IntegrationSystem::DeriveState(
 }
 
 void IntegrationSystem::Adopt(Derived derived) {
-  if (options_.build_mediation) mediations_ = std::move(derived.mediations);
+  if (options_.build_mediation) {
+    mediations_ = std::move(derived.mediations);
+    mediation_bytes_ = derived.mediation_bytes;
+  }
   if (options_.build_classifier) {
     classifier_ = std::move(derived.classifier);
     if (query_featurizer_ == nullptr) {
@@ -338,8 +351,10 @@ void IntegrationSystem::PublishMemory() const {
   StatsRegistry& reg = StatsRegistry::Global();
   static Gauge* features_bytes = reg.GetGauge("paygo.features.bytes");
   static Gauge* domains_bytes = reg.GetGauge("paygo.domains.bytes");
+  static Gauge* mediations_bytes = reg.GetGauge("paygo.mediations.bytes");
   features_bytes->Set(static_cast<std::int64_t>(features_->MemoryBytes()));
   domains_bytes->Set(static_cast<std::int64_t>(domains_->MemoryBytes()));
+  mediations_bytes->Set(static_cast<std::int64_t>(mediation_bytes_));
 }
 
 Result<IncrementalAddResult> IntegrationSystem::AddSchema(

@@ -74,7 +74,7 @@ struct SystemOptions {
   /// Skip classifier construction.
   bool build_classifier = true;
   /// Delta write path (default): AddSchema extends the similarity matrix by
-  /// one row instead of refilling it, rebuilds mediation only for the
+  /// one row instead of refilling it, extends the mediation of only the
   /// domains the schema joined, and refreshes the classifier incrementally
   /// via NaiveBayesClassifier::UpdateDomains — bit-identical to the full
   /// path but O(delta) instead of O(corpus). Set false to force the legacy
@@ -196,7 +196,7 @@ class IntegrationSystem {
   /// Folds a newly discovered source into the live system without
   /// re-clustering (the incremental path of cluster/incremental.h): the
   /// schema joins qualifying domains or opens a new singleton, the
-  /// affected domains' mediation is rebuilt, and the classifier is
+  /// affected domains' mediations are extended, and the classifier is
   /// refreshed. The schema's similarity row is read once from the feature
   /// postings, at a cost set by the schemas that share its features; the
   /// same sparse row feeds Algorithm 3 and extends the matrix or graph.
@@ -262,6 +262,9 @@ class IntegrationSystem {
     return *mediations_[domain];
   }
   bool has_mediation() const { return !mediations_.empty(); }
+  /// Bytes of every domain's mediation (DomainMediation::MemoryBytes
+  /// summed; 0 without mediation), as published in paygo.mediations.bytes.
+  std::size_t mediation_bytes() const { return mediation_bytes_; }
   const SystemOptions& options() const { return options_; }
 
   /// Overrides the worker-thread count used by subsequent rebuild-style
@@ -298,6 +301,7 @@ class IntegrationSystem {
   /// Mediation (when enabled) and classifier (when enabled) for a model.
   struct Derived {
     std::vector<std::shared_ptr<const DomainMediation>> mediations;
+    std::size_t mediation_bytes = 0;  ///< Sum of their MemoryBytes().
     std::shared_ptr<const NaiveBayesClassifier> classifier;
   };
 
@@ -315,18 +319,19 @@ class IntegrationSystem {
   /// \p features. With a null \p base, the full path: every domain's
   /// mediation plus a whole-model classifier build. With \p base (this
   /// system before an arrival), the delta path: only \p affected_domains
-  /// and domains new since \p base are rebuilt, every other mediation is
+  /// and domains new since \p base are re-mediated, each by
+  /// Mediator::Extend of its base mediation, every other mediation is
   /// shared and the classifier is refreshed via
   /// NaiveBayesClassifier::UpdateDomains. Bit-identical to the full path
-  /// because BuildForDomain and the factored conditionals depend only on
-  /// the domain's own members. Writes nothing.
+  /// because Extend equals BuildForDomain and the factored conditionals
+  /// depend only on the domain's own members. Writes nothing.
   Result<Derived> DeriveState(
       const SchemaCorpus& corpus, const FeatureRows& features,
       const DomainModel& domains, const IntegrationSystem* base,
       const std::vector<std::uint32_t>& affected_domains) const;
   /// Installs \p derived's enabled parts.
   void Adopt(Derived derived);
-  /// Publishes the feature and domain-model byte gauges.
+  /// Publishes the feature, domain-model and mediation byte gauges.
   void PublishMemory() const;
 
   // Every component is a shared_ptr<const T> (or, for the substrate,
@@ -351,6 +356,8 @@ class IntegrationSystem {
   std::shared_ptr<const NaiveBayesClassifier> classifier_;
   std::shared_ptr<const QueryFeaturizer> query_featurizer_;
   std::vector<std::shared_ptr<const DomainMediation>> mediations_;
+  /// Sum of mediations_' MemoryBytes(), kept by DeriveState in O(touched).
+  std::size_t mediation_bytes_ = 0;
   std::vector<std::shared_ptr<const DataSource>> sources_;  // by schema id
 };
 

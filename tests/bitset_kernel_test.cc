@@ -89,7 +89,9 @@ TEST(BitsetKernelTest, AllOnes) {
     ExpectKernelsAgree(a, b);
     EXPECT_EQ(DynamicBitset::AndCount(a, b), width);
     EXPECT_EQ(DynamicBitset::OrCount(a, b), width);
-    if (width > 0) EXPECT_EQ(DynamicBitset::Jaccard(a, b), 1.0);
+    if (width > 0) {
+      EXPECT_EQ(DynamicBitset::Jaccard(a, b), 1.0);
+    }
   }
 }
 

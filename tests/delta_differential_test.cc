@@ -9,8 +9,14 @@
 /// shortcuts is exact, not approximate:
 ///   * the similarity matrix extend-constructor copies the old n x n block
 ///     and computes only the new row/column of a pure function;
-///   * Mediator::BuildForDomain depends only on the domain's own members,
-///     so untouched domains' mediations can be shared verbatim;
+///   * a mediation depends only on the domain's own members, so untouched
+///     domains' mediations are shared verbatim, and a touched domain's is
+///     Mediator::Extend of the old one: the arrival's attributes are added
+///     to the stored pre-threshold tally in member order (the same
+///     additions, in the same order, as a tally from scratch), name pairs
+///     between names kept before reuse their stored decision, and the old
+///     mappings stand when the mediated schema keeps its (name, members)
+///     sequence;
 ///   * the factored classifier's per-domain conditionals depend only on
 ///     the domain's membership rows, and UpdateDomains routes affected
 ///     domains through the same canonical PrecomputeDomain as Build().
@@ -126,6 +132,21 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
                 mb.mediated.attributes[k].members);
       EXPECT_EQ(ma.mediated.attributes[k].weight,
                 mb.mediated.attributes[k].weight);
+    }
+    ASSERT_EQ(ma.mappings.size(), mb.mappings.size()) << "domain " << r;
+    for (std::size_t i = 0; i < ma.mappings.size(); ++i) {
+      const ProbabilisticMapping& pa = ma.mappings[i];
+      const ProbabilisticMapping& pb = mb.mappings[i];
+      EXPECT_EQ(pa.schema_id, pb.schema_id) << "domain " << r;
+      ASSERT_EQ(pa.alternatives.size(), pb.alternatives.size())
+          << "domain " << r << ", schema " << pa.schema_id;
+      for (std::size_t k = 0; k < pa.alternatives.size(); ++k) {
+        EXPECT_EQ(pa.alternatives[k].target, pb.alternatives[k].target)
+            << "domain " << r << ", schema " << pa.schema_id;
+        EXPECT_EQ(pa.alternatives[k].probability,
+                  pb.alternatives[k].probability)
+            << "domain " << r << ", schema " << pa.schema_id;
+      }
     }
   }
 }

@@ -223,6 +223,12 @@ TEST(MediatorTest, InvalidInputsRejected) {
   EXPECT_TRUE(Mediator::BuildForDomain(corpus, tok, {{0, 1.0}}, opts)
                   .status()
                   .IsInvalidArgument());
+  // No mapping fits a cap of zero: trimming would pop empty lists.
+  opts = {};
+  opts.max_mappings_per_schema = 0;
+  EXPECT_TRUE(Mediator::BuildForDomain(corpus, tok, {{0, 1.0}}, opts)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 }  // namespace

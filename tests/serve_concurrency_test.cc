@@ -142,6 +142,12 @@ TEST(ServeConcurrencyTest, ReadersSeeCoherentSnapshotsDuringWrites) {
   }
 
   // Writer loop: sequential copy-on-write mutations racing the readers.
+  // It starts once the readers have read, since all the writes can finish
+  // before a reader thread is first scheduled on a loaded machine.
+  while (total_reads.load(std::memory_order_relaxed) <
+         static_cast<std::uint64_t>(kReaders)) {
+    std::this_thread::yield();
+  }
   for (int i = 0; i < kWrites; ++i) {
     Status s = server.AddSchemaAsync(ExtraSchema(i), {"travel"}).get();
     ASSERT_TRUE(s.ok()) << s;

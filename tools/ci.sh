@@ -420,7 +420,8 @@ if [[ "$RUN_ASAN" == 1 ]]; then
     sparse_classifier_differential_test batch_classify_test
     linkage_test clone_aliasing_test delta_differential_test
     model_io_roundtrip_test neighbor_graph_test system_refinement_test
-    trace_test arrival_row_test incremental_test arrival_sharing_test)
+    trace_test arrival_row_test incremental_test arrival_sharing_test
+    mediation_delta_test)
   echo "==> asan+ubsan: configure + build clustering, snapshot, mediation and classifier tests (PAYGO_SANITIZE=address,undefined)"
   cmake -B build-asan -S . -DPAYGO_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan --target "${ASAN_TESTS[@]}" -j "$JOBS"
