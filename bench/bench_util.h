@@ -8,8 +8,15 @@
 /// Chapter 6. The helpers here run the offline pipeline (Algorithms 1-3)
 /// at given parameters and evaluate it with the Section 6.1.2 metrics, so
 /// the binaries stay declarative: corpus + parameter grid + print.
+/// FlagValue and FlagList parse the perf binaries' numeric flags.
 
 #include <cstdint>
+#include <cstdlib>
+#include <iostream>
+#include <limits>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/hac.h"
@@ -21,6 +28,7 @@
 #include "schema/feature_vector.h"
 #include "schema/lexicon.h"
 #include "text/tokenizer.h"
+#include "util/string_util.h"
 
 namespace paygo {
 namespace bench {
@@ -82,6 +90,52 @@ inline Result<HacResult> ClusterOverGraph(
   PAYGO_ASSIGN_OR_RETURN(NeighborGraph graph,
                          NeighborGraph::Build(features, graph_options));
   return Hac::RunOnGraph(graph, hac);
+}
+
+/// Most worker threads a thread-count flag accepts.
+inline constexpr std::size_t kMaxFlagThreads = 1024;
+
+/// Prints why flag \p name's value \p v (null: missing) is refused and
+/// exits with status 2.
+[[noreturn]] inline void BadFlag(std::string_view name, const char* v) {
+  if (v == nullptr) {
+    std::cerr << name << " needs a value\n";
+  } else {
+    std::cerr << "invalid value '" << v << "' for " << name << "\n";
+  }
+  std::exit(2);
+}
+
+/// Flag \p name's value \p v as a \p T in [lo, hi]. A missing value
+/// (\p v null), one that is not entirely a decimal number (ParseNumber: a
+/// sign on an unsigned T, trailing characters) or one out of range is
+/// refused (BadFlag) before the binary does any work.
+template <typename T>
+T FlagValue(std::string_view name, const char* v,
+            T lo = std::numeric_limits<T>::lowest(),
+            T hi = std::numeric_limits<T>::max()) {
+  if (v == nullptr) BadFlag(name, v);
+  const std::optional<T> value = ParseNumber<T>(v);
+  if (!value || *value < lo || *value > hi) BadFlag(name, v);
+  return *value;
+}
+
+/// A comma-separated list of FlagValue<T>s (each in [lo, hi]); an empty
+/// item is invalid.
+template <typename T>
+std::vector<T> FlagList(std::string_view name, const char* v,
+                        T lo = std::numeric_limits<T>::lowest(),
+                        T hi = std::numeric_limits<T>::max()) {
+  if (v == nullptr) BadFlag(name, v);
+  std::vector<T> out;
+  std::string_view rest(v);
+  for (;;) {
+    const std::size_t comma = rest.find(',');
+    const std::string item(rest.substr(0, comma));
+    out.push_back(FlagValue<T>(name, item.c_str(), lo, hi));
+    if (comma == std::string_view::npos) return out;
+    rest.remove_prefix(comma + 1);
+  }
 }
 
 /// The tau grid of Figures 6.2-6.6.

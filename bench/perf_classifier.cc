@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "classify/approx_classifier.h"
 #include "classify/naive_bayes.h"
 #include "core/integration_system.h"
@@ -587,35 +588,29 @@ int main(int argc, char** argv) {
     } else if (arg == "--shape" && next()) {
       opts.shape = argv[i];
       harness = true;
-    } else if (arg == "--domains" && next()) {
-      opts.num_domains = static_cast<std::size_t>(std::atoll(argv[i]));
+    } else if (arg == "--domains") {
+      opts.num_domains = paygo::bench::FlagValue<std::size_t>(arg, next());
       harness = true;
-    } else if (arg == "--dim" && next()) {
-      opts.dim = static_cast<std::size_t>(std::atoll(argv[i]));
+    } else if (arg == "--dim") {
+      opts.dim = paygo::bench::FlagValue<std::size_t>(arg, next(), 1);
       harness = true;
-    } else if (arg == "--bits" && next()) {
-      opts.bits = static_cast<std::size_t>(std::atoll(argv[i]));
+    } else if (arg == "--bits") {
+      opts.bits = paygo::bench::FlagValue<std::size_t>(arg, next());
       harness = true;
-    } else if (arg == "--queries" && next()) {
-      opts.queries = static_cast<std::size_t>(std::atoll(argv[i]));
+    } else if (arg == "--queries") {
+      opts.queries = paygo::bench::FlagValue<std::size_t>(arg, next(), 1);
       harness = true;
-    } else if (arg == "--seconds" && next()) {
-      opts.seconds = std::atof(argv[i]);
+    } else if (arg == "--seconds") {
+      opts.seconds = paygo::bench::FlagValue<double>(arg, next(), 0.0);
       harness = true;
-    } else if (arg == "--batches" && next()) {
-      opts.batches.clear();
-      std::stringstream ss(argv[i]);
-      std::string piece;
-      while (std::getline(ss, piece, ',')) {
-        opts.batches.push_back(
-            static_cast<std::size_t>(std::atoll(piece.c_str())));
-      }
+    } else if (arg == "--batches") {
+      opts.batches = paygo::bench::FlagList<std::size_t>(arg, next(), 1);
       harness = true;
-    } else if (arg == "--min-speedup" && next()) {
-      opts.min_speedup = std::atof(argv[i]);
+    } else if (arg == "--min-speedup") {
+      opts.min_speedup = paygo::bench::FlagValue<double>(arg, next(), 0.0);
       harness = true;
-    } else if (arg == "--p99-budget-us" && next()) {
-      opts.p99_budget_us = std::atof(argv[i]);
+    } else if (arg == "--p99-budget-us") {
+      opts.p99_budget_us = paygo::bench::FlagValue<double>(arg, next(), 0.0);
       harness = true;
     } else if (arg == "--json-out" && next()) {
       opts.json_out = argv[i];

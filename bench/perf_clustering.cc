@@ -692,8 +692,9 @@ int main(int argc, char** argv) {
     const std::string prefix = "--threads=";
     const std::string json_prefix = "--json-out=";
     if (arg.rfind(prefix, 0) == 0) {
-      const std::size_t extra = static_cast<std::size_t>(
-          std::strtoul(arg.c_str() + prefix.size(), nullptr, 10));
+      const std::size_t extra = paygo::bench::FlagValue<std::size_t>(
+          "--threads", arg.c_str() + prefix.size(), 0,
+          paygo::bench::kMaxFlagThreads);
       if (std::find(sweep.begin(), sweep.end(), extra) == sweep.end()) {
         sweep.push_back(extra);
       }
@@ -716,13 +717,13 @@ int main(int argc, char** argv) {
       continue;
     }
     if (arg.rfind("--max-n=", 0) == 0) {
-      sparse_max_n = static_cast<std::size_t>(
-          std::strtoul(arg.c_str() + std::strlen("--max-n="), nullptr, 10));
+      sparse_max_n = paygo::bench::FlagValue<std::size_t>(
+          "--max-n", arg.c_str() + std::strlen("--max-n="));
       continue;
     }
     if (arg.rfind("--dense-max=", 0) == 0) {
-      sparse_dense_max = static_cast<std::size_t>(std::strtoul(
-          arg.c_str() + std::strlen("--dense-max="), nullptr, 10));
+      sparse_dense_max = paygo::bench::FlagValue<std::size_t>(
+          "--dense-max", arg.c_str() + std::strlen("--dense-max="));
       continue;
     }
     if (arg.rfind("--benchmark_out", 0) == 0) user_set_benchmark_out = true;

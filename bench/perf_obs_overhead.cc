@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "cluster/hac.h"
 #include "obs/trace.h"
 #include "schema/feature_vector.h"
@@ -192,12 +193,15 @@ int main(int argc, char** argv) {
   std::string json_out = "BENCH_obs.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--n" && i + 1 < argc) {
-      n = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--reps" && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (arg == "--pings" && i + 1 < argc) {
-      pings = std::atoi(argv[++i]);
+    auto next = [&]() -> const char* {
+      return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    if (arg == "--n") {
+      n = bench::FlagValue<std::size_t>(arg, next(), 1);
+    } else if (arg == "--reps") {
+      reps = bench::FlagValue<int>(arg, next(), 1);
+    } else if (arg == "--pings") {
+      pings = bench::FlagValue<int>(arg, next(), 1);
     } else if (arg == "--check") {
       check = true;
     } else if (arg == "--json-out" && i + 1 < argc) {

@@ -1,19 +1,17 @@
 /// \file perf_write_path.cc
-/// \brief AddSchema churn benchmark of the delta write path.
+/// \brief AddSchema churn benchmark of the arrival path.
 ///
 /// Builds an integration system once per corpus, then streams extra
 /// schemas into it the way the serving writer does — clone, mutate,
-/// adopt — under both write paths:
-///   * delta  — SystemOptions::delta_mutations = true (the default):
-///     the arrival's sparse similarity row from the feature postings,
-///     one-row matrix or graph extension, touched-domain mediation,
-///     incremental classifier refresh;
-///   * full   — delta_mutations = false: the legacy rebuild-everything
-///     path, kept as the baseline.
-/// Reports p50/p99/mean mutation latency per path and the speedup. A third
-/// phase streams the same adds through a live PaygoServer and measures
-/// snapshot staleness: the time from submitting AddSchemaAsync until a
-/// reader polling server.generation() can observe the new snapshot.
+/// adopt: the arrival's sparse similarity row from the feature postings,
+/// one-row matrix or graph extension, touched-domain mediation,
+/// incremental classifier refresh. Reports p50/p99/mean mutation latency.
+/// (AddSchema has one path, so there is no full-rebuild lane to compare
+/// against; earlier reports carry "full" and "speedup_*" fields from when
+/// it had two.) A further phase streams the same adds through a live
+/// PaygoServer and measures snapshot staleness: the time from submitting
+/// AddSchemaAsync until a reader polling server.generation() can observe
+/// the new snapshot.
 ///
 /// Two corpus shapes (--shape):
 ///   * ddh (default): DDH-like corpora of --corpora sizes on the dense
@@ -23,7 +21,7 @@
 ///     join existing domains — the shape where an arrival shares features
 ///     with only a handful of schemas.
 ///
-/// The delta run exports four O(delta) witnesses, all turned into
+/// The timed run exports four O(delta) witnesses, all turned into
 /// PASS/FAIL gates by `--check`:
 ///   * paygo.classifier.domains_refreshed / domains_reused: refreshed
 ///     domains must stay within a small per-add budget;
@@ -40,7 +38,7 @@
 ///     name_sims (attribute-name similarity calls);
 ///   * heap allocations per add (clone + AddSchema + dropping the old
 ///     snapshot), counted by this binary's own global operator new. They
-///     are counted in an untimed delta run that goes first, so it appends
+///     are counted in an untimed run that goes first, so it appends
 ///     into the built system's feature and membership blocks the way a
 ///     serving writer does (a chain that starts from a snapshot a sibling
 ///     already appended to pays one O(n) block copy on its first add).
@@ -52,7 +50,7 @@
 ///     per member, a few allocations each: a cost that grows with the
 ///     domain, not with n, so no n-relative budget could hold it at every
 ///     corpus size.
-/// A second, traced delta pass reports each add's mean self time in every
+/// A second, traced pass reports each add's mean self time in every
 /// span it records (system.clone, system.add_schema, its .assign and
 /// .similarity children, system.mediate_delta, system.update_classifier
 /// and theirs), so the per-add latency can be accounted for span by span.
@@ -64,6 +62,7 @@
 ///   --corpora 500,2000   ddh: comma-separated base corpus sizes
 ///   --domains N          web: pseudo-domains (default 1000)
 ///   --adds N             schemas streamed per corpus (default 40)
+///   (a count that is not a plain decimal number exits 2)
 ///   --smoke              tiny preset (ddh: one 120-schema corpus; web:
 ///                        200 domains; 8 adds)
 ///   --check              exit 1 if refresh, postings work, mediation or
@@ -86,6 +85,7 @@
 #include <tuple>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/integration_system.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -195,11 +195,10 @@ struct HeapTally {
 /// The writer's per-update work, measured end to end: clone the served
 /// system, fold one schema in, adopt the draft (dropping the old one).
 /// With \p tally, also counts that work's heap allocations.
-std::vector<double> RunChurn(const IntegrationSystem& base, bool delta_mode,
+std::vector<double> RunChurn(const IntegrationSystem& base,
                              const SchemaCorpus& arrivals,
                              HeapTally* tally = nullptr) {
   auto sys = base.Clone();
-  sys->set_delta_mutations(delta_mode);
   std::vector<double> us;
   us.reserve(arrivals.size());
   for (std::size_t i = 0; i < arrivals.size(); ++i) {
@@ -259,14 +258,14 @@ std::vector<double> RunServedStaleness(const IntegrationSystem& base,
   return us;
 }
 
-/// Streams the arrivals once more on the delta path with tracing on and
+/// Streams the arrivals once more with tracing on and
 /// returns every recorded span's self time (its duration minus its direct
 /// children's) in microseconds, summed by span name and averaged per add.
 std::map<std::string, double> ArrivalSpanSelfMicros(
     const IntegrationSystem& base, const SchemaCorpus& arrivals) {
   Tracer::ClearAll();
   Tracer::Enable();
-  RunChurn(base, /*delta_mode=*/true, arrivals);
+  RunChurn(base, arrivals);
   Tracer::Disable();
   // Sorted so that a parent precedes its children even when they start in
   // the same microsecond; a span's parent is then the latest earlier span
@@ -328,7 +327,7 @@ std::vector<Workload> MakeWorkloads(const BenchOptions& opts) {
     return out;
   }
   for (std::size_t corpus_size : opts.corpora) {
-    // One pool holds base + extras so both paths fold identical schemas.
+    // One pool holds base + extras, so arrivals share the base's vocabulary.
     const SchemaCorpus pool = MakeDdhCorpus(
         {.num_schemas = corpus_size + opts.adds, .seed = 17});
     Workload w{"corpus_" + std::to_string(corpus_size),
@@ -353,18 +352,12 @@ int main(int argc, char** argv) {
     };
     if (arg == "--shape" && next()) {
       opts.shape = argv[i];
-    } else if (arg == "--domains" && next()) {
-      opts.domains = static_cast<std::size_t>(std::atoll(argv[i]));
-    } else if (arg == "--corpora" && next()) {
-      opts.corpora.clear();
-      std::stringstream ss(argv[i]);
-      std::string piece;
-      while (std::getline(ss, piece, ',')) {
-        opts.corpora.push_back(
-            static_cast<std::size_t>(std::atoll(piece.c_str())));
-      }
-    } else if (arg == "--adds" && next()) {
-      opts.adds = static_cast<std::size_t>(std::atoi(argv[i]));
+    } else if (arg == "--domains") {
+      opts.domains = bench::FlagValue<std::size_t>(arg, next(), 1);
+    } else if (arg == "--corpora") {
+      opts.corpora = bench::FlagList<std::size_t>(arg, next(), 1);
+    } else if (arg == "--adds") {
+      opts.adds = bench::FlagValue<std::size_t>(arg, next(), 1);
     } else if (arg == "--smoke") {
       opts.corpora = {120};
       opts.domains = 200;
@@ -382,10 +375,6 @@ int main(int argc, char** argv) {
   }
   if (opts.shape != "ddh" && opts.shape != "web") {
     std::cerr << "unknown --shape " << opts.shape << " (ddh|web)\n";
-    return 2;
-  }
-  if (opts.adds == 0) {
-    std::cerr << "--adds must be positive\n";
     return 2;
   }
 
@@ -419,7 +408,7 @@ int main(int argc, char** argv) {
     const std::size_t adds = w.arrivals.size();
 
     HeapTally heap;
-    RunChurn(**built, /*delta_mode=*/true, w.arrivals, &heap);
+    RunChurn(**built, w.arrivals, &heap);
     HeapTally unmediated;
     if (w.visited_budget > 0) {
       SystemOptions bare = w.options;
@@ -429,7 +418,7 @@ int main(int argc, char** argv) {
         std::cerr << twin.status() << "\n";
         return 1;
       }
-      RunChurn(**twin, /*delta_mode=*/true, w.arrivals, &unmediated);
+      RunChurn(**twin, w.arrivals, &unmediated);
     }
     const double allocs_per_add =
         static_cast<double>(heap.allocations) / static_cast<double>(adds);
@@ -439,14 +428,11 @@ int main(int argc, char** argv) {
         static_cast<double>(unmediated.allocations) /
         static_cast<double>(adds);
 
-    const std::vector<double> full_us =
-        RunChurn(**built, /*delta_mode=*/false, w.arrivals);
     refreshed->Reset();
     reused->Reset();
     visited->Reset();
     for (Counter* c : mediate_counters) c->Reset();
-    const std::vector<double> delta_us =
-        RunChurn(**built, /*delta_mode=*/true, w.arrivals);
+    const std::vector<double> delta_us = RunChurn(**built, w.arrivals);
     const std::uint64_t delta_refreshed = refreshed->value();
     const std::uint64_t delta_reused = reused->value();
     const double visited_per_add =
@@ -463,13 +449,8 @@ int main(int argc, char** argv) {
     const std::vector<double> staleness_us =
         RunServedStaleness(**built, w.arrivals);
 
-    const LatencySummary full = LatencySummary::Of(full_us);
     const LatencySummary delta = LatencySummary::Of(delta_us);
     const LatencySummary staleness = LatencySummary::Of(staleness_us);
-    const double speedup_p50 =
-        delta.p50_us > 0.0 ? full.p50_us / delta.p50_us : 0.0;
-    const double speedup_mean =
-        delta.mean_us > 0.0 ? full.mean_us / delta.mean_us : 0.0;
     const std::size_t num_domains = (*built)->domains().num_domains();
 
     // The O(delta) gates: across all adds, the classifier must have fully
@@ -510,10 +491,7 @@ int main(int argc, char** argv) {
     first_corpus = false;
     results << "\"" << w.key << "\": {\"schemas\": " << w.base.size()
             << ", \"adds\": " << adds
-            << ", \"full\": " << full.ToJson()
             << ", \"delta\": " << delta.ToJson()
-            << ", \"speedup_p50\": " << speedup_p50
-            << ", \"speedup_mean\": " << speedup_mean
             << ", \"staleness\": " << staleness.ToJson()
             << ", \"span_self_us\": {" << spans_json.str() << "}"
             << ", \"classifier\": {\"num_domains\": " << num_domains
@@ -537,14 +515,11 @@ int main(int argc, char** argv) {
 
     human << w.key << " (" << w.base.size() << " schemas, " << num_domains
           << " domains), " << adds << " adds:\n"
-          << "  full   p50 " << full.p50_us << "us  p99 " << full.p99_us
-          << "us  mean " << full.mean_us << "us\n"
-          << "  delta  p50 " << delta.p50_us << "us  p99 " << delta.p99_us
-          << "us  mean " << delta.mean_us << "us  ("
-          << speedup_p50 << "x p50, " << speedup_mean << "x mean)\n"
+          << "  add    p50 " << delta.p50_us << "us  p99 " << delta.p99_us
+          << "us  mean " << delta.mean_us << "us\n"
           << "  staleness p50 " << staleness.p50_us << "us  p99 "
           << staleness.p99_us << "us\n"
-          << "  delta self time per add:\n";
+          << "  self time per add:\n";
     for (const auto& [name, us] : span_self_us) {
       human << "    " << name << " " << us << "us\n";
     }

@@ -30,6 +30,8 @@
 ///        --queue-depth N --cache-capacity N --delay-us N --batch-max N
 ///        --shards N[,N...] --json-out FILE --human
 ///        --check [--p99-budget-us N]
+/// A numeric value that is not a plain decimal number, or a thread count
+/// over 1024 or a shard count over 64, exits 2 before any work.
 ///
 /// --batch-max sets ServeOptions::classify_batch_max, so the steady phase
 /// exercises the coalesced classify sweep (batch_sweeps/batched_requests
@@ -48,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/integration_system.h"
 #include "serve/load_generator.h"
 #include "serve/paygo_server.h"
@@ -60,6 +63,9 @@
 namespace {
 
 using namespace paygo;
+
+/// Most shards one --shards point may start (each runs its own threads).
+constexpr std::size_t kMaxShards = 64;
 
 struct BenchOptions {
   std::string corpus = "both";
@@ -92,17 +98,6 @@ Schema MakeExtraSchema(int i) {
                        "travel date", "fare class",
                        "seat " + std::to_string(i)};
   return schema;
-}
-
-std::vector<std::size_t> ParseShardCounts(const std::string& text) {
-  std::vector<std::size_t> counts;
-  std::istringstream is(text);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    const int n = std::atoi(item.c_str());
-    if (n >= 1) counts.push_back(static_cast<std::size_t>(n));
-  }
-  return counts;
 }
 
 /// One point of the scaling curve: partition, start a fleet, probe the
@@ -328,34 +323,32 @@ int main(int argc, char** argv) {
     if (arg == "--corpus" && next()) {
       opts.corpus = argv[i];
       opts.corpus_set = true;
-    } else if (arg == "--shards" && next()) {
-      opts.shards = ParseShardCounts(argv[i]);
-      if (opts.shards.empty()) {
-        std::cerr << "--shards wants a comma-separated list of counts\n";
-        return 2;
-      }
-    } else if (arg == "--threads" && next()) {
-      opts.threads = static_cast<std::size_t>(std::atoi(argv[i]));
-    } else if (arg == "--seconds" && next()) {
-      opts.seconds = std::atof(argv[i]);
-    } else if (arg == "--workers" && next()) {
-      opts.workers = static_cast<std::size_t>(std::atoi(argv[i]));
-    } else if (arg == "--queue-depth" && next()) {
-      opts.queue_depth = static_cast<std::size_t>(std::atoi(argv[i]));
-    } else if (arg == "--cache-capacity" && next()) {
-      opts.cache_capacity = static_cast<std::size_t>(std::atoi(argv[i]));
-    } else if (arg == "--delay-us" && next()) {
-      opts.delay_us = static_cast<std::uint64_t>(std::atoll(argv[i]));
-    } else if (arg == "--batch-max" && next()) {
-      opts.batch_max = static_cast<std::size_t>(std::atoi(argv[i]));
+    } else if (arg == "--shards") {
+      opts.shards = bench::FlagList<std::size_t>(arg, next(), 1, kMaxShards);
+    } else if (arg == "--threads") {
+      opts.threads = bench::FlagValue<std::size_t>(arg, next(), 0,
+                                                   bench::kMaxFlagThreads);
+    } else if (arg == "--seconds") {
+      opts.seconds = bench::FlagValue<double>(arg, next(), 0.0);
+    } else if (arg == "--workers") {
+      opts.workers = bench::FlagValue<std::size_t>(arg, next(), 0,
+                                                   bench::kMaxFlagThreads);
+    } else if (arg == "--queue-depth") {
+      opts.queue_depth = bench::FlagValue<std::size_t>(arg, next());
+    } else if (arg == "--cache-capacity") {
+      opts.cache_capacity = bench::FlagValue<std::size_t>(arg, next());
+    } else if (arg == "--delay-us") {
+      opts.delay_us = bench::FlagValue<std::uint64_t>(arg, next());
+    } else if (arg == "--batch-max") {
+      opts.batch_max = bench::FlagValue<std::size_t>(arg, next());
     } else if (arg == "--json-out" && next()) {
       opts.json_out = argv[i];
     } else if (arg == "--human") {
       opts.human = true;
     } else if (arg == "--check") {
       opts.check = true;
-    } else if (arg == "--p99-budget-us" && next()) {
-      opts.p99_budget_us = std::atof(argv[i]);
+    } else if (arg == "--p99-budget-us") {
+      opts.p99_budget_us = bench::FlagValue<double>(arg, next(), 0.0);
     } else {
       std::cerr << "unknown flag '" << arg << "'\n";
       return 2;

@@ -26,7 +26,7 @@ Result<ArrivalVector> FeaturizeArrival(const Tokenizer& tokenizer,
 
 DomainModel AssignArrival(const DomainModel& model,
                           std::span<const JaccardEntry> row,
-                          const IncrementalOptions& options,
+                          const AssignmentOptions& options,
                           IncrementalAddResult* out) {
   const std::size_t n = model.num_schemas();
   out->schema_id = static_cast<std::uint32_t>(n);
@@ -76,36 +76,6 @@ DomainModel AssignArrival(const DomainModel& model,
     }
   }
   return model.WithArrival(out->memberships, home);
-}
-
-IncrementalClusterer::IncrementalClusterer(
-    const Tokenizer& tokenizer, const FeatureVectorizer& vectorizer,
-    std::span<const DynamicBitset> features, const DomainModel& model,
-    IncrementalOptions options)
-    : tokenizer_(tokenizer),
-      vectorizer_(vectorizer),
-      options_(options),
-      features_(std::vector<DynamicBitset>(features.begin(), features.end())),
-      postings_(features_),
-      model_(model) {}
-
-double IncrementalClusterer::AverageDrift() const {
-  return num_added_ > 0 ? drift_sum_ / static_cast<double>(num_added_) : 0.0;
-}
-
-Result<IncrementalAddResult> IncrementalClusterer::AddSchema(
-    const Schema& schema) {
-  PAYGO_ASSIGN_OR_RETURN(ArrivalVector arrival,
-                         FeaturizeArrival(tokenizer_, vectorizer_, schema));
-  IncrementalAddResult out;
-  out.unseen_term_fraction = arrival.unseen_term_fraction;
-  model_ = AssignArrival(model_, postings_.JaccardRow(arrival.features),
-                         options_, &out);
-  postings_.Append(arrival.features);
-  features_.push_back(std::move(arrival.features));
-  ++num_added_;
-  drift_sum_ += out.unseen_term_fraction;
-  return out;
 }
 
 }  // namespace paygo

@@ -7,11 +7,11 @@
 /// A pay-as-you-go system "starts providing services without having to
 /// wait until full and precise integration takes place" (Section 1.1) and
 /// is refined as it gets used. New data sources keep appearing; re-running
-/// Algorithms 1-3 from scratch on every arrival is wasteful. The
-/// IncrementalClusterer folds a new schema into an existing domain model:
+/// Algorithms 1-3 from scratch on every arrival is wasteful. An arrival is
+/// folded into the existing domain model instead:
 ///
 ///  * the schema is featurized against the frozen lexicon (terms never
-///    seen before cannot contribute — their fraction is tracked as drift);
+///    seen before cannot contribute — their fraction is reported as drift);
 ///  * its s_sim row against the existing schemas is read from the
 ///    inverted feature index (FeaturePostings::JaccardRow): only schemas
 ///    sharing a feature with it are touched, and every other s_sim is
@@ -27,19 +27,15 @@
 ///    of the domains it joins; every other cluster and member list stays
 ///    shared, so the arrival copies no row of the model.
 ///
-/// IntegrationSystem::AddSchema runs the same steps (FeaturizeArrival,
-/// its own shared index, AssignArrival) and hands the one sparse row on to
-/// its similarity matrix or neighbor graph.
-/// When accumulated drift is high the clusterer recommends a full rebuild
-/// — the "refine later" half of the pay-as-you-go contract.
+/// IntegrationSystem::AddSchema runs these steps (FeaturizeArrival, its
+/// shared index, AssignArrival) and hands the one sparse row on to its
+/// similarity matrix or neighbor graph.
 
 #include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
-#include "cluster/hac.h"
-#include "cluster/linkage.h"
 #include "cluster/probabilistic_assignment.h"
 #include "schema/feature_postings.h"
 #include "schema/feature_vector.h"
@@ -49,16 +45,6 @@
 #include "util/status.h"
 
 namespace paygo {
-
-/// \brief Options of incremental arrival.
-struct IncrementalOptions {
-  /// Same thresholds as Algorithm 3.
-  double tau_c_sim = 0.25;
-  double theta = 0.02;
-  /// Recommend a full rebuild when the average fraction of unseen terms
-  /// across added schemas exceeds this.
-  double rebuild_drift_threshold = 0.3;
-};
 
 /// \brief Outcome of adding one schema.
 struct IncrementalAddResult {
@@ -93,55 +79,14 @@ Result<ArrivalVector> FeaturizeArrival(const Tokenizer& tokenizer,
 /// qualifying domain with normalized probability and a hard member of the
 /// most similar one, or the only member of a fresh singleton domain. The
 /// result shares every row it does not change with \p model. Sets \p out's
-/// schema_id, memberships and created_new_domain.
+/// schema_id, memberships and created_new_domain. Only tau_c_sim and theta
+/// of \p options apply: an arrival with no qualifying domain always opens a
+/// singleton, so strict_thesis_semantics (which decides what happens to a
+/// clustered schema below tau) does not apply to it.
 DomainModel AssignArrival(const DomainModel& model,
                           std::span<const JaccardEntry> row,
-                          const IncrementalOptions& options,
+                          const AssignmentOptions& options,
                           IncrementalAddResult* out);
-
-/// \brief Folds newly arriving schemas into an existing clustering.
-class IncrementalClusterer {
- public:
-  /// Takes over a built model. \p vectorizer and \p tokenizer must outlive
-  /// the clusterer; \p features are the existing schemas' vectors, which
-  /// the clusterer copies, indexes once (FeaturePostings) and keeps.
-  IncrementalClusterer(const Tokenizer& tokenizer,
-                       const FeatureVectorizer& vectorizer,
-                       std::span<const DynamicBitset> features,
-                       const DomainModel& model,
-                       IncrementalOptions options = {});
-
-  /// Adds one schema; returns its assignment.
-  Result<IncrementalAddResult> AddSchema(const Schema& schema);
-
-  /// The current domain model, added schemas included.
-  const DomainModel& model() const { return model_; }
-
-  /// Feature vectors including added schemas (corpus order).
-  const FeatureRows& features() const { return features_; }
-
-  /// Number of schemas added since construction.
-  std::size_t num_added() const { return num_added_; }
-
-  /// Average unseen-term fraction over added schemas (0 when none).
-  double AverageDrift() const;
-
-  /// True when AverageDrift() exceeds the rebuild threshold.
-  bool RebuildRecommended() const {
-    return num_added_ > 0 &&
-           AverageDrift() > options_.rebuild_drift_threshold;
-  }
-
- private:
-  const Tokenizer& tokenizer_;
-  const FeatureVectorizer& vectorizer_;
-  IncrementalOptions options_;
-  FeatureRows features_;
-  FeaturePostings postings_;  ///< Index of features_.
-  DomainModel model_;
-  std::size_t num_added_ = 0;
-  double drift_sum_ = 0.0;
-};
 
 }  // namespace paygo
 

@@ -79,7 +79,7 @@ class SimilarityMatrix {
   /// shared with \p base; the new row holds float(sim) at the row's ids,
   /// +0 elsewhere (what float(Jaccard) is for a pair sharing no feature)
   /// and the diagonal, so it is bit-identical to a from-scratch build's.
-  /// No Jaccard work: the delta write path's matrix refresh.
+  /// No Jaccard work: AddSchema's matrix refresh.
   SimilarityMatrix(const SimilarityMatrix& base,
                    std::span<const JaccardEntry> row, bool nonempty);
 

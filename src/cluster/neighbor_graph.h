@@ -82,7 +82,7 @@ class NeighborGraph {
   /// zeros omitted) and whether it sets any feature. The new id is larger
   /// than every id already stored, so it is spliced onto the end of each
   /// touched row and no row is re-sorted: O(edges) copying, no Jaccard
-  /// work. The delta write path's graph refresh.
+  /// work. AddSchema's graph refresh.
   NeighborGraph(const NeighborGraph& base, std::span<const JaccardEntry> row,
                 bool nonempty);
 

@@ -105,21 +105,11 @@ Result<std::unique_ptr<IntegrationSystem>> IntegrationSystem::Restore(
   const DomainModel& domains = *sys->domains_;
 
   if (options.build_mediation) {
-    sys->mediations_.reserve(domains.num_domains());
-    for (std::uint32_t r = 0; r < domains.num_domains(); ++r) {
-      const auto& members = domains.SchemasOf(r);
-      if (members.empty()) {
-        sys->mediations_.push_back(std::make_shared<const DomainMediation>());
-      } else {
-        PAYGO_ASSIGN_OR_RETURN(
-            DomainMediation med,
-            Mediator::BuildForDomain(*sys->corpus_, *sys->tokenizer_, members,
-                                     options.mediator));
-        sys->mediations_.push_back(
-            std::make_shared<const DomainMediation>(std::move(med)));
-      }
-      sys->mediation_bytes_ += sys->mediations_.back()->MemoryBytes();
-    }
+    Derived derived;
+    PAYGO_RETURN_NOT_OK(
+        sys->Mediate(*sys->corpus_, domains, /*base=*/nullptr, {}, &derived));
+    sys->mediations_ = std::move(derived.mediations);
+    sys->mediation_bytes_ = derived.mediation_bytes;
   }
 
   if (!conditionals.empty()) {
@@ -267,35 +257,7 @@ Result<IntegrationSystem::Derived> IntegrationSystem::DeriveState(
   }
   Derived out;
   if (options_.build_mediation) {
-    PAYGO_TRACE_SPAN(base == nullptr ? "system.mediate"
-                                     : "system.mediate_delta");
-    out.mediations.reserve(domains.num_domains());
-    // The running byte total: the base's, minus each replaced mediation,
-    // plus each new one.
-    out.mediation_bytes = base != nullptr ? base->mediation_bytes_ : 0;
-    const DomainMediation empty;
-    for (std::uint32_t r = 0; r < domains.num_domains(); ++r) {
-      const bool in_base = base != nullptr && r < base->mediations_.size();
-      if (!affected[r] && in_base) {
-        out.mediations.push_back(base->mediations_[r]);
-        continue;
-      }
-      if (in_base) out.mediation_bytes -= base->mediations_[r]->MemoryBytes();
-      const auto& members = domains.SchemasOf(r);
-      if (members.empty()) {
-        // Empty domain: empty mediation.
-        out.mediations.push_back(std::make_shared<const DomainMediation>());
-      } else {
-        // A touched domain extends its old mediation by the arrival.
-        PAYGO_ASSIGN_OR_RETURN(
-            DomainMediation med,
-            Mediator::Extend(in_base ? *base->mediations_[r] : empty, corpus,
-                             *tokenizer_, members, options_.mediator));
-        out.mediations.push_back(
-            std::make_shared<const DomainMediation>(std::move(med)));
-      }
-      out.mediation_bytes += out.mediations.back()->MemoryBytes();
-    }
+    PAYGO_RETURN_NOT_OK(Mediate(corpus, domains, base, affected, &out));
   }
   if (options_.build_classifier) {
     if (base != nullptr && base->classifier_ != nullptr) {
@@ -322,6 +284,43 @@ Result<IntegrationSystem::Derived> IntegrationSystem::DeriveState(
     }
   }
   return out;
+}
+
+Status IntegrationSystem::Mediate(const SchemaCorpus& corpus,
+                                  const DomainModel& domains,
+                                  const IntegrationSystem* base,
+                                  const std::vector<bool>& affected,
+                                  Derived* out) const {
+  PAYGO_TRACE_SPAN(base == nullptr ? "system.mediate"
+                                   : "system.mediate_delta");
+  out->mediations.reserve(domains.num_domains());
+  // The running byte total: the base's, minus each replaced mediation,
+  // plus each new one.
+  out->mediation_bytes = base != nullptr ? base->mediation_bytes_ : 0;
+  const DomainMediation empty;
+  for (std::uint32_t r = 0; r < domains.num_domains(); ++r) {
+    const bool in_base = base != nullptr && r < base->mediations_.size();
+    if (in_base && !affected[r]) {
+      out->mediations.push_back(base->mediations_[r]);
+      continue;
+    }
+    if (in_base) out->mediation_bytes -= base->mediations_[r]->MemoryBytes();
+    const auto& members = domains.SchemasOf(r);
+    if (members.empty()) {
+      // Empty domain: empty mediation.
+      out->mediations.push_back(std::make_shared<const DomainMediation>());
+    } else {
+      // A touched domain extends its old mediation by the arrival.
+      PAYGO_ASSIGN_OR_RETURN(
+          DomainMediation med,
+          Mediator::Extend(in_base ? *base->mediations_[r] : empty, corpus,
+                           *tokenizer_, members, options_.mediator));
+      out->mediations.push_back(
+          std::make_shared<const DomainMediation>(std::move(med)));
+    }
+    out->mediation_bytes += out->mediations.back()->MemoryBytes();
+  }
+  return Status::OK();
 }
 
 void IntegrationSystem::Adopt(Derived derived) {
@@ -360,9 +359,6 @@ void IntegrationSystem::PublishMemory() const {
 Result<IncrementalAddResult> IntegrationSystem::AddSchema(
     Schema schema, std::vector<std::string> labels) {
   PAYGO_TRACE_SPAN("system.add_schema");
-  IncrementalOptions inc_opts;
-  inc_opts.tau_c_sim = options_.assignment.tau_c_sim;
-  inc_opts.theta = options_.assignment.theta;
   IncrementalAddResult result;
   // Every new component is built into a local and adopted only once all
   // of them exist, so a failure leaves this system as it was. Readers of
@@ -379,7 +375,7 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
     // both consume it.
     row = substrate_.postings->JaccardRow(arrival.features);
     domains = std::make_shared<const DomainModel>(
-        AssignArrival(*domains_, row, inc_opts, &result));
+        AssignArrival(*domains_, row, options_.assignment, &result));
     result.unseen_term_fraction = arrival.unseen_term_fraction;
     // Appends in place when this snapshot ends where its block does.
     auto grown = std::make_shared<FeatureRows>(*features_);
@@ -391,29 +387,23 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
   Substrate substrate;
   {
     PAYGO_TRACE_SPAN("system.add_schema.similarity");
-    if (!options_.delta_mutations) {
-      PAYGO_ASSIGN_OR_RETURN(substrate, BuildSimilarities(*features));
+    // One appended schema: index it, then share every old row of the
+    // matrix (or splice the new id onto the graph's touched rows) and add
+    // its row from the sparse one — no Jaccard is recomputed.
+    const bool nonempty = !features->back().None();
+    auto postings = std::make_shared<FeaturePostings>(*substrate_.postings);
+    postings->Append(features->back());
+    substrate.postings = std::move(postings);
+    if (options_.sparse_build) {
+      substrate.graph = std::make_shared<const NeighborGraph>(
+          *substrate_.graph, row, nonempty);
     } else {
-      // One appended schema: index it, then share every old row of the
-      // matrix (or splice the new id onto the graph's touched rows) and
-      // add its row from the sparse one — no Jaccard is recomputed.
-      const bool nonempty = !features->back().None();
-      auto postings = std::make_shared<FeaturePostings>(*substrate_.postings);
-      postings->Append(features->back());
-      substrate.postings = std::move(postings);
-      if (options_.sparse_build) {
-        substrate.graph =
-            std::make_shared<const NeighborGraph>(*substrate_.graph, row,
-                                                  nonempty);
-      } else {
-        substrate.sims =
-            std::make_shared<const SimilarityMatrix>(*substrate_.sims, row,
-                                                     nonempty);
-      }
+      substrate.sims = std::make_shared<const SimilarityMatrix>(
+          *substrate_.sims, row, nonempty);
     }
   }
   // The schema joined result.memberships' domains (or opened a new one);
-  // on the delta path every other domain's member set is untouched.
+  // every other domain's member set is untouched.
   std::vector<std::uint32_t> affected;
   affected.reserve(result.memberships.size());
   for (const auto& [domain, prob] : result.memberships) {
@@ -421,8 +411,7 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
   }
   PAYGO_ASSIGN_OR_RETURN(
       Derived derived,
-      DeriveState(*corpus, *features, *domains,
-                  options_.delta_mutations ? this : nullptr, affected));
+      DeriveState(*corpus, *features, *domains, this, affected));
 
   sources_.resize(corpus->size());
   corpus_ = std::move(corpus);

@@ -73,14 +73,6 @@ struct SystemOptions {
   bool build_mediation = true;
   /// Skip classifier construction.
   bool build_classifier = true;
-  /// Delta write path (default): AddSchema extends the similarity matrix by
-  /// one row instead of refilling it, extends the mediation of only the
-  /// domains the schema joined, and refreshes the classifier incrementally
-  /// via NaiveBayesClassifier::UpdateDomains — bit-identical to the full
-  /// path but O(delta) instead of O(corpus). Set false to force the legacy
-  /// full rebuild on every mutation (the differential-test oracle and the
-  /// perf baseline).
-  bool delta_mutations = true;
 };
 
 /// \brief One entry of a keyword query's answer: a relevant domain, its
@@ -195,14 +187,19 @@ class IntegrationSystem {
 
   /// Folds a newly discovered source into the live system without
   /// re-clustering (the incremental path of cluster/incremental.h): the
-  /// schema joins qualifying domains or opens a new singleton, the
-  /// affected domains' mediations are extended, and the classifier is
-  /// refreshed. The schema's similarity row is read once from the feature
-  /// postings, at a cost set by the schemas that share its features; the
-  /// same sparse row feeds Algorithm 3 and extends the matrix or graph.
-  /// The lexicon stays frozen — the returned unseen_term_fraction reports
-  /// the drift; call Build() afresh when it accumulates. Failure-atomic:
-  /// on an error (for example the exhaustive classifier engine's
+  /// schema joins qualifying domains (Algorithm 3 under the assignment
+  /// options) or opens a new singleton, the affected domains' mediations
+  /// are extended, and the classifier is refreshed. The schema's
+  /// similarity row is read once from the feature postings, at a cost set
+  /// by the schemas that share its features; the same sparse row feeds
+  /// Algorithm 3 and extends the matrix or graph. Every derived part is
+  /// bitwise what a re-derivation from the grown corpus and model would
+  /// give (a Restore of them). That includes every classifier prior,
+  /// which is re-derived from its domain's mass: priors reweighted by
+  /// ApplyFeedback's clicks do not survive an arrival. The lexicon stays
+  /// frozen — the returned unseen_term_fraction reports the drift; call
+  /// RebuildFromScratch() when it accumulates. Failure-atomic: on an
+  /// error (for example the exhaustive classifier engine's
   /// ResourceExhausted) the system is left exactly as it was.
   Result<IncrementalAddResult> AddSchema(
       Schema schema, std::vector<std::string> labels = {});
@@ -210,7 +207,9 @@ class IntegrationSystem {
   /// Applies accumulated user feedback: explicit corrections recluster the
   /// corpus under must-link/cannot-link constraints (and pin the corrected
   /// schemas), implicit clicks reweight the classifier priors. Mediation
-  /// and classifier are rebuilt to match the refined domains.
+  /// and classifier are rebuilt to match the refined domains. The click
+  /// reweighting lasts until the next AddSchema, which re-derives every
+  /// prior from its domain's mass.
   Status ApplyFeedback(const FeedbackStore& store);
 
   /// The "refine later" escape hatch: re-runs the whole offline pipeline
@@ -278,14 +277,6 @@ class IntegrationSystem {
     options_.features.num_threads = num_threads;
   }
 
-  /// Toggles the delta write path on this instance (see
-  /// SystemOptions::delta_mutations). The differential tests and the
-  /// write-path bench build one system, then flip this on Clone()s so the
-  /// delta and full paths start from bit-identical state.
-  void set_delta_mutations(bool enabled) {
-    options_.delta_mutations = enabled;
-  }
-
   /// Human-readable domain summary: size, top attributes, member sources.
   std::string DescribeDomain(std::uint32_t domain,
                              std::size_t max_members = 8) const;
@@ -316,19 +307,27 @@ class IntegrationSystem {
   /// classifier_ only on success.
   Status Recluster(const FeedbackStore* feedback);
   /// Mediation and classifier for \p domains over \p corpus and
-  /// \p features. With a null \p base, the full path: every domain's
+  /// \p features. With a null \p base (Build, Recluster): every domain's
   /// mediation plus a whole-model classifier build. With \p base (this
-  /// system before an arrival), the delta path: only \p affected_domains
-  /// and domains new since \p base are re-mediated, each by
-  /// Mediator::Extend of its base mediation, every other mediation is
-  /// shared and the classifier is refreshed via
-  /// NaiveBayesClassifier::UpdateDomains. Bit-identical to the full path
-  /// because Extend equals BuildForDomain and the factored conditionals
-  /// depend only on the domain's own members. Writes nothing.
+  /// system before an arrival): only \p affected_domains and domains new
+  /// since \p base are re-mediated (see Mediate) and the classifier is
+  /// refreshed via NaiveBayesClassifier::UpdateDomains. Bit-identical to
+  /// the null-base result because Extend equals BuildForDomain and the
+  /// factored conditionals depend only on the domain's own members.
+  /// Writes nothing.
   Result<Derived> DeriveState(
       const SchemaCorpus& corpus, const FeatureRows& features,
       const DomainModel& domains, const IntegrationSystem* base,
       const std::vector<std::uint32_t>& affected_domains) const;
+  /// The mediation half of DeriveState, which Restore shares: fills
+  /// \p out's mediations and their byte total. A domain r of \p base's
+  /// with affected[r] false shares its base mediation; every other domain
+  /// is Mediator::Extend of its base mediation, or of an empty one when
+  /// \p base is null or the domain is new (BuildForDomain). \p affected is
+  /// read only with a non-null \p base.
+  Status Mediate(const SchemaCorpus& corpus, const DomainModel& domains,
+                 const IntegrationSystem* base,
+                 const std::vector<bool>& affected, Derived* out) const;
   /// Installs \p derived's enabled parts.
   void Adopt(Derived derived);
   /// Publishes the feature, domain-model and mediation byte gauges.
@@ -356,7 +355,7 @@ class IntegrationSystem {
   std::shared_ptr<const NaiveBayesClassifier> classifier_;
   std::shared_ptr<const QueryFeaturizer> query_featurizer_;
   std::vector<std::shared_ptr<const DomainMediation>> mediations_;
-  /// Sum of mediations_' MemoryBytes(), kept by DeriveState in O(touched).
+  /// Sum of mediations_' MemoryBytes(), kept by Mediate in O(touched).
   std::size_t mediation_bytes_ = 0;
   std::vector<std::shared_ptr<const DataSource>> sources_;  // by schema id
 };

@@ -10,11 +10,11 @@
 ///    hot limit.
 ///  * AssignArrival's memberships from the sparse row equal Algorithm 3
 ///    over a dense Jaccard scan, bitwise.
-///  * A sparse_build system fed a chain of arrivals on the delta path
-///    keeps a neighbor graph equal edge for edge (id and float bits) to
-///    NeighborGraph::Build over its features, and a domain model and
-///    classifier rankings equal to a full-rebuild twin's, at 1, 2 and 4
-///    threads.
+///  * A sparse_build system fed a chain of arrivals keeps a neighbor
+///    graph equal edge for edge (id and float bits) to NeighborGraph::Build
+///    over its features, and a domain model and classifier rankings equal
+///    to those of a twin re-derived from scratch after each arrival
+///    (RederiveFromScratch), at 1, 2 and 4 threads.
 ///  * A snapshot taken before an arrival keeps its posting lists and
 ///    corpus rows; the arrival copies only the lists it touches.
 
@@ -30,6 +30,7 @@
 #include "core/integration_system.h"
 #include "extend_by_arrivals.h"
 #include "obs/stats.h"
+#include "rederive_from_scratch.h"
 #include "schema/feature_postings.h"
 #include "synth/ddh_generator.h"
 #include "synth/many_domains.h"
@@ -273,10 +274,8 @@ TEST_P(SparseChainTest, DeltaArrivalsMatchFullRebuildBitwise) {
   auto built = IntegrationSystem::Build(Inputs().base, options);
   ASSERT_TRUE(built.ok()) << built.status();
   auto delta = (*built)->Clone();
-  delta->set_delta_mutations(true);
   delta->set_num_threads(width);
   auto full = (*built)->Clone();
-  full->set_delta_mutations(false);
   full->set_num_threads(width);
 
   const std::vector<std::string> queries = QueriesFrom(Inputs().arrivals);
@@ -293,6 +292,9 @@ TEST_P(SparseChainTest, DeltaArrivalsMatchFullRebuildBitwise) {
                               Inputs().arrivals.labels(j));
     ASSERT_TRUE(ra.ok()) << ra.status();
     ASSERT_TRUE(rb.ok()) << rb.status();
+    auto rederived = RederiveFromScratch(*full);
+    ASSERT_TRUE(rederived.ok()) << rederived.status();
+    full = std::move(*rederived);
     delta = std::move(next);
     EXPECT_EQ(ra->memberships, rb->memberships) << label;
     EXPECT_EQ(ra->created_new_domain, rb->created_new_domain) << label;
@@ -332,7 +334,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadWidths, SparseChainTest,
 /// directly: the oracle AssignArrival's sparse sums must match bitwise.
 std::vector<std::pair<std::uint32_t, double>> DenseMemberships(
     const DomainModel& model, std::span<const DynamicBitset> features,
-    const DynamicBitset& arrival, const IncrementalOptions& options) {
+    const DynamicBitset& arrival, const AssignmentOptions& options) {
   std::vector<double> sc;
   double max_sim = 0.0;
   for (const std::vector<std::uint32_t>& cluster : model.clusters()) {
@@ -369,9 +371,7 @@ TEST(ArrivalRowTest, AssignArrivalMatchesDenseAlgorithm3) {
     auto sys = IntegrationSystem::Build(corpus, options);
     ASSERT_TRUE(sys.ok()) << sys.status();
     const IntegrationSystem& s = **sys;
-    IncrementalOptions inc;
-    inc.tau_c_sim = options.assignment.tau_c_sim;
-    inc.theta = options.assignment.theta;
+    const AssignmentOptions& inc = options.assignment;
     // Existing schemas as arrivals, the last one included: its row
     // reaches the highest id.
     for (std::size_t k = 0; k < corpus.size(); k += 7) {

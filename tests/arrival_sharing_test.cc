@@ -7,8 +7,8 @@
 /// and rescales every other domain's prior from its cached world mass.
 /// These tests check:
 ///   * two clones of one snapshot that each add a different schema,
-///     serially or on two threads, equal fresh full-rebuild twins, and the
-///     parent keeps its n rows, unchanged;
+///     serially or on two threads, equal twins re-derived from scratch
+///     (RederiveFromScratch), and the parent keeps its n rows, unchanged;
 ///   * untouched domains' model and classifier rows, and the old feature
 ///     rows, are shared by address with the base;
 ///   * every prior equals ComputeDomainPrior bit for bit;
@@ -29,6 +29,7 @@
 
 #include "core/integration_system.h"
 #include "persist/model_io.h"
+#include "rederive_from_scratch.h"
 #include "synth/ddh_generator.h"
 #include "synth/many_domains.h"
 #include "util/shared_rows.h"
@@ -136,14 +137,16 @@ struct Observed {
   bool operator==(const Observed&) const = default;
 };
 
-/// Adds arrival \p j to a full-rebuild clone of \p base.
+/// Adds arrival \p j to a clone of \p base, then re-derives the clone
+/// from scratch.
 std::unique_ptr<IntegrationSystem> RebuiltTwin(const IntegrationSystem& base,
                                                const SchemaCorpus& arrivals,
                                                std::size_t j) {
   auto twin = base.Clone();
-  twin->set_delta_mutations(false);
   EXPECT_TRUE(twin->AddSchema(arrivals.schema(j), arrivals.labels(j)).ok());
-  return twin;
+  auto rederived = RederiveFromScratch(*twin);
+  EXPECT_TRUE(rederived.ok()) << rederived.status();
+  return rederived.ok() ? std::move(*rederived) : std::move(twin);
 }
 
 class ArrivalSharingTest : public ::testing::TestWithParam<bool> {};

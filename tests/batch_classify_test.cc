@@ -180,7 +180,6 @@ TEST(BatchClassifyTest, DeltaChurnedClassifierMatchesBitwise) {
   auto built = IntegrationSystem::Build(corpus);
   ASSERT_TRUE(built.ok()) << built.status();
   auto sys = (*built)->Clone();
-  sys->set_delta_mutations(true);
   for (std::size_t i = kBase; i < pool.size(); ++i) {
     auto added = sys->AddSchema(pool.schema(i), pool.labels(i));
     ASSERT_TRUE(added.ok()) << added.status();

@@ -1,14 +1,16 @@
 /// \file delta_differential_test.cc
-/// \brief The delta write path's exactness guarantee, checked end to end:
-/// a system mutated with `delta_mutations = true` is BITWISE equal to one
-/// mutated with the legacy full path, over randomized AddSchema/feedback
-/// sequences and at every rebuild thread width.
+/// \brief The arrival path's exactness guarantee, checked end to end: a
+/// system grown through AddSchema is BITWISE equal to a twin that takes
+/// the same arrival and is then re-derived from scratch
+/// (RederiveFromScratch: a fresh matrix, every mediation and the
+/// classifier rebuilt), over randomized AddSchema/feedback sequences and
+/// at every thread width.
 ///
 /// "Bitwise" is literal — every comparison below is EXPECT_EQ on doubles,
-/// never EXPECT_NEAR. The delta path earns this because each of its three
-/// shortcuts is exact, not approximate:
-///   * the similarity matrix extend-constructor copies the old n x n block
-///     and computes only the new row/column of a pure function;
+/// never EXPECT_NEAR. The arrival path earns this because each of its
+/// three shortcuts is exact, not approximate:
+///   * the similarity matrix extend-constructor shares the old rows and
+///     adds only the new row of a pure function;
 ///   * a mediation depends only on the domain's own members, so untouched
 ///     domains' mediations are shared verbatim, and a touched domain's is
 ///     Mediator::Extend of the old one: the arrival's attributes are added
@@ -19,9 +21,10 @@
 ///     sequence;
 ///   * the factored classifier's per-domain conditionals depend only on
 ///     the domain's membership rows, and UpdateDomains routes affected
-///     domains through the same canonical PrecomputeDomain as Build().
-/// Any drift here — a forgotten affected domain, a reordered float
-/// accumulation — fails this test immediately.
+///     domains through the same canonical PrecomputeDomain as Build(),
+///     and re-derives every other prior from its domain's mass.
+/// Any drift here — a forgotten affected domain, a stale prior, a
+/// reordered float accumulation — fails this test immediately.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "core/integration_system.h"
+#include "rederive_from_scratch.h"
 #include "synth/ddh_generator.h"
 
 namespace paygo {
@@ -80,7 +84,7 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
     EXPECT_TRUE(a.features()[i] == b.features()[i]) << "feature row " << i;
   }
 
-  // Similarity matrix: the extended copy vs the full refill.
+  // Similarity matrix: the extended matrix vs a scratch build.
   ASSERT_EQ(a.similarities().size(), b.similarities().size());
   for (std::size_t i = 0; i < a.similarities().size(); ++i) {
     for (std::size_t j = 0; j < a.similarities().size(); ++j) {
@@ -120,34 +124,8 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
 
   // Mediation: shared objects vs rebuilt ones must have equal content.
   for (std::uint32_t r = 0; r < a.domains().num_domains(); ++r) {
-    const DomainMediation& ma = a.mediation(r);
-    const DomainMediation& mb = b.mediation(r);
-    EXPECT_EQ(ma.members, mb.members) << "domain " << r;
-    ASSERT_EQ(ma.mediated.attributes.size(), mb.mediated.attributes.size())
-        << "domain " << r;
-    for (std::size_t k = 0; k < ma.mediated.attributes.size(); ++k) {
-      EXPECT_EQ(ma.mediated.attributes[k].name,
-                mb.mediated.attributes[k].name);
-      EXPECT_EQ(ma.mediated.attributes[k].members,
-                mb.mediated.attributes[k].members);
-      EXPECT_EQ(ma.mediated.attributes[k].weight,
-                mb.mediated.attributes[k].weight);
-    }
-    ASSERT_EQ(ma.mappings.size(), mb.mappings.size()) << "domain " << r;
-    for (std::size_t i = 0; i < ma.mappings.size(); ++i) {
-      const ProbabilisticMapping& pa = ma.mappings[i];
-      const ProbabilisticMapping& pb = mb.mappings[i];
-      EXPECT_EQ(pa.schema_id, pb.schema_id) << "domain " << r;
-      ASSERT_EQ(pa.alternatives.size(), pb.alternatives.size())
-          << "domain " << r << ", schema " << pa.schema_id;
-      for (std::size_t k = 0; k < pa.alternatives.size(); ++k) {
-        EXPECT_EQ(pa.alternatives[k].target, pb.alternatives[k].target)
-            << "domain " << r << ", schema " << pa.schema_id;
-        EXPECT_EQ(pa.alternatives[k].probability,
-                  pb.alternatives[k].probability)
-            << "domain " << r << ", schema " << pa.schema_id;
-      }
-    }
+    ExpectSameMediation(a.mediation(r), b.mediation(r),
+                        "domain " + std::to_string(r));
   }
 }
 
@@ -160,12 +138,10 @@ TEST_P(DeltaDifferentialTest, RandomizedMutationsMatchScratchBitwise) {
   ASSERT_TRUE(built.ok()) << built.status();
 
   // Two clones of the SAME built system, so both start from bit-identical
-  // state; only the write path differs.
+  // state; the scratch twin is re-derived after each of its arrivals.
   auto delta = (*built)->Clone();
-  delta->set_delta_mutations(true);
   delta->set_num_threads(width);
   auto scratch = (*built)->Clone();
-  scratch->set_delta_mutations(false);
   scratch->set_num_threads(width);
 
   // Randomized but reproducible interleaving of schema adds and implicit
@@ -190,6 +166,9 @@ TEST_P(DeltaDifferentialTest, RandomizedMutationsMatchScratchBitwise) {
       ASSERT_TRUE(ra.ok()) << ra.status();
       ASSERT_TRUE(rb.ok()) << rb.status();
       EXPECT_EQ(ra->memberships, rb->memberships);
+      auto rederived = RederiveFromScratch(*scratch);
+      ASSERT_TRUE(rederived.ok()) << rederived.status();
+      scratch = std::move(*rederived);
       ++next_extra;
     }
     // Full bitwise sweep every few mutations (it is O(n^2) in the sims),

@@ -7,38 +7,34 @@
 namespace paygo {
 namespace {
 
+/// Two built domains to add schemas into, under \p assignment.
+std::unique_ptr<IntegrationSystem> BuildTwoDomains(
+    AssignmentOptions assignment = {.tau_c_sim = 0.25}) {
+  SchemaCorpus corpus;
+  corpus.Add(Schema("t1", {"departure airport", "destination airport",
+                           "airline"}),
+             {"travel"});
+  corpus.Add(Schema("t2", {"departure airport", "airline", "passengers"}),
+             {"travel"});
+  corpus.Add(Schema("b1", {"title", "authors", "journal"}), {"bib"});
+  corpus.Add(Schema("b2", {"title", "authors", "publisher"}), {"bib"});
+  SystemOptions opts;
+  opts.hac.tau_c_sim = 0.25;
+  opts.assignment = assignment;
+  opts.build_mediation = false;
+  opts.build_classifier = false;
+  return std::move(*IntegrationSystem::Build(std::move(corpus), opts));
+}
+
 /// A built two-domain system to add schemas into.
 struct Fixture {
-  std::unique_ptr<IntegrationSystem> sys;
-  std::unique_ptr<IncrementalClusterer> inc;
-
-  Fixture() {
-    SchemaCorpus corpus;
-    corpus.Add(Schema("t1", {"departure airport", "destination airport",
-                             "airline"}),
-               {"travel"});
-    corpus.Add(Schema("t2", {"departure airport", "airline", "passengers"}),
-               {"travel"});
-    corpus.Add(Schema("b1", {"title", "authors", "journal"}), {"bib"});
-    corpus.Add(Schema("b2", {"title", "authors", "publisher"}), {"bib"});
-    SystemOptions opts;
-    opts.hac.tau_c_sim = 0.25;
-    opts.assignment.tau_c_sim = 0.25;
-    opts.build_mediation = false;
-    opts.build_classifier = false;
-    sys = std::move(*IntegrationSystem::Build(std::move(corpus), opts));
-    IncrementalOptions inc_opts;
-    inc_opts.tau_c_sim = 0.25;
-    inc = std::make_unique<IncrementalClusterer>(
-        sys->tokenizer(), sys->vectorizer(), sys->features(), sys->domains(),
-        inc_opts);
-  }
+  std::unique_ptr<IntegrationSystem> sys = BuildTwoDomains();
 };
 
 TEST(IncrementalTest, SimilarSchemaJoinsExistingDomain) {
   Fixture fx;
   const std::uint32_t travel_domain = fx.sys->domains().DomainsOf(0)[0].first;
-  const auto result = fx.inc->AddSchema(
+  const auto result = fx.sys->AddSchema(
       Schema("t3", {"departure airport", "destination airport",
                     "airline", "class"}));
   ASSERT_TRUE(result.ok()) << result.status();
@@ -46,56 +42,39 @@ TEST(IncrementalTest, SimilarSchemaJoinsExistingDomain) {
   ASSERT_FALSE(result->memberships.empty());
   EXPECT_EQ(result->memberships[0].first, travel_domain);
   // The model now places the newcomer in the travel domain.
-  EXPECT_GT(fx.inc->model().Membership(result->schema_id, travel_domain),
+  EXPECT_GT(fx.sys->domains().Membership(result->schema_id, travel_domain),
             0.0);
 }
 
 TEST(IncrementalTest, UnrelatedSchemaOpensNewDomain) {
   Fixture fx;
-  const std::size_t before = fx.inc->model().num_domains();
-  const auto result = fx.inc->AddSchema(
+  const std::size_t before = fx.sys->domains().num_domains();
+  const auto result = fx.sys->AddSchema(
       Schema("plants", {"botanical classification", "hardiness zone",
                         "bloom season"}));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->created_new_domain);
-  EXPECT_EQ(fx.inc->model().num_domains(), before + 1);
+  EXPECT_EQ(fx.sys->domains().num_domains(), before + 1);
   EXPECT_DOUBLE_EQ(result->memberships[0].second, 1.0);
 }
 
 TEST(IncrementalTest, UnseenTermsTrackedAsDrift) {
   Fixture fx;
-  const auto r1 = fx.inc->AddSchema(
+  const auto r1 = fx.sys->AddSchema(
       Schema("t3", {"departure airport", "airline"}));
   ASSERT_TRUE(r1.ok());
   EXPECT_DOUBLE_EQ(r1->unseen_term_fraction, 0.0);
-  const auto r2 = fx.inc->AddSchema(
+  const auto r2 = fx.sys->AddSchema(
       Schema("alien", {"zzzqqq wwwvvv", "kkkjjj"}));
   ASSERT_TRUE(r2.ok());
   EXPECT_DOUBLE_EQ(r2->unseen_term_fraction, 1.0);
-  EXPECT_NEAR(fx.inc->AverageDrift(), 0.5, 1e-9);
-}
-
-TEST(IncrementalTest, RebuildRecommendedUnderHighDrift) {
-  Fixture fx;
-  EXPECT_FALSE(fx.inc->RebuildRecommended());
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(fx.inc
-                    ->AddSchema(Schema("alien" + std::to_string(i),
-                                       {"zzz" + std::to_string(i) + "qq",
-                                        "vvv" + std::to_string(i) + "ww"}))
-                    .ok());
-  }
-  EXPECT_TRUE(fx.inc->RebuildRecommended());
+  EXPECT_NEAR((r1->unseen_term_fraction + r2->unseen_term_fraction) / 2,
+              0.5, 1e-9);
 }
 
 TEST(IncrementalTest, MembershipsSumToOne) {
-  Fixture fx;
-  IncrementalOptions loose;
-  loose.tau_c_sim = 0.05;
-  loose.theta = 0.9;
-  IncrementalClusterer inc(fx.sys->tokenizer(), fx.sys->vectorizer(),
-                           fx.sys->features(), fx.sys->domains(), loose);
-  const auto result = inc.AddSchema(
+  auto sys = BuildTwoDomains({.tau_c_sim = 0.05, .theta = 0.9});
+  const auto result = sys->AddSchema(
       Schema("mixed", {"departure airport", "title", "authors"}));
   ASSERT_TRUE(result.ok());
   double total = 0.0;
@@ -105,33 +84,33 @@ TEST(IncrementalTest, MembershipsSumToOne) {
 
 TEST(IncrementalTest, SequentialIdsContinueCorpusNumbering) {
   Fixture fx;
-  const auto r1 = fx.inc->AddSchema(Schema("x", {"departure airport"}));
-  const auto r2 = fx.inc->AddSchema(Schema("y", {"title", "authors"}));
+  const auto r1 = fx.sys->AddSchema(Schema("x", {"departure airport"}));
+  const auto r2 = fx.sys->AddSchema(Schema("y", {"title", "authors"}));
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r1->schema_id, 4u);
   EXPECT_EQ(r2->schema_id, 5u);
-  EXPECT_EQ(fx.inc->features().size(), 6u);
-  EXPECT_EQ(fx.inc->num_added(), 2u);
+  EXPECT_EQ(fx.sys->features().size(), 6u);
+  EXPECT_EQ(fx.sys->corpus().size(), 6u);
 }
 
 TEST(IncrementalTest, RejectsDegenerateSchemas) {
   Fixture fx;
-  EXPECT_TRUE(fx.inc->AddSchema(Schema("empty", {}))
+  EXPECT_TRUE(fx.sys->AddSchema(Schema("empty", {}))
                   .status()
                   .IsInvalidArgument());
-  EXPECT_TRUE(fx.inc->AddSchema(Schema("stopwords", {"the", "of"}))
+  EXPECT_TRUE(fx.sys->AddSchema(Schema("stopwords", {"the", "of"}))
                   .status()
                   .IsInvalidArgument());
 }
 
 TEST(IncrementalTest, ModelRebuiltLazilyAndConsistently) {
   Fixture fx;
-  const auto r = fx.inc->AddSchema(
+  const auto r = fx.sys->AddSchema(
       Schema("t3", {"departure airport", "airline", "destination airport"}));
   ASSERT_TRUE(r.ok());
-  const DomainModel& m1 = fx.inc->model();
-  const DomainModel& m2 = fx.inc->model();  // cached
+  const DomainModel& m1 = fx.sys->domains();
+  const DomainModel& m2 = fx.sys->domains();  // cached
   EXPECT_EQ(&m1, &m2);
   EXPECT_EQ(m1.num_schemas(), 5u);
   // Every schema's memberships still sum to 1 (or 0 for dropped ones).

@@ -24,6 +24,7 @@
 #include "core/integration_system.h"
 #include "mediate/mediator.h"
 #include "obs/stats.h"
+#include "rederive_from_scratch.h"
 #include "synth/ddh_generator.h"
 #include "synth/many_domains.h"
 
@@ -34,35 +35,6 @@ using Members = std::vector<std::pair<std::uint32_t, double>>;
 
 std::uint64_t CounterValue(const char* name) {
   return StatsRegistry::Global().GetCounter(name)->value();
-}
-
-void ExpectSameMediation(const DomainMediation& a, const DomainMediation& b,
-                         const std::string& where) {
-  SCOPED_TRACE(where);
-  ASSERT_EQ(a.members.size(), b.members.size());
-  for (std::size_t i = 0; i < a.members.size(); ++i) {
-    EXPECT_EQ(a.members[i].first, b.members[i].first);
-    EXPECT_EQ(a.members[i].second, b.members[i].second);
-  }
-  ASSERT_EQ(a.mediated.size(), b.mediated.size());
-  for (std::size_t m = 0; m < a.mediated.size(); ++m) {
-    EXPECT_EQ(a.mediated.attributes[m].name, b.mediated.attributes[m].name);
-    EXPECT_EQ(a.mediated.attributes[m].members,
-              b.mediated.attributes[m].members);
-    EXPECT_EQ(a.mediated.attributes[m].weight,
-              b.mediated.attributes[m].weight);
-  }
-  ASSERT_EQ(a.mappings.size(), b.mappings.size());
-  for (std::size_t i = 0; i < a.mappings.size(); ++i) {
-    const ProbabilisticMapping& x = a.mappings[i];
-    const ProbabilisticMapping& y = b.mappings[i];
-    EXPECT_EQ(x.schema_id, y.schema_id);
-    ASSERT_EQ(x.alternatives.size(), y.alternatives.size());
-    for (std::size_t k = 0; k < x.alternatives.size(); ++k) {
-      EXPECT_EQ(x.alternatives[k].target, y.alternatives[k].target);
-      EXPECT_EQ(x.alternatives[k].probability, y.alternatives[k].probability);
-    }
-  }
 }
 
 /// How the mediated schema moved between two consecutive mediations.
@@ -406,10 +378,14 @@ TEST(MediationBytesTest, RunningTotalMatchesRecount) {
   EXPECT_EQ(gauge->value(), static_cast<std::int64_t>(sys->mediation_bytes()));
   for (std::size_t i = 300; i < pool.size(); ++i) {
     std::unique_ptr<IntegrationSystem> next = sys->Clone();
-    // Every fifth arrival takes the full path, which re-mediates every
-    // domain from scratch.
-    next->set_delta_mutations(i % 5 != 0);
     ASSERT_TRUE(next->AddSchema(pool.schema(i), pool.labels(i)).ok());
+    // Every fifth arrival is re-derived through Restore, which mediates
+    // every domain from scratch and counts the bytes afresh.
+    if (i % 5 == 0) {
+      auto rederived = RederiveFromScratch(*next);
+      ASSERT_TRUE(rederived.ok()) << rederived.status();
+      next = std::move(*rederived);
+    }
     EXPECT_EQ(next->mediation_bytes(), RecountMediationBytes(*next)) << i;
     EXPECT_EQ(gauge->value(),
               static_cast<std::int64_t>(next->mediation_bytes()));

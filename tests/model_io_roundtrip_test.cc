@@ -1,8 +1,8 @@
 // Snapshot v3 round-trip: serialize -> parse must reproduce the system
 // bitwise — lexicon, feature vectors, similarity matrix, memberships,
-// classifier priors and conditionals — including after the corpus grew
-// through the delta write path's AddSchema, where the lexicon is frozen
-// and v1's rebuild-from-corpus restore diverges.
+// classifier priors and conditionals, and every domain's mediation —
+// including after the corpus grew through AddSchema, where the lexicon is
+// frozen and v1's rebuild-from-corpus restore diverges.
 
 #include "persist/model_io.h"
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "rederive_from_scratch.h"
 #include "schema/corpus_io.h"
 #include "synth/web_generator.h"
 
@@ -99,6 +100,17 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
     EXPECT_DOUBLE_EQ(ca[r].prior, cb[r].prior) << "prior " << r;
     EXPECT_EQ(ca[r], cb[r]) << "conditionals of domain " << r;
   }
+  // Mediations: Restore mediates every domain from an empty mediation,
+  // which must equal what Build and the arrivals' extensions produced.
+  // (Their mediation_bytes() agree only when both sides mediated from
+  // empty: MemoryBytes counts vector capacity, and an extended vector
+  // keeps its growth slack.)
+  ASSERT_TRUE(a.has_mediation());
+  ASSERT_TRUE(b.has_mediation());
+  for (std::uint32_t r = 0; r < a.domains().num_domains(); ++r) {
+    ExpectSameMediation(a.mediation(r), b.mediation(r),
+                        "domain " + std::to_string(r));
+  }
 }
 
 TEST(ModelIoRoundTripTest, V2RoundTripBitExactOnFreshBuild) {
@@ -109,6 +121,7 @@ TEST(ModelIoRoundTripTest, V2RoundTripBitExactOnFreshBuild) {
   auto restored = ParseSnapshot(*text, TestOptions());
   ASSERT_TRUE(restored.ok()) << restored.status();
   ExpectBitwiseEqual(**built, **restored);
+  EXPECT_EQ((*built)->mediation_bytes(), (*restored)->mediation_bytes());
 }
 
 TEST(ModelIoRoundTripTest, V2RoundTripBitExactAfterAddSchemaChurn) {
@@ -164,6 +177,7 @@ TEST(ModelIoRoundTripTest, V1SnapshotStillLoads) {
   auto restored = ParseSnapshot(v1, TestOptions());
   ASSERT_TRUE(restored.ok()) << restored.status();
   ExpectBitwiseEqual(sys, **restored);
+  EXPECT_EQ(sys.mediation_bytes(), (*restored)->mediation_bytes());
 }
 
 TEST(ModelIoRoundTripTest, V1FormatCannotRepresentChurnedSystem) {
