@@ -176,7 +176,7 @@ void SimilarityKindAblation() {
                "splitting loses the terms inside concatenated names.\n\n";
 }
 
-void ClassifierEngineAblation(const bench::PreparedCorpus& prep) {
+void ClassifierApproximationAblation(const bench::PreparedCorpus& prep) {
   std::cout << "--- (e) Classifier construction: exact vs approximations "
                "(tau = 0.25, theta = 0.3) ---\n";
   // theta = 0.3 creates genuinely uncertain schemas, so the engines'
@@ -249,7 +249,7 @@ void ClassifierEngineAblation(const bench::PreparedCorpus& prep) {
   }
   table.Print(std::cout);
   std::cout << "Expected: the approximations track the exact classifier "
-               "closely; the factored exact\nengine already removes the "
+               "closely; the factored exact\nclassifier already removes the "
                "exponential setup factor (Chapter 7's future work).\n";
 }
 
@@ -262,6 +262,6 @@ int main() {
   StrictnessAblation(prep);
   FuzzyVsProbabilisticAblation(prep);
   SimilarityKindAblation();
-  ClassifierEngineAblation(prep);
+  ClassifierApproximationAblation(prep);
   return 0;
 }

@@ -79,20 +79,24 @@ void ExplicitFeedbackRound(const bench::PreparedCorpus& prep) {
     }
   }
 
-  HacOptions hac;
-  hac.tau_c_sim = 0.25;
-  AssignmentOptions assign;
-  assign.tau_c_sim = 0.25;
-  const auto after =
-      ReclusterWithFeedback(prep.features, prep.sims, hac, assign, store);
-  if (!after.ok()) {
-    std::cerr << "recluster failed: " << after.status() << "\n";
+  // The system reclusters the same corpus at the same tau under the
+  // corrections' constraints and pins the corrected schemas.
+  SystemOptions options;
+  options.hac.tau_c_sim = 0.25;
+  options.assignment.tau_c_sim = 0.25;
+  options.build_mediation = false;
+  options.build_classifier = false;
+  auto sys = IntegrationSystem::Build(prep.corpus, options);
+  const Status applied =
+      sys.ok() ? (*sys)->ApplyFeedback(store) : sys.status();
+  if (!applied.ok()) {
+    std::cerr << "recluster failed: " << applied << "\n";
     return;
   }
   const ClusteringEvaluation eval_before =
       EvaluateClustering(before.model, prep.corpus);
   const ClusteringEvaluation eval_after =
-      EvaluateClustering(*after, prep.corpus);
+      EvaluateClustering((*sys)->domains(), prep.corpus);
   TablePrinter table({"", "Precision", "Recall"});
   table.AddRow({"before feedback", FormatDouble(eval_before.avg_precision, 3),
                 FormatDouble(eval_before.avg_recall, 3)});

@@ -5,8 +5,8 @@
 /// Two personalities in one binary:
 ///
 ///  * **google-benchmark mode** (no harness flags, the default): the
-///    Section 5.3 microbenchmarks — exhaustive vs factored setup cost and
-///    single-query classification time.
+///    Section 5.3 microbenchmarks — factored and approximate setup cost
+///    and single-query classification time.
 ///  * **harness mode** (any of --check/--smoke/--json-out/--human/
 ///    --domains/--dim/--bits/--queries/--seconds/--batches/--shape): two
 ///    lanes, both writing BENCH_classifier.json (schema in
@@ -27,10 +27,10 @@
 ///      exits 1 unless the model stays under 5% of the dense bytes and
 ///      every p99 under budget.
 ///
-/// The headline microbenchmark contrast: the thesis's exhaustive setup is
-/// exponential in the number of uncertain schemas per domain (2^u
-/// subsets), while the factored engine is polynomial — the exact removal
-/// of the exponential factor that Chapter 7 lists as future work.
+/// The headline microbenchmark: the thesis's setup enumerates 2^u subsets
+/// per domain with u uncertain schemas, while the factored evaluation is
+/// polynomial in u — the exact removal of the exponential factor that
+/// Chapter 7 lists as future work.
 
 #include <benchmark/benchmark.h>
 
@@ -83,27 +83,16 @@ struct DomainFixture {
   }
 };
 
-void BM_SetupExhaustive(benchmark::State& state) {
-  const DomainFixture fx(8, state.range(0), 500);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeDomainConditionals(
-        fx.model, 0, fx.features, fx.total, ClassifierEngine::kExhaustive,
-        64));
-  }
-  state.SetLabel("u=" + std::to_string(state.range(0)) + " (2^u subsets)");
-}
-BENCHMARK(BM_SetupExhaustive)->DenseRange(2, 20, 3);
-
 void BM_SetupFactored(benchmark::State& state) {
   const DomainFixture fx(8, state.range(0), 500);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ComputeDomainConditionals(
-        fx.model, 0, fx.features, fx.total, ClassifierEngine::kFactored, 64));
+        fx.model, 0, fx.features, fx.total));
   }
   state.SetLabel("u=" + std::to_string(state.range(0)) + " (poly)");
 }
-// The factored engine keeps going long after the exhaustive one has
-// exploded.
+// Polynomial in u: the thesis's 2^u subset enumeration would need 2^200
+// worlds at the last point.
 BENCHMARK(BM_SetupFactored)->DenseRange(2, 20, 3)->Arg(50)->Arg(200);
 
 void BM_SetupExpectedWorld(benchmark::State& state) {

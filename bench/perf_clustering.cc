@@ -92,21 +92,6 @@ void BM_HacFastEngine(benchmark::State& state) {
 }
 BENCHMARK(BM_HacFastEngine)->Arg(100)->Arg(500)->Arg(1000)->Arg(2323);
 
-void BM_HacNaiveEngine(benchmark::State& state) {
-  const Prepared prep(state.range(0));
-  const SimilarityMatrix sims(prep.features);
-  HacOptions opts;
-  opts.tau_c_sim = 0.25;
-  opts.use_naive_engine = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Hac::Run(prep.features, sims, opts));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-// The naive O(n^3) engine is only practical at small n — that contrast is
-// the point.
-BENCHMARK(BM_HacNaiveEngine)->Arg(100)->Arg(200);
-
 void BM_HacByLinkage(benchmark::State& state) {
   const Prepared prep(500);
   const SimilarityMatrix sims(prep.features);

@@ -1,6 +1,6 @@
 /// \file perf_text.cc
 /// \brief google-benchmark microbenchmarks for the text substrate:
-/// LCS (DP vs suffix automaton), tokenization, and the similarity index's
+/// the LCS dynamic program, tokenization, and the similarity index's
 /// q-gram count filter on the DDH and the many-domain web lexicons.
 
 #include <benchmark/benchmark.h>
@@ -37,28 +37,6 @@ void BM_LcsDp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LcsDp)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_LcsAutomatonBuildAndQuery(benchmark::State& state) {
-  Rng rng(3);
-  const std::string a = RandomWord(rng, state.range(0));
-  const std::string b = RandomWord(rng, state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LcsLengthAutomaton(a, b));
-  }
-}
-BENCHMARK(BM_LcsAutomatonBuildAndQuery)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_LcsAutomatonAmortized(benchmark::State& state) {
-  // Build once, query many times — the pattern the similarity index uses.
-  Rng rng(3);
-  const std::string a = RandomWord(rng, state.range(0));
-  SuffixAutomaton sam(a);
-  const std::string b = RandomWord(rng, state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sam.LcsLengthWith(b));
-  }
-}
-BENCHMARK(BM_LcsAutomatonAmortized)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_Tokenize(benchmark::State& state) {
   Tokenizer tok;

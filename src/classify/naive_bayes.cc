@@ -13,7 +13,7 @@
 namespace paygo {
 namespace {
 
-/// Accumulators shared by the exhaustive and factored engines.
+/// Possible-world accumulators of one domain.
 ///
 /// Over the possible worlds S' (always containing all certain schemas, any
 /// subset of the uncertain ones), with per-world unnormalized weight
@@ -40,30 +40,6 @@ struct WorldAccumulators {
   double t1 = 0.0;
   std::vector<double> h;  // one per uncertain schema
 };
-
-WorldAccumulators AccumulateExhaustive(const std::vector<double>& probs,
-                                       std::size_t num_certain) {
-  const std::size_t u = probs.size();
-  WorldAccumulators acc;
-  acc.h.assign(u, 0.0);
-  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << u); ++mask) {
-    double w = 1.0;
-    for (std::size_t i = 0; i < u; ++i) {
-      w *= (mask >> i) & 1 ? probs[i] : 1.0 - probs[i];
-    }
-    const std::size_t sz = num_certain + std::popcount(mask);
-    if (sz == 0) continue;  // omega = 0
-    const double omega = static_cast<double>(sz) * w;
-    const double denom = static_cast<double>(2 * sz + 1);
-    acc.mass += omega;
-    acc.t0 += omega / denom;
-    acc.t1 += omega * static_cast<double>(1 + sz) / denom;
-    for (std::size_t i = 0; i < u; ++i) {
-      if ((mask >> i) & 1) acc.h[i] += omega / denom;
-    }
-  }
-  return acc;
-}
 
 /// Coefficients of prod_i ((1-p_i) + p_i x): coef[c] = Pr(exactly c of the
 /// uncertain schemas are included).
@@ -129,21 +105,8 @@ std::vector<double> UncertainProbs(const DomainModel& model,
   return probs;
 }
 
-Status CheckExhaustiveBudget(std::uint32_t domain, std::size_t num_uncertain,
-                             std::size_t max_uncertain_exhaustive) {
-  if (num_uncertain > max_uncertain_exhaustive) {
-    return Status::ResourceExhausted(
-        "domain " + std::to_string(domain) + " has " +
-        std::to_string(num_uncertain) +
-        " uncertain schemas; exhaustive enumeration capped at " +
-        std::to_string(max_uncertain_exhaustive) +
-        " (use the factored engine)");
-  }
-  return Status::OK();
-}
-
 /// The scorer's clamp (SetDomain): keeps log q and log(1 - q)
-/// finite. The exact engines apply it to their output too, so their
+/// finite. FitDomain applies it to its output too, so its
 /// conditionals are strictly inside (0, 1) even at dim 1, where p = 1 and
 /// the m-estimate can round to exactly 1.0. Clamping twice is a no-op, so
 /// scores are unchanged.
@@ -313,43 +276,26 @@ struct DomainWorlds {
   WorldAccumulators acc;
 };
 
-Result<DomainWorlds> AccumulateDomain(const DomainModel& model,
-                                      std::uint32_t domain,
-                                      ClassifierEngine engine,
-                                      std::size_t max_uncertain_exhaustive) {
+DomainWorlds AccumulateDomain(const DomainModel& model, std::uint32_t domain) {
   DomainWorlds w;
   w.certain = model.CertainSchemas(domain);
   w.uncertain = model.UncertainSchemas(domain);
-  const std::vector<double> probs = UncertainProbs(model, domain, w.uncertain);
-  switch (engine) {
-    case ClassifierEngine::kExhaustive:
-      PAYGO_RETURN_NOT_OK(CheckExhaustiveBudget(domain, w.uncertain.size(),
-                                                max_uncertain_exhaustive));
-      w.acc = AccumulateExhaustive(probs, w.certain.size());
-      break;
-    case ClassifierEngine::kFactored:
-      w.acc = AccumulateFactored(probs, w.certain.size());
-      break;
-  }
+  w.acc = AccumulateFactored(UncertainProbs(model, domain, w.uncertain),
+                             w.certain.size());
   return w;
 }
 
-Result<DomainFit> FitDomain(const DomainModel& model, std::uint32_t domain,
-                            std::span<const DynamicBitset> features,
-                            ClassifierEngine engine,
-                            std::size_t max_uncertain_exhaustive) {
+DomainFit FitDomain(const DomainModel& model, std::uint32_t domain,
+                    std::span<const DynamicBitset> features) {
   PAYGO_TRACE_SPAN("classify.domain_conditionals");
   const std::size_t dim = features.empty() ? 0 : features[0].size();
   const double p = dim > 0 ? 1.0 / static_cast<double>(dim) : 0.5;
-  PAYGO_ASSIGN_OR_RETURN(
-      const DomainWorlds w,
-      AccumulateDomain(model, domain, engine, max_uncertain_exhaustive));
+  const DomainWorlds w = AccumulateDomain(model, domain);
   const WorldAccumulators& acc = w.acc;
 
   // Possible worlds for this domain: 2^u subsets of the uncertain schemas
-  // (saturated for u >= 63). The exhaustive engine enumerates all of them;
-  // the factored engine evaluates only u + 1 subset-size classes and the
-  // difference is reported as "pruned".
+  // (saturated for u >= 63). Only u + 1 subset-size classes are evaluated;
+  // the difference is reported as "pruned".
   StatsRegistry& reg = StatsRegistry::Global();
   static Counter* enumerated =
       reg.GetCounter("paygo.classifier.subsets_enumerated");
@@ -357,12 +303,8 @@ Result<DomainFit> FitDomain(const DomainModel& model, std::uint32_t domain,
   const std::size_t u = w.uncertain.size();
   const std::uint64_t possible =
       u >= 63 ? ~std::uint64_t{0} : (std::uint64_t{1} << u);
-  if (engine == ClassifierEngine::kExhaustive) {
-    enumerated->Add(possible);
-  } else {
-    enumerated->Add(u + 1);
-    pruned->Add(possible - std::min<std::uint64_t>(possible, u + 1));
-  }
+  enumerated->Add(u + 1);
+  pruned->Add(possible - std::min<std::uint64_t>(possible, u + 1));
 
   DomainFit fit;
   fit.mass = acc.mass;
@@ -392,13 +334,8 @@ Result<DomainFit> FitDomain(const DomainModel& model, std::uint32_t domain,
 /// The world mass of one domain: the same accumulation FitDomain runs
 /// (the mass sum is independent of the other accumulators, so the bits
 /// are the same).
-Result<double> ComputeDomainMass(const DomainModel& model,
-                                 std::uint32_t domain, ClassifierEngine engine,
-                                 std::size_t max_uncertain_exhaustive) {
-  PAYGO_ASSIGN_OR_RETURN(
-      const DomainWorlds w,
-      AccumulateDomain(model, domain, engine, max_uncertain_exhaustive));
-  return w.acc.mass;
+double ComputeDomainMass(const DomainModel& model, std::uint32_t domain) {
+  return AccumulateDomain(model, domain).acc.mass;
 }
 
 constexpr double kUnknownMass = std::numeric_limits<double>::quiet_NaN();
@@ -407,11 +344,8 @@ constexpr double kUnknownMass = std::numeric_limits<double>::quiet_NaN();
 
 Result<DomainConditionals> ComputeDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
-    std::span<const DynamicBitset> features, std::size_t num_schemas_total,
-    ClassifierEngine engine, std::size_t max_uncertain_exhaustive) {
-  PAYGO_ASSIGN_OR_RETURN(
-      DomainFit fit,
-      FitDomain(model, domain, features, engine, max_uncertain_exhaustive));
+    std::span<const DynamicBitset> features, std::size_t num_schemas_total) {
+  DomainFit fit = FitDomain(model, domain, features);
   // The only place the corpus size enters (Eq. 5.5's 1/|S|).
   fit.conditionals.prior = PriorFromMass(fit.mass, num_schemas_total);
   return std::move(fit.conditionals);
@@ -419,13 +353,8 @@ Result<DomainConditionals> ComputeDomainConditionals(
 
 Result<double> ComputeDomainPrior(const DomainModel& model,
                                   std::uint32_t domain,
-                                  std::size_t num_schemas_total,
-                                  ClassifierEngine engine,
-                                  std::size_t max_uncertain_exhaustive) {
-  PAYGO_ASSIGN_OR_RETURN(
-      const double mass,
-      ComputeDomainMass(model, domain, engine, max_uncertain_exhaustive));
-  return PriorFromMass(mass, num_schemas_total);
+                                  std::size_t num_schemas_total) {
+  return PriorFromMass(ComputeDomainMass(model, domain), num_schemas_total);
 }
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
@@ -443,9 +372,7 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
   clf.dim_ = features.empty() ? 0 : features[0].size();
   clf.singleton_domain_.reserve(model.num_domains());
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
-    PAYGO_ASSIGN_OR_RETURN(DomainFit fit,
-                           FitDomain(model, r, features, options.engine,
-                                     options.max_uncertain_exhaustive));
+    DomainFit fit = FitDomain(model, r, features);
     const double prior = PriorFromMass(fit.mass, num_schemas_total);
     clf.SetDomain(r, std::move(fit.conditionals), prior, fit.mass);
     clf.singleton_domain_.push_back(model.IsSingletonDomain(r));
@@ -613,10 +540,7 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
   std::uint64_t num_refreshed = 0;
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
     if (affected[r]) {
-      PAYGO_ASSIGN_OR_RETURN(
-          DomainFit fit,
-          FitDomain(model, r, features, clf.options_.engine,
-                    clf.options_.max_uncertain_exhaustive));
+      DomainFit fit = FitDomain(model, r, features);
       const double prior = PriorFromMass(fit.mass, num_schemas_total);
       clf.SetDomain(r, std::move(fit.conditionals), prior, fit.mass);
       ++num_refreshed;
@@ -626,10 +550,7 @@ Result<NaiveBayesClassifier> NaiveBayesClassifier::UpdateDomains(
     // produce (the accumulators never see |S|), and so is the mass; only
     // the prior's 1/|S| normalizer changed.
     if (std::isnan(clf.masses_[r])) {
-      PAYGO_ASSIGN_OR_RETURN(
-          clf.masses_[r],
-          ComputeDomainMass(model, r, clf.options_.engine,
-                            clf.options_.max_uncertain_exhaustive));
+      clf.masses_[r] = ComputeDomainMass(model, r);
     }
     clf.priors_[r] = PriorFromMass(clf.masses_[r], num_schemas_total);
     clf.RefreshBase(r);

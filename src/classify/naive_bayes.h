@@ -10,17 +10,15 @@
 /// the possible worlds of the probabilistic domain — the subsets S' of
 /// S(D_r) that contain every certain schema and any combination of the
 /// uncertain ones (Equations 5.3-5.9, with the m-estimate p = 1/dim L,
-/// m = 1 + |S'|). Two exact engines are provided:
-///
-///  * kExhaustive — the thesis's literal 2^|S-hat(D_r)| subset enumeration
-///    (Section 5.3), exponential in the number of uncertain schemas;
-///  * kFactored — an algebraically identical polynomial-time evaluation:
-///    because the m-estimate numerator is linear in the subset-membership
-///    indicators and the denominator depends only on |S'|, the expectation
-///    factorizes through the subset-size distribution (a product of
-///    independent Bernoullis), removing the exponential factor exactly —
-///    the thesis's Chapter 7 future-work item, solved without
-///    approximation.
+/// m = 1 + |S'|). The thesis evaluates them by enumerating the
+/// 2^|S-hat(D_r)| subsets (Section 5.3). The classifier evaluates them
+/// exactly in polynomial time instead: because the m-estimate numerator is
+/// linear in the subset-membership indicators and the denominator depends
+/// only on |S'|, the expectation factorizes through the subset-size
+/// distribution (a product of independent Bernoullis), removing the
+/// exponential factor exactly — the thesis's Chapter 7 future-work item,
+/// solved without approximation. The tests keep the enumeration as an
+/// oracle (tests/dense_classifier_oracle.h) and hold the two to 1e-10.
 ///
 /// All expensive work happens at Build() time; Classify() costs
 /// O(|D| * |set features of the query|) via precomputed log-odds, each
@@ -67,21 +65,8 @@
 
 namespace paygo {
 
-/// \brief How to evaluate the possible-world expectations at setup time.
-enum class ClassifierEngine {
-  /// Literal 2^u enumeration (thesis Section 5.3).
-  kExhaustive,
-  /// Exact polynomial-time factorization (default).
-  kFactored,
-};
-
 /// \brief Options of the classifier construction.
 struct ClassifierOptions {
-  ClassifierEngine engine = ClassifierEngine::kFactored;
-  /// The exhaustive engine refuses domains with more uncertain schemas than
-  /// this (2^u subsets); Build() then returns ResourceExhausted. The
-  /// factored engine has no such limit.
-  std::size_t max_uncertain_exhaustive = 24;
   /// Exclude singleton domains (unclustered schemas) from ranking. The
   /// thesis keeps them; off by default.
   bool skip_singleton_domains = false;
@@ -91,9 +76,9 @@ struct ClassifierOptions {
 /// as a default plus sorted exceptions.
 ///
 /// Pr(F_j=1|D_r) is exception_q1[k] when j == exceptions[k], else
-/// default_q1. The engines list every feature some member of the domain
+/// default_q1. Build lists every feature some member of the domain
 /// has, so the exceptions are the union of the members' set features, and
-/// every value they produce is strictly inside (0, 1).
+/// every value it produces is strictly inside (0, 1).
 struct DomainConditionals {
   /// Pr(D_r) (Equation 5.3). Priors need not sum to 1 across domains; the
   /// constant Pr(F_Q) is never needed for ranking (Section 5.1).
@@ -187,13 +172,13 @@ class NaiveBayesClassifier {
   /// base's row (conditionals and precomputed log-odds) and has its prior
   /// set to its cached world mass over the new \p num_schemas_total (a
   /// base built by FromConditionals has no masses yet; each is accumulated
-  /// from \p model on first use and kept in the result). Exact:
-  /// the factored engine makes each domain's conditionals depend only on
+  /// from \p model on first use and kept in the result). Exact: the
+  /// factored evaluation makes each domain's conditionals depend only on
   /// its own membership rows and its members' feature vectors, so the
   /// result is bit-identical to Build() over the same inputs. Domains must
-  /// never shrink ids across updates (the incremental clusterer only
-  /// appends); \p affected_domains must list every domain whose schema set
-  /// or membership probabilities changed.
+  /// never shrink ids across updates (AddSchema only appends);
+  /// \p affected_domains must list every domain whose schema set or
+  /// membership probabilities changed.
   static Result<NaiveBayesClassifier> UpdateDomains(
       const NaiveBayesClassifier& base, const DomainModel& model,
       std::span<const DynamicBitset> features,
@@ -360,18 +345,17 @@ class NaiveBayesClassifier {
   std::vector<RowView> views_;  ///< rows_[r]'s lookup arrays.
   std::vector<double> bases_;   ///< log prior + log1mq_sum.
   std::vector<double> priors_;
-  /// World mass: |S| * prior as the engines accumulate it, independent of
+  /// World mass: |S| * prior as Build accumulates it, independent of
   /// |S|. NaN when unknown (conditionals given without their model).
   std::vector<double> masses_;
   std::vector<bool> singleton_domain_;
 };
 
 /// Computes the exact per-domain conditionals for one domain. Exposed for
-/// tests (the exhaustive/factored agreement property) and the perf bench.
+/// tests (agreement with the subset-enumeration oracle) and the perf bench.
 Result<DomainConditionals> ComputeDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
-    std::span<const DynamicBitset> features, std::size_t num_schemas_total,
-    ClassifierEngine engine, std::size_t max_uncertain_exhaustive);
+    std::span<const DynamicBitset> features, std::size_t num_schemas_total);
 
 /// Computes only Pr(D_r) for one domain — the cheap O(|S-hat|^2) slice of
 /// ComputeDomainConditionals, accumulated through the identical loop so
@@ -380,9 +364,7 @@ Result<DomainConditionals> ComputeDomainConditionals(
 /// \p num_schemas_total (0 when the mass is not positive).
 Result<double> ComputeDomainPrior(const DomainModel& model,
                                   std::uint32_t domain,
-                                  std::size_t num_schemas_total,
-                                  ClassifierEngine engine,
-                                  std::size_t max_uncertain_exhaustive);
+                                  std::size_t num_schemas_total);
 
 }  // namespace paygo
 

@@ -25,7 +25,7 @@ namespace {
 /// flushed to the global registry once, on destruction: a RunOnGraph call
 /// over many tau-components is one run.
 struct HacRunStats {
-  std::uint64_t pairs_evaluated = 0;  ///< Linkages computed from scratch.
+  std::uint64_t pairs_evaluated = 0;  ///< Total-Jaccard linkages computed.
   std::uint64_t memo_hits = 0;        ///< Memoized cluster-sim reads.
   std::uint64_t merges = 0;
   std::uint64_t row_rescans = 0;      ///< Stale or merged rows rescanned.
@@ -86,7 +86,7 @@ struct ConstraintState {
   }
 };
 
-/// Cluster bookkeeping shared by the naive and row-NN engines.
+/// Cluster bookkeeping of the row-NN engine.
 struct ClusterState {
   std::vector<std::vector<std::uint32_t>> members;  // per active slot
   std::vector<bool> active;
@@ -145,43 +145,6 @@ double TotalLinkage(const ClusterState& st, std::uint32_t a, std::uint32_t b) {
   DynamicBitset any = st.or_bits[a];
   any |= st.or_bits[b];
   return DynamicBitset::Jaccard(all, any);
-}
-
-/// Cluster-to-cluster similarity recomputed from first principles — the
-/// reference used by the naive engine.
-double LinkageFromScratch(const ClusterState& st, const SimilarityMatrix& sims,
-                          LinkageKind kind, std::uint32_t a, std::uint32_t b) {
-  switch (kind) {
-    case LinkageKind::kAverage: {
-      double total = 0.0;
-      for (std::uint32_t x : st.members[a]) {
-        for (std::uint32_t y : st.members[b]) total += sims.At(x, y);
-      }
-      return total / (static_cast<double>(st.members[a].size()) *
-                      static_cast<double>(st.members[b].size()));
-    }
-    case LinkageKind::kMin: {
-      double best = 1.0;
-      for (std::uint32_t x : st.members[a]) {
-        for (std::uint32_t y : st.members[b]) {
-          best = std::min(best, sims.At(x, y));
-        }
-      }
-      return best;
-    }
-    case LinkageKind::kMax: {
-      double best = 0.0;
-      for (std::uint32_t x : st.members[a]) {
-        for (std::uint32_t y : st.members[b]) {
-          best = std::max(best, sims.At(x, y));
-        }
-      }
-      return best;
-    }
-    case LinkageKind::kTotal:
-      return TotalLinkage(st, a, b);
-  }
-  return 0.0;
 }
 
 Status ValidateConstraints(std::size_t n, const HacOptions& options) {
@@ -268,67 +231,6 @@ ConstraintState BuildConstraintState(std::size_t n,
     c.erase(std::unique(c.begin(), c.end()), c.end());
   }
   return cs;
-}
-
-HacResult RunNaive(std::span<const DynamicBitset> features,
-                   const SimilarityMatrix& sims, const HacOptions& options,
-                   HacRunStats& stats) {
-  const std::size_t n = features.size();
-  ClusterState st;
-  st.Init(n, features, options.linkage == LinkageKind::kTotal);
-  ConstraintState cs = BuildConstraintState(n, options);
-  std::vector<HacMerge> merges;
-  const bool count_mode = options.max_clusters > 0;
-
-  // Must-link preprocessing: merge each constraint component up front.
-  {
-    std::vector<std::uint32_t> slot_of(n);
-    for (std::uint32_t i = 0; i < n; ++i) slot_of[i] = i;
-    for (const auto& [x, y] : options.must_link) {
-      const std::uint32_t a = slot_of[x];
-      const std::uint32_t b = slot_of[y];
-      if (a == b) continue;
-      st.Merge(a, b);
-      cs.MergeInto(a, b);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        if (slot_of[i] == b) slot_of[i] = a;
-      }
-      merges.push_back({a, b, 1.0});
-      ++stats.merges;
-    }
-  }
-
-  for (;;) {
-    const std::size_t active_count = n - merges.size();
-    if (count_mode && active_count <= options.max_clusters) break;
-    double best_sim = -1.0;
-    std::uint32_t best_a = 0, best_b = 0;
-    for (std::uint32_t a = 0; a < n; ++a) {
-      if (!st.active[a]) continue;
-      for (std::uint32_t b = a + 1; b < n; ++b) {
-        if (!st.active[b]) continue;
-        if (cs.Violates(a, b)) continue;
-        ++stats.pairs_evaluated;
-        const double s = LinkageFromScratch(st, sims, options.linkage, a, b);
-        if (s > best_sim) {
-          best_sim = s;
-          best_a = a;
-          best_b = b;
-        }
-      }
-    }
-    if (best_sim < 0.0) break;  // no admissible pair left
-    if (!count_mode && best_sim < options.tau_c_sim) break;
-    {
-      PAYGO_TRACE_SPAN("hac.merge");
-      st.Merge(best_a, best_b);
-      cs.MergeInto(best_a, best_b);
-      merges.push_back({best_a, best_b, best_sim});
-      ++stats.merges;
-    }
-    if (merges.size() + 1 == n) break;  // single cluster left
-  }
-  return st.Finish(std::move(merges));
 }
 
 /// Merge keys of every slot pair i < j, packed as the strict upper
@@ -629,9 +531,6 @@ Result<HacResult> RunOnMatrix(std::span<const DynamicBitset> features,
                               const HacOptions& options) {
   PAYGO_TRACE_SPAN("hac.run");
   HacRunStats stats;
-  if (options.use_naive_engine) {
-    return RunNaive(features, sims, options, stats);
-  }
   const std::size_t n = features.size();
   const std::size_t width = ThreadPool::ResolveThreadCount(options.num_threads);
   std::unique_ptr<ThreadPool> pool;

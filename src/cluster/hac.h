@@ -21,9 +21,8 @@
 /// component on its own and interleaving the per-component merge sequences
 /// in the engine's (similarity desc, slot_a asc, slot_b asc) order gives
 /// the dense run's dendrogram merge for merge, in O(c^2) memory for the
-/// largest component c instead of O(n^2). A naive O(n^3) engine that
-/// recomputes linkage from the raw schema-pair similarities each iteration
-/// is kept as a correctness reference for tests.
+/// largest component c instead of O(n^2). The tests check the engine's
+/// merges bitwise against a lazy-heap oracle (tests/heap_hac_oracle.h).
 
 #include <cstdint>
 #include <span>
@@ -49,8 +48,6 @@ struct HacOptions {
   /// many clusters remain, regardless of similarity. 0 disables it. This
   /// is the stopping rule pre-specified-k baselines like [17] use.
   std::size_t max_clusters = 0;
-  /// Use the O(n^3) reference engine (tests only).
-  bool use_naive_engine = false;
   /// Worker threads for the O(n^2) phases of the engine (row-bound seeding
   /// and per-merge candidate re-evaluation), for the dense
   /// similarity-matrix build of the convenience overload. RunOnGraph
@@ -123,7 +120,7 @@ class Hac {
   /// those of Run() on the dense matrix, at any thread count.
   /// Supports Avg, Min and Max linkage with tau_c_sim > 0; Total Jaccard
   /// and max_clusters count mode, which can merge across components, are
-  /// rejected. use_naive_engine is ignored.
+  /// rejected.
   static Result<HacResult> RunOnGraph(const NeighborGraph& graph,
                                       const HacOptions& options);
 };

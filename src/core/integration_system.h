@@ -199,8 +199,8 @@ class IntegrationSystem {
   /// ApplyFeedback's clicks do not survive an arrival. The lexicon stays
   /// frozen — the returned unseen_term_fraction reports the drift; call
   /// RebuildFromScratch() when it accumulates. Failure-atomic: on an
-  /// error (for example the exhaustive classifier engine's
-  /// ResourceExhausted) the system is left exactly as it was.
+  /// error (InvalidArgument for a schema without attributes, or one whose
+  /// terms all drop out) the system is left exactly as it was.
   Result<IncrementalAddResult> AddSchema(
       Schema schema, std::vector<std::string> labels = {});
 

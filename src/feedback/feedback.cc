@@ -81,20 +81,6 @@ DomainModel PinFeedbackSchemas(const HacResult& clustering,
   return DomainModel::Build(clustering.clusters, std::move(sd));
 }
 
-Result<DomainModel> ReclusterWithFeedback(
-    std::span<const DynamicBitset> features, const SimilarityMatrix& sims,
-    HacOptions hac_options, const AssignmentOptions& assignment_options,
-    const FeedbackStore& store) {
-  hac_options.must_link = store.must_link();
-  hac_options.cannot_link = store.cannot_link();
-  PAYGO_ASSIGN_OR_RETURN(HacResult clustering,
-                         Hac::Run(features, sims, hac_options));
-  PAYGO_ASSIGN_OR_RETURN(
-      DomainModel model,
-      AssignProbabilities(sims, clustering, assignment_options));
-  return PinFeedbackSchemas(clustering, model, store);
-}
-
 Result<NaiveBayesClassifier> AdjustClassifierWithClicks(
     const NaiveBayesClassifier& classifier, const FeedbackStore& store,
     const ClickAdjustOptions& options) {

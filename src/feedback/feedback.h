@@ -19,13 +19,11 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "classify/naive_bayes.h"
 #include "cluster/hac.h"
-#include "cluster/linkage.h"
 #include "cluster/probabilistic_assignment.h"
 #include "util/status.h"
 
@@ -78,14 +76,6 @@ class FeedbackStore {
 DomainModel PinFeedbackSchemas(const HacResult& clustering,
                                const DomainModel& model,
                                const FeedbackStore& store);
-
-/// \brief Re-runs Algorithms 2+3 on the dense matrix with the store's
-/// explicit constraints, then pins the named schemas — the refinement step
-/// of the pay-as-you-go loop.
-Result<DomainModel> ReclusterWithFeedback(
-    std::span<const DynamicBitset> features, const SimilarityMatrix& sims,
-    HacOptions hac_options, const AssignmentOptions& assignment_options,
-    const FeedbackStore& store);
 
 /// \brief Options of the implicit-feedback prior adjustment.
 struct ClickAdjustOptions {

@@ -17,15 +17,16 @@ namespace {
 
 using Members = std::vector<std::pair<std::uint32_t, double>>;
 
-/// Heap bytes of a string's buffer (0 while it fits the inline buffer).
+/// Heap bytes a string of this content needs: its characters and the
+/// terminator, or 0 when they fit the inline buffer. Sizes, not
+/// capacities, throughout: equal content weighs the same however it grew.
 std::size_t StringHeapBytes(const std::string& s) {
-  const char* self = reinterpret_cast<const char*>(&s);
-  const bool inline_buffer = s.data() >= self && s.data() < self + sizeof(s);
-  return inline_buffer ? 0 : s.capacity() + 1;
+  constexpr std::size_t kInlineChars = std::string().capacity();
+  return s.size() > kInlineChars ? s.size() + 1 : 0;
 }
 
 std::size_t StringsHeapBytes(const std::vector<std::string>& strings) {
-  std::size_t bytes = strings.capacity() * sizeof(std::string);
+  std::size_t bytes = strings.size() * sizeof(std::string);
   for (const std::string& s : strings) bytes += StringHeapBytes(s);
   return bytes;
 }
@@ -370,8 +371,8 @@ double AttributeNameSimilarity(const std::vector<std::string>& terms_a,
 }
 
 std::size_t AttributeTally::HeapBytes() const {
-  std::size_t bytes = names.capacity() * sizeof(DomainAttribute) +
-                      edges.capacity() * sizeof(edges[0]);
+  std::size_t bytes = names.size() * sizeof(DomainAttribute) +
+                      edges.size() * sizeof(edges[0]);
   for (const DomainAttribute& a : names) {
     bytes += StringHeapBytes(a.canonical) + StringHeapBytes(a.display) +
              StringsHeapBytes(a.terms);
@@ -382,16 +383,16 @@ std::size_t AttributeTally::HeapBytes() const {
 std::size_t DomainMediation::MemoryBytes() const {
   std::size_t bytes =
       sizeof(DomainMediation) +
-      mediated.attributes.capacity() * sizeof(MediatedAttribute) +
-      mappings.capacity() * sizeof(ProbabilisticMapping) +
-      members.capacity() * sizeof(members[0]);
+      mediated.attributes.size() * sizeof(MediatedAttribute) +
+      mappings.size() * sizeof(ProbabilisticMapping) +
+      members.size() * sizeof(members[0]);
   for (const MediatedAttribute& a : mediated.attributes) {
     bytes += StringHeapBytes(a.name) + StringsHeapBytes(a.members);
   }
   for (const ProbabilisticMapping& pm : mappings) {
-    bytes += pm.alternatives.capacity() * sizeof(AttributeMapping);
+    bytes += pm.alternatives.size() * sizeof(AttributeMapping);
     for (const AttributeMapping& alt : pm.alternatives) {
-      bytes += alt.target.capacity() * sizeof(int);
+      bytes += alt.target.size() * sizeof(int);
     }
   }
   if (tally != nullptr) bytes += sizeof(AttributeTally) + tally->HeapBytes();

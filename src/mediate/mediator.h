@@ -93,7 +93,8 @@ struct AttributeTally {
     return total_weight > 0.0 &&
            names[i].weight / total_weight >= options.attr_freq_threshold;
   }
-  /// Heap bytes owned by the tally (the object itself excluded).
+  /// Heap bytes owned by the tally (the object itself excluded), counted
+  /// by content: element counts, not vector capacities.
   std::size_t HeapBytes() const;
 };
 
@@ -110,7 +111,9 @@ struct DomainMediation {
   std::shared_ptr<const AttributeTally> tally;
 
   /// Bytes of this mediation: the object itself plus the heap bytes of
-  /// its mediated schema, mappings, members and tally.
+  /// its mediated schema, mappings, members and tally, counted by content
+  /// (element counts, not vector capacities), so a mediation extended by
+  /// arrivals weighs what the same mediation built from empty does.
   std::size_t MemoryBytes() const;
 };
 

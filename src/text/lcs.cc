@@ -1,6 +1,8 @@
 #include "text/lcs.h"
 
 #include <algorithm>
+#include <array>
+#include <vector>
 
 namespace paygo {
 
@@ -34,98 +36,6 @@ std::size_t LcsLengthDp(std::string_view a, std::string_view b) {
     }
   }
   return best;
-}
-
-int SuffixAutomaton::Transition(int state, unsigned char c) const {
-  const State& st = states_[static_cast<std::size_t>(state)];
-  if (c >= 'a' && c <= 'z') return st.next[c - 'a'];
-  for (const auto& [ch, to] : st.other) {
-    if (ch == c) return to;
-  }
-  return -1;
-}
-
-void SuffixAutomaton::SetTransition(int state, unsigned char c, int to) {
-  State& st = states_[static_cast<std::size_t>(state)];
-  if (c >= 'a' && c <= 'z') {
-    st.next[c - 'a'] = to;
-    return;
-  }
-  for (auto& [ch, existing] : st.other) {
-    if (ch == c) {
-      existing = to;
-      return;
-    }
-  }
-  st.other.emplace_back(c, to);
-}
-
-SuffixAutomaton::SuffixAutomaton(std::string_view text) {
-  states_.reserve(2 * text.size() + 2);
-  states_.emplace_back();  // initial state 0
-  last_ = 0;
-  for (char raw : text) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    const int cur = static_cast<int>(states_.size());
-    states_.emplace_back();
-    states_[static_cast<std::size_t>(cur)].len =
-        states_[static_cast<std::size_t>(last_)].len + 1;
-    int p = last_;
-    while (p != -1 && Transition(p, c) == -1) {
-      SetTransition(p, c, cur);
-      p = states_[static_cast<std::size_t>(p)].link;
-    }
-    if (p == -1) {
-      states_[static_cast<std::size_t>(cur)].link = 0;
-    } else {
-      const int q = Transition(p, c);
-      if (states_[static_cast<std::size_t>(p)].len + 1 ==
-          states_[static_cast<std::size_t>(q)].len) {
-        states_[static_cast<std::size_t>(cur)].link = q;
-      } else {
-        const int clone = static_cast<int>(states_.size());
-        states_.push_back(states_[static_cast<std::size_t>(q)]);
-        states_[static_cast<std::size_t>(clone)].len =
-            states_[static_cast<std::size_t>(p)].len + 1;
-        while (p != -1 && Transition(p, c) == q) {
-          SetTransition(p, c, clone);
-          p = states_[static_cast<std::size_t>(p)].link;
-        }
-        states_[static_cast<std::size_t>(q)].link = clone;
-        states_[static_cast<std::size_t>(cur)].link = clone;
-      }
-    }
-    last_ = cur;
-  }
-}
-
-std::size_t SuffixAutomaton::LcsLengthWith(std::string_view s) const {
-  int v = 0;
-  int length = 0;
-  std::size_t best = 0;
-  for (char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    while (v != 0 && Transition(v, c) == -1) {
-      v = states_[static_cast<std::size_t>(v)].link;
-      length = states_[static_cast<std::size_t>(v)].len;
-    }
-    const int to = Transition(v, c);
-    if (to != -1) {
-      v = to;
-      ++length;
-    } else {
-      v = 0;
-      length = 0;
-    }
-    best = std::max(best, static_cast<std::size_t>(length));
-  }
-  return best;
-}
-
-std::size_t LcsLengthAutomaton(std::string_view a, std::string_view b) {
-  if (a.empty() || b.empty()) return 0;
-  SuffixAutomaton sam(a);
-  return sam.LcsLengthWith(b);
 }
 
 }  // namespace paygo

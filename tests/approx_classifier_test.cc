@@ -52,7 +52,7 @@ TEST(ExpectedWorldTest, PriorIsExact) {
     const auto approx = ComputeApproxDomainConditionals(
         fx.model, 0, fx.features, fx.total, opts);
     const auto exact = ComputeDomainConditionals(
-        fx.model, 0, fx.features, fx.total, ClassifierEngine::kFactored, 24);
+        fx.model, 0, fx.features, fx.total);
     ASSERT_TRUE(approx.ok());
     ASSERT_TRUE(exact.ok());
     EXPECT_NEAR(approx->prior, exact->prior, 1e-12) << "seed " << seed;
@@ -66,7 +66,7 @@ TEST(ExpectedWorldTest, ConditionalsCloseToExact) {
   const auto approx = ComputeApproxDomainConditionals(fx.model, 0, fx.features,
                                                       fx.total, opts);
   const auto exact = ComputeDomainConditionals(
-      fx.model, 0, fx.features, fx.total, ClassifierEngine::kFactored, 24);
+      fx.model, 0, fx.features, fx.total);
   ASSERT_TRUE(approx.ok());
   ASSERT_TRUE(exact.ok());
   for (std::size_t j = 0; j < approx->dim; ++j) {
@@ -85,8 +85,7 @@ TEST(ExpectedWorldTest, ExactWhenAllMembersCertain) {
   opts.kind = ApproxKind::kExpectedWorld;
   const auto approx =
       ComputeApproxDomainConditionals(model, 0, features, 2, opts);
-  const auto exact = ComputeDomainConditionals(
-      model, 0, features, 2, ClassifierEngine::kFactored, 24);
+  const auto exact = ComputeDomainConditionals(model, 0, features, 2);
   ASSERT_TRUE(approx.ok());
   ASSERT_TRUE(exact.ok());
   // With no uncertainty there is a single world; the approximation is
@@ -100,7 +99,7 @@ TEST(ExpectedWorldTest, ExactWhenAllMembersCertain) {
 TEST(MonteCarloTest, ConvergesToExactWithSamples) {
   const Fixture fx = MakeRandomDomain(7);
   const auto exact = ComputeDomainConditionals(
-      fx.model, 0, fx.features, fx.total, ClassifierEngine::kFactored, 24);
+      fx.model, 0, fx.features, fx.total);
   ASSERT_TRUE(exact.ok());
 
   ApproxClassifierOptions opts;

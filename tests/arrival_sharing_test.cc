@@ -242,11 +242,8 @@ TEST_P(ArrivalSharingTest, PriorsEqualComputeDomainPrior) {
   for (std::size_t j = 0; j < f.arrivals.size(); ++j) {
     ASSERT_TRUE(
         sys->AddSchema(f.arrivals.schema(j), f.arrivals.labels(j)).ok());
-    const ClassifierOptions& opts = sys->options().classifier;
     for (std::uint32_t r = 0; r < sys->domains().num_domains(); ++r) {
-      auto prior = ComputeDomainPrior(sys->domains(), r, sys->corpus().size(),
-                                      opts.engine,
-                                      opts.max_uncertain_exhaustive);
+      auto prior = ComputeDomainPrior(sys->domains(), r, sys->corpus().size());
       ASSERT_TRUE(prior.ok());
       EXPECT_EQ(sys->classifier().Prior(r), *prior)
           << "arrival " << j << " domain " << r;
@@ -324,8 +321,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ArrivalSharingTest, ::testing::Bool(),
                            return info.param ? "Web" : "Ddh";
                          });
 
-/// Two tight domains of identical schemas; the exhaustive engine may not
-/// see a single uncertain schema.
+/// Two tight domains of identical schemas, and an arrival that AddSchema
+/// must refuse.
 TEST(ArrivalAtomicityTest, FailedAddSchemaLeavesTheSystemUnchanged) {
   SchemaCorpus corpus("two-domains");
   for (int i = 0; i < 3; ++i) {
@@ -334,9 +331,7 @@ TEST(ArrivalAtomicityTest, FailedAddSchemaLeavesTheSystemUnchanged) {
     corpus.Add(Schema("book" + std::to_string(i),
                       {"title", "author", "isbn", "publisher"}));
   }
-  SystemOptions options;
-  options.classifier.engine = ClassifierEngine::kExhaustive;
-  options.classifier.max_uncertain_exhaustive = 0;
+  const SystemOptions options;
   auto built = IntegrationSystem::Build(corpus, options);
   ASSERT_TRUE(built.ok()) << built.status();
   IntegrationSystem& sys = **built;
@@ -349,12 +344,11 @@ TEST(ArrivalAtomicityTest, FailedAddSchemaLeavesTheSystemUnchanged) {
   const std::vector<std::string> queries = {"departure airline",
                                             "title isbn", "author flight"};
 
-  // Equally similar to both domains: it joins each with probability 1/2,
-  // and the exhaustive engine refuses the now-uncertain domains.
-  auto failed = sys.AddSchema(
-      Schema("straddle", {"departure", "arrival", "title", "author"}));
+  // Every term of the arrival is a stop word, so featurization finds no
+  // term and the arrival is refused.
+  auto failed = sys.AddSchema(Schema("noise", {"of the", "and"}));
   ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(failed.status().IsResourceExhausted()) << failed.status();
+  EXPECT_TRUE(failed.status().IsInvalidArgument()) << failed.status();
 
   EXPECT_EQ(sys.corpus().size(), 6u);
   EXPECT_EQ(&sys.features(), features);

@@ -97,10 +97,8 @@ TEST(CoverageTest, AddingFeatureBearingSchemaRaisesItsConditional) {
   DomainModel m2 = DomainModel::Build({{0, 1}}, {{{0, 1.0}}, {{0, 1.0}}});
   DomainModel m3 = DomainModel::Build(
       {{0, 1, 2}}, {{{0, 1.0}}, {{0, 1.0}}, {{0, 1.0}}});
-  const auto c2 = ComputeDomainConditionals(m2, 0, two, 3,
-                                            ClassifierEngine::kFactored, 24);
-  const auto c3 = ComputeDomainConditionals(m3, 0, three, 3,
-                                            ClassifierEngine::kFactored, 24);
+  const auto c2 = ComputeDomainConditionals(m2, 0, two, 3);
+  const auto c3 = ComputeDomainConditionals(m3, 0, three, 3);
   ASSERT_TRUE(c2.ok());
   ASSERT_TRUE(c3.ok());
   // Every member carries feature 0 in both cases; with more members the

@@ -9,7 +9,9 @@
 /// Every engine here fills a full dim-long q1 row per domain (the smoothing
 /// term everywhere, then each member's weight added to its features, in
 /// member order), and scoring reads a full dim-long log-odds row per
-/// domain. The sparse classifier must match it bit for bit.
+/// domain. The sparse classifier must match it bit for bit. The exhaustive
+/// world sum (thesis Section 5.3) has no library counterpart; the
+/// classifier must agree with it to 1e-10.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +54,12 @@ inline NaiveBayesClassifier ClassifierFromDense(
   return std::move(*clf);
 }
 
-// --- The exact engines' accumulators, as naive_bayes.cc computes them. ---
+// --- The exact possible-world accumulators. ---
+
+/// How ExactRow sums over a domain's possible worlds: the thesis's literal
+/// 2^u subset enumeration (Section 5.3), or the factorization through the
+/// subset-size distribution that naive_bayes.cc computes.
+enum class WorldSum { kExhaustive, kFactored };
 
 struct WorldSums {
   double mass = 0.0;
@@ -128,7 +135,7 @@ inline WorldSums SumFactored(const std::vector<double>& probs,
   return acc;
 }
 
-/// The scorer's clamp. The sparse exact engines store their output clamped
+/// The scorer's clamp. The sparse classifier stores its output clamped
 /// this way (a no-op except at dim 1, where p = 1 can round q1 to 1.0).
 inline double ScorerClamp(double q) {
   return std::min(std::max(q, 1e-300), 1.0 - 1e-15);
@@ -138,12 +145,12 @@ inline double Smoothing(std::size_t dim) {
   return dim > 0 ? 1.0 / static_cast<double>(dim) : 0.5;
 }
 
-/// One domain's dense conditionals from an exact engine.
+/// One domain's dense conditionals from an exact world sum.
 inline DenseConditionals ExactRow(const DomainModel& model,
                                   std::uint32_t domain,
                                   std::span<const DynamicBitset> features,
                                   std::size_t num_schemas_total,
-                                  ClassifierEngine engine) {
+                                  WorldSum sum = WorldSum::kFactored) {
   const std::size_t dim = features.empty() ? 0 : features[0].size();
   const double p = Smoothing(dim);
   const std::vector<std::uint32_t> certain = model.CertainSchemas(domain);
@@ -152,7 +159,7 @@ inline DenseConditionals ExactRow(const DomainModel& model,
   for (std::uint32_t i : uncertain) {
     probs.push_back(model.Membership(i, domain));
   }
-  const WorldSums acc = engine == ClassifierEngine::kExhaustive
+  const WorldSums acc = sum == WorldSum::kExhaustive
                             ? SumExhaustive(probs, certain.size())
                             : SumFactored(probs, certain.size());
   DenseConditionals out;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/integration_system.h"
+#include "dense_classifier_oracle.h"
 #include "eval/classification_metrics.h"
 #include "eval/clustering_metrics.h"
 #include "synth/ddh_generator.h"
@@ -129,33 +130,41 @@ TEST(EndToEndTest, DdhQueryClassificationNearPerfect) {
 
 TEST(EndToEndTest, ExactAndFactoredClassifiersAgreeOnRealPipeline) {
   const SchemaCorpus corpus = MakeDwCorpus();
-  SystemOptions base;
-  base.hac.tau_c_sim = 0.2;
-  base.assignment.tau_c_sim = 0.2;
-  base.assignment.theta = 0.05;  // produce some uncertain schemas
-  base.build_mediation = false;
-  base.classifier.engine = ClassifierEngine::kFactored;
-  SystemOptions exhaustive = base;
-  exhaustive.classifier.engine = ClassifierEngine::kExhaustive;
+  SystemOptions options;
+  options.hac.tau_c_sim = 0.2;
+  options.assignment.tau_c_sim = 0.2;
+  options.assignment.theta = 0.05;  // produce some uncertain schemas
+  options.build_mediation = false;
 
-  const auto sys_f = IntegrationSystem::Build(corpus, base);
-  const auto sys_e = IntegrationSystem::Build(corpus, exhaustive);
-  ASSERT_TRUE(sys_f.ok());
-  ASSERT_TRUE(sys_e.ok()) << sys_e.status();
-  const auto& cf = (*sys_f)->classifier();
-  const auto& ce = (*sys_e)->classifier();
-  ASSERT_EQ(cf.num_domains(), ce.num_domains());
+  const auto sys = IntegrationSystem::Build(corpus, options);
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  const IntegrationSystem& s = **sys;
+  const NaiveBayesClassifier& cf = s.classifier();
+  // The oracle's rows: the factored sum, which the classifier must match
+  // bitwise, and the thesis's literal 2^u enumeration (Section 5.3).
+  std::vector<dense_oracle::DenseConditionals> exhaustive;
+  for (std::uint32_t r = 0; r < s.domains().num_domains(); ++r) {
+    const auto factored = dense_oracle::ExactRow(s.domains(), r, s.features(),
+                                                 s.corpus().size());
+    EXPECT_EQ(cf.Prior(r), factored.prior) << r;
+    exhaustive.push_back(dense_oracle::ExactRow(
+        s.domains(), r, s.features(), s.corpus().size(),
+        dense_oracle::WorldSum::kExhaustive));
+  }
+  const dense_oracle::DenseClassifier ce(std::move(exhaustive), {}, false);
+  ASSERT_EQ(cf.num_domains(), ce.rows().size());
   for (std::uint32_t r = 0; r < cf.num_domains(); ++r) {
-    EXPECT_NEAR(cf.Prior(r), ce.Prior(r), 1e-10);
+    EXPECT_NEAR(cf.Prior(r), ce.rows()[r].prior, 1e-10);
   }
   // Rankings agree on a few probe queries.
+  const QueryFeaturizer featurizer(s.tokenizer(), s.vectorizer());
   for (const char* probe :
        {"departure airline", "salary employer", "drug dosage"}) {
-    const auto rf = (*sys_f)->ClassifyKeywordQuery(probe);
-    const auto re = (*sys_e)->ClassifyKeywordQuery(probe);
+    const auto rf = s.ClassifyKeywordQuery(probe);
+    const auto re = ce.Classify(featurizer.Featurize(probe));
     ASSERT_TRUE(rf.ok());
-    ASSERT_TRUE(re.ok());
-    EXPECT_EQ((*rf)[0].domain, (*re)[0].domain) << probe;
+    ASSERT_FALSE(re.empty());
+    EXPECT_EQ((*rf)[0].domain, re[0].domain) << probe;
   }
 }
 

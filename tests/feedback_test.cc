@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "heap_hac_oracle.h"
+
 namespace paygo {
 namespace {
 
@@ -111,28 +115,30 @@ TEST(ConstrainedHacTest, OutOfRangeConstraintRejected) {
   EXPECT_TRUE(Hac::Run(features, sims, opts).status().IsOutOfRange());
 }
 
-TEST(ConstrainedHacTest, NaiveEngineHonorsConstraintsIdentically) {
+TEST(ConstrainedHacTest, HeapOracleHonorsConstraintsIdentically) {
   const auto features = Features();
   SimilarityMatrix sims(features);
-  HacOptions fast;
-  fast.tau_c_sim = 0.2;
-  fast.must_link = {{0, 3}};
-  fast.cannot_link = {{1, 4}};
-  HacOptions naive = fast;
-  naive.use_naive_engine = true;
-  const auto rf = Hac::Run(features, sims, fast);
-  const auto rn = Hac::Run(features, sims, naive);
+  HacOptions options;
+  options.tau_c_sim = 0.2;
+  options.must_link = {{0, 3}};
+  options.cannot_link = {{1, 4}};
+  const auto rf = Hac::Run(features, sims, options);
+  const auto ro = heap_oracle::RunHeapHac(features, sims, options);
   ASSERT_TRUE(rf.ok());
-  ASSERT_TRUE(rn.ok());
+  ASSERT_TRUE(ro.ok());
   auto sorted = [](const HacResult& r) {
     auto c = r.clusters;
     std::sort(c.begin(), c.end());
     return c;
   };
-  EXPECT_EQ(sorted(*rf), sorted(*rn));
+  EXPECT_EQ(sorted(*rf), sorted(*ro));
+  heap_oracle::ExpectSameDendrogram(*ro, *rf, "constrained");
 }
 
-TEST(ReclusterWithFeedbackTest, CorrectionMovesSchema) {
+/// The refinement step of IntegrationSystem::ApplyFeedback on the dense
+/// matrix: Algorithm 2 under the store's constraints, Algorithm 3, then
+/// the named schemas pinned.
+TEST(ConstrainedReclusterTest, CorrectionMovesSchema) {
   const auto features = Features();
   SimilarityMatrix sims(features);
   HacOptions hac;
@@ -148,14 +154,19 @@ TEST(ReclusterWithFeedbackTest, CorrectionMovesSchema) {
   // The user says: schema 2 belongs with schema 3, not schema 0.
   FeedbackStore store;
   ASSERT_TRUE(store.RecordCorrection(2, 0, 3).ok());
-  const auto model = ReclusterWithFeedback(features, sims, hac, assign, store);
-  ASSERT_TRUE(model.ok()) << model.status();
+  hac.must_link = store.must_link();
+  hac.cannot_link = store.cannot_link();
+  const auto after = Hac::Run(features, sims, hac);
+  ASSERT_TRUE(after.ok()) << after.status();
+  const auto assigned = AssignProbabilities(sims, *after, assign);
+  ASSERT_TRUE(assigned.ok()) << assigned.status();
+  const DomainModel model = PinFeedbackSchemas(*after, *assigned, store);
   // Schema 2 now lives (with certainty) in schema 3's domain.
-  std::uint32_t domain_of_3 = model->DomainsOf(3)[0].first;
-  EXPECT_DOUBLE_EQ(model->Membership(2, domain_of_3), 1.0);
+  std::uint32_t domain_of_3 = model.DomainsOf(3)[0].first;
+  EXPECT_DOUBLE_EQ(model.Membership(2, domain_of_3), 1.0);
   // And not in schema 0's domain.
-  std::uint32_t domain_of_0 = model->DomainsOf(0)[0].first;
-  EXPECT_DOUBLE_EQ(model->Membership(2, domain_of_0), 0.0);
+  std::uint32_t domain_of_0 = model.DomainsOf(0)[0].first;
+  EXPECT_DOUBLE_EQ(model.Membership(2, domain_of_0), 0.0);
 }
 
 TEST(AdjustClassifierWithClicksTest, ClicksBoostRelativeRanking) {

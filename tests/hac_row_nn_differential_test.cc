@@ -34,20 +34,6 @@ bool SmallMode() {
   return v != nullptr && std::string(v) != "0";
 }
 
-void ExpectSameDendrogram(const HacResult& want, const HacResult& got,
-                          const std::string& label) {
-  ASSERT_EQ(want.merges.size(), got.merges.size()) << label;
-  for (std::size_t m = 0; m < want.merges.size(); ++m) {
-    ASSERT_EQ(want.merges[m].slot_a, got.merges[m].slot_a)
-        << label << " merge " << m;
-    ASSERT_EQ(want.merges[m].slot_b, got.merges[m].slot_b)
-        << label << " merge " << m;
-    ASSERT_EQ(want.merges[m].similarity, got.merges[m].similarity)
-        << label << " merge " << m;
-  }
-  EXPECT_EQ(want.clusters, got.clusters) << label;
-}
-
 /// Runs the oracle once (it is thread-count invariant) and the production
 /// engine at 1, 2 and 4 threads, requiring bitwise-equal dendrograms.
 void CheckAgainstOracle(const std::vector<DynamicBitset>& features,
@@ -60,7 +46,7 @@ void CheckAgainstOracle(const std::vector<DynamicBitset>& features,
     options.num_threads = t;
     const auto got = Hac::Run(features, sims, options);
     ASSERT_TRUE(got.ok()) << label << ": " << got.status();
-    ExpectSameDendrogram(*want, *got,
+    heap_oracle::ExpectSameDendrogram(*want, *got,
                          label + " threads=" + std::to_string(t));
   }
 }

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "cluster/neighbor_graph.h"
+#include "heap_hac_oracle.h"
 #include "obs/stats.h"
 #include "util/random.h"
 
@@ -35,6 +37,19 @@ std::vector<std::vector<std::uint32_t>> SortedClusters(const HacResult& r) {
   auto c = r.clusters;
   std::sort(c.begin(), c.end());
   return c;
+}
+
+/// Hac::Run against the lazy-heap oracle (tests/heap_hac_oracle.h).
+void ExpectMatchesHeapOracle(const std::vector<DynamicBitset>& features,
+                             const HacOptions& options,
+                             const std::string& label) {
+  const SimilarityMatrix sims(features);
+  const auto got = Hac::Run(features, sims, options);
+  const auto want = heap_oracle::RunHeapHac(features, sims, options);
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+  ASSERT_TRUE(want.ok()) << label << ": " << want.status();
+  EXPECT_EQ(SortedClusters(*got), SortedClusters(*want)) << label;
+  heap_oracle::ExpectSameDendrogram(*want, *got, label);
 }
 
 TEST(HacTest, RecoversTwoGroupsAndLeavesOutlier) {
@@ -229,23 +244,19 @@ TEST(HacTest, MaxClustersStopsAtExactCount) {
   }
 }
 
-TEST(HacTest, MaxClustersMatchesNaiveEngine) {
+TEST(HacTest, MaxClustersMatchesHeapOracle) {
   const auto features = TwoGroupsAndOutlier();
-  HacOptions fast;
-  fast.max_clusters = 3;
-  HacOptions naive = fast;
-  naive.use_naive_engine = true;
-  const auto rf = Hac::Run(features, fast);
-  const auto rn = Hac::Run(features, naive);
-  ASSERT_TRUE(rf.ok());
-  ASSERT_TRUE(rn.ok());
-  EXPECT_EQ(SortedClusters(*rf), SortedClusters(*rn));
+  HacOptions options;
+  options.max_clusters = 3;
+  ExpectMatchesHeapOracle(features, options, "max_clusters 3");
   // The 3-cluster cut is the intended structure.
-  EXPECT_EQ(rf->clusters.size(), 3u);
+  const auto result = Hac::Run(features, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->clusters.size(), 3u);
 }
 
-/// Property: the row-NN engine produces the same final clustering as the
-/// naive O(n^3) reference, across all four linkages and several thresholds.
+/// Property: the row-NN engine produces the lazy-heap oracle's dendrogram,
+/// merge for merge, across all four linkages and several thresholds.
 struct EngineParam {
   LinkageKind linkage;
   double tau;
@@ -253,7 +264,7 @@ struct EngineParam {
 
 class HacEngineAgreementTest : public ::testing::TestWithParam<EngineParam> {};
 
-TEST_P(HacEngineAgreementTest, FastMatchesNaive) {
+TEST_P(HacEngineAgreementTest, FastMatchesHeapOracle) {
   const EngineParam param = GetParam();
   Rng rng(31 + static_cast<int>(param.linkage) * 100 +
           static_cast<int>(param.tau * 10));
@@ -269,18 +280,12 @@ TEST_P(HacEngineAgreementTest, FastMatchesNaive) {
       if (rng.NextBernoulli(0.1)) features[i].Set(b);
     }
   }
-  HacOptions fast;
-  fast.linkage = param.linkage;
-  fast.tau_c_sim = param.tau;
-  HacOptions naive = fast;
-  naive.use_naive_engine = true;
-
-  const auto fast_result = Hac::Run(features, fast);
-  const auto naive_result = Hac::Run(features, naive);
-  ASSERT_TRUE(fast_result.ok());
-  ASSERT_TRUE(naive_result.ok());
-  EXPECT_EQ(SortedClusters(*fast_result), SortedClusters(*naive_result))
-      << LinkageKindName(param.linkage) << " tau=" << param.tau;
+  HacOptions options;
+  options.linkage = param.linkage;
+  options.tau_c_sim = param.tau;
+  ExpectMatchesHeapOracle(
+      features, options,
+      LinkageKindName(param.linkage) + " tau=" + std::to_string(param.tau));
 }
 
 INSTANTIATE_TEST_SUITE_P(

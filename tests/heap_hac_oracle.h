@@ -14,11 +14,14 @@
 /// validation first). Counters are kept locally and never reach the
 /// global registry, so counter tests see only the production engine.
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -429,6 +432,23 @@ inline Result<HacResult> RunHeapHac(
     do_merge(top.a, top.b, top.sim);
   }
   return st.Finish(std::move(merges));
+}
+
+/// Requires \p got to be \p want's dendrogram: the same (slot_a, slot_b)
+/// merges in the same order, their similarity doubles compared with ==,
+/// and the same final clusters.
+inline void ExpectSameDendrogram(const HacResult& want, const HacResult& got,
+                                 const std::string& label) {
+  ASSERT_EQ(want.merges.size(), got.merges.size()) << label;
+  for (std::size_t m = 0; m < want.merges.size(); ++m) {
+    ASSERT_EQ(want.merges[m].slot_a, got.merges[m].slot_a)
+        << label << " merge " << m;
+    ASSERT_EQ(want.merges[m].slot_b, got.merges[m].slot_b)
+        << label << " merge " << m;
+    ASSERT_EQ(want.merges[m].similarity, got.merges[m].similarity)
+        << label << " merge " << m;
+  }
+  EXPECT_EQ(want.clusters, got.clusters) << label;
 }
 
 }  // namespace heap_oracle

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "dense_classifier_oracle.h"
 #include "util/random.h"
 
 namespace paygo {
@@ -24,6 +25,22 @@ DynamicBitset Bits(std::size_t dim, std::initializer_list<std::size_t> set) {
   return b;
 }
 
+using dense_oracle::WorldSum;
+
+/// Domain \p domain's conditionals: the library's factored evaluation, or
+/// the oracle's literal subset enumeration (thesis Section 5.3) as a
+/// sparse row.
+Result<DomainConditionals> ConditionalsBy(
+    WorldSum sum, const DomainModel& model, std::uint32_t domain,
+    const std::vector<DynamicBitset>& features, std::size_t total) {
+  if (sum == WorldSum::kFactored) {
+    return ComputeDomainConditionals(model, domain, features, total);
+  }
+  const dense_oracle::DenseConditionals row = dense_oracle::ExactRow(
+      model, domain, features, total, WorldSum::kExhaustive);
+  return SparsifyConditionals(row.prior, row.q1);
+}
+
 // Hand-computed example (see the derivation in the accompanying comments):
 // domain 0 has certain schema s0 and uncertain schema s1 with p = 0.6,
 // |S| = 4, dim L = 3, m-estimate p = 1/3.
@@ -35,14 +52,13 @@ DynamicBitset Bits(std::size_t dim, std::initializer_list<std::size_t> set) {
 //   q1[0] = .25*(1 + 2/3)/3        + .75*(2 + 1)/5        = 0.588888...
 //   q1[1] = .25*(0 + 2/3)/3        + .75*(1 + 1)/5        = 0.355555...
 //   q1[2] = .25*(0 + 2/3)/3        + .75*(0 + 1)/5        = 0.205555...
-class HandComputedCase : public ::testing::TestWithParam<ClassifierEngine> {
+class HandComputedCase : public ::testing::TestWithParam<WorldSum> {
  protected:
   void Run() {
     const std::size_t dim = 3;
     std::vector<DynamicBitset> features = {Bits(dim, {0}), Bits(dim, {0, 1})};
     DomainModel model = MakeModel({{0, 1}}, {{{0, 1.0}}, {{0, 0.6}}});
-    const auto cond =
-        ComputeDomainConditionals(model, 0, features, 4, GetParam(), 24);
+    const auto cond = ConditionalsBy(GetParam(), model, 0, features, 4);
     ASSERT_TRUE(cond.ok()) << cond.status();
     EXPECT_NEAR(cond->prior, 0.4, 1e-12);
     ASSERT_EQ(cond->dim, 3u);
@@ -55,15 +71,14 @@ class HandComputedCase : public ::testing::TestWithParam<ClassifierEngine> {
 TEST_P(HandComputedCase, MatchesManualDerivation) { Run(); }
 
 INSTANTIATE_TEST_SUITE_P(Engines, HandComputedCase,
-                         ::testing::Values(ClassifierEngine::kExhaustive,
-                                           ClassifierEngine::kFactored));
+                         ::testing::Values(WorldSum::kExhaustive,
+                                           WorldSum::kFactored));
 
 TEST(NaiveBayesTest, AllCertainDomainIsSingleWorld) {
   const std::size_t dim = 4;
   std::vector<DynamicBitset> features = {Bits(dim, {0, 1}), Bits(dim, {1, 2})};
   DomainModel model = MakeModel({{0, 1}}, {{{0, 1.0}}, {{0, 1.0}}});
-  const auto cond = ComputeDomainConditionals(
-      model, 0, features, 2, ClassifierEngine::kFactored, 24);
+  const auto cond = ComputeDomainConditionals(model, 0, features, 2);
   ASSERT_TRUE(cond.ok());
   // Single world {s0, s1}: prior = 2/2 = 1; m = 3, denom = 5, p = 1/4.
   EXPECT_NEAR(cond->prior, 1.0, 1e-12);
@@ -80,8 +95,7 @@ TEST(NaiveBayesTest, ConditionalsStayInsideOpenUnitInterval) {
                                          Bits(dim, {})};
   DomainModel model = MakeModel({{0}, {1}}, {{{0, 1.0}}, {{1, 1.0}}});
   for (std::uint32_t r = 0; r < 2; ++r) {
-    const auto cond = ComputeDomainConditionals(
-        model, r, features, 2, ClassifierEngine::kFactored, 24);
+    const auto cond = ComputeDomainConditionals(model, r, features, 2);
     ASSERT_TRUE(cond.ok());
     for (std::size_t j = 0; j < dim; ++j) {
       EXPECT_GT(cond->Q1(j), 0.0);
@@ -90,7 +104,7 @@ TEST(NaiveBayesTest, ConditionalsStayInsideOpenUnitInterval) {
   }
 }
 
-TEST(NaiveBayesTest, ExhaustiveRefusesTooManyUncertainSchemas) {
+TEST(NaiveBayesTest, ThirtyUncertainSchemasNeedNoEnumeration) {
   const std::size_t n = 30;
   std::vector<DynamicBitset> features(n, DynamicBitset(4));
   std::vector<std::vector<std::uint32_t>> clusters(1);
@@ -100,15 +114,11 @@ TEST(NaiveBayesTest, ExhaustiveRefusesTooManyUncertainSchemas) {
     sd[i] = {{0, 0.5}};
   }
   DomainModel model = MakeModel(std::move(clusters), std::move(sd));
-  ClassifierOptions opts;
-  opts.engine = ClassifierEngine::kExhaustive;
-  opts.max_uncertain_exhaustive = 10;
-  const auto clf = NaiveBayesClassifier::Build(model, features, n, opts);
-  EXPECT_TRUE(clf.status().IsResourceExhausted());
-
-  // The factored engine handles the same domain without a limit.
-  opts.engine = ClassifierEngine::kFactored;
-  EXPECT_TRUE(NaiveBayesClassifier::Build(model, features, n, opts).ok());
+  // 2^30 possible worlds; the factored evaluation needs 31 size classes.
+  const auto clf = NaiveBayesClassifier::Build(model, features, n, {});
+  ASSERT_TRUE(clf.ok()) << clf.status();
+  // E[|S'|] = 15 of |S| = 30 schemas.
+  EXPECT_NEAR(clf->Prior(0), 0.5, 1e-12);
 }
 
 TEST(NaiveBayesTest, ClassifiesObviousQueriesCorrectly) {
@@ -183,8 +193,7 @@ TEST(NaiveBayesTest, EmptyDomainGetsZeroPrior) {
   const std::size_t dim = 4;
   std::vector<DynamicBitset> features = {Bits(dim, {0}), Bits(dim, {1})};
   DomainModel model = MakeModel({{0, 1}}, {{}, {}});
-  const auto cond = ComputeDomainConditionals(
-      model, 0, features, 2, ClassifierEngine::kFactored, 24);
+  const auto cond = ComputeDomainConditionals(model, 0, features, 2);
   ASSERT_TRUE(cond.ok());
   EXPECT_DOUBLE_EQ(cond->prior, 0.0);
 }
@@ -203,9 +212,9 @@ TEST(NaiveBayesTest, DeterministicTieBreakByDomainId) {
   EXPECT_DOUBLE_EQ(r[0].log_posterior, r[1].log_posterior);
 }
 
-/// Property: the factored engine agrees with the exhaustive enumeration on
-/// randomized probabilistic domains (the exponential-to-polynomial
-/// reduction must be algebraically exact).
+/// Property: the library's factored evaluation agrees with the oracle's
+/// exhaustive enumeration on randomized probabilistic domains (the
+/// exponential-to-polynomial reduction must be algebraically exact).
 class EngineAgreementTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineAgreementTest, FactoredEqualsExhaustive) {
@@ -228,16 +237,23 @@ TEST_P(EngineAgreementTest, FactoredEqualsExhaustive) {
   }
   DomainModel model = MakeModel(std::move(clusters), std::move(sd));
 
-  const auto exact = ComputeDomainConditionals(
-      model, 0, features, n, ClassifierEngine::kExhaustive, 24);
-  const auto factored = ComputeDomainConditionals(
-      model, 0, features, n, ClassifierEngine::kFactored, 24);
+  const auto exact =
+      ConditionalsBy(WorldSum::kExhaustive, model, 0, features, n);
+  const auto factored =
+      ConditionalsBy(WorldSum::kFactored, model, 0, features, n);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(factored.ok());
   EXPECT_NEAR(exact->prior, factored->prior, 1e-12);
   ASSERT_EQ(exact->dim, factored->dim);
   for (std::size_t j = 0; j < dim; ++j) {
     EXPECT_NEAR(exact->Q1(j), factored->Q1(j), 1e-10) << "feature " << j;
+  }
+  // The oracle's own factored sum is the library's, bit for bit.
+  const dense_oracle::DenseConditionals oracle =
+      dense_oracle::ExactRow(model, 0, features, n);
+  EXPECT_EQ(factored->prior, oracle.prior);
+  for (std::size_t j = 0; j < dim; ++j) {
+    EXPECT_EQ(factored->Q1(j), oracle.q1[j]) << "feature " << j;
   }
 }
 

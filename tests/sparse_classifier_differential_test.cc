@@ -9,8 +9,9 @@
 /// comparison here is EXPECT_EQ on doubles: conditionals, priors, each
 /// ranking's domain order and log-posterior bits. Covered: dims 1, 63, 64
 /// and 65 (one word, a partial word, exactly one word, one bit into a
-/// second word), the exhaustive, factored, expected-world and Monte-Carlo
-/// engines, skip_singleton_domains, zero-mass domains, Classify /
+/// second word), the factored, expected-world and Monte-Carlo engines
+/// (and the factored one within 1e-10 of the oracle's exhaustive subset
+/// enumeration), skip_singleton_domains, zero-mass domains, Classify /
 /// ClassifyInto / ClassifyBatchInto at batch 1, 8 and 64, chained
 /// UpdateDomains against Build, WithPriors, and a MakeManyDomainCorpus
 /// lexicon built from raw text.
@@ -221,11 +222,10 @@ std::vector<bool> SingletonFlags(const DomainModel& model) {
   return flags;
 }
 
-enum class Engine { kExhaustive, kFactored, kExpectedWorld, kMonteCarlo };
+enum class Engine { kFactored, kExpectedWorld, kMonteCarlo };
 
 const char* EngineName(Engine e) {
   switch (e) {
-    case Engine::kExhaustive: return "exhaustive";
     case Engine::kFactored: return "factored";
     case Engine::kExpectedWorld: return "expected-world";
     case Engine::kMonteCarlo: return "monte-carlo";
@@ -245,14 +245,8 @@ Result<NaiveBayesClassifier> BuildWith(Engine engine, const DomainModel& model,
   approx.seed = kMonteCarloSeed;
   approx.base = options;
   switch (engine) {
-    case Engine::kExhaustive:
-    case Engine::kFactored: {
-      ClassifierOptions exact = options;
-      exact.engine = engine == Engine::kExhaustive
-                         ? ClassifierEngine::kExhaustive
-                         : ClassifierEngine::kFactored;
-      return NaiveBayesClassifier::Build(model, f, total, exact);
-    }
+    case Engine::kFactored:
+      return NaiveBayesClassifier::Build(model, f, total, options);
     case Engine::kExpectedWorld:
       approx.kind = ApproxKind::kExpectedWorld;
       return BuildApproxClassifier(model, f, total, approx);
@@ -270,13 +264,8 @@ std::vector<DenseConditionals> OracleRows(Engine engine,
   std::vector<DenseConditionals> rows;
   for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
     switch (engine) {
-      case Engine::kExhaustive:
-        rows.push_back(dense_oracle::ExactRow(model, r, f, total,
-                                              ClassifierEngine::kExhaustive));
-        break;
       case Engine::kFactored:
-        rows.push_back(dense_oracle::ExactRow(model, r, f, total,
-                                              ClassifierEngine::kFactored));
+        rows.push_back(dense_oracle::ExactRow(model, r, f, total));
         break;
       case Engine::kExpectedWorld:
         rows.push_back(dense_oracle::ExpectedWorldRow(model, r, f, total));
@@ -297,8 +286,8 @@ TEST(SparseClassifierDifferentialTest, EnginesMatchDenseOracle) {
     const DomainModel model = w.ModelOf(w.features.size());
     Rng rng(seed ^ dim);
     const std::vector<DynamicBitset> queries = MakeQueries(dim, 64, rng);
-    for (Engine engine : {Engine::kExhaustive, Engine::kFactored,
-                          Engine::kExpectedWorld, Engine::kMonteCarlo}) {
+    for (Engine engine :
+         {Engine::kFactored, Engine::kExpectedWorld, Engine::kMonteCarlo}) {
       for (bool skip : {false, true}) {
         const std::string where = std::string(EngineName(engine)) + " dim " +
                                   std::to_string(dim) +
@@ -317,46 +306,70 @@ TEST(SparseClassifierDifferentialTest, EnginesMatchDenseOracle) {
   }
 }
 
+/// The thesis's literal 2^u enumeration (Section 5.3) lives only in the
+/// oracle; the classifier's factored rows must agree with it to 1e-10.
+TEST(SparseClassifierDifferentialTest, FactoredWithinToleranceOfExhaustive) {
+  const std::uint64_t seed = TestSeed(1);
+  for (std::size_t dim : {1u, 63u, 64u, 65u}) {
+    const World w = MakeWorld(dim, 40, seed + dim);
+    const DomainModel model = w.ModelOf(w.features.size());
+    auto clf = NaiveBayesClassifier::Build(model, w.features,
+                                           w.features.size(), {});
+    ASSERT_TRUE(clf.ok()) << clf.status();
+    for (std::uint32_t r = 0; r < model.num_domains(); ++r) {
+      const DenseConditionals want =
+          dense_oracle::ExactRow(model, r, w.features, w.features.size(),
+                                 dense_oracle::WorldSum::kExhaustive);
+      const std::string where =
+          "dim " + std::to_string(dim) + " domain " + std::to_string(r);
+      EXPECT_NEAR(clf->Prior(r), want.prior, 1e-12) << where;
+      for (std::size_t j = 0; j < dim; ++j) {
+        EXPECT_NEAR(clf->FeatureProb(r, j), want.q1[j], 1e-10)
+            << where << " q1 " << j;
+      }
+    }
+  }
+}
+
 TEST(SparseClassifierDifferentialTest, ChainedUpdateDomainsMatchesBuild) {
   const std::uint64_t seed = TestSeed(2);
   for (std::size_t dim : {1u, 63u, 64u, 65u}) {
     const World w = MakeWorld(dim, 48, seed + dim);
     Rng rng(seed ^ dim);
     const std::vector<DynamicBitset> queries = MakeQueries(dim, 64, rng);
-    for (Engine engine : {Engine::kExhaustive, Engine::kFactored}) {
-      std::size_t n = 8;
-      auto chained = BuildWith(engine, w.ModelOf(n), w.FeaturesOf(n), n, {});
-      ASSERT_TRUE(chained.ok()) << chained.status();
-      while (n < w.features.size()) {
-        // One to three arrivals per step, each touching its domains.
-        const std::size_t next =
-            std::min(w.features.size(), n + 1 + rng.NextBelow(3));
-        std::vector<std::uint32_t> affected;
-        for (std::size_t s = n; s < next; ++s) {
-          for (const auto& [d, p] : w.memberships[s]) affected.push_back(d);
-        }
-        n = next;
-        const DomainModel model = w.ModelOf(n);
-        const std::vector<DynamicBitset> features = w.FeaturesOf(n);
-        auto updated = NaiveBayesClassifier::UpdateDomains(
-            *chained, model, features, n, affected);
-        ASSERT_TRUE(updated.ok()) << updated.status();
-        chained = std::move(updated);
-        auto rebuilt = BuildWith(engine, model, features, n, {});
-        ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
-
-        const std::string where = std::string(EngineName(engine)) + " dim " +
-                                  std::to_string(dim) + " n " +
-                                  std::to_string(n);
-        ASSERT_EQ(chained->num_domains(), rebuilt->num_domains()) << where;
-        for (std::uint32_t r = 0; r < rebuilt->num_domains(); ++r) {
-          EXPECT_EQ(chained->conditionals()[r], rebuilt->conditionals()[r])
-              << where << " domain " << r;
-        }
-        const DenseClassifier oracle(OracleRows(engine, model, features, n),
-                                     SingletonFlags(model), false);
-        ExpectMatchesOracle(*chained, oracle, queries, where + " chained");
+    const Engine engine = Engine::kFactored;
+    std::size_t n = 8;
+    auto chained = BuildWith(engine, w.ModelOf(n), w.FeaturesOf(n), n, {});
+    ASSERT_TRUE(chained.ok()) << chained.status();
+    while (n < w.features.size()) {
+      // One to three arrivals per step, each touching its domains.
+      const std::size_t next =
+          std::min(w.features.size(), n + 1 + rng.NextBelow(3));
+      std::vector<std::uint32_t> affected;
+      for (std::size_t s = n; s < next; ++s) {
+        for (const auto& [d, p] : w.memberships[s]) affected.push_back(d);
       }
+      n = next;
+      const DomainModel model = w.ModelOf(n);
+      const std::vector<DynamicBitset> features = w.FeaturesOf(n);
+      auto updated = NaiveBayesClassifier::UpdateDomains(
+          *chained, model, features, n, affected);
+      ASSERT_TRUE(updated.ok()) << updated.status();
+      chained = std::move(updated);
+      auto rebuilt = BuildWith(engine, model, features, n, {});
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+
+      const std::string where = std::string(EngineName(engine)) + " dim " +
+                                std::to_string(dim) + " n " +
+                                std::to_string(n);
+      ASSERT_EQ(chained->num_domains(), rebuilt->num_domains()) << where;
+      for (std::uint32_t r = 0; r < rebuilt->num_domains(); ++r) {
+        EXPECT_EQ(chained->conditionals()[r], rebuilt->conditionals()[r])
+            << where << " domain " << r;
+      }
+      const DenseClassifier oracle(OracleRows(engine, model, features, n),
+                                   SingletonFlags(model), false);
+      ExpectMatchesOracle(*chained, oracle, queries, where + " chained");
     }
   }
 }

@@ -20,6 +20,8 @@
 namespace paygo {
 namespace {
 
+using heap_oracle::ExpectSameDendrogram;
+
 std::vector<std::vector<std::uint32_t>> Sorted(const HacResult& r) {
   auto c = r.clusters;
   std::sort(c.begin(), c.end());
@@ -196,22 +198,6 @@ std::vector<DynamicBitset> RandomFuzzCorpus(Rng& rng, std::size_t n,
   return features;
 }
 
-void ExpectBitwiseMerges(const HacResult& want, const HacResult& got,
-                         const std::string& label) {
-  ASSERT_EQ(want.merges.size(), got.merges.size()) << label;
-  for (std::size_t m = 0; m < want.merges.size(); ++m) {
-    ASSERT_EQ(want.merges[m].slot_a, got.merges[m].slot_a)
-        << label << " merge " << m;
-    ASSERT_EQ(want.merges[m].slot_b, got.merges[m].slot_b)
-        << label << " merge " << m;
-    // Bitwise double equality: the graph path must perform the same FP
-    // operations in the same order as the dense engine.
-    ASSERT_EQ(want.merges[m].similarity, got.merges[m].similarity)
-        << label << " merge " << m;
-  }
-  EXPECT_EQ(want.clusters, got.clusters) << label;
-}
-
 TEST(SparseHacFuzzTest, RandomCorporaMatchDenseBitwise) {
   const int rounds = SmallFuzzMode() ? 4 : 12;
   const LinkageKind kinds[] = {LinkageKind::kAverage, LinkageKind::kMin,
@@ -246,10 +232,10 @@ TEST(SparseHacFuzzTest, RandomCorporaMatchDenseBitwise) {
       sopt.num_threads = t;
       const auto sparse = Hac::RunOnGraph(*graph, sopt);
       ASSERT_TRUE(sparse.ok()) << sparse.status();
-      ExpectBitwiseMerges(*dense, *sparse,
-                          std::string(LinkageKindName(opts.linkage)) +
-                              " tau=" + std::to_string(opts.tau_c_sim) +
-                              " threads=" + std::to_string(t));
+      ExpectSameDendrogram(*dense, *sparse,
+                           std::string(LinkageKindName(opts.linkage)) +
+                               " tau=" + std::to_string(opts.tau_c_sim) +
+                               " threads=" + std::to_string(t));
     }
   }
 }
@@ -316,14 +302,14 @@ TEST(SparseHacFuzzTest, ConstraintsAndBoundaryTausMatchDenseAndOracle) {
         ASSERT_TRUE(dense.ok()) << dense.status();
         const auto oracle = heap_oracle::RunHeapHac(features, sims, opts);
         ASSERT_TRUE(oracle.ok()) << oracle.status();
-        ExpectBitwiseMerges(*oracle, *dense, label + " dense vs oracle");
+        ExpectSameDendrogram(*oracle, *dense, label + " dense vs oracle");
         for (std::size_t t : {1u, 2u, 4u}) {
           HacOptions topt = opts;
           topt.num_threads = t;
           const auto graph = RunOverGraph(features, topt);
           ASSERT_TRUE(graph.ok()) << graph.status();
-          ExpectBitwiseMerges(*dense, *graph,
-                              label + " threads=" + std::to_string(t));
+          ExpectSameDendrogram(*dense, *graph,
+                               label + " threads=" + std::to_string(t));
         }
       }
     }
@@ -357,9 +343,9 @@ TEST(SparseHacFuzzTest, ManyComponentsInterleaveLikeDense) {
       opts.num_threads = t;
       const auto graph = RunOverGraph(features, opts);
       ASSERT_TRUE(graph.ok()) << graph.status();
-      ExpectBitwiseMerges(*dense, *graph,
-                          std::string(LinkageKindName(kind)) +
-                              " threads=" + std::to_string(t));
+      ExpectSameDendrogram(*dense, *graph,
+                           std::string(LinkageKindName(kind)) +
+                               " threads=" + std::to_string(t));
     }
   }
 }
@@ -397,7 +383,7 @@ TEST(SparseHacFuzzTest, PooledLargeComponentMatchesDense) {
                   .GetGauge("paygo.hac.largest_component")
                   ->value(),
               4096);
-    ExpectBitwiseMerges(*dense, *graph, "threads=" + std::to_string(t));
+    ExpectSameDendrogram(*dense, *graph, "threads=" + std::to_string(t));
   }
 }
 

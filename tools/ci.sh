@@ -89,6 +89,20 @@ for bad in "--threads -1" "--threads abc" "--threads 4x" "--tau abc" \
 done
 echo "    every malformed value exits 2"
 
+echo "==> smoke: feedback_loop (explicit corrections and arrivals)"
+# Round (1) reclusters through IntegrationSystem::ApplyFeedback and round
+# (4) streams SS schemas through AddSchema; both outputs are deterministic.
+./build/bench/feedback_loop > "$SMOKE_DIR/feedback_loop.txt"
+for want in "| after 10 corrections | 0.996     | 0.824  |" \
+            "127 joined existing domains, 125 opened new domains"; do
+  if ! grep -qF -- "$want" "$SMOKE_DIR/feedback_loop.txt"; then
+    echo "FAIL: feedback_loop output lacks: $want" >&2
+    cat "$SMOKE_DIR/feedback_loop.txt" >&2
+    exit 1
+  fi
+done
+echo "    feedback_loop rounds (1) and (4) as expected"
+
 echo "==> smoke: perf_clustering --sparse-scaling --check (scaled down)"
 # The dense-matrix-free scaling lane at CI size: the exact neighbor graph
 # plus Hac::RunOnGraph must beat the dense matrix plus Hac::Run by >= 5x
