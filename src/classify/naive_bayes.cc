@@ -340,11 +340,39 @@ double ComputeDomainMass(const DomainModel& model, std::uint32_t domain) {
 
 constexpr double kUnknownMass = std::numeric_limits<double>::quiet_NaN();
 
+// The argument checks Build and the one-domain entry points share.
+
+Status CheckFeatureCount(const DomainModel& model, std::size_t num_features) {
+  if (num_features != model.num_schemas()) {
+    return Status::InvalidArgument(
+        "feature count does not match the domain model's schema count");
+  }
+  return Status::OK();
+}
+
+Status CheckSchemaTotal(std::size_t num_schemas_total) {
+  if (num_schemas_total == 0) {
+    return Status::InvalidArgument("num_schemas_total must be positive");
+  }
+  return Status::OK();
+}
+
+Status CheckDomain(const DomainModel& model, std::uint32_t domain) {
+  if (domain >= model.num_domains()) {
+    return Status::InvalidArgument(
+        "domain id is out of range for the domain model");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<DomainConditionals> ComputeDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
     std::span<const DynamicBitset> features, std::size_t num_schemas_total) {
+  PAYGO_RETURN_NOT_OK(CheckDomain(model, domain));
+  PAYGO_RETURN_NOT_OK(CheckFeatureCount(model, features.size()));
+  PAYGO_RETURN_NOT_OK(CheckSchemaTotal(num_schemas_total));
   DomainFit fit = FitDomain(model, domain, features);
   // The only place the corpus size enters (Eq. 5.5's 1/|S|).
   fit.conditionals.prior = PriorFromMass(fit.mass, num_schemas_total);
@@ -354,19 +382,16 @@ Result<DomainConditionals> ComputeDomainConditionals(
 Result<double> ComputeDomainPrior(const DomainModel& model,
                                   std::uint32_t domain,
                                   std::size_t num_schemas_total) {
+  PAYGO_RETURN_NOT_OK(CheckDomain(model, domain));
+  PAYGO_RETURN_NOT_OK(CheckSchemaTotal(num_schemas_total));
   return PriorFromMass(ComputeDomainMass(model, domain), num_schemas_total);
 }
 
 Result<NaiveBayesClassifier> NaiveBayesClassifier::Build(
     const DomainModel& model, std::span<const DynamicBitset> features,
     std::size_t num_schemas_total, const ClassifierOptions& options) {
-  if (features.size() != model.num_schemas()) {
-    return Status::InvalidArgument(
-        "feature count does not match the domain model's schema count");
-  }
-  if (num_schemas_total == 0) {
-    return Status::InvalidArgument("num_schemas_total must be positive");
-  }
+  PAYGO_RETURN_NOT_OK(CheckFeatureCount(model, features.size()));
+  PAYGO_RETURN_NOT_OK(CheckSchemaTotal(num_schemas_total));
   NaiveBayesClassifier clf;
   clf.options_ = options;
   clf.dim_ = features.empty() ? 0 : features[0].size();

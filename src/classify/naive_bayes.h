@@ -353,6 +353,9 @@ class NaiveBayesClassifier {
 
 /// Computes the exact per-domain conditionals for one domain. Exposed for
 /// tests (agreement with the subset-enumeration oracle) and the perf bench.
+/// InvalidArgument when \p domain is not a domain of \p model, when
+/// \p features does not hold one vector per schema of \p model, or when
+/// \p num_schemas_total is 0 (Build's checks).
 Result<DomainConditionals> ComputeDomainConditionals(
     const DomainModel& model, std::uint32_t domain,
     std::span<const DynamicBitset> features, std::size_t num_schemas_total);
@@ -361,7 +364,8 @@ Result<DomainConditionals> ComputeDomainConditionals(
 /// ComputeDomainConditionals, accumulated through the identical loop so
 /// the result is bit-identical to the full computation's prior. Equal to
 /// the world mass the classifier caches per domain, divided by
-/// \p num_schemas_total (0 when the mass is not positive).
+/// \p num_schemas_total (0 when the mass is not positive). InvalidArgument
+/// for a \p domain outside \p model or a \p num_schemas_total of 0.
 Result<double> ComputeDomainPrior(const DomainModel& model,
                                   std::uint32_t domain,
                                   std::size_t num_schemas_total);

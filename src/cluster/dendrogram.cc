@@ -110,7 +110,9 @@ std::string LeafLabel(const SchemaCorpus* corpus, int schema_id) {
     }
     return label;
   }
-  return "s" + std::to_string(schema_id);
+  std::string label = "s";
+  label += std::to_string(schema_id);
+  return label;
 }
 
 }  // namespace

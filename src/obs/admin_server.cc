@@ -1,15 +1,10 @@
 #include "obs/admin_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -34,25 +29,6 @@ const char* ReasonPhrase(int status) {
   }
 }
 
-void SetSocketTimeouts(int fd, std::uint64_t timeout_ms) {
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-/// Sends the whole buffer, tolerating short writes. MSG_NOSIGNAL keeps a
-/// client that hung up from killing the process with SIGPIPE.
-void SendAll(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n <= 0) return;  // timeout or peer gone; nothing left to salvage
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-}
-
 void SendResponse(int fd, const HttpResponse& response) {
   std::ostringstream head;
   head << "HTTP/1.1 " << response.status << " "
@@ -63,8 +39,10 @@ void SendResponse(int fd, const HttpResponse& response) {
   if (response.status == 405) head << "Allow: GET\r\n";
   head << "\r\n";
   const std::string header = head.str();
-  SendAll(fd, header.data(), header.size());
-  SendAll(fd, response.body.data(), response.body.size());
+  // A failed send means the peer is gone or timed out; nothing to salvage.
+  if (SendAll(fd, header.data(), header.size()).ok()) {
+    SendAll(fd, response.body.data(), response.body.size());
+  }
 }
 
 HttpResponse PlainResponse(int status, std::string body) {
@@ -113,11 +91,13 @@ struct AdminCounters {
 }  // namespace
 
 AdminServer::AdminServer(AdminServerOptions options)
-    : options_(std::move(options)) {
-  if (options_.handler_threads == 0) options_.handler_threads = 1;
-  connections_ = std::make_unique<BoundedQueue<int>>(
-      options_.pending_connections);
-}
+    : options_(std::move(options)),
+      listener_("admin", options_, [this](int fd) { ServeConnection(fd); },
+                [](int fd) {
+                  AdminCounters::Get().sheds->Increment();
+                  SendResponse(fd, PlainResponse(
+                                       503, "admin handler pool saturated\n"));
+                }) {}
 
 AdminServer::~AdminServer() { Stop(); }
 
@@ -128,125 +108,18 @@ void AdminServer::Handle(std::string path, Handler handler) {
   handlers_[std::move(path)] = std::move(handler);
 }
 
-Result<std::uint16_t> AdminServer::Start() {
-  if (running()) return bound_port_;
-  if (stopping_.load(std::memory_order_acquire) || connections_->closed()) {
-    return Status::FailedPrecondition(
-        "admin server was stopped; construct a new one");
-  }
-  if (options_.port < 0 || options_.port > 65535) {
-    return Status::InvalidArgument("admin port out of range");
-  }
-  if (handlers_.find("/") == handlers_.end()) {
-    // Default index: one registered path per line.
-    std::string index;
-    for (const auto& [path, handler] : handlers_) {
-      index += path + "\n";
-    }
-    handlers_["/"] = [index](const HttpRequest&) {
-      return PlainResponse(200, index);
-    };
-  }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int enable = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad admin bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IoError("bind " + options_.bind_address + ":" +
-                           std::to_string(options_.port) + ": " + err);
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IoError("listen: " + err);
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
-
-  running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  pool_.reserve(options_.handler_threads);
-  for (std::size_t i = 0; i < options_.handler_threads; ++i) {
-    pool_.emplace_back([this] { HandlerLoop(); });
-  }
-  return bound_port_;
-}
-
-void AdminServer::Stop() {
-  if (!acceptor_.joinable() && pool_.empty()) return;
-  stopping_.store(true, std::memory_order_release);
-  running_.store(false, std::memory_order_release);
-  if (acceptor_.joinable()) acceptor_.join();
-  connections_->Close();
-  for (std::thread& t : pool_) {
-    if (t.joinable()) t.join();
-  }
-  pool_.clear();
-  for (int fd : connections_->DrainNow()) ::close(fd);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void AdminServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    // The 100ms poll bound is the Stop() latency; accept itself never
-    // blocks past it.
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    SetSocketTimeouts(fd, options_.io_timeout_ms);
-    int local = fd;
-    if (!connections_->TryPush(std::move(local))) {
-      // Handler pool saturated: shed instead of queueing unbounded work.
-      AdminCounters::Get().sheds->Increment();
-      SendResponse(fd, PlainResponse(503, "admin handler pool saturated\n"));
-      ::close(fd);
-    }
-  }
-}
-
-void AdminServer::HandlerLoop() {
-  while (true) {
-    std::optional<int> fd = connections_->Pop();
-    if (!fd.has_value()) return;  // closed and drained
-    ServeConnection(*fd);
-    ::close(*fd);
-  }
-}
-
 HttpResponse AdminServer::Dispatch(const HttpRequest& request) const {
   const auto it = handlers_.find(request.path);
   if (it == handlers_.end()) {
+    if (request.path == "/") {
+      // Default index: one registered path per line.
+      std::string index;
+      for (const auto& [path, handler] : handlers_) {
+        index += path;
+        index += '\n';
+      }
+      return PlainResponse(200, std::move(index));
+    }
     return PlainResponse(404, "no handler for " + request.path + "\n");
   }
   try {
@@ -396,26 +269,16 @@ void RegisterObsEndpoints(AdminServer& admin) {
 
 Result<std::string> AdminHttpGet(std::uint16_t port, const std::string& target,
                                  std::uint64_t timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  SetSocketTimeouts(fd, timeout_ms);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("connect 127.0.0.1:" + std::to_string(port) +
-                           ": " + err);
-  }
+  PAYGO_ASSIGN_OR_RETURN(const int fd,
+                         TcpConnect("127.0.0.1", port, timeout_ms));
   const std::string request = "GET " + target +
                               " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                               "Connection: close\r\n\r\n";
-  SendAll(fd, request.data(), request.size());
+  const Status sent = SendAll(fd, request.data(), request.size());
+  if (!sent.ok()) {
+    ::close(fd);
+    return sent;
+  }
   std::string response;
   char chunk[4096];
   while (true) {

@@ -7,25 +7,22 @@
 /// The library's in-process telemetry (StatsRegistry, trace rings, the
 /// serving runtime's metrics and slow-query log) is useless to an operator
 /// if it can only be read with a debugger attached. AdminServer exposes it
-/// over plain HTTP using nothing but POSIX sockets: one accept thread
-/// multiplexing on `poll`, a bounded handler pool draining accepted
-/// connections, request-line + Host parsing only (no chunked bodies, no
-/// keep-alive — every response closes the connection), and a hard request
-/// cap of `max_request_bytes` (default 1 MiB) so a misbehaving client
-/// cannot balloon memory.
+/// over plain HTTP using nothing but POSIX sockets: request-line + Host
+/// parsing only (no chunked bodies, no keep-alive — every response closes
+/// the connection), and a hard request cap of `max_request_bytes`
+/// (default 1 MiB) so a misbehaving client cannot balloon memory.
 ///
-/// Design constraints, in order:
+/// The listener, handler pool, shedding and Start/Stop are the shared TCP
+/// core (util/tcp.h), which the shard wire service runs on too. Design
+/// constraints, in order:
 ///  * **Never perturb the serving path.** Handlers run on the admin pool,
 ///    not the request workers; everything they read is lock-free metric
 ///    sampling or short registry locks. When the handler pool is saturated
-///    the acceptor sheds the connection with an immediate 503 instead of
-///    queueing unbounded work — the same admission-control philosophy as
-///    the serving queue.
+///    the connection is shed with an immediate 503 instead of queueing
+///    unbounded work — the same admission-control philosophy as the
+///    serving queue.
 ///  * **Dependency-free.** This is monitoring plumbing; pulling in an HTTP
 ///    library for GET-only plaintext endpoints would invert the cost.
-///  * **Graceful Start/Stop.** Stop closes the listener, drains the
-///    handler queue (unserved connections are closed), and joins every
-///    thread. Safe to call twice; called by the destructor.
 ///
 /// Routing is an exact-path map registered before Start(). The obs-level
 /// endpoints (`/metrics`, `/varz`, `/healthz`, `/tracez`) are attached by
@@ -33,17 +30,13 @@
 /// `/statusz`, `/slowz` on top (see serve/admin_endpoints.h). `GET /`
 /// serves an index of registered paths.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "util/bounded_queue.h"
 #include "util/status.h"
+#include "util/tcp.h"
 
 namespace paygo {
 
@@ -65,23 +58,12 @@ struct HttpResponse {
   std::string body;
 };
 
-/// \brief Tuning knobs. The defaults bind a loopback-only ephemeral port.
-struct AdminServerOptions {
-  /// TCP port to bind; 0 asks the kernel for an ephemeral port (read it
-  /// back via port() after Start()).
-  int port = 0;
-  /// Bind address. Loopback by default: exposing metrics beyond the host
-  /// is a deployment decision, not a library default.
-  std::string bind_address = "127.0.0.1";
-  /// Fixed handler pool width.
-  std::size_t handler_threads = 2;
-  /// Accepted connections waiting for a handler beyond this are shed with
-  /// an immediate 503.
-  std::size_t pending_connections = 16;
+/// \brief Tuning knobs: the shared listener settings (util/tcp.h; 2
+/// handler threads, 16 pending connections — a full queue answers 503)
+/// plus the request cap.
+struct AdminServerOptions : TcpServerOptions {
   /// Requests larger than this (request line + headers) are answered 413.
   std::size_t max_request_bytes = 1 << 20;
-  /// Per-connection socket read/write timeout.
-  std::uint64_t io_timeout_ms = 5000;
 };
 
 /// \brief The embedded HTTP endpoint. Construct, Handle(...), Start().
@@ -103,35 +85,26 @@ class AdminServer {
   /// the bound port — with options.port = 0 that is the kernel-chosen
   /// ephemeral port, so multi-process harnesses get a collision-free port
   /// straight from Start() instead of scraping logs. Idempotent while
-  /// running (returns the already-bound port). Fails with IoError when the
-  /// port cannot be bound.
-  Result<std::uint16_t> Start();
+  /// running; errors as TcpServer::Start.
+  Result<std::uint16_t> Start() { return listener_.Start(); }
 
-  /// Stops accepting, closes queued connections, joins all threads.
+  /// Stops accepting, drains queued connections, joins all threads.
   /// Idempotent; called by the destructor.
-  void Stop();
+  void Stop() { listener_.Stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return listener_.running(); }
   /// The bound port (resolves port 0 to the kernel-chosen one). Valid
   /// after a successful Start().
-  std::uint16_t port() const { return bound_port_; }
+  std::uint16_t port() const { return listener_.port(); }
   const AdminServerOptions& options() const { return options_; }
 
  private:
-  void AcceptLoop();
-  void HandlerLoop();
   void ServeConnection(int fd);
   HttpResponse Dispatch(const HttpRequest& request) const;
 
   AdminServerOptions options_;
   std::map<std::string, Handler> handlers_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::unique_ptr<BoundedQueue<int>> connections_;
-  std::thread acceptor_;
-  std::vector<std::thread> pool_;
+  TcpServer listener_;
 };
 
 /// Registers the library-level observability endpoints on \p admin:

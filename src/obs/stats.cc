@@ -76,7 +76,7 @@ std::string PrometheusMetricName(const std::string& name) {
                     (c >= '0' && c <= '9') || c == '_';
     if (!ok) c = '_';
   }
-  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(0, "_");
+  if (!out.empty() && out[0] >= '0' && out[0] <= '9') out.insert(out.begin(), '_');
   return out;
 }
 

@@ -1,17 +1,10 @@
 #include "shard/shard_service.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -21,14 +14,6 @@
 namespace paygo {
 
 namespace {
-
-void SetSocketTimeouts(int fd, std::uint64_t timeout_ms) {
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
 
 /// %.17g, matching model_io: the router re-ranks merged posteriors, so the
 /// wire must not round them.
@@ -75,117 +60,16 @@ struct ShardServiceCounters {
 }  // namespace
 
 ShardService::ShardService(PaygoServer& server, ShardServiceOptions options)
-    : server_(server), options_(std::move(options)) {
-  if (options_.handler_threads == 0) options_.handler_threads = 1;
-  connections_ =
-      std::make_unique<BoundedQueue<int>>(options_.pending_connections);
-}
+    : server_(server),
+      options_(std::move(options)),
+      listener_("shard", options_, [this](int fd) { ServeConnection(fd); },
+                [](int fd) {
+                  ShardServiceCounters::Get().sheds->Increment();
+                  WriteFrame(fd, FrameType::kError,
+                             "shard handler pool saturated");
+                }) {}
 
 ShardService::~ShardService() { Stop(); }
-
-Result<std::uint16_t> ShardService::Start() {
-  if (running()) return bound_port_;
-  if (stopping_.load(std::memory_order_acquire) || connections_->closed()) {
-    return Status::FailedPrecondition(
-        "shard service was stopped; construct a new one");
-  }
-  if (options_.port < 0 || options_.port > 65535) {
-    return Status::InvalidArgument("shard port out of range");
-  }
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int enable = 1;
-  setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-  if (inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad shard bind address '" +
-                                   options_.bind_address + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IoError("bind " + options_.bind_address + ":" +
-                           std::to_string(options_.port) + ": " + err);
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::IoError("listen: " + err);
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_len) == 0) {
-    bound_port_ = ntohs(bound.sin_port);
-  }
-
-  running_.store(true, std::memory_order_release);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  pool_.reserve(options_.handler_threads);
-  for (std::size_t i = 0; i < options_.handler_threads; ++i) {
-    pool_.emplace_back([this] { HandlerLoop(); });
-  }
-  return bound_port_;
-}
-
-void ShardService::Stop() {
-  if (!acceptor_.joinable() && pool_.empty()) return;
-  stopping_.store(true, std::memory_order_release);
-  running_.store(false, std::memory_order_release);
-  if (acceptor_.joinable()) acceptor_.join();
-  connections_->Close();
-  for (std::thread& t : pool_) {
-    if (t.joinable()) t.join();
-  }
-  pool_.clear();
-  for (int fd : connections_->DrainNow()) ::close(fd);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void ShardService::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    SetSocketTimeouts(fd, options_.io_timeout_ms);
-    int local = fd;
-    if (!connections_->TryPush(std::move(local))) {
-      ShardServiceCounters::Get().sheds->Increment();
-      WriteFrame(fd, FrameType::kError, "shard handler pool saturated");
-      ::close(fd);
-    }
-  }
-}
-
-void ShardService::HandlerLoop() {
-  while (true) {
-    std::optional<int> fd = connections_->Pop();
-    if (!fd.has_value()) return;
-    ServeConnection(*fd);
-    ::close(*fd);
-  }
-}
 
 void ShardService::ServeConnection(int fd) {
   ShardServiceCounters::Get().requests->Increment();

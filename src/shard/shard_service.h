@@ -10,10 +10,10 @@
 /// replication.h), the router routes writes (kAddSchema), and kPing
 /// answers with the serving generation for health probes.
 ///
-/// The threading shape mirrors the admin HTTP endpoint deliberately: a
-/// poll-driven accept thread feeding a bounded handler pool through a
-/// BoundedQueue, shedding with kError when saturated. One request frame,
-/// one response frame, connection closed — no protocol state survives a
+/// The listener, handler pool and Start/Stop are the shared TCP core
+/// (util/tcp.h), which the admin HTTP endpoint runs on too; a saturated
+/// pool sheds the connection with a kError frame. One request frame, one
+/// response frame, connection closed — no protocol state survives a
 /// connection.
 ///
 /// Distributed tracing: a connection may open with a kTraceContext
@@ -32,28 +32,25 @@
 /// may re-pull a generation it already has but can never believe it is
 /// fresher than it is.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/paygo_server.h"
 #include "shard/replication.h"
 #include "shard/wire.h"
-#include "util/bounded_queue.h"
 #include "util/status.h"
+#include "util/tcp.h"
 
 namespace paygo {
 
-struct ShardServiceOptions {
-  /// 0 binds an ephemeral port; read it back from Start().
-  int port = 0;
-  std::string bind_address = "127.0.0.1";
-  std::size_t handler_threads = 4;
-  std::size_t pending_connections = 32;
-  std::uint64_t io_timeout_ms = 5000;
+/// The shared listener settings (util/tcp.h) with a wider pool than the
+/// admin endpoint's: 4 handler threads, 32 pending connections.
+struct ShardServiceOptions : TcpServerOptions {
+  ShardServiceOptions() {
+    handler_threads = 4;
+    pending_connections = 32;
+  }
   /// Replicas reject kAddSchema — writes go to the primary, state arrives
   /// via replication.
   bool read_only = false;
@@ -70,17 +67,15 @@ class ShardService {
 
   /// Binds, listens, spawns the accept/handler threads. Returns the bound
   /// port (kernel-chosen when options.port == 0). Idempotent.
-  Result<std::uint16_t> Start();
-  void Stop();
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  std::uint16_t port() const { return bound_port_; }
+  Result<std::uint16_t> Start() { return listener_.Start(); }
+  void Stop() { listener_.Stop(); }
+  bool running() const { return listener_.running(); }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// The AddSchema delta log replicas pull from.
   ReplicationLog& log() { return log_; }
 
  private:
-  void AcceptLoop();
-  void HandlerLoop();
   void ServeConnection(int fd);
   Frame Handle(const Frame& request);
   Frame HandleClassify(const std::string& payload) const;
@@ -96,13 +91,8 @@ class ShardService {
   /// maps to the generation its mutation published (see HandleAddSchema).
   std::mutex write_mu_;
 
-  int listen_fd_ = -1;
-  std::uint16_t bound_port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  std::unique_ptr<BoundedQueue<int>> connections_;
-  std::thread acceptor_;
-  std::vector<std::thread> pool_;
+  /// Last, so its threads stop before the members they use are destroyed.
+  TcpServer listener_;
 };
 
 }  // namespace paygo

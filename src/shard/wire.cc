@@ -1,56 +1,12 @@
 #include "shard/wire.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 namespace paygo {
-
-namespace {
-
-void SetSocketTimeouts(int fd, std::uint64_t timeout_ms) {
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-Status SendAll(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n <= 0) {
-      return Status::IoError(std::string("send: ") +
-                             (n == 0 ? "peer closed" : std::strerror(errno)));
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status RecvAll(int fd, char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::recv(fd, data, len, 0);
-    if (n <= 0) {
-      return Status::IoError(std::string("recv: ") +
-                             (n == 0 ? "peer closed" : std::strerror(errno)));
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status WriteFrame(int fd, FrameType type, std::string_view payload) {
   char header[5];
@@ -86,32 +42,6 @@ Result<Frame> ReadFrame(int fd, std::size_t max_bytes) {
     PAYGO_RETURN_NOT_OK(RecvAll(fd, frame.payload.data(), len));
   }
   return frame;
-}
-
-Result<int> TcpConnect(const std::string& host, std::uint16_t port,
-                       std::uint64_t timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  // SO_SNDTIMEO bounds connect() as well as later sends on Linux, so one
-  // knob covers the whole round trip.
-  SetSocketTimeouts(fd, timeout_ms);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad shard address '" + host + "'");
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("connect " + host + ":" + std::to_string(port) +
-                           ": " + err);
-  }
-  return fd;
 }
 
 Result<int> ConnectWithRetry(const std::string& host, std::uint16_t port,

@@ -24,6 +24,7 @@
 #include <string_view>
 
 #include "util/status.h"
+#include "util/tcp.h"
 
 namespace paygo {
 
@@ -63,14 +64,10 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload);
 /// clears the thesis-scale DDH corpus by two orders of magnitude.
 Result<Frame> ReadFrame(int fd, std::size_t max_bytes = 64u << 20);
 
-/// Connects to host:port with connect + IO timeouts applied. Returns the
-/// connected fd; the caller owns (and closes) it.
-Result<int> TcpConnect(const std::string& host, std::uint16_t port,
-                       std::uint64_t timeout_ms);
-
-/// TcpConnect with linear retry-backoff: \p attempts tries, sleeping
-/// attempt * \p backoff_ms between failures. Replica bootstrap uses this
-/// to ride out the primary starting a beat later than the replica.
+/// TcpConnect (util/tcp.h) with linear retry-backoff: \p attempts tries,
+/// sleeping attempt * \p backoff_ms between failures. Replica bootstrap
+/// uses this to ride out the primary starting a beat later than the
+/// replica.
 Result<int> ConnectWithRetry(const std::string& host, std::uint16_t port,
                              std::uint64_t timeout_ms, std::size_t attempts,
                              std::uint64_t backoff_ms);

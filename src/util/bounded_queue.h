@@ -6,7 +6,7 @@
 /// admission.
 ///
 /// Originally the serving layer's back-pressure primitive, now shared
-/// with the admin HTTP endpoint's handler pool. Producers (request
+/// with the TCP core's handler pool (util/tcp.h). Producers (request
 /// submitters) never block — TryPush fails immediately when the queue is at
 /// capacity, which is exactly the admission-control contract (reject with a
 /// status instead of queueing unbounded work). Consumers (worker threads)

@@ -8,7 +8,9 @@ namespace {
 SchemaCorpus LabeledCorpus(const std::vector<std::vector<std::string>>& labels) {
   SchemaCorpus corpus;
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    corpus.Add(Schema("s" + std::to_string(i), {"a"}), labels[i]);
+    std::string name = "s";
+    name += std::to_string(i);
+    corpus.Add(Schema(name, {"a"}), labels[i]);
   }
   return corpus;
 }

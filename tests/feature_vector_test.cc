@@ -100,7 +100,9 @@ TEST_P(FeatureVectorPropertyTest, AgreesWithLiteralAlgorithm1) {
     for (std::size_t k = 0; k < n; ++k) {
       attrs.push_back(words[rng.NextBelow(words.size())]);
     }
-    corpus.Add(Schema("s" + std::to_string(i), attrs), {});
+    std::string name = "s";
+    name += std::to_string(i);
+    corpus.Add(Schema(name, attrs), {});
   }
   Tokenizer tok;
   const Lexicon lex = Lexicon::Build(corpus, tok);

@@ -332,7 +332,9 @@ TEST(MediationDeltaTest, EachRawAttributeIsMappedOnce) {
       "departure town", "arrival town", "town of departure", "depart date",
       "arrive date"};
   for (int i = 0; i < 100; ++i) {
-    corpus.Add(Schema("s" + std::to_string(i),
+    std::string name = "s";
+    name += std::to_string(i);
+    corpus.Add(Schema(name,
                       {"departure city", "arrival city",
                        shared[static_cast<std::size_t>(i) % shared.size()]}),
                {});

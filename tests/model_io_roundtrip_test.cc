@@ -210,7 +210,8 @@ std::string DenseClassifierSection(const NaiveBayesClassifier& clf) {
     out += "prior " + std::to_string(r) + " " + fmt(clf.Prior(r)) + "\n";
     out += "q1 " + std::to_string(r);
     for (std::size_t j = 0; j < clf.dim(); ++j) {
-      out += " " + fmt(clf.FeatureProb(r, j));
+      out += ' ';
+      out += fmt(clf.FeatureProb(r, j));
     }
     out += "\n";
   }

@@ -87,6 +87,41 @@ TEST(NaiveBayesTest, AllCertainDomainIsSingleWorld) {
   EXPECT_NEAR(cond->Q1(3), (0 + 3.0 / 4) / 5, 1e-12);
 }
 
+TEST(NaiveBayesTest, OneDomainEntryPointsValidateLikeBuild) {
+  const std::size_t dim = 3;
+  std::vector<DynamicBitset> features = {Bits(dim, {0}), Bits(dim, {1})};
+  DomainModel model = MakeModel({{0, 1}}, {{{0, 1.0}}, {{0, 0.6}}});
+  ASSERT_EQ(model.num_domains(), 1u);
+
+  // A domain id past the model: refused, never read.
+  EXPECT_TRUE(ComputeDomainConditionals(model, 1, features, 2)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ComputeDomainPrior(model, 1, 2).status().IsInvalidArgument());
+
+  // One feature vector per schema, as Build requires.
+  const std::vector<DynamicBitset> short_features = {Bits(dim, {0})};
+  const Status short_status =
+      ComputeDomainConditionals(model, 0, short_features, 2).status();
+  EXPECT_TRUE(short_status.IsInvalidArgument());
+  EXPECT_EQ(short_status.message(),
+            "feature count does not match the domain model's schema count");
+
+  // |S| = 0 would divide the world mass by zero.
+  const Status zero_total =
+      ComputeDomainConditionals(model, 0, features, 0).status();
+  EXPECT_TRUE(zero_total.IsInvalidArgument());
+  EXPECT_EQ(zero_total.message(), "num_schemas_total must be positive");
+  EXPECT_TRUE(ComputeDomainPrior(model, 0, 0).status().IsInvalidArgument());
+
+  // Valid arguments still fit: the prior of both entry points agrees.
+  const auto cond = ComputeDomainConditionals(model, 0, features, 2);
+  const auto prior = ComputeDomainPrior(model, 0, 2);
+  ASSERT_TRUE(cond.ok()) << cond.status();
+  ASSERT_TRUE(prior.ok()) << prior.status();
+  EXPECT_EQ(cond->prior, *prior);
+}
+
 TEST(NaiveBayesTest, ConditionalsStayInsideOpenUnitInterval) {
   // The m-estimate's purpose (Section 5.2): no feature probability may hit
   // 0 or 1, so extra/missing query terms never zero out a posterior.

@@ -27,9 +27,20 @@ done
 
 JOBS=$(nproc 2>/dev/null || echo 2)
 
-echo "==> tier-1: configure + build"
+echo "==> tier-1: configure + build (fails on any compiler warning)"
+# Any "warning:" the compiler prints fails the run. Two limits: the build
+# is incremental, so only a fresh tree checks every file (a file that
+# does not recompile prints nothing); and GCC 12's -Wrestrict false
+# positives on std::string concatenation appear only at -O3, so that class
+# shows only when ./build is configured as Release (RelWithDebInfo's -O2
+# prints none).
 cmake -B build -S . >/dev/null
-cmake --build build -j "$JOBS"
+cmake --build build -j "$JOBS" 2>&1 | tee build/tier1-build.log
+if grep -q "warning:" build/tier1-build.log; then
+  echo "FAIL: the tier-1 build printed compiler warnings:" >&2
+  grep "warning:" build/tier1-build.log >&2
+  exit 1
+fi
 
 echo "==> tier-1: ctest"
 (cd build && ctest --output-on-failure -j "$JOBS")
@@ -393,12 +404,12 @@ fi
 echo "    fleet shut down cleanly"
 
 if [[ "$RUN_TSAN" == 1 ]]; then
-  echo "==> tsan: configure + build serve + admin + trace + parallel tests (PAYGO_SANITIZE=thread)"
+  echo "==> tsan: configure + build serve + admin + shard + trace + parallel tests (PAYGO_SANITIZE=thread)"
   cmake -B build-tsan -S . -DPAYGO_SANITIZE=thread >/dev/null
   cmake --build build-tsan --target serve_test serve_concurrency_test trace_test \
     clone_aliasing_test admin_server_test thread_pool_test \
     parallel_determinism_test shard_replication_test fleet_trace_test \
-    zero_alloc_test batch_classify_test bitset_kernel_test \
+    tcp_endpoint_test zero_alloc_test batch_classify_test bitset_kernel_test \
     sparse_hac_test neighbor_graph_test similarity_index_test \
     hac_row_nn_differential_test arrival_sharing_test -j "$JOBS"
 
@@ -416,6 +427,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/shard_replication_test
   echo "==> tsan: fleet_trace_test (wire-propagated contexts + trace merge)"
   ./build-tsan/tests/fleet_trace_test
+  echo "==> tsan: tcp_endpoint_test (shared listener: shedding, garbage, Start checks)"
+  ./build-tsan/tests/tcp_endpoint_test
   echo "==> tsan: bitset_kernel_test (vectorized vs scalar differential)"
   ./build-tsan/tests/bitset_kernel_test
   echo "==> tsan: batch_classify_test (batch vs single, concurrent callers)"
