@@ -34,8 +34,10 @@
 ///     re-mediated from scratch — exact, since every arrival appends to
 ///     its domains' member lists. Reported per add with the other
 ///     paygo.mediate.* counters: mappings_reused / mappings_computed
-///     (member mappings copied from the old mediation or computed) and
-///     name_sims (attribute-name similarity calls);
+///     (member mappings copied from the old mediation or computed),
+///     name_sims (attribute-name similarity calls) and term_sims (the
+///     t_sim kernel calls behind them, at most one per ordered term pair
+///     and Extend call);
 ///   * heap allocations per add (clone + AddSchema + dropping the old
 ///     snapshot), counted by this binary's own global operator new. They
 ///     are counted in an untimed run that goes first, so it appends
@@ -387,7 +389,7 @@ int main(int argc, char** argv) {
   // The paygo.mediate.* counters, in report order.
   const std::vector<std::string> mediate = {
       "domains_extended", "domains_rebuilt", "mappings_reused",
-      "mappings_computed", "name_sims"};
+      "mappings_computed", "name_sims", "term_sims"};
   std::vector<Counter*> mediate_counters;
   for (const std::string& name : mediate) {
     mediate_counters.push_back(

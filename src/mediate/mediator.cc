@@ -7,6 +7,7 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "mediate/term_table.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "util/union_find.h"
@@ -155,9 +156,10 @@ Result<Folded> FoldAttributes(const AttributeTally* from, std::size_t first,
 
 /// Step 3's edges: the base's edges between names it kept that are still
 /// kept, plus every pair with a newly kept name scored afresh. Same edge
-/// set, hence the same single-link partition, as scoring every pair.
+/// set, hence the same single-link partition, as scoring every pair. The
+/// kept names are interned into \p terms on the first pair scored.
 void ClusterNames(const AttributeTally* from, Folded& folded,
-                  const TermSimilarity& sim, std::uint64_t* name_sims) {
+                  TermTable& terms, std::uint64_t* name_sims) {
   PAYGO_TRACE_SPAN("mediate.cluster_attributes");
   AttributeTally& tally = folded.tally;
   if (from != nullptr) {
@@ -173,15 +175,20 @@ void ClusterNames(const AttributeTally* from, Folded& folded,
     if (tally.Kept(i)) kept.push_back(i);
   }
   const std::size_t reused = tally.edges.size();
+  std::vector<TermTable::Name> names;  // per kept name, once interned
   for (std::size_t x = 0; x < kept.size(); ++x) {
     for (std::size_t y = x + 1; y < kept.size(); ++y) {
       const std::uint32_t i = kept[x];
       const std::uint32_t j = kept[y];
       if (folded.was_kept[i] && folded.was_kept[j]) continue;
+      if (names.empty()) {
+        for (std::uint32_t k : kept) {
+          names.push_back(terms.Intern(tally.names[k].terms));
+        }
+      }
       ++*name_sims;
-      const double s =
-          AttributeNameSimilarity(tally.names[i].terms, tally.names[j].terms,
-                                  sim, tally.options.tau_t_sim);
+      const double s = terms.NameSimilarity(names[x], names[y],
+                                            tally.options.tau_t_sim);
       if (s >= tally.options.attr_sim_threshold) tally.edges.emplace_back(i, j);
     }
   }
@@ -205,18 +212,19 @@ struct Candidate {
 
 /// Each distinct raw attribute name's candidate list, best-first, computed
 /// once per build: it depends only on the raw string and the mediated
-/// schema.
+/// schema. Names are scored over \p terms; the mediated display names are
+/// interned on the first raw name scored.
 class CandidateMemo {
  public:
   CandidateMemo(const AttributeTally& tally,
                 const std::vector<int>& mediated_of,
                 const std::vector<const std::vector<std::string>*>& terms,
-                const Tokenizer& tokenizer, const TermSimilarity& sim)
+                const Tokenizer& tokenizer, TermTable& table)
       : tally_(tally),
         mediated_of_(mediated_of),
         terms_(terms),
         tokenizer_(tokenizer),
-        sim_(sim) {}
+        table_(table) {}
 
   /// \p raw must outlive the memo (it is keyed by a view of it).
   const std::vector<Candidate>& For(const std::string& raw) {
@@ -241,13 +249,18 @@ class CandidateMemo {
       // Exact member: the correspondence is certain.
       if (direct >= 0) return {{direct, 1.0}};
     }
-    const std::vector<std::string> terms = tokenizer_.Tokenize(raw);
+    if (mediated_names_.size() < terms_.size()) {
+      for (const std::vector<std::string>* t : terms_) {
+        mediated_names_.push_back(table_.Intern(*t));
+      }
+    }
+    const TermTable::Name name = table_.Intern(tokenizer_.Tokenize(raw));
     double best = 0.0;
     std::vector<Candidate> cands;
     for (std::size_t m = 0; m < terms_.size(); ++m) {
       ++name_sims_;
-      const double s =
-          AttributeNameSimilarity(terms, *terms_[m], sim_, options.tau_t_sim);
+      const double s = table_.NameSimilarity(name, mediated_names_[m],
+                                             options.tau_t_sim);
       if (s >= options.attr_sim_threshold) {
         cands.push_back({static_cast<int>(m), s});
         best = std::max(best, s);
@@ -270,7 +283,9 @@ class CandidateMemo {
   const std::vector<int>& mediated_of_;
   const std::vector<const std::vector<std::string>*>& terms_;
   const Tokenizer& tokenizer_;
-  const TermSimilarity& sim_;
+  TermTable& table_;
+  /// Per mediated attribute: its display name in table_, once interned.
+  std::vector<TermTable::Name> mediated_names_;
   std::unordered_map<std::string_view, std::vector<Candidate>> memo_;
   std::uint64_t name_sims_ = 0;
 };
@@ -349,25 +364,11 @@ bool SameMediatedSchema(const MediatedSchema& a, const MediatedSchema& b) {
 double AttributeNameSimilarity(const std::vector<std::string>& terms_a,
                                const std::vector<std::string>& terms_b,
                                const TermSimilarity& sim, double tau_t_sim) {
-  if (terms_a.empty() || terms_b.empty()) return 0.0;
-  // Soft Dice: each term contributes its best-partner t_sim, but only when
-  // that similarity clears tau_t_sim — sub-threshold matches count zero so
-  // a single shared sub-word cannot chain unrelated attribute names (e.g.
-  // "year of publish" vs "publisher" share only publish~publisher).
-  auto matched_weight = [&](const std::vector<std::string>& from,
-                            const std::vector<std::string>& to) {
-    double total = 0.0;
-    for (const std::string& t : from) {
-      double best = 0.0;
-      for (const std::string& u : to) {
-        best = std::max(best, sim.Compute(t, u));
-      }
-      if (best >= tau_t_sim) total += best;
-    }
-    return total;
-  };
-  return (matched_weight(terms_a, terms_b) + matched_weight(terms_b, terms_a)) /
-         static_cast<double>(terms_a.size() + terms_b.size());
+  return SoftDice(std::span<const std::string>(terms_a),
+                  std::span<const std::string>(terms_b), tau_t_sim,
+                  [&sim](const std::string& t, const std::string& u) {
+                    return sim.Compute(t, u);
+                  });
 }
 
 std::size_t AttributeTally::HeapBytes() const {
@@ -439,6 +440,8 @@ Result<DomainMediation> Mediator::Extend(
       StatsRegistry::Global().GetCounter("paygo.mediate.mappings_computed");
   static Counter* const name_sims =
       StatsRegistry::Global().GetCounter("paygo.mediate.name_sims");
+  static Counter* const term_sims =
+      StatsRegistry::Global().GetCounter("paygo.mediate.term_sims");
 
   // The extension applies when base's members are a bitwise prefix of
   // members and the options are equal; otherwise fold from empty.
@@ -458,8 +461,9 @@ Result<DomainMediation> Mediator::Extend(
   }
   if (!base.members.empty()) (extends ? extended : rebuilt)->Increment();
   const TermSimilarity sim(options.similarity_kind);
+  TermTable terms(sim);
   std::uint64_t sims = 0;
-  ClusterNames(from, folded, sim, &sims);
+  ClusterNames(from, folded, terms, &sims);
   const AttributeTally& tally = folded.tally;
 
   DomainMediation out;
@@ -524,7 +528,7 @@ Result<DomainMediation> Mediator::Extend(
       out.mappings = base.mappings;  // keeps the reserved room
       first_mapped = first;
     }
-    CandidateMemo memo(tally, mediated_of, mediated_terms, tokenizer, sim);
+    CandidateMemo memo(tally, mediated_of, mediated_terms, tokenizer, terms);
     for (std::size_t m = first_mapped; m < out.members.size(); ++m) {
       const std::uint32_t schema_id = out.members[m].first;
       out.mappings.push_back(MapSchema(schema_id, corpus.schema(schema_id),
@@ -535,6 +539,7 @@ Result<DomainMediation> Mediator::Extend(
     mappings_computed->Add(out.members.size() - first_mapped);
   }
   name_sims->Add(sims);
+  term_sims->Add(terms.kernel_calls());
   out.tally = std::make_shared<const AttributeTally>(std::move(folded.tally));
   return out;
 }

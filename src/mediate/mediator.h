@@ -138,7 +138,11 @@ Result<std::vector<DomainAttribute>> CollectFrequentAttributes(
 /// domains_rebuilt count Extend calls on a non-empty base that did or did
 /// not take the extension path; mappings_reused and mappings_computed
 /// count member mappings copied from the base or computed; name_sims
-/// counts AttributeNameSimilarity calls.
+/// counts attribute-name similarity evaluations, and term_sims the t_sim
+/// kernel calls behind them. Each Extend call interns the terms it scores
+/// into a local TermTable (mediate/term_table.h) and evaluates t_sim once
+/// per ordered term pair, so term_sims is at most the square of the call's
+/// distinct terms; an Extend that scores no name pair interns nothing.
 class Mediator {
  public:
   /// Mediation for one domain given its members (schema id, probability).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "mediate/term_table.h"
 #include "util/union_find.h"
 
 namespace paygo {
@@ -96,10 +97,15 @@ Result<ProbabilisticMediatedSchema> BuildProbabilisticMediatedSchema(
   };
   std::vector<std::pair<std::uint32_t, std::uint32_t>> certain_edges;
   std::vector<Borderline> borderline;
+  // The mediator's kernel: names over term ids, t_sim once per term pair.
+  TermTable terms(sim);
+  std::vector<TermTable::Name> names;
+  names.reserve(attrs.size());
+  for (const DomainAttribute& a : attrs) names.push_back(terms.Intern(a.terms));
   for (std::uint32_t i = 0; i < attrs.size(); ++i) {
     for (std::uint32_t j = i + 1; j < attrs.size(); ++j) {
-      const double s = AttributeNameSimilarity(attrs[i].terms, attrs[j].terms,
-                                               sim, options.base.tau_t_sim);
+      const double s =
+          terms.NameSimilarity(names[i], names[j], options.base.tau_t_sim);
       if (s >= thr + band) {
         certain_edges.emplace_back(i, j);
       } else if (s > thr - band) {

@@ -132,6 +132,24 @@ HttpResponse AdminServer::Dispatch(const HttpRequest& request) const {
   }
 }
 
+void AdminServer::DrainBeforeClose(int fd) const {
+  // Closing with unread bytes queued makes the kernel reset the
+  // connection, and a reset can discard the response before the client
+  // reads it. So end the response with a FIN, then read and drop the rest
+  // of the request: at most max_request_bytes more, within the I/O
+  // timeout (each recv waits at most that long too).
+  ::shutdown(fd, SHUT_WR);
+  const WallTimer timer;
+  char chunk[4096];
+  std::size_t drained = 0;
+  while (drained < options_.max_request_bytes &&
+         timer.ElapsedMillis() < static_cast<double>(options_.io_timeout_ms)) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return;
+    drained += static_cast<std::size_t>(n);
+  }
+}
+
 void AdminServer::ServeConnection(int fd) {
   WallTimer timer;
   AdminCounters& counters = AdminCounters::Get();
@@ -149,6 +167,7 @@ void AdminServer::ServeConnection(int fd) {
                                               std::to_string(
                                                   options_.max_request_bytes) +
                                               " bytes\n"));
+      DrainBeforeClose(fd);
       return;
     }
     const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);

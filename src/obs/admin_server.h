@@ -100,6 +100,9 @@ class AdminServer {
 
  private:
   void ServeConnection(int fd);
+  /// Half-closes \p fd after an early response and discards the unread
+  /// rest of the request, bounded, so the core's close does not reset it.
+  void DrainBeforeClose(int fd) const;
   HttpResponse Dispatch(const HttpRequest& request) const;
 
   AdminServerOptions options_;

@@ -12,9 +12,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <latch>
 #include <memory>
 #include <string>
@@ -280,6 +282,37 @@ TEST(TcpEndpointTest, AdminServerStaysHealthyAndReadyAfterGarbage) {
   EXPECT_EQ(HttpStatusOf(HttpGet(port, "/healthz")), 200);
   EXPECT_EQ(HttpStatusOf(HttpGet(port, "/readyz")), 200);
   server.Stop();
+}
+
+// A request past the cap: the server answers 413 with the rest of the
+// request still on its way. It must read that rest (bounded) before it
+// closes, or the close resets the connection and the client, reading only
+// after its send, can lose the 413.
+TEST(TcpEndpointTest, AdminAnswers413AndClosesCleanlyPastTheCap) {
+  AdminServer admin;
+  ASSERT_TRUE(admin.Start().ok());
+  const int fd = Connect(admin.port());
+  std::string huge = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+  huge.resize(admin.options().max_request_bytes + 64 * 1024, 'x');
+  Send(fd, huge);
+  ::shutdown(fd, SHUT_WR);
+  std::string response;
+  char chunk[4096];
+  int error = 0;
+  while (true) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0) error = errno;
+    if (n <= 0) break;
+    response.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(error, 0) << std::strerror(error);
+  EXPECT_EQ(HttpStatusOf(response), 413);
+  const std::string body = "request exceeds " +
+                           std::to_string(admin.options().max_request_bytes) +
+                           " bytes\n";
+  EXPECT_TRUE(response.ends_with("\r\n\r\n" + body)) << response;
+  admin.Stop();
 }
 
 // --- (c) Start's checks ---

@@ -114,6 +114,28 @@ for want in "| after 10 corrections | 0.996     | 0.824  |" \
 done
 echo "    feedback_loop rounds (1) and (4) as expected"
 
+echo "==> smoke: mediation_effects (Section 6.3 mediation tables)"
+# Section (2)'s threshold table and section (3)'s schema counts are
+# deterministic; only section (3)'s two wall times are masked.
+./build/bench/mediation_effects \
+  | sed -E 's/^(WITH(OUT)? clustering[^:]*): [0-9]+\.[0-9]+s, /\1: <t>s, /' \
+  > "$SMOKE_DIR/mediation_effects.txt"
+for want in \
+    "| Threshold | Mediated attrs | bibliography | cars | courses | movies | people | Absent domains |" \
+    "| 0.10      | 2              | 1            | 1    | 0       | 1      | 0      | 2              |" \
+    "| 0.05      | 17             | 8            | 4    | 2       | 5      | 0      | 1              |" \
+    "| 0.01      | 122            | 30           | 24   | 31      | 31     | 12     | 0              |" \
+    "| 0.00      | 143            | 30           | 25   | 31      | 32     | 33     | 0              |" \
+    "WITHOUT clustering: <t>s, one mediated schema with 102 attributes" \
+    "WITH clustering (incl. feature vectors + HAC + assignment): <t>s, 217 domains, 3247 mediated attributes total"; do
+  if ! grep -qxF -- "$want" "$SMOKE_DIR/mediation_effects.txt"; then
+    echo "FAIL: mediation_effects output lacks: $want" >&2
+    cat "$SMOKE_DIR/mediation_effects.txt" >&2
+    exit 1
+  fi
+done
+echo "    mediation_effects tables and schema counts as expected"
+
 echo "==> smoke: perf_clustering --sparse-scaling --check (scaled down)"
 # The dense-matrix-free scaling lane at CI size: the exact neighbor graph
 # plus Hac::RunOnGraph must beat the dense matrix plus Hac::Run by >= 5x
