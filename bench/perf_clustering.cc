@@ -78,7 +78,12 @@ void BM_SimilarityMatrix(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) *
                           state.range(0));
 }
-BENCHMARK(BM_SimilarityMatrix)->Arg(100)->Arg(500)->Arg(1000)->Arg(2323);
+BENCHMARK(BM_SimilarityMatrix)
+    ->Arg(100)
+    ->Arg(500)
+    ->Arg(1000)
+    ->Arg(2323)
+    ->Arg(4646);  // the pipebench `ddh` size
 
 void BM_HacFastEngine(benchmark::State& state) {
   const Prepared prep(state.range(0));
@@ -90,7 +95,12 @@ void BM_HacFastEngine(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HacFastEngine)->Arg(100)->Arg(500)->Arg(1000)->Arg(2323);
+BENCHMARK(BM_HacFastEngine)
+    ->Arg(100)
+    ->Arg(500)
+    ->Arg(1000)
+    ->Arg(2323)
+    ->Arg(4646);  // the pipebench `ddh` size
 
 void BM_HacByLinkage(benchmark::State& state) {
   const Prepared prep(500);

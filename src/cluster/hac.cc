@@ -1,11 +1,15 @@
 #include "cluster/hac.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <new>
 #include <queue>
 #include <span>
 #include <string>
@@ -235,7 +239,10 @@ ConstraintState BuildConstraintState(std::size_t n,
 
 /// Merge keys of every slot pair i < j, packed as the strict upper
 /// triangle of an n x n matrix: row i holds columns i+1..n-1 contiguously.
-/// n(n-1)/2 doubles take the bytes of a full n x n float matrix.
+/// n(n-1)/2 doubles take the bytes of a full n x n float matrix. Every
+/// cell starts at 0: the graph seeder writes only the edges it has, and an
+/// absent edge must read key 0, the exact Jaccard of a pair sharing no
+/// feature.
 class PairKeys {
  public:
   explicit PairKeys(std::size_t n) : row_start_(n) {
@@ -244,11 +251,27 @@ class PairKeys {
       row_start_[i] = offset;
       offset += n - i - 1;
     }
-    keys_.resize(offset);
+    const std::size_t bytes = offset * sizeof(double);
+    void* p = nullptr;
+    if (bytes >= Hac::kHugePageKeyBytes) {
+      if (posix_memalign(&p, kHugePageBytes, bytes) != 0) p = nullptr;
+#ifdef MADV_HUGEPAGE
+      // Only the whole 2 MiB blocks: a huge page over the partial tail
+      // block would back bytes the triangle never uses.
+      if (p != nullptr) {
+        madvise(p, bytes / kHugePageBytes * kHugePageBytes, MADV_HUGEPAGE);
+      }
+#endif
+    } else if (bytes > 0) {
+      p = std::malloc(bytes);
+    }
+    if (p == nullptr && bytes > 0) throw std::bad_alloc();
+    keys_.reset(static_cast<double*>(p));
+    std::fill_n(keys_.get(), offset, 0.0);
   }
 
   /// Row i's cells for j = i+1..n-1, at index j - i - 1.
-  double* Row(std::uint32_t i) { return keys_.data() + row_start_[i]; }
+  double* Row(std::uint32_t i) { return keys_.get() + row_start_[i]; }
 
   /// The cell of the unordered pair {x, y}, x != y.
   double& Cell(std::uint32_t x, std::uint32_t y) {
@@ -257,8 +280,13 @@ class PairKeys {
   }
 
  private:
+  static constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+  struct Free {
+    void operator()(double* p) const { std::free(p); }
+  };
+
   std::vector<std::size_t> row_start_;
-  std::vector<double> keys_;
+  std::unique_ptr<double[], Free> keys_;
 };
 
 /// Fills the initial merge keys of rows [lo, hi): cell (i, j) for every
@@ -308,16 +336,24 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
   ConstraintState cs = BuildConstraintState(n, options);
   const bool constrained = cs.Active();
 
-  // Runs body(lo, hi) over [0, n) in chunks of at least `grain` slots.
-  auto parallel_rows = [&](std::size_t grain, auto&& body) {
+  // Runs body(lo, hi) over [0, count) in chunks of at least `grain`.
+  auto parallel_for = [&](std::size_t count, std::size_t grain,
+                          auto&& body) {
     if (pool != nullptr) {
-      pool->ParallelFor(0, n, grain, [&](const ThreadPool::Chunk& c) {
+      pool->ParallelFor(0, count, grain, [&](const ThreadPool::Chunk& c) {
         body(c.begin, c.end);
       });
     } else {
-      body(0, n);
+      body(0, count);
     }
   };
+
+  // The active slots, ascending. Retiring a slot is an O(n) memmove of
+  // 4-byte ids; in exchange the merge sweep and the best-bound argmax
+  // visit only active slots, in slot order, so they keep the slot
+  // order's tie-breaks.
+  std::vector<std::uint32_t> live(n);
+  for (std::uint32_t i = 0; i < n; ++i) live[i] = i;
 
   // For the Lance-Williams-updatable linkages the keys double as the memo;
   // Total Jaccard recomputes each key from the AND/OR summaries
@@ -325,10 +361,10 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
   const bool memoized = options.linkage != LinkageKind::kTotal;
   PairKeys keys(n);
   if (memoized) {
-    parallel_rows(SimilarityMatrix::kPanelRows,
-                  [&](std::size_t lo, std::size_t hi) {
-                    seed_keys(lo, hi, keys);
-                  });
+    parallel_for(n, SimilarityMatrix::kPanelRows,
+                [&](std::size_t lo, std::size_t hi) {
+                  seed_keys(lo, hi, keys);
+                });
   }
 
   // In count mode (max_clusters set) the similarity threshold is ignored:
@@ -361,24 +397,28 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
   };
 
   // Re-evaluation against the freshly merged slot a (b retired): the
-  // per-merge O(|U|) loop over candidates [lo, hi). Iteration c reads and
-  // writes only its own cells {c, a} and {c, b} and its own row state, so
-  // disjoint ranges never interfere. Before the rows are seeded (must-link
-  // preprocessing) only the keys are maintained.
+  // per-merge O(|U|) loop over the active candidates at live positions
+  // [lo, hi). Iteration c reads and writes only its own cells {c, a} and
+  // {c, b} and its own row state, so disjoint ranges never interfere.
+  // Before the rows are seeded (must-link preprocessing) only the keys are
+  // maintained.
   auto sweep = [&](std::uint32_t a, std::uint32_t b, double size_a,
                    double size_b, bool seeded, std::size_t lo,
                    std::size_t hi) {
     const std::uint32_t strided_end = std::max(a, b);
-    for (std::uint32_t c = lo; c < hi; ++c) {
+    for (std::size_t p = lo; p < hi; ++p) {
       // Below the larger slot, cell {c, b} (and below both, {c, a} too)
       // sits in row c: a new row every iteration, at a varying stride the
       // hardware prefetcher cannot follow.
-      const std::uint32_t ahead = c + kPrefetchAhead;
-      if (ahead < hi && ahead < strided_end && ahead != a && ahead != b) {
-        __builtin_prefetch(&keys.Cell(ahead, a), 1);
-        __builtin_prefetch(&keys.Cell(ahead, b), 1);
+      if (p + kPrefetchAhead < hi) {
+        const std::uint32_t ahead = live[p + kPrefetchAhead];
+        if (ahead < strided_end && ahead != a) {
+          __builtin_prefetch(&keys.Cell(ahead, a), 1);
+          __builtin_prefetch(&keys.Cell(ahead, b), 1);
+        }
       }
-      if (!st.active[c] || c == a) continue;
+      const std::uint32_t c = live[p];
+      if (c == a) continue;
       double& key_ca = keys.Cell(c, a);
       double& key_cb = keys.Cell(c, b);
       double s;
@@ -441,6 +481,7 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
     const double size_b = static_cast<double>(st.members[b].size());
     st.Merge(a, b);
     cs.MergeInto(a, b);
+    live.erase(std::lower_bound(live.begin(), live.end(), b));
     merges.push_back({a, b, sim});
     if (!seeded && !memoized) return;  // Total keys are filled at seeding
     keys.Cell(a, b) = kNoKey;
@@ -448,9 +489,10 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
     // Memoized re-evaluation is O(1) per candidate — only worth spreading
     // for very wide ranges; the Total-Jaccard recomputation is O(dim/64)
     // per candidate and parallelizes at much smaller n.
-    parallel_rows(memoized ? 4096 : 256, [&](std::size_t lo, std::size_t hi) {
-      sweep(a, b, size_a, size_b, seeded, lo, hi);
-    });
+    parallel_for(live.size(), memoized ? 4096 : 256,
+                 [&](std::size_t lo, std::size_t hi) {
+                   sweep(a, b, size_a, size_b, seeded, lo, hi);
+                 });
     const std::uint64_t candidates = n - merges.size() - 1;  // active c != a
     if (memoized) {
       stats.memo_hits += 2 * candidates;
@@ -485,7 +527,7 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
   // the triangular load balanced.
   {
     PAYGO_TRACE_SPAN("hac.parallel_pairs");
-    parallel_rows(memoized ? 64 : 8, [&](std::size_t lo, std::size_t hi) {
+    parallel_for(n, memoized ? 64 : 8, [&](std::size_t lo, std::size_t hi) {
       for (std::uint32_t i = lo; i < hi; ++i) {
         if (!st.active[i]) continue;
         if (!memoized) {
@@ -507,7 +549,7 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
     if (count_mode && n - merges.size() <= options.max_clusters) break;
     std::uint32_t best = kNoNeighbor;
     double best_sim = kNoKey;
-    for (std::uint32_t i = 0; i < n; ++i) {
+    for (const std::uint32_t i : live) {
       if (nnsim[i] > best_sim) {  // strict: the lowest row wins a tie
         best_sim = nnsim[i];
         best = i;

@@ -24,6 +24,7 @@
 /// largest component c instead of O(n^2). The tests check the engine's
 /// merges bitwise against a lazy-heap oracle (tests/heap_hac_oracle.h).
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -96,6 +97,13 @@ struct HacResult {
 /// \brief Runs Algorithm 2.
 class Hac {
  public:
+  /// The engine allocates a merge-key triangle of at least this many bytes
+  /// 2 MiB-aligned and asks for transparent huge pages on its whole 2 MiB
+  /// blocks (madvise, a hint that is a no-op where THP is off): its merge
+  /// sweeps touch a new row per candidate, and 4 KiB pages cost a TLB miss
+  /// on each. A fixed constant, named so tests can size inputs past it.
+  static constexpr std::size_t kHugePageKeyBytes = std::size_t{4} << 20;
+
   /// Clusters schemas given their feature vectors. \p features and the
   /// precomputed \p sims must describe the same schemas. \p features is
   /// only consulted by the Total-Jaccard linkage (cluster AND/OR

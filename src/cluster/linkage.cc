@@ -1,6 +1,7 @@
 #include "cluster/linkage.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "util/thread_pool.h"
@@ -35,15 +36,14 @@ constexpr std::size_t kGatherPrefetchRows = 8;
 constexpr std::size_t kFloatsPerLine = 64 / sizeof(float);
 
 /// Row k of the triangle: Jaccard against every earlier schema, then the
-/// diagonal.
+/// diagonal. \p counts holds every feature vector's popcount.
 std::shared_ptr<const float[]> ComputeRow(
-    std::span<const DynamicBitset> features, std::size_t k) {
+    std::span<const DynamicBitset> features,
+    std::span<const std::uint32_t> counts, std::size_t k) {
   std::shared_ptr<float[]> row = std::make_shared_for_overwrite<float[]>(k + 1);
-  for (std::size_t j = 0; j < k; ++j) {
-    row[j] =
-        static_cast<float>(DynamicBitset::Jaccard(features[j], features[k]));
-  }
-  row[k] = features[k].None() ? 0.0f : 1.0f;
+  DynamicBitset::JaccardRow(features.first(k), counts.first(k), features[k],
+                            row.get());
+  row[k] = counts[k] == 0 ? 0.0f : 1.0f;
   return row;
 }
 
@@ -63,11 +63,17 @@ SimilarityMatrix::SimilarityMatrix(std::span<const DynamicBitset> features,
                                    std::size_t num_threads)
     : rows_(features.size()) {
   const std::size_t n = features.size();
+  std::vector<std::uint32_t> counts(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    counts[k] = static_cast<std::uint32_t>(features[k].Count());
+  }
   // Each row is computed and stored by the one chunk that owns it, so
   // chunked rows race on nothing and the matrix is bit-identical at any
   // thread count.
   auto fill_rows = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) rows_[k] = ComputeRow(features, k);
+    for (std::size_t k = lo; k < hi; ++k) {
+      rows_[k] = ComputeRow(features, counts, k);
+    }
   };
   const std::size_t width = ThreadPool::ResolveThreadCount(num_threads);
   if (width > 1 && n > 1) {

@@ -41,11 +41,6 @@ const BuildInfo& GetBuildInfo() {
     b->tracing_compiled = true;
 #endif
     b->sanitizer = PAYGO_BUILD_SANITIZER;
-#if defined(PAYGO_BUILD_NATIVE_ARCH)
-    b->native_arch = true;
-#else
-    b->native_arch = false;
-#endif
     b->build_type = PAYGO_BUILD_TYPE;
     b->compiler = CompilerString();
     b->cxx_flags = PAYGO_BUILD_CXX_FLAGS;
@@ -60,7 +55,6 @@ std::string BuildInfoJson() {
   os << "{\"kernel\": \"" << JsonEscape(b.kernel) << "\""
      << ", \"tracing_compiled\": " << (b.tracing_compiled ? "true" : "false")
      << ", \"sanitizer\": \"" << JsonEscape(b.sanitizer) << "\""
-     << ", \"native_arch\": " << (b.native_arch ? "true" : "false")
      << ", \"build_type\": \"" << JsonEscape(b.build_type) << "\""
      << ", \"compiler\": \"" << JsonEscape(b.compiler) << "\""
      << ", \"cxx_flags\": \"" << JsonEscape(b.cxx_flags) << "\"}";
@@ -75,7 +69,6 @@ std::string BuildInfoText() {
      << "  tracing compiled: " << (b.tracing_compiled ? "yes" : "no") << "\n"
      << "  sanitizer: " << (b.sanitizer.empty() ? "(none)" : b.sanitizer)
      << "\n"
-     << "  native arch: " << (b.native_arch ? "yes" : "no") << "\n"
      << "  build type: " << (b.build_type.empty() ? "(unset)" : b.build_type)
      << "\n"
      << "  compiler: " << b.compiler << "\n"

@@ -1,10 +1,9 @@
 #include "util/bitset.h"
 
 #include <cassert>
+#include <utility>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
+#if defined(__ARM_NEON) || defined(__ARM_NEON__)
 #include <arm_neon.h>
 #endif
 
@@ -12,12 +11,12 @@ namespace paygo {
 namespace {
 
 /// The word-level kernels below all compute exact integer popcounts over
-/// the same words, so every flavor returns identical values — the
-/// vectorized paths are drop-in replacements, not approximations. Each
-/// kernel takes raw word arrays (the tail word is already trimmed by the
-/// DynamicBitset invariant, so no masking is needed here).
+/// the same words, so every flavor returns identical values: the fast
+/// paths are drop-in replacements, not approximations. Each kernel takes
+/// raw word arrays (the tail word is already trimmed by the DynamicBitset
+/// invariant, so no masking is needed here).
 
-// --- portable reference (always compiled; the differential oracle) ---
+// --- portable reference (the differential oracle) ---
 
 std::size_t AndCountWordsScalar(const std::uint64_t* a, const std::uint64_t* b,
                                 std::size_t n) {
@@ -37,198 +36,120 @@ std::size_t OrCountWordsScalar(const std::uint64_t* a, const std::uint64_t* b,
   return c;
 }
 
-// --- word-at-a-time 4x unrolled (portable fast path) ---
+// --- unrolled bodies, compiled once per flavor ---
 //
-// Four independent accumulators break the loop-carried dependency so the
-// popcnt units pipeline; compilers also auto-vectorize this shape well.
+// Each body is force-inlined into a wrapper per flavor, so the
+// __builtin_popcountll inside it expands for that wrapper's target: a
+// library call in the portable flavor, one instruction in the `popcnt`
+// one. Independent accumulators break the loop-carried dependency so the
+// popcount units pipeline.
 
-std::size_t AndCountWordsUnrolled(const std::uint64_t* a,
-                                  const std::uint64_t* b, std::size_t n) {
-  std::size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    c0 += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    c1 += static_cast<std::size_t>(std::popcount(a[i + 1] & b[i + 1]));
-    c2 += static_cast<std::size_t>(std::popcount(a[i + 2] & b[i + 2]));
-    c3 += static_cast<std::size_t>(std::popcount(a[i + 3] & b[i + 3]));
-  }
-  for (; i < n; ++i) {
-    c0 += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  }
-  return c0 + c1 + c2 + c3;
+[[gnu::always_inline]] inline std::size_t Popcount(std::uint64_t w) {
+  return static_cast<std::size_t>(__builtin_popcountll(w));
 }
 
-std::size_t OrCountWordsUnrolled(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t n) {
+[[gnu::always_inline]] inline std::size_t CountWordsBody(
+    const std::uint64_t* a, std::size_t n) {
+  std::size_t c0 = 0, c1 = 0;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    c0 += Popcount(a[i]);
+    c1 += Popcount(a[i + 1]);
+  }
+  if (i < n) c0 += Popcount(a[i]);
+  return c0 + c1;
+}
+
+[[gnu::always_inline]] inline std::size_t AndCountWordsBody(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
   std::size_t c0 = 0, c1 = 0, c2 = 0, c3 = 0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    c0 += static_cast<std::size_t>(std::popcount(a[i] | b[i]));
-    c1 += static_cast<std::size_t>(std::popcount(a[i + 1] | b[i + 1]));
-    c2 += static_cast<std::size_t>(std::popcount(a[i + 2] | b[i + 2]));
-    c3 += static_cast<std::size_t>(std::popcount(a[i + 3] | b[i + 3]));
+    c0 += Popcount(a[i] & b[i]);
+    c1 += Popcount(a[i + 1] & b[i + 1]);
+    c2 += Popcount(a[i + 2] & b[i + 2]);
+    c3 += Popcount(a[i + 3] & b[i + 3]);
   }
-  for (; i < n; ++i) {
-    c0 += static_cast<std::size_t>(std::popcount(a[i] | b[i]));
-  }
+  for (; i < n; ++i) c0 += Popcount(a[i] & b[i]);
   return c0 + c1 + c2 + c3;
 }
 
 /// Fused AND+OR popcount in one pass: the Jaccard hot path loads each
 /// word pair once instead of twice.
-void AndOrCountWordsUnrolled(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t n, std::size_t* and_count,
-                             std::size_t* or_count) {
+[[gnu::always_inline]] inline void AndOrCountWordsBody(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
+    std::size_t* and_count, std::size_t* or_count) {
   std::size_t ca = 0, co = 0;
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
     const std::uint64_t w0a = a[i], w0b = b[i];
     const std::uint64_t w1a = a[i + 1], w1b = b[i + 1];
-    ca += static_cast<std::size_t>(std::popcount(w0a & w0b)) +
-          static_cast<std::size_t>(std::popcount(w1a & w1b));
-    co += static_cast<std::size_t>(std::popcount(w0a | w0b)) +
-          static_cast<std::size_t>(std::popcount(w1a | w1b));
+    ca += Popcount(w0a & w0b) + Popcount(w1a & w1b);
+    co += Popcount(w0a | w0b) + Popcount(w1a | w1b);
   }
   for (; i < n; ++i) {
-    ca += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    co += static_cast<std::size_t>(std::popcount(a[i] | b[i]));
+    ca += Popcount(a[i] & b[i]);
+    co += Popcount(a[i] | b[i]);
   }
   *and_count = ca;
   *or_count = co;
 }
 
-#if defined(__AVX2__)
-
-// --- AVX2: in-register popcount via the pshufb nibble-lookup algorithm
-// (Mula). Each 256-bit lane counts 4 words; _mm256_sad_epu8 folds the
-// per-byte counts into 4 u64 partial sums accumulated across iterations.
-
-inline __m256i Popcount256(__m256i v) {
-  const __m256i lookup = _mm256_setr_epi8(
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-      0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-  const __m256i cnt = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                                      _mm256_shuffle_epi8(lookup, hi));
-  return _mm256_sad_epu8(cnt, _mm256_setzero_si256());
+/// One row of Jaccards against \p b. The division and the float rounding
+/// are DynamicBitset::Jaccard's, so every cell is bit for bit
+/// float(Jaccard(rows[j], b)).
+[[gnu::always_inline]] inline void JaccardRowBody(const DynamicBitset* rows,
+                                                  const std::uint32_t* counts,
+                                                  std::size_t m,
+                                                  const DynamicBitset& b,
+                                                  float* out) {
+  const std::uint64_t* bw = b.words();
+  const std::size_t n = b.num_words();
+  const std::size_t b_count = CountWordsBody(bw, n);
+  for (std::size_t j = 0; j < m; ++j) {
+    const std::size_t inter = AndCountWordsBody(rows[j].words(), bw, n);
+    const std::size_t uni = counts[j] + b_count - inter;
+    out[j] = uni == 0 ? 0.0f
+                      : static_cast<float>(static_cast<double>(inter) /
+                                           static_cast<double>(uni));
+  }
 }
 
-inline std::size_t HorizontalSum256(__m256i acc) {
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  const __m128i sum = _mm_add_epi64(lo, hi);
-  return static_cast<std::size_t>(_mm_extract_epi64(sum, 0)) +
-         static_cast<std::size_t>(_mm_extract_epi64(sum, 1));
+// --- portable unrolled flavor ---
+
+void AndOrCountWordsUnrolled(const std::uint64_t* a, const std::uint64_t* b,
+                             std::size_t n, std::size_t* and_count,
+                             std::size_t* or_count) {
+  AndOrCountWordsBody(a, b, n, and_count, or_count);
 }
 
-std::size_t AndCountWordsAvx2(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, Popcount256(_mm256_and_si256(va, vb)));
-  }
-  std::size_t c = HorizontalSum256(acc);
-  for (; i < n; ++i) {
-    c += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  }
-  return c;
+void JaccardRowUnrolled(const DynamicBitset* rows, const std::uint32_t* counts,
+                        std::size_t m, const DynamicBitset& b, float* out) {
+  JaccardRowBody(rows, counts, m, b, out);
 }
 
-std::size_t OrCountWordsAvx2(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, Popcount256(_mm256_or_si256(va, vb)));
-  }
-  std::size_t c = HorizontalSum256(acc);
-  for (; i < n; ++i) {
-    c += static_cast<std::size_t>(std::popcount(a[i] | b[i]));
-  }
-  return c;
+#if defined(__x86_64__) || defined(__i386__)
+
+// --- x86 hardware popcount: the unrolled bodies compiled for `popcnt` ---
+
+[[gnu::target("popcnt")]] void AndOrCountWordsPopcnt(
+    const std::uint64_t* a, const std::uint64_t* b, std::size_t n,
+    std::size_t* and_count, std::size_t* or_count) {
+  AndOrCountWordsBody(a, b, n, and_count, or_count);
 }
 
-void AndOrCountWordsAvx2(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t n, std::size_t* and_count,
-                         std::size_t* or_count) {
-  __m256i acc_and = _mm256_setzero_si256();
-  __m256i acc_or = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc_and =
-        _mm256_add_epi64(acc_and, Popcount256(_mm256_and_si256(va, vb)));
-    acc_or = _mm256_add_epi64(acc_or, Popcount256(_mm256_or_si256(va, vb)));
-  }
-  std::size_t ca = HorizontalSum256(acc_and);
-  std::size_t co = HorizontalSum256(acc_or);
-  for (; i < n; ++i) {
-    ca += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    co += static_cast<std::size_t>(std::popcount(a[i] | b[i]));
-  }
-  *and_count = ca;
-  *or_count = co;
+[[gnu::target("popcnt")]] void JaccardRowPopcnt(
+    const DynamicBitset* rows, const std::uint32_t* counts, std::size_t m,
+    const DynamicBitset& b, float* out) {
+  JaccardRowBody(rows, counts, m, b, out);
 }
-
-constexpr const char* kKernelName = "avx2";
-constexpr auto* AndCountWords = AndCountWordsAvx2;
-constexpr auto* OrCountWords = OrCountWordsAvx2;
-constexpr auto* AndOrCountWords = AndOrCountWordsAvx2;
 
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
 
 // --- NEON: vcntq_u8 per-byte popcount, widened via pairwise adds. Each
-// iteration counts 2 words (one 128-bit vector).
-
-std::size_t AndCountWordsNeon(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t va = vreinterpretq_u8_u64(vld1q_u64(a + i));
-    const uint8x16_t vb = vreinterpretq_u8_u64(vld1q_u64(b + i));
-    const uint8x16_t cnt = vcntq_u8(vandq_u8(va, vb));
-    acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt))));
-  }
-  std::size_t c = static_cast<std::size_t>(vgetq_lane_u64(acc, 0)) +
-                  static_cast<std::size_t>(vgetq_lane_u64(acc, 1));
-  for (; i < n; ++i) {
-    c += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  }
-  return c;
-}
-
-std::size_t OrCountWordsNeon(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t n) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint8x16_t va = vreinterpretq_u8_u64(vld1q_u64(a + i));
-    const uint8x16_t vb = vreinterpretq_u8_u64(vld1q_u64(b + i));
-    const uint8x16_t cnt = vcntq_u8(vorrq_u8(va, vb));
-    acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(cnt))));
-  }
-  std::size_t c = static_cast<std::size_t>(vgetq_lane_u64(acc, 0)) +
-                  static_cast<std::size_t>(vgetq_lane_u64(acc, 1));
-  for (; i < n; ++i) {
-    c += static_cast<std::size_t>(std::popcount(a[i] | b[i]));
-  }
-  return c;
-}
+// iteration counts 2 words (one 128-bit vector). NEON is baseline on
+// AArch64, so this flavor is chosen at build time. Its rows use the
+// unrolled body, whose popcounts AArch64 compilers already vectorize.
 
 void AndOrCountWordsNeon(const std::uint64_t* a, const std::uint64_t* b,
                          std::size_t n, std::size_t* and_count,
@@ -256,56 +177,82 @@ void AndOrCountWordsNeon(const std::uint64_t* a, const std::uint64_t* b,
   *or_count = co;
 }
 
-constexpr const char* kKernelName = "neon";
-constexpr auto* AndCountWords = AndCountWordsNeon;
-constexpr auto* OrCountWords = OrCountWordsNeon;
-constexpr auto* AndOrCountWords = AndOrCountWordsNeon;
-
-#else
-
-constexpr const char* kKernelName = "unrolled";
-constexpr auto* AndCountWords = AndCountWordsUnrolled;
-constexpr auto* OrCountWords = OrCountWordsUnrolled;
-constexpr auto* AndOrCountWords = AndOrCountWordsUnrolled;
-
 #endif
+
+/// The flavors this CPU runs, in the order Kernels() documents.
+std::vector<BitsetKernel> SupportedKernels() {
+  std::vector<BitsetKernel> kernels = {
+      {"unrolled", AndOrCountWordsUnrolled, JaccardRowUnrolled}};
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("popcnt")) {
+    kernels.push_back({"popcnt", AndOrCountWordsPopcnt, JaccardRowPopcnt});
+  }
+#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
+  kernels.push_back({"neon", AndOrCountWordsNeon, JaccardRowUnrolled});
+#endif
+  return kernels;
+}
+
+const std::vector<BitsetKernel>& KernelTable() {
+  static const std::vector<BitsetKernel> kernels = SupportedKernels();
+  return kernels;
+}
+
+/// The dispatch target, chosen on first use.
+const BitsetKernel& Dispatched() { return KernelTable().back(); }
+
+/// (|a AND b|, |a OR b|) through the dispatch target.
+std::pair<std::size_t, std::size_t> AndOrCount(const DynamicBitset& a,
+                                               const DynamicBitset& b) {
+  assert(a.size() == b.size());
+  std::size_t inter = 0, uni = 0;
+  Dispatched().and_or_count(a.words(), b.words(), a.num_words(), &inter,
+                            &uni);
+  return {inter, uni};
+}
 
 }  // namespace
 
-const char* DynamicBitset::KernelName() { return kKernelName; }
+std::span<const BitsetKernel> DynamicBitset::Kernels() {
+  return KernelTable();
+}
+
+const char* DynamicBitset::KernelName() { return Dispatched().name; }
 
 std::size_t DynamicBitset::AndCount(const DynamicBitset& a,
                                     const DynamicBitset& b) {
-  assert(a.num_bits_ == b.num_bits_);
-  return AndCountWords(a.words_.data(), b.words_.data(), a.words_.size());
+  return AndOrCount(a, b).first;
 }
 
 std::size_t DynamicBitset::OrCount(const DynamicBitset& a,
                                    const DynamicBitset& b) {
-  assert(a.num_bits_ == b.num_bits_);
-  return OrCountWords(a.words_.data(), b.words_.data(), a.words_.size());
+  return AndOrCount(a, b).second;
 }
 
 double DynamicBitset::Jaccard(const DynamicBitset& a, const DynamicBitset& b) {
-  assert(a.num_bits_ == b.num_bits_);
-  std::size_t inter = 0, uni = 0;
-  AndOrCountWords(a.words_.data(), b.words_.data(), a.words_.size(), &inter,
-                  &uni);
+  const auto [inter, uni] = AndOrCount(a, b);
   if (uni == 0) return 0.0;
   return static_cast<double>(inter) / static_cast<double>(uni);
+}
+
+void DynamicBitset::JaccardRow(std::span<const DynamicBitset> rows,
+                               std::span<const std::uint32_t> counts,
+                               const DynamicBitset& b, float* out) {
+  assert(rows.size() == counts.size());
+  Dispatched().jaccard_row(rows.data(), counts.data(), rows.size(), b, out);
 }
 
 std::size_t DynamicBitset::AndCountScalar(const DynamicBitset& a,
                                           const DynamicBitset& b) {
   assert(a.num_bits_ == b.num_bits_);
-  return AndCountWordsScalar(a.words_.data(), b.words_.data(),
-                             a.words_.size());
+  return AndCountWordsScalar(a.words(), b.words(), a.num_words());
 }
 
 std::size_t DynamicBitset::OrCountScalar(const DynamicBitset& a,
                                          const DynamicBitset& b) {
   assert(a.num_bits_ == b.num_bits_);
-  return OrCountWordsScalar(a.words_.data(), b.words_.data(), a.words_.size());
+  return OrCountWordsScalar(a.words(), b.words(), a.num_words());
 }
 
 double DynamicBitset::JaccardScalar(const DynamicBitset& a,
@@ -313,20 +260,6 @@ double DynamicBitset::JaccardScalar(const DynamicBitset& a,
   const std::size_t uni = OrCountScalar(a, b);
   if (uni == 0) return 0.0;
   return static_cast<double>(AndCountScalar(a, b)) / static_cast<double>(uni);
-}
-
-std::size_t DynamicBitset::AndCountUnrolled(const DynamicBitset& a,
-                                            const DynamicBitset& b) {
-  assert(a.num_bits_ == b.num_bits_);
-  return AndCountWordsUnrolled(a.words_.data(), b.words_.data(),
-                               a.words_.size());
-}
-
-std::size_t DynamicBitset::OrCountUnrolled(const DynamicBitset& a,
-                                           const DynamicBitset& b) {
-  assert(a.num_bits_ == b.num_bits_);
-  return OrCountWordsUnrolled(a.words_.data(), b.words_.data(),
-                              a.words_.size());
 }
 
 DynamicBitset& DynamicBitset::operator&=(const DynamicBitset& other) {

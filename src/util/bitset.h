@@ -8,22 +8,43 @@
 /// DynamicBitsets so that the Jaccard coefficient over high-dimensional
 /// binary vectors reduces to word-wise AND/OR popcounts.
 ///
-/// The AND/OR popcount kernels come in several build-time-selected
-/// flavors (see bitset.cc): a portable word-at-a-time scalar loop that is
-/// ALWAYS compiled (the differential-test oracle), a 4x-unrolled variant,
-/// and AVX2 / NEON in-register popcounts compiled in only when the
-/// target supports them (`__AVX2__` / `__ARM_NEON`, e.g. via
-/// -march=native). Every flavor counts the same exact integers, so
-/// AndCount/OrCount/Jaccard are bit-identical across kernels — a property
-/// tests/bitset_kernel_test.cc enforces over ragged tails and random
-/// patterns. KernelName() reports which flavor this build dispatches to.
+/// The AND/OR popcount kernels come in flavors (see bitset.cc): a portable
+/// word-at-a-time scalar loop (the differential-test oracle), a portable
+/// unrolled loop, the same loop compiled for the x86 `popcnt` instruction,
+/// and NEON on ARM builds. The flavor is chosen once per process, at run
+/// time, from what the CPU supports, so a default build runs the hardware
+/// popcount without any `-march` flag. Every flavor counts the same exact
+/// integers, so AndCount/OrCount/Jaccard/JaccardRow are bit-identical
+/// across flavors, a property tests/bitset_kernel_test.cc checks for every
+/// flavor this CPU runs. KernelName() reports the chosen flavor.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace paygo {
+
+class DynamicBitset;
+
+/// \brief One compiled flavor of the popcount word kernels.
+///
+/// Both kernels take raw word arrays whose tail word is already trimmed
+/// (the DynamicBitset invariant), so no flavor masks anything.
+struct BitsetKernel {
+  /// "unrolled", "popcnt" or "neon".
+  const char* name;
+  /// |a AND b| and |a OR b| over \p n words, in one pass.
+  void (*and_or_count)(const std::uint64_t* a, const std::uint64_t* b,
+                       std::size_t n, std::size_t* and_count,
+                       std::size_t* or_count);
+  /// out[j] = float(Jaccard(rows[j], b)) for j < m, given
+  /// counts[j] == rows[j].Count(): |rows[j] OR b| is counts[j] + |b| -
+  /// |rows[j] AND b|, so each pair costs one AND popcount.
+  void (*jaccard_row)(const DynamicBitset* rows, const std::uint32_t* counts,
+                      std::size_t m, const DynamicBitset& b, float* out);
+};
 
 /// \brief A bit vector whose size is fixed at construction.
 ///
@@ -85,7 +106,6 @@ class DynamicBitset {
   }
 
   /// Number of positions set in both `a` and `b`. Sizes must match.
-  /// Dispatches to the fastest kernel this build compiled in.
   static std::size_t AndCount(const DynamicBitset& a, const DynamicBitset& b);
   /// Number of positions set in either `a` or `b`. Sizes must match.
   static std::size_t OrCount(const DynamicBitset& a, const DynamicBitset& b);
@@ -94,26 +114,32 @@ class DynamicBitset {
   /// empty. Computes both popcounts in one fused pass over the words.
   static double Jaccard(const DynamicBitset& a, const DynamicBitset& b);
 
-  /// Portable straight-loop reference kernels, always compiled regardless
-  /// of the dispatch target — the oracle the differential kernel tests
-  /// compare every vectorized flavor against.
+  /// out[j] = float(Jaccard(rows[j], b)) for every j, bit for bit: one
+  /// kernel call for a whole row of pairs. \p counts holds rows[j].Count()
+  /// (same size as \p rows); every size must match b's.
+  static void JaccardRow(std::span<const DynamicBitset> rows,
+                         std::span<const std::uint32_t> counts,
+                         const DynamicBitset& b, float* out);
+
+  /// Portable straight-loop reference kernels: the oracle the
+  /// differential kernel tests compare every flavor against.
   static std::size_t AndCountScalar(const DynamicBitset& a,
                                     const DynamicBitset& b);
   static std::size_t OrCountScalar(const DynamicBitset& a,
                                    const DynamicBitset& b);
   static double JaccardScalar(const DynamicBitset& a, const DynamicBitset& b);
 
-  /// The portable 4x-unrolled word-at-a-time kernels, compiled in every
-  /// build (the dispatch target when no SIMD extension is available, and
-  /// a second differential subject when one is).
-  static std::size_t AndCountUnrolled(const DynamicBitset& a,
-                                      const DynamicBitset& b);
-  static std::size_t OrCountUnrolled(const DynamicBitset& a,
-                                     const DynamicBitset& b);
+  /// The kernel flavors this CPU runs, portable first; the last one is
+  /// the one AndCount/OrCount/Jaccard/JaccardRow dispatch to.
+  static std::span<const BitsetKernel> Kernels();
 
-  /// The kernel flavor AndCount/OrCount/Jaccard dispatch to in this build:
-  /// "avx2", "neon", or "unrolled".
+  /// The flavor chosen at run time: "popcnt", "neon", or "unrolled".
   static const char* KernelName();
+
+  /// The word array, size() bits rounded up to whole words; bits past
+  /// size() are zero.
+  const std::uint64_t* words() const { return words_.data(); }
+  std::size_t num_words() const { return words_.size(); }
 
   /// In-place AND with \p other. Sizes must match.
   DynamicBitset& operator&=(const DynamicBitset& other);

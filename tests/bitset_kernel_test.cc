@@ -1,15 +1,19 @@
 /// \file bitset_kernel_test.cc
 /// \brief Differential tests for the bitset popcount kernels.
 ///
-/// The dispatch kernels (AndCount / OrCount / Jaccard — AVX2, NEON, or the
-/// portable 4x-unrolled loop depending on the build) must be bit-identical
-/// to the always-compiled scalar reference, for every word count 0..9 and
-/// for ragged tail widths (1, 63, 64, 65, 127 bits): the tail word is the
-/// classic place a vectorized popcount goes wrong. Since every kernel
-/// counts exact integers there is no tolerance anywhere — EXPECT_EQ only.
+/// Every kernel flavor this CPU runs (DynamicBitset::Kernels(): the
+/// portable unrolled loop, x86 hardware `popcnt`, NEON on ARM), called
+/// directly and through the run-time dispatch (AndCount / OrCount /
+/// Jaccard / JaccardRow), must be bit-identical to the scalar reference,
+/// for every word count 0..9, for ragged tail widths (1, 63, 64, 65, 127
+/// bits) and for the DDH corpus's 213 features: the tail word is the
+/// classic place a fast popcount goes wrong. Since every kernel counts
+/// exact integers there is no tolerance anywhere — EXPECT_EQ only.
 
 #include <cstddef>
+#include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,13 +24,14 @@ namespace paygo {
 namespace {
 
 /// All bit widths the suite sweeps: every whole-word count 0..9 plus the
-/// ragged tails the ISSUE calls out, plus a couple of wide ragged sizes
-/// that exercise the SIMD main loop AND a tail in the same vector.
+/// ragged tails, the DDH dimensionality, plus a couple of wide ragged
+/// sizes that exercise an unrolled main loop AND a tail in the same vector.
 std::vector<std::size_t> TestWidths() {
   std::vector<std::size_t> widths;
   for (std::size_t words = 0; words <= 9; ++words) widths.push_back(words * 64);
   for (std::size_t ragged : {1u, 63u, 64u, 65u, 127u}) widths.push_back(ragged);
-  widths.push_back(8 * 64 + 17);   // SIMD blocks + odd tail
+  widths.push_back(213);           // the DDH corpus's features
+  widths.push_back(8 * 64 + 17);   // unrolled blocks + odd tail
   widths.push_back(5 * 64 + 63);   // odd word count + full tail word
   return widths;
 }
@@ -41,11 +46,28 @@ DynamicBitset RandomBitset(std::size_t num_bits, double density,
   return bits;
 }
 
-/// Every kernel flavor against the scalar oracle, plus the internal
-/// consistency identities (|a AND b| <= min counts, inclusion-exclusion).
+/// Every kernel flavor, called directly and through the dispatch, against
+/// the scalar oracle, plus the inclusion-exclusion identity that ties the
+/// two counts to the individual popcounts.
 void ExpectKernelsAgree(const DynamicBitset& a, const DynamicBitset& b) {
   const std::size_t and_scalar = DynamicBitset::AndCountScalar(a, b);
   const std::size_t or_scalar = DynamicBitset::OrCountScalar(a, b);
+  const double jaccard_scalar = DynamicBitset::JaccardScalar(a, b);
+
+  for (const BitsetKernel& kernel : DynamicBitset::Kernels()) {
+    std::size_t inter = 0, uni = 0;
+    kernel.and_or_count(a.words(), b.words(), a.num_words(), &inter, &uni);
+    EXPECT_EQ(inter, and_scalar)
+        << kernel.name << " AND count at " << a.size() << " bits";
+    EXPECT_EQ(uni, or_scalar)
+        << kernel.name << " OR count at " << a.size() << " bits";
+
+    const std::uint32_t count = static_cast<std::uint32_t>(a.Count());
+    float cell = -1.0f;
+    kernel.jaccard_row(&a, &count, 1, b, &cell);
+    EXPECT_EQ(cell, static_cast<float>(jaccard_scalar))
+        << kernel.name << " Jaccard row at " << a.size() << " bits";
+  }
 
   EXPECT_EQ(DynamicBitset::AndCount(a, b), and_scalar)
       << "dispatch kernel " << DynamicBitset::KernelName()
@@ -53,12 +75,10 @@ void ExpectKernelsAgree(const DynamicBitset& a, const DynamicBitset& b) {
   EXPECT_EQ(DynamicBitset::OrCount(a, b), or_scalar)
       << "dispatch kernel " << DynamicBitset::KernelName()
       << " disagrees with scalar OrCount at " << a.size() << " bits";
-  EXPECT_EQ(DynamicBitset::AndCountUnrolled(a, b), and_scalar);
-  EXPECT_EQ(DynamicBitset::OrCountUnrolled(a, b), or_scalar);
 
   // Jaccard is a single division of the two exact counts, so the fused
   // AND+OR dispatch pass must reproduce the scalar division bit-for-bit.
-  EXPECT_EQ(DynamicBitset::Jaccard(a, b), DynamicBitset::JaccardScalar(a, b));
+  EXPECT_EQ(DynamicBitset::Jaccard(a, b), jaccard_scalar);
 
   // Inclusion-exclusion ties the two counts to the individual popcounts.
   EXPECT_EQ(and_scalar + or_scalar, a.Count() + b.Count());
@@ -66,7 +86,23 @@ void ExpectKernelsAgree(const DynamicBitset& a, const DynamicBitset& b) {
 
 TEST(BitsetKernelTest, KernelNameIsKnownFlavor) {
   const std::string name = DynamicBitset::KernelName();
-  EXPECT_TRUE(name == "avx2" || name == "neon" || name == "unrolled") << name;
+  EXPECT_TRUE(name == "popcnt" || name == "neon" || name == "unrolled")
+      << name;
+  ASSERT_FALSE(DynamicBitset::Kernels().empty());
+  EXPECT_EQ(std::string(DynamicBitset::Kernels().front().name), "unrolled");
+  EXPECT_EQ(name, DynamicBitset::Kernels().back().name);
+}
+
+TEST(BitsetKernelTest, HardwarePopcountIsChosenWhenTheCpuHasIt) {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("popcnt")) {
+    GTEST_SKIP() << "no popcnt on this CPU";
+  }
+  EXPECT_EQ(std::string(DynamicBitset::KernelName()), "popcnt");
+#else
+  GTEST_SKIP() << "x86 only";
+#endif
 }
 
 TEST(BitsetKernelTest, AllZeros) {
@@ -145,6 +181,42 @@ TEST(BitsetKernelTest, JaccardMatchesDefinitionOnRandomInputs) {
     const double expected =
         uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
     EXPECT_EQ(DynamicBitset::Jaccard(a, b), expected);
+  }
+}
+
+/// Whole rows through every flavor's row kernel and the dispatched
+/// JaccardRow: cell j is float(JaccardScalar(rows[j], b)) bit for bit,
+/// including empty rows (0) and rows equal to b (1).
+TEST(BitsetKernelTest, JaccardRowMatchesScalarPerCell) {
+  std::mt19937_64 rng(213);
+  for (std::size_t width : TestWidths()) {
+    std::vector<DynamicBitset> rows;
+    for (double density : {0.0, 0.02, 0.1, 0.5, 0.95}) {
+      for (int rep = 0; rep < 4; ++rep) {
+        rows.push_back(RandomBitset(width, density, &rng));
+      }
+    }
+    const DynamicBitset b = RandomBitset(width, 0.1, &rng);
+    rows.push_back(b);
+    std::vector<std::uint32_t> counts;
+    for (const DynamicBitset& r : rows) {
+      counts.push_back(static_cast<std::uint32_t>(r.Count()));
+    }
+    std::vector<float> want(rows.size());
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      want[j] = static_cast<float>(DynamicBitset::JaccardScalar(rows[j], b));
+    }
+    for (const BitsetKernel& kernel : DynamicBitset::Kernels()) {
+      std::vector<float> got(rows.size(), -1.0f);
+      kernel.jaccard_row(rows.data(), counts.data(), rows.size(), b,
+                         got.data());
+      EXPECT_EQ(got, want) << kernel.name << " at " << width << " bits";
+    }
+    std::vector<float> dispatched(rows.size(), -1.0f);
+    DynamicBitset::JaccardRow(rows, counts, b, dispatched.data());
+    EXPECT_EQ(dispatched, want) << "dispatch at " << width << " bits";
+    // An empty row writes nothing.
+    DynamicBitset::JaccardRow({}, {}, b, nullptr);
   }
 }
 

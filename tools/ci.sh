@@ -45,6 +45,21 @@ fi
 echo "==> tier-1: ctest"
 (cd build && ctest --output-on-failure -j "$JOBS")
 
+echo "==> smoke: paygo_cli --version reports a hardware popcount kernel"
+# The bitset kernels are chosen at run time, with no -march flag: on a CPU
+# whose /proc/cpuinfo lists popcnt the default build must run a hardware
+# kernel, not the portable unrolled loop.
+KERNEL=$(./build/tools/paygo_cli --version | sed -n 's/^  bitset kernel: //p')
+if grep -qw popcnt /proc/cpuinfo 2>/dev/null; then
+  if [ -z "$KERNEL" ] || [ "$KERNEL" = "unrolled" ]; then
+    echo "FAIL: the CPU has popcnt but the bitset kernel is '$KERNEL'" >&2
+    exit 1
+  fi
+  echo "    bitset kernel: $KERNEL"
+else
+  echo "    no popcnt in /proc/cpuinfo (kernel: $KERNEL); nothing to check"
+fi
+
 echo "==> smoke: paygo_cli cluster --threads (serial vs parallel)"
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -433,7 +448,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     parallel_determinism_test shard_replication_test fleet_trace_test \
     tcp_endpoint_test zero_alloc_test batch_classify_test bitset_kernel_test \
     sparse_hac_test neighbor_graph_test similarity_index_test \
-    hac_row_nn_differential_test arrival_sharing_test -j "$JOBS"
+    hac_row_nn_differential_test hac_key_triangle_test arrival_sharing_test \
+    -j "$JOBS"
 
   echo "==> tsan: trace_test"
   ./build-tsan/tests/trace_test
@@ -451,7 +467,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/fleet_trace_test
   echo "==> tsan: tcp_endpoint_test (shared listener: shedding, garbage, Start checks)"
   ./build-tsan/tests/tcp_endpoint_test
-  echo "==> tsan: bitset_kernel_test (vectorized vs scalar differential)"
+  echo "==> tsan: bitset_kernel_test (every kernel flavor vs scalar differential)"
   ./build-tsan/tests/bitset_kernel_test
   echo "==> tsan: batch_classify_test (batch vs single, concurrent callers)"
   ./build-tsan/tests/batch_classify_test
@@ -459,7 +475,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/zero_alloc_test
   echo "==> tsan: arrival_sharing_test (sibling clones append to one block)"
   ./build-tsan/tests/arrival_sharing_test
-  echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites + similarity_index_test + hac_row_nn_differential_test (ctest -j)"
+  echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites + similarity_index_test + hac_row_nn_differential_test + hac_key_triangle_test (ctest -j)"
   # Instrumented LCS scans are slow; the determinism harness and the
   # sparse-vs-dense fuzz honor PAYGO_DETERMINISM_SMALL and shrink their
   # corpora / round counts under TSan. sparse_hac_test and
@@ -468,10 +484,12 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   # under the race detector;
   # similarity_index_test runs the per-chunk q-gram scratch of the parallel
   # index build and concurrent-safe Match; hac_row_nn_differential_test runs
-  # the dense engine's chunked seeding and merge sweeps at 2 and 4 threads.
+  # the dense engine's chunked seeding and merge sweeps at 2 and 4 threads;
+  # hac_key_triangle_test splits the live-slot merge sweeps of a
+  # 1,200-schema Total-Jaccard run across 2 and 4 threads.
   (cd build-tsan && PAYGO_DETERMINISM_SMALL=1 \
     ctest --output-on-failure -j "$JOBS" \
-      -R '^(thread_pool_test|parallel_determinism_test|sparse_hac_test|neighbor_graph_test|similarity_index_test|hac_row_nn_differential_test)$')
+      -R '^(thread_pool_test|parallel_determinism_test|sparse_hac_test|neighbor_graph_test|similarity_index_test|hac_row_nn_differential_test|hac_key_triangle_test)$')
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
