@@ -39,8 +39,6 @@ class ConditionalsBuilder {
   DomainConditionals Finish(double prior) &&;
 
  private:
-  std::size_t Position(std::size_t j) const;
-
   DomainConditionals out_;
   std::vector<std::uint64_t> support_;  // exception bitmap
   std::vector<std::uint32_t> rank_;     // exceptions before each word

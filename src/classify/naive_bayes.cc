@@ -9,6 +9,7 @@
 #include "classify/conditionals_builder.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
+#include "util/popcount_dispatch.h"
 
 namespace paygo {
 namespace {
@@ -227,27 +228,32 @@ void ConditionalsBuilder::AddSupport(const DynamicBitset& member) {
 void ConditionalsBuilder::Start(double default_q1) {
   out_.default_q1 = default_q1;
   rank_.resize(support_.size());
-  std::uint32_t rank = 0;
-  for (std::size_t w = 0; w < support_.size(); ++w) {
-    rank_[w] = rank;
-    for (std::uint64_t bits = support_[w]; bits != 0; bits &= bits - 1) {
-      out_.exceptions.push_back(
-          static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+  WithHardwarePopcount([&]() __attribute__((always_inline)) {
+    std::uint32_t rank = 0;
+    for (std::size_t w = 0; w < support_.size(); ++w) {
+      rank_[w] = rank;
+      for (std::uint64_t bits = support_[w]; bits != 0; bits &= bits - 1) {
+        out_.exceptions.push_back(
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
+      rank += static_cast<std::uint32_t>(std::popcount(support_[w]));
     }
-    rank += static_cast<std::uint32_t>(std::popcount(support_[w]));
-  }
+  });
   out_.exception_q1.assign(out_.exceptions.size(), default_q1);
-}
-
-std::size_t ConditionalsBuilder::Position(std::size_t j) const {
-  const std::uint64_t below = (std::uint64_t{1} << (j & 63)) - 1;
-  return rank_[j >> 6] + std::popcount(support_[j >> 6] & below);
 }
 
 void ConditionalsBuilder::Add(const DynamicBitset& member, double weight) {
   set_bits_.clear();
   member.AppendSetBits(&set_bits_);
-  for (std::size_t j : set_bits_) out_.exception_q1[Position(j)] += weight;
+  // Feature j's exception index: its word's rank plus the support bits
+  // below it.
+  WithHardwarePopcount([&]() __attribute__((always_inline)) {
+    for (std::size_t j : set_bits_) {
+      const std::uint64_t below = (std::uint64_t{1} << (j & 63)) - 1;
+      out_.exception_q1[rank_[j >> 6] +
+                        std::popcount(support_[j >> 6] & below)] += weight;
+    }
+  });
 }
 
 DomainConditionals ConditionalsBuilder::Finish(double prior) && {
@@ -457,11 +463,13 @@ void NaiveBayesClassifier::SetDomain(std::size_t r,
     ++j;
   }
   for (; j < dim_; ++j) s += default_log1mq;
-  std::uint64_t rank = 1;
-  for (RankWord& w : row.index) {
-    w.rank = rank;
-    rank += static_cast<std::uint64_t>(std::popcount(w.bits));
-  }
+  WithHardwarePopcount([&]() __attribute__((always_inline)) {
+    std::uint64_t rank = 1;
+    for (RankWord& w : row.index) {
+      w.rank = rank;
+      rank += static_cast<std::uint64_t>(std::popcount(w.bits));
+    }
+  });
   row.log1mq_sum = s;
   if (r == rows_.size()) {
     rows_.push_back(std::move(row));
@@ -631,10 +639,12 @@ void NaiveBayesClassifier::ClassifyInto(const DynamicBitset& query,
   out->reserve(views_.size());
   const std::size_t* begin = scratch->set_bits.data();
   const std::size_t* end = begin + scratch->set_bits.size();
-  for (std::uint32_t r = 0; r < views_.size(); ++r) {
-    if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
-    out->push_back({r, views_[r].Score(bases_[r], begin, end)});
-  }
+  WithHardwarePopcount([&]() __attribute__((always_inline)) {
+    for (std::uint32_t r = 0; r < views_.size(); ++r) {
+      if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
+      out->push_back({r, views_[r].Score(bases_[r], begin, end)});
+    }
+  });
   // std::sort is in-place (introsort) — no heap traffic.
   std::sort(out->begin(), out->end(), ScoreBefore);
 }
@@ -707,19 +717,21 @@ void NaiveBayesClassifier::ClassifyBatchInto(
   const std::size_t total = scratch->batch_indices.size();
   scratch->batch_slots.resize(total);
   std::uint32_t* slots = scratch->batch_slots.data();
-  for (std::uint32_t r = 0; r < views_.size(); ++r) {
-    if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
-    const RowView row = views_[r];
-    const double base = bases_[r];
-    for (std::size_t k = 0; k < total; ++k) slots[k] = row.Slot(idx[k]);
-    for (std::size_t b = 0; b < batch; ++b) {
-      double s = base;
-      for (std::size_t k = off[b]; k < off[b + 1]; ++k) {
-        s += row.log_odds[slots[k]];
+  WithHardwarePopcount([&]() __attribute__((always_inline)) {
+    for (std::uint32_t r = 0; r < views_.size(); ++r) {
+      if (options_.skip_singleton_domains && singleton_domain_[r]) continue;
+      const RowView row = views_[r];
+      const double base = bases_[r];
+      for (std::size_t k = 0; k < total; ++k) slots[k] = row.Slot(idx[k]);
+      for (std::size_t b = 0; b < batch; ++b) {
+        double s = base;
+        for (std::size_t k = off[b]; k < off[b + 1]; ++k) {
+          s += row.log_odds[slots[k]];
+        }
+        (*out)[b].push_back({r, s});
       }
-      (*out)[b].push_back({r, s});
     }
-  }
+  });
   for (std::size_t b = 0; b < batch; ++b) {
     std::sort((*out)[b].begin(), (*out)[b].end(), ScoreBefore);
   }

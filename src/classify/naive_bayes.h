@@ -302,8 +302,10 @@ class NaiveBayesClassifier {
         : index(row.index.data()), log_odds(row.log_odds.data()) {}
 
     /// Slot(j) in O(1). Only the integer slot branches, never a double,
-    /// so a caller's running sum stays in a register.
-    std::uint32_t Slot(std::size_t j) const {
+    /// so a caller's running sum stays in a register. Always inlined, so
+    /// its popcount compiles for its caller's target (see
+    /// util/popcount_dispatch.h).
+    [[gnu::always_inline]] std::uint32_t Slot(std::size_t j) const {
       const RankWord& w = index[j >> 6];
       const std::uint64_t bit = std::uint64_t{1} << (j & 63);
       std::uint64_t slot = 0;
@@ -315,8 +317,8 @@ class NaiveBayesClassifier {
     }
 
     /// base + the log-odds of features [begin, end), added in order.
-    double Score(double base, const std::size_t* begin,
-                 const std::size_t* end) const {
+    [[gnu::always_inline]] double Score(double base, const std::size_t* begin,
+                                        const std::size_t* end) const {
       double s = base;
       for (const std::size_t* p = begin; p != end; ++p) s += log_odds[Slot(*p)];
       return s;

@@ -239,13 +239,14 @@ ConstraintState BuildConstraintState(std::size_t n,
 
 /// Merge keys of every slot pair i < j, packed as the strict upper
 /// triangle of an n x n matrix: row i holds columns i+1..n-1 contiguously.
-/// n(n-1)/2 doubles take the bytes of a full n x n float matrix. Every
-/// cell starts at 0: the graph seeder writes only the edges it has, and an
-/// absent edge must read key 0, the exact Jaccard of a pair sharing no
-/// feature.
+/// n(n-1)/2 doubles take the bytes of a full n x n float matrix. With
+/// \p zero_fill every cell starts at 0: the graph seeder writes only the
+/// edges it has, and an absent edge must read key 0, the exact Jaccard of
+/// a pair sharing no feature. The dense seeders write every cell, so they
+/// skip the fill (and its first touch of every page).
 class PairKeys {
  public:
-  explicit PairKeys(std::size_t n) : row_start_(n) {
+  PairKeys(std::size_t n, bool zero_fill) : row_start_(n) {
     std::size_t offset = 0;
     for (std::size_t i = 0; i < n; ++i) {
       row_start_[i] = offset;
@@ -267,7 +268,7 @@ class PairKeys {
     }
     if (p == nullptr && bytes > 0) throw std::bad_alloc();
     keys_.reset(static_cast<double*>(p));
-    std::fill_n(keys_.get(), offset, 0.0);
+    if (zero_fill) std::fill_n(keys_.get(), offset, 0.0);
   }
 
   /// Row i's cells for j = i+1..n-1, at index j - i - 1.
@@ -291,8 +292,12 @@ class PairKeys {
 
 /// Fills the initial merge keys of rows [lo, hi): cell (i, j) for every
 /// j > i. Called from concurrent chunks with disjoint row ranges.
-using KeySeeder =
-    std::function<void(std::size_t lo, std::size_t hi, PairKeys& keys)>;
+/// \p every_cell: fill writes every cell of its rows (the dense seeders),
+/// so the key triangle needs no zero fill.
+struct KeySeeder {
+  std::function<void(std::size_t lo, std::size_t hi, PairKeys& keys)> fill;
+  bool every_cell = false;
+};
 
 constexpr std::uint32_t kNoNeighbor =
     std::numeric_limits<std::uint32_t>::max();
@@ -320,7 +325,8 @@ constexpr double kNoKey = -std::numeric_limits<double>::infinity();
 /// pairs, so the dendrogram is the same merge for merge.
 ///
 /// \p seed_keys fills the memoized linkages' initial keys; the dense path
-/// copies matrix rows, a tau-component scatters graph rows. \p features
+/// runs the bitset Jaccard kernel per row (or copies matrix rows), a
+/// tau-component scatters graph rows. \p features
 /// is read only by Total Jaccard. \p pool (null = serial) runs the O(n^2)
 /// phases. At any width the result is bit-identical to serial: every key
 /// cell and every row bound is written by the chunk that owns its row (or
@@ -359,11 +365,13 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
   // Total Jaccard recomputes each key from the AND/OR summaries
   // (O(dim L / 64)), so its keys are filled once the must-links are in.
   const bool memoized = options.linkage != LinkageKind::kTotal;
-  PairKeys keys(n);
+  // Total Jaccard writes every active row at seeding; rows retired by a
+  // must-link merge before then are never read.
+  PairKeys keys(n, memoized && !seed_keys.every_cell);
   if (memoized) {
     parallel_for(n, SimilarityMatrix::kPanelRows,
                 [&](std::size_t lo, std::size_t hi) {
-                  seed_keys(lo, hi, keys);
+                  seed_keys.fill(lo, hi, keys);
                 });
   }
 
@@ -566,27 +574,17 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
   return st.Finish(std::move(merges));
 }
 
-/// Dense path: one engine run over the whole corpus, its keys seeded from
-/// the matrix's rows.
-Result<HacResult> RunOnMatrix(std::span<const DynamicBitset> features,
-                              const SimilarityMatrix& sims,
-                              const HacOptions& options) {
+/// Dense path: one engine run over the whole corpus.
+Result<HacResult> RunDense(std::span<const DynamicBitset> features,
+                           const KeySeeder& seeder,
+                           const HacOptions& options) {
   PAYGO_TRACE_SPAN("hac.run");
   HacRunStats stats;
   const std::size_t n = features.size();
   const std::size_t width = ThreadPool::ResolveThreadCount(options.num_threads);
   std::unique_ptr<ThreadPool> pool;
   if (width > 1 && n > 1) pool = std::make_unique<ThreadPool>(width);
-  // Full rows come from panel gathers: cell (i, j > i) is a column read of
-  // the matrix's lower triangle.
-  const KeySeeder from_matrix = [&](std::size_t lo, std::size_t hi,
-                                    PairKeys& keys) {
-    sims.ForEachRow(lo, hi, [&](std::size_t i, std::span<const float> row) {
-      double* key = keys.Row(i);
-      for (std::size_t j = i + 1; j < n; ++j) key[j - i - 1] = row[j];
-    });
-  };
-  return RunFast(n, features, from_matrix, options, pool.get(), stats);
+  return RunFast(n, features, seeder, options, pool.get(), stats);
 }
 
 constexpr std::uint32_t kNoComponent =
@@ -671,8 +669,8 @@ HacResult RunComponent(const NeighborGraph& graph, const TauComponents& tc,
                        std::uint32_t k, HacOptions local, ThreadPool* pool,
                        HacRunStats& stats) {
   const std::vector<std::uint32_t>& members = tc.members[k];
-  const KeySeeder from_graph = [&](std::size_t lo, std::size_t hi,
-                                   PairKeys& keys) {
+  const KeySeeder from_graph{[&](std::size_t lo, std::size_t hi,
+                                PairKeys& keys) {
     for (std::size_t li = lo; li < hi; ++li) {
       const std::uint32_t g = members[li];
       double* key = keys.Row(static_cast<std::uint32_t>(li));
@@ -685,7 +683,7 @@ HacResult RunComponent(const NeighborGraph& graph, const TauComponents& tc,
         key[tc.local_of[e->id] - li - 1] = e->sim;
       }
     }
-  };
+  }};
   HacResult r = RunFast(members.size(), /*features=*/{}, from_graph, local,
                         pool, stats);
   for (HacMerge& m : r.merges) {
@@ -833,7 +831,18 @@ Result<HacResult> Hac::Run(std::span<const DynamicBitset> features,
       ValidateHacOptions(features.size(), options, /*graph=*/false));
   PAYGO_RETURN_NOT_OK(ValidateFeatures(features));
   if (features.empty()) return HacResult{};
-  return RunOnMatrix(features, sims, options);
+  const std::size_t n = features.size();
+  // Full rows come from panel gathers: cell (i, j > i) is a column read of
+  // the matrix's lower triangle.
+  const KeySeeder from_matrix{
+      [&](std::size_t lo, std::size_t hi, PairKeys& keys) {
+        sims.ForEachRow(lo, hi, [&](std::size_t i, std::span<const float> row) {
+          double* key = keys.Row(i);
+          for (std::size_t j = i + 1; j < n; ++j) key[j - i - 1] = row[j];
+        });
+      },
+      /*every_cell=*/true};
+  return RunDense(features, from_matrix, options);
 }
 
 Result<HacResult> Hac::Run(std::span<const DynamicBitset> features,
@@ -842,8 +851,27 @@ Result<HacResult> Hac::Run(std::span<const DynamicBitset> features,
       ValidateHacOptions(features.size(), options, /*graph=*/false));
   PAYGO_RETURN_NOT_OK(ValidateFeatures(features));
   if (features.empty()) return HacResult{};
-  const SimilarityMatrix sims(features, options.num_threads);
-  return RunOnMatrix(features, sims, options);
+  const std::size_t n = features.size();
+  std::vector<std::uint32_t> counts(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    counts[k] = static_cast<std::uint32_t>(features[k].Count());
+  }
+  // Row i's keys are float(Jaccard(F_i, F_j)) for j > i, one kernel call
+  // per row: the matrix's cells, computed where they are consumed, with
+  // no matrix. The float row goes through one buffer per chunk.
+  const KeySeeder from_features{
+      [&](std::size_t lo, std::size_t hi, PairKeys& keys) {
+        std::vector<float> row(n);
+        for (std::size_t i = lo; i < hi; ++i) {
+          DynamicBitset::JaccardRow(features.subspan(i + 1),
+                                    std::span(counts).subspan(i + 1),
+                                    features[i], row.data());
+          double* key = keys.Row(static_cast<std::uint32_t>(i));
+          for (std::size_t t = 0; t + i + 1 < n; ++t) key[t] = row[t];
+        }
+      },
+      /*every_cell=*/true};
+  return RunDense(features, from_features, options);
 }
 
 Result<HacResult> Hac::RunOnGraph(const NeighborGraph& graph,

@@ -13,8 +13,10 @@
 /// and only flagged rows are rescanned. O(n^2) memory; O(n^2) time per run
 /// in the typical case, O(n^3) in the worst.
 ///
-/// Run() feeds the engine the whole dense SimilarityMatrix. RunOnGraph()
-/// feeds it one tau-component at a time. Under Avg, Min and Max linkage a
+/// Run() feeds the engine the whole corpus: its keys are seeded straight
+/// from the bitset Jaccard kernel, one row at a time, or copied from a
+/// prebuilt SimilarityMatrix. RunOnGraph() feeds it one tau-component at a
+/// time. Under Avg, Min and Max linkage a
 /// merge at or above tau needs some cross pair at or above tau, so every
 /// cluster lies inside one connected component of the tau-graph (edges =
 /// pairs with similarity >= tau, plus the must-link pairs). Clustering each
@@ -49,9 +51,8 @@ struct HacOptions {
   /// many clusters remain, regardless of similarity. 0 disables it. This
   /// is the stopping rule pre-specified-k baselines like [17] use.
   std::size_t max_clusters = 0;
-  /// Worker threads for the O(n^2) phases of the engine (row-bound seeding
-  /// and per-merge candidate re-evaluation), for the dense
-  /// similarity-matrix build of the convenience overload. RunOnGraph
+  /// Worker threads for the O(n^2) phases of the engine (key and row-bound
+  /// seeding and per-merge candidate re-evaluation). RunOnGraph
   /// runs its tau-components one after another on one pool of this width.
   /// 0 = hardware_concurrency, 1 = the exact legacy serial path (default).
   /// The result is bit-identical to the serial path at every thread count
@@ -112,7 +113,12 @@ class Hac {
                                const SimilarityMatrix& sims,
                                const HacOptions& options);
 
-  /// Convenience overload that computes the similarity matrix itself.
+  /// Clusters schemas given their feature vectors alone, with no
+  /// similarity matrix: each key row is seeded straight from
+  /// DynamicBitset::JaccardRow over the row's upper part, in parallel row
+  /// chunks. The keys are the matrix's cells, so the result is bitwise
+  /// that of the overload above on SimilarityMatrix(features). Peak memory
+  /// is the n(n-1)/2-double key triangle.
   static Result<HacResult> Run(std::span<const DynamicBitset> features,
                                const HacOptions& options);
 

@@ -47,16 +47,6 @@ std::shared_ptr<const float[]> ComputeRow(
   return row;
 }
 
-/// Row k of the triangle from schema k's sparse row against the k earlier
-/// schemas: float(sim) at the row's ids, +0 elsewhere, then the diagonal.
-std::shared_ptr<const float[]> RowFromSparse(
-    std::span<const JaccardEntry> row, std::size_t k, bool nonempty) {
-  std::shared_ptr<float[]> out = std::make_shared<float[]>(k + 1);
-  for (const JaccardEntry& e : row) out[e.id] = static_cast<float>(e.sim);
-  out[k] = nonempty ? 1.0f : 0.0f;
-  return out;
-}
-
 }  // namespace
 
 SimilarityMatrix::SimilarityMatrix(std::span<const DynamicBitset> features,
@@ -86,13 +76,6 @@ SimilarityMatrix::SimilarityMatrix(std::span<const DynamicBitset> features,
   } else {
     fill_rows(0, n);
   }
-}
-
-SimilarityMatrix::SimilarityMatrix(const SimilarityMatrix& base,
-                                   std::span<const JaccardEntry> row,
-                                   bool nonempty)
-    : rows_(base.rows_) {
-  rows_.push_back(RowFromSparse(row, rows_.size(), nonempty));
 }
 
 void SimilarityMatrix::GatherRows(std::size_t lo, std::size_t hi,

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "schema/feature_postings.h"
 #include "util/bitset.h"
 
 namespace paygo {
@@ -46,15 +45,17 @@ const std::vector<LinkageKind>& AllLinkageKinds();
 ///
 /// The thesis notes all schema-to-schema similarities "should be computed
 /// and memoized in advance so as to avoid recomputing them multiple times
-/// during clustering"; this is that cache.
+/// during clustering"; this is that cache. IntegrationSystem keeps none:
+/// its dense path memoizes the similarities once, as HAC's merge keys
+/// (Hac::Run(features, options)), and Algorithm 3 recomputes each row
+/// where it reads it. The matrix remains the input of the matrix
+/// overloads of Hac::Run and AssignProbabilities, and of
+/// AssignFuzzyMemberships.
 ///
 /// Storage is the packed lower triangle, one immutable row per schema:
 /// row k holds float(Jaccard(F_j, F_k)) for j < k followed by the diagonal
 /// (1, or 0 for an empty vector), k + 1 floats behind its own shared_ptr.
-/// n(n+1)/2 floats in all: 2323 schemas (DDH) need ~10.8 MB. Rows never
-/// change once built, so the row constructor shares every old row with its
-/// base and only adds the appended one; clones that extend the same base
-/// branch without copying or touching its cells.
+/// n(n+1)/2 floats in all: 2323 schemas (DDH) need ~10.8 MB.
 ///
 /// At(i, j) reads row max(i, j) at index min(i, j). The upper half of a
 /// full row i is therefore a column of the triangle, one row per cell;
@@ -72,16 +73,6 @@ class SimilarityMatrix {
   /// matrix is bit-identical at any thread count.
   explicit SimilarityMatrix(std::span<const DynamicBitset> features,
                             std::size_t num_threads = 1);
-
-  /// Appends one schema, id n = base.size(), given its exact similarity
-  /// row against the n old schemas (FeaturePostings::JaccardRow: ascending
-  /// ids, zeros omitted) and whether it sets any feature. The old rows are
-  /// shared with \p base; the new row holds float(sim) at the row's ids,
-  /// +0 elsewhere (what float(Jaccard) is for a pair sharing no feature)
-  /// and the diagonal, so it is bit-identical to a from-scratch build's.
-  /// No Jaccard work: AddSchema's matrix refresh.
-  SimilarityMatrix(const SimilarityMatrix& base,
-                   std::span<const JaccardEntry> row, bool nonempty);
 
   /// s_sim(S_i, S_j); symmetric, At(i, i) == 1 for non-empty vectors.
   double At(std::size_t i, std::size_t j) const {

@@ -109,6 +109,13 @@ class NeighborGraph {
 
   const NeighborGraphStats& stats() const { return stats_; }
 
+  /// Bytes of the graph by content: row offsets, both directions of every
+  /// edge and the per-node flags, spare capacity not counted.
+  std::size_t MemoryBytes() const {
+    return offsets_.size() * sizeof(std::uint64_t) +
+           edges_.size() * sizeof(NeighborEdge) + nonempty_.size();
+  }
+
  private:
   std::vector<std::uint64_t> offsets_;  ///< n + 1 row offsets into edges_.
   std::vector<NeighborEdge> edges_;     ///< Both directions of every edge.

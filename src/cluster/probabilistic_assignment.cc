@@ -104,51 +104,217 @@ double DomainModel::TotalMembership(std::uint32_t schema_id) const {
   return total;
 }
 
-Result<DomainModel> AssignProbabilities(const SimilarityMatrix& sims,
-                                        const HacResult& clustering,
-                                        const AssignmentOptions& options) {
+namespace {
+
+Status ValidateAssignmentOptions(const AssignmentOptions& options) {
   if (options.theta < 0.0 || options.theta > 1.0) {
     return Status::InvalidArgument("theta must be in [0, 1]");
   }
   if (options.tau_c_sim < 0.0 || options.tau_c_sim > 1.0) {
     return Status::InvalidArgument("tau_c_sim must be in [0, 1]");
   }
+  return Status::OK();
+}
+
+/// Each schema's cluster, or InvalidArgument unless the clusters partition
+/// the \p n schemas.
+Result<std::vector<std::uint32_t>> ClusterOfSchemas(
+    const HacResult& clustering, std::size_t n) {
+  constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  std::vector<std::uint32_t> cluster_of(n, kNone);
+  std::size_t covered = 0;
+  for (std::uint32_t r = 0; r < clustering.clusters.size(); ++r) {
+    for (std::uint32_t j : clustering.clusters[r]) {
+      if (j >= n || cluster_of[j] != kNone) {
+        return Status::InvalidArgument(
+            "the clusters do not partition the schemas");
+      }
+      cluster_of[j] = r;
+      ++covered;
+    }
+  }
+  if (covered != n) {
+    return Status::InvalidArgument("the clusters do not partition the schemas");
+  }
+  return cluster_of;
+}
+
+/// The lower-triangle rows of a prebuilt matrix: stored, so nothing is
+/// computed.
+struct MatrixRows {
+  const SimilarityMatrix& sims;
+
+  /// Row k's cells j in [lo, end), end <= k, at p[j] of the returned p.
+  const float* Cells(std::size_t k, std::size_t /*lo*/, std::size_t /*end*/,
+                     float* /*scratch*/) const {
+    return sims.Row(k).data();
+  }
+  double Diagonal(std::size_t k) const { return sims.Row(k)[k]; }
+};
+
+/// The same rows computed from the feature vectors by the bitset Jaccard
+/// kernel: cell for cell the matrix's values (SimilarityMatrix runs the
+/// same kernel), written into the caller's \p scratch.
+struct KernelRows {
+  std::span<const DynamicBitset> features;
+  std::vector<std::uint32_t> counts;
+
+  explicit KernelRows(std::span<const DynamicBitset> f)
+      : features(f), counts(f.size()) {
+    for (std::size_t k = 0; k < f.size(); ++k) {
+      counts[k] = static_cast<std::uint32_t>(f[k].Count());
+    }
+  }
+  const float* Cells(std::size_t k, std::size_t lo, std::size_t end,
+                     float* scratch) const {
+    DynamicBitset::JaccardRow(features.subspan(lo, end - lo),
+                              std::span(counts).subspan(lo, end - lo),
+                              features[k], scratch + lo);
+    return scratch;
+  }
+  double Diagonal(std::size_t k) const { return counts[k] == 0 ? 0.0 : 1.0; }
+};
+
+/// True when \p sc fails the relative test against the best \p max_sim.
+/// Division is monotone, so a value failing against a running maximum
+/// fails against every larger one.
+bool BelowRelative(double sc, double max_sim, double theta) {
+  return max_sim > 0.0 && sc / max_sim < 1.0 - theta;
+}
+
+/// Algorithm 3 as one ascending sweep over the lower-triangle rows.
+///
+/// s_c_sim(S_i, C_r) sums s_sim(S_i, S_j) over C_r's members j ascending.
+/// Row k holds s_sim(S_k, S_j) for j < k, so the sweep feeds it in three
+/// steps: its cells j < k into schema k's per-cluster bins (the sums over
+/// j < k, ascending), then the diagonal into bin c(k), and then one
+/// contiguous add of the whole row into cluster c(k)'s accumulator row
+/// (the term j = k of every earlier schema's sum). Every sum thus adds the
+/// same doubles in the same ascending member order as a walk over the
+/// cluster's members. The accumulators are cluster-major, one row of
+/// doubles per cluster, filled in groups of at most n/4 clusters so that
+/// they never outgrow a float triangle; with more groups, candidates
+/// below a group's running maximum are pruned as they go.
+///
+/// A chunk of target schemas [lo, hi) reads rows lo..n-1: whole rows
+/// below hi (for the bins) and cells [lo, hi) above. Chunks share no
+/// output, so the model is the same at any thread count.
+template <typename Rows>
+DomainModel Sweep(const Rows& rows, std::size_t n, const HacResult& clustering,
+                  const std::vector<std::uint32_t>& cluster_of,
+                  const AssignmentOptions& options, std::size_t num_threads) {
+  using Memberships = DomainModel::Memberships;
   const auto& clusters = clustering.clusters;
-  const std::size_t num_schemas = sims.size();
+  const std::size_t num_clusters = clusters.size();
+  const std::size_t group =
+      std::min(num_clusters, std::max<std::size_t>(1, n / 4));
+  std::vector<Memberships> schema_domains(n);
 
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> schema_domains(
-      num_schemas);
-
-  std::vector<double> sc(clusters.size());
-  // Full rows come from panel gathers; see SimilarityMatrix::ForEachRow.
-  auto assign_row = [&](std::size_t i, std::span<const float> row) {
-    double max_sim = 0.0;
-    for (std::uint32_t r = 0; r < clusters.size(); ++r) {
-      sc[r] = SchemaClusterSimilarity(row, clusters[r]);
-      max_sim = std::max(max_sim, sc[r]);
+  auto assign = [&](std::size_t lo, std::size_t hi) {
+    const std::size_t width = hi - lo;
+    std::vector<float> scratch(n);
+    std::vector<double> acc(group * width);
+    std::vector<double> bins(group);
+    std::vector<double> max_sim(width, 0.0);
+    for (std::size_t g0 = 0; g0 < num_clusters; g0 += group) {
+      const std::size_t g1 = std::min(num_clusters, g0 + group);
+      auto in_group = [&](std::uint32_t r) { return r >= g0 && r < g1; };
+      for (std::size_t k = lo; k < n; ++k) {
+        const std::uint32_t home = cluster_of[k];
+        if (k >= hi && !in_group(home)) continue;
+        const float* row = rows.Cells(k, k < hi ? 0 : lo, std::min(k, hi),
+                                      scratch.data());
+        if (k < hi) {
+          std::fill(bins.begin(), bins.end(), 0.0);
+          for (std::size_t j = 0; j < k; ++j) {
+            const std::uint32_t r = cluster_of[j];
+            if (in_group(r)) bins[r - g0] += static_cast<double>(row[j]);
+          }
+          if (in_group(home)) bins[home - g0] += rows.Diagonal(k);
+          for (std::size_t r = 0; r < g1 - g0; ++r) {
+            acc[r * width + (k - lo)] = bins[r];
+          }
+        }
+        if (!in_group(home)) continue;
+        double* a = acc.data() + (home - g0) * width - lo;
+        for (std::size_t j = lo, end = std::min(k, hi); j < end; ++j) {
+          a[j] += static_cast<double>(row[j]);
+        }
+      }
+      // The group's s_c_sim values: the running maximum, and the clusters
+      // passing the absolute test as candidates.
+      for (std::size_t i = lo; i < hi; ++i) {
+        Memberships& cand = schema_domains[i];
+        double& best = max_sim[i - lo];
+        for (std::size_t r = g0; r < g1; ++r) {
+          const double sc = acc[(r - g0) * width + (i - lo)] /
+                            static_cast<double>(clusters[r].size());
+          best = std::max(best, sc);
+          if (sc >= options.tau_c_sim) {
+            cand.emplace_back(static_cast<std::uint32_t>(r), sc);
+          }
+        }
+        if (g1 < num_clusters) {
+          std::erase_if(cand, [&](const auto& c) {
+            return BelowRelative(c.second, best, options.theta);
+          });
+        }
+      }
     }
-    // D(S_i): domains passing both the absolute and the relative test.
-    std::vector<std::uint32_t> qualifying;
-    double norm = 0.0;
-    for (std::uint32_t r = 0; r < clusters.size(); ++r) {
-      if (sc[r] < options.tau_c_sim) continue;
-      if (max_sim > 0.0 && sc[r] / max_sim < 1.0 - options.theta) continue;
-      qualifying.push_back(r);
-      norm += sc[r];
-    }
-    if (qualifying.empty()) {
-      if (options.strict_thesis_semantics) return;  // dropped schema
-      // Fallback: full membership in the home cluster.
-      schema_domains[i].emplace_back(
-          clustering.ClusterOf(static_cast<std::uint32_t>(i)), 1.0);
-      return;
-    }
-    for (std::uint32_t r : qualifying) {
-      schema_domains[i].emplace_back(r, sc[r] / norm);
+    // D(S_i): candidates passing the relative test against the final
+    // maximum, with probability proportional to s_c_sim.
+    for (std::size_t i = lo; i < hi; ++i) {
+      const double best = max_sim[i - lo];
+      Memberships out;
+      double norm = 0.0;
+      for (const auto& [r, sc] : schema_domains[i]) {
+        if (BelowRelative(sc, best, options.theta)) continue;
+        out.emplace_back(r, sc);
+        norm += sc;
+      }
+      if (out.empty() && !options.strict_thesis_semantics) {
+        // Fallback: full membership in the home cluster.
+        out.emplace_back(cluster_of[i], 1.0);
+        norm = 1.0;
+      }
+      for (auto& [r, p] : out) p /= norm;
+      schema_domains[i] = std::move(out);
     }
   };
-  sims.ForEachRow(0, num_schemas, assign_row);
+
+  const std::size_t width = ThreadPool::ResolveThreadCount(num_threads);
+  if (width > 1 && n > 1) {
+    // One chunk per lane: equal target ranges cost the same, about
+    // (hi - lo) n cells each.
+    ThreadPool pool(width);
+    pool.ParallelFor(0, n, (n + width - 1) / width,
+                     [&](const ThreadPool::Chunk& c) { assign(c.begin, c.end); });
+  } else if (n > 0) {
+    assign(0, n);
+  }
   return DomainModel::Build(clusters, std::move(schema_domains));
+}
+
+}  // namespace
+
+Result<DomainModel> AssignProbabilities(const SimilarityMatrix& sims,
+                                        const HacResult& clustering,
+                                        const AssignmentOptions& options) {
+  PAYGO_RETURN_NOT_OK(ValidateAssignmentOptions(options));
+  PAYGO_ASSIGN_OR_RETURN(std::vector<std::uint32_t> cluster_of,
+                         ClusterOfSchemas(clustering, sims.size()));
+  return Sweep(MatrixRows{sims}, sims.size(), clustering, cluster_of, options,
+               /*num_threads=*/1);
+}
+
+Result<DomainModel> AssignProbabilities(
+    std::span<const DynamicBitset> features, const HacResult& clustering,
+    const AssignmentOptions& options, std::size_t num_threads) {
+  PAYGO_RETURN_NOT_OK(ValidateAssignmentOptions(options));
+  PAYGO_ASSIGN_OR_RETURN(std::vector<std::uint32_t> cluster_of,
+                         ClusterOfSchemas(clustering, features.size()));
+  return Sweep(KernelRows(features), features.size(), clustering, cluster_of,
+               options, num_threads);
 }
 
 Result<DomainModel> AssignProbabilities(const NeighborGraph& graph,

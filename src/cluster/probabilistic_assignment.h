@@ -126,9 +126,30 @@ class DomainModel {
   SharedRows<Memberships> domain_schemas_;
 };
 
-/// \brief Runs Algorithm 3 on the clustering output.
+/// \brief Runs Algorithm 3 on the clustering output, with no similarity
+/// matrix.
 ///
-/// \p sims must be the schema similarity matrix the clustering ran on.
+/// One ascending sweep over the lower triangle of s_sim, each row computed
+/// by DynamicBitset::JaccardRow where it is consumed: row k feeds schema
+/// k's per-cluster sums, then its diagonal, then one contiguous add into
+/// cluster c(k)'s accumulator row. Every s_c_sim adds the same doubles in
+/// ascending member order, so the model is bitwise that of the matrix
+/// overload on SimilarityMatrix(features). The accumulators hold at most
+/// n/4 clusters' rows of n doubles at a time (more clusters take more
+/// sweeps), never more than a float triangle. \p num_threads (0 =
+/// hardware concurrency) splits the target schemas into one range per
+/// lane; a range reads every row at or after its start, so threads
+/// recompute up to half the triangle, and the model is the same at any
+/// count. \p clustering must partition the schemas (InvalidArgument
+/// otherwise).
+Result<DomainModel> AssignProbabilities(std::span<const DynamicBitset> features,
+                                        const HacResult& clustering,
+                                        const AssignmentOptions& options,
+                                        std::size_t num_threads = 1);
+
+/// \brief Algorithm 3 over a prebuilt matrix: the same sweep over its
+/// stored rows, serial. \p sims must be the schema similarity matrix the
+/// clustering ran on.
 Result<DomainModel> AssignProbabilities(const SimilarityMatrix& sims,
                                         const HacResult& clustering,
                                         const AssignmentOptions& options);
@@ -160,7 +181,8 @@ double SchemaClusterSimilarity(const SimilarityMatrix& sims,
 
 /// s_c_sim over a full similarity row (row[j] == s_sim(S_i, S_j), e.g. from
 /// SimilarityMatrix::ForEachRow): bit-identical to the matrix overload,
-/// summing the same values in the same member order.
+/// summing the same values in the same member order. Fuzzy assignment's
+/// distances.
 double SchemaClusterSimilarity(std::span<const float> row,
                                const std::vector<std::uint32_t>& cluster);
 

@@ -189,9 +189,6 @@ Result<IntegrationSystem::Substrate> IntegrationSystem::BuildSimilarities(
         NeighborGraph graph,
         NeighborGraph::Build(features, *out.postings, graph_options));
     out.graph = std::make_shared<const NeighborGraph>(std::move(graph));
-  } else {
-    out.sims = std::make_shared<const SimilarityMatrix>(
-        features, options_.hac.num_threads);
   }
   return out;
 }
@@ -206,7 +203,7 @@ Status IntegrationSystem::Recluster(const FeedbackStore* feedback) {
   DomainModel domains;
   if (options_.sparse_build) {
     // Algorithms 2 and 3 over the neighbor graph, one tau-component at a
-    // time; the O(n^2) matrix is never allocated.
+    // time; no O(n^2) key triangle is allocated.
     const NeighborGraph& graph = *substrate_.graph;
     PAYGO_ASSIGN_OR_RETURN(clustering, Hac::RunOnGraph(graph, hac));
     PAYGO_TRACE_SPAN("system.build.assign");
@@ -214,11 +211,14 @@ Status IntegrationSystem::Recluster(const FeedbackStore* feedback) {
         domains, AssignProbabilities(graph, clustering, options_.assignment,
                                      options_.hac.num_threads));
   } else {
-    const SimilarityMatrix& sims = *substrate_.sims;
-    PAYGO_ASSIGN_OR_RETURN(clustering, Hac::Run(*features_, sims, hac));
+    // Both algorithms compute the similarities from the features where
+    // they read them: no matrix outlives either call.
+    PAYGO_ASSIGN_OR_RETURN(clustering, Hac::Run(*features_, hac));
     PAYGO_TRACE_SPAN("system.build.assign");
     PAYGO_ASSIGN_OR_RETURN(
-        domains, AssignProbabilities(sims, clustering, options_.assignment));
+        domains, AssignProbabilities(*features_, clustering,
+                                     options_.assignment,
+                                     options_.hac.num_threads));
   }
   if (feedback != nullptr) {
     domains = PinFeedbackSchemas(clustering, domains, *feedback);
@@ -346,14 +346,21 @@ const HacResult& IntegrationSystem::clustering() const {
   return lazy.result;
 }
 
+std::size_t IntegrationSystem::substrate_bytes() const {
+  return substrate_.postings->MemoryBytes() +
+         (substrate_.graph != nullptr ? substrate_.graph->MemoryBytes() : 0);
+}
+
 void IntegrationSystem::PublishMemory() const {
   StatsRegistry& reg = StatsRegistry::Global();
   static Gauge* features_bytes = reg.GetGauge("paygo.features.bytes");
   static Gauge* domains_bytes = reg.GetGauge("paygo.domains.bytes");
   static Gauge* mediations_bytes = reg.GetGauge("paygo.mediations.bytes");
+  static Gauge* substrate = reg.GetGauge("paygo.substrate.bytes");
   features_bytes->Set(static_cast<std::int64_t>(features_->MemoryBytes()));
   domains_bytes->Set(static_cast<std::int64_t>(domains_->MemoryBytes()));
   mediations_bytes->Set(static_cast<std::int64_t>(mediation_bytes_));
+  substrate->Set(static_cast<std::int64_t>(substrate_bytes()));
 }
 
 Result<IncrementalAddResult> IntegrationSystem::AddSchema(
@@ -371,8 +378,8 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
     PAYGO_ASSIGN_OR_RETURN(ArrivalVector arrival,
                            FeaturizeArrival(*tokenizer_, *vectorizer_, schema));
     // The newcomer's exact s_sim row, read once from the posting lists of
-    // its own features: Algorithm 3 here and the matrix or graph below
-    // both consume it.
+    // its own features: Algorithm 3 here and, in sparse_build mode, the
+    // graph below both consume it.
     row = substrate_.postings->JaccardRow(arrival.features);
     domains = std::make_shared<const DomainModel>(
         AssignArrival(*domains_, row, options_.assignment, &result));
@@ -387,19 +394,15 @@ Result<IncrementalAddResult> IntegrationSystem::AddSchema(
   Substrate substrate;
   {
     PAYGO_TRACE_SPAN("system.add_schema.similarity");
-    // One appended schema: index it, then share every old row of the
-    // matrix (or splice the new id onto the graph's touched rows) and add
-    // its row from the sparse one — no Jaccard is recomputed.
-    const bool nonempty = !features->back().None();
+    // One appended schema: index it, and in sparse_build mode splice the
+    // new id onto the graph's touched rows from the sparse row — no
+    // Jaccard is recomputed.
     auto postings = std::make_shared<FeaturePostings>(*substrate_.postings);
     postings->Append(features->back());
     substrate.postings = std::move(postings);
     if (options_.sparse_build) {
       substrate.graph = std::make_shared<const NeighborGraph>(
-          *substrate_.graph, row, nonempty);
-    } else {
-      substrate.sims = std::make_shared<const SimilarityMatrix>(
-          *substrate_.sims, row, nonempty);
+          *substrate_.graph, row, !features->back().None());
     }
   }
   // The schema joined result.memberships' domains (or opened a new one);

@@ -49,9 +49,11 @@ struct SystemOptions {
   AssignmentOptions assignment;
   ClassifierOptions classifier;
   MediatorOptions mediator;
-  /// Similarity substrate. Off (the default): the dense O(n^2)
-  /// SimilarityMatrix. On: the sparse NeighborGraph (see neighbor_graph
-  /// below), and the matrix is never allocated — the web-scale path.
+  /// Similarity substrate. Off (the default): only the feature postings;
+  /// clustering runs over the whole corpus, its O(n^2) key triangle
+  /// seeded from the features, and no similarity matrix is kept. On: the
+  /// sparse NeighborGraph (see neighbor_graph below) — the web-scale
+  /// path.
   /// Everything else is the same: Build, ApplyFeedback (explicit and
   /// implicit), AddSchema, Restore and Clone all work in both modes, and
   /// clustering runs the same engine, over the graph one tau-component at
@@ -132,13 +134,13 @@ class IntegrationSystem {
 
   /// Structurally shared copy for copy-on-write snapshotting: every
   /// component — corpus, tokenizer, lexicon, similarity index/vectorizer,
-  /// feature vectors, feature postings, similarity matrix or graph,
+  /// feature vectors, feature postings, neighbor graph (sparse_build),
   /// clustering, domain model, classifier, per-domain mediations, attached
   /// tuple stores — sits behind a shared_ptr<const T>, so a clone copies
   /// one handle per component plus the handle arrays of the per-domain
   /// mediations and the per-schema corpus rows and tuple stores
   /// (O(#domains + #schemas) pointer copies), independent of corpus text,
-  /// feature, matrix or model size. Mutators replace components
+  /// feature, graph or model size. Mutators replace components
   /// copy-on-write. An arrival appends to the feature and membership
   /// blocks in place (slots no older snapshot reads; see
   /// util/shared_rows.h) and replaces only the rows it changes: the
@@ -192,7 +194,8 @@ class IntegrationSystem {
   /// are extended, and the classifier is refreshed. The schema's
   /// similarity row is read once from the feature postings, at a cost set
   /// by the schemas that share its features; the same sparse row feeds
-  /// Algorithm 3 and extends the matrix or graph. Every derived part is
+  /// Algorithm 3 and, in sparse_build mode, extends the graph. Every
+  /// derived part is
   /// bitwise what a re-derivation from the grown corpus and model would
   /// give (a Restore of them). That includes every classifier prior,
   /// which is re-derived from its domain's mass: priors reweighted by
@@ -239,9 +242,6 @@ class IntegrationSystem {
   const FeatureRows& features() const { return *features_; }
   /// The inverted index of features(), kept for arrivals.
   const FeaturePostings& postings() const { return *substrate_.postings; }
-  /// Requires has_similarities() (absent in sparse_build mode).
-  const SimilarityMatrix& similarities() const { return *substrate_.sims; }
-  bool has_similarities() const { return substrate_.sims != nullptr; }
   /// Requires has_neighbor_graph() (present in sparse_build mode).
   const NeighborGraph& neighbor_graph() const { return *substrate_.graph; }
   bool has_neighbor_graph() const { return substrate_.graph != nullptr; }
@@ -264,6 +264,10 @@ class IntegrationSystem {
   /// Bytes of every domain's mediation (DomainMediation::MemoryBytes
   /// summed; 0 without mediation), as published in paygo.mediations.bytes.
   std::size_t mediation_bytes() const { return mediation_bytes_; }
+  /// Bytes of the standing similarity substrate by content: the postings
+  /// plus, in sparse_build mode, the graph. Published in
+  /// paygo.substrate.bytes and shown on /statusz.
+  std::size_t substrate_bytes() const;
   const SystemOptions& options() const { return options_; }
 
   /// Overrides the worker-thread count used by subsequent rebuild-style
@@ -286,8 +290,7 @@ class IntegrationSystem {
   /// The similarity substrate over one feature snapshot.
   struct Substrate {
     std::shared_ptr<const FeaturePostings> postings;  ///< index of features
-    std::shared_ptr<const SimilarityMatrix> sims;  ///< null in sparse_build
-    std::shared_ptr<const NeighborGraph> graph;    ///< non-null iff sparse
+    std::shared_ptr<const NeighborGraph> graph;  ///< non-null iff sparse
   };
   /// Mediation (when enabled) and classifier (when enabled) for a model.
   struct Derived {
@@ -296,12 +299,11 @@ class IntegrationSystem {
     std::shared_ptr<const NaiveBayesClassifier> classifier;
   };
 
-  /// Indexes \p features, then builds the similarity substrate over them:
-  /// the NeighborGraph in sparse_build mode, the dense SimilarityMatrix
-  /// otherwise.
+  /// Indexes \p features, plus the NeighborGraph over them in sparse_build
+  /// mode.
   Result<Substrate> BuildSimilarities(const FeatureRows& features) const;
-  /// Algorithms 2 and 3 over the substrate (the one place the dense and
-  /// graph paths branch), then the full derived state. A non-null
+  /// Algorithms 2 and 3 over the features (dense) or the graph (the one
+  /// place the two paths branch), then the full derived state. A non-null
   /// \p feedback adds its explicit constraints to the HAC options and pins
   /// the schemas it names. Replaces clustering_, domains_, mediations_ and
   /// classifier_ only on success.
@@ -330,11 +332,12 @@ class IntegrationSystem {
                  const std::vector<bool>& affected, Derived* out) const;
   /// Installs \p derived's enabled parts.
   void Adopt(Derived derived);
-  /// Publishes the feature, domain-model and mediation byte gauges.
+  /// Publishes the feature, domain-model, mediation and substrate byte
+  /// gauges.
   void PublishMemory() const;
 
   // Every component is a shared_ptr<const T> (or, for the substrate,
-  // three of them): Clone() copies the pointers, mutators replace whole
+  // two of them): Clone() copies the pointers, mutators replace whole
   // components copy-on-write.
   SystemOptions options_;
   std::shared_ptr<const SchemaCorpus> corpus_;

@@ -69,4 +69,13 @@ void FeaturePostings::Append(const DynamicBitset& features) {
   popcounts_.push_back(static_cast<std::uint32_t>(bits.size()));
 }
 
+std::size_t FeaturePostings::MemoryBytes() const {
+  std::size_t bytes = lists_.size() * sizeof(lists_[0]) +
+                      popcounts_.size() * sizeof(std::uint32_t);
+  for (const auto& list : lists_) {
+    if (list != nullptr) bytes += list->size() * sizeof(std::uint32_t);
+  }
+  return bytes;
+}
+
 }  // namespace paygo

@@ -16,10 +16,11 @@
 /// from it (JaccardRow). That costs the total length of the lists the
 /// newcomer touches, not the corpus size times the feature width.
 ///
-/// Lists are immutable and shared, like the rows of SimilarityMatrix.
-/// Append copies only the lists of the new schema's features and shares
-/// the rest, so copying an index copies handles and an arrival leaves the
-/// index of an older snapshot untouched.
+/// Lists are immutable and shared. Append copies only the lists of the
+/// new schema's features and shares the rest, so copying an index copies
+/// handles and an arrival leaves the index of an older snapshot untouched.
+/// On the dense path the index is the whole standing similarity substrate:
+/// no pair similarity is kept between clustering runs.
 
 #include <cstddef>
 #include <cstdint>
@@ -71,6 +72,11 @@ class FeaturePostings {
   /// bits are copied (with the new id appended); every other list stays
   /// shared with copies of this index.
   void Append(const DynamicBitset& features);
+
+  /// Bytes of the index by content: the list handles, every id and every
+  /// popcount (shared lists count in full, spare capacity not at all), so
+  /// an appended index and a scratch build of the same features agree.
+  std::size_t MemoryBytes() const;
 
  private:
   using IdList = std::vector<std::uint32_t>;

@@ -74,8 +74,16 @@ void RegisterServerEndpoints(AdminServer& admin, const PaygoServer& server,
        << ", \"delta_rebuild_us\": "
        << HistogramSummaryJson(m.delta_update_latency)
        << ", \"full_rebuild_us\": "
-       << HistogramSummaryJson(m.rebuild_update_latency) << "}"
-       << ", \"build_info\": " << BuildInfoJson();
+       << HistogramSummaryJson(m.rebuild_update_latency) << "}";
+    // The installed snapshot's bytes, each counted by content.
+    if (const auto snap = srv->snapshot(); snap != nullptr) {
+      os << ", \"memory\": {\"features_bytes\": "
+         << snap->features().MemoryBytes()
+         << ", \"domains_bytes\": " << snap->domains().MemoryBytes()
+         << ", \"mediations_bytes\": " << snap->mediation_bytes()
+         << ", \"substrate_bytes\": " << snap->substrate_bytes() << "}";
+    }
+    os << ", \"build_info\": " << BuildInfoJson();
     if (extra_status) {
       const std::string extra = extra_status();
       if (!extra.empty()) os << ", " << extra;

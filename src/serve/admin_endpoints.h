@@ -11,7 +11,9 @@
 ///   /readyz   200 "ready" when Health().ready(), else 503 with the
 ///             failing conditions — the load-balancer routing signal.
 ///   /statusz  One JSON object: uptime, generation, queue occupancy,
-///             cache hit ratio, rebuild-in-progress, pool widths.
+///             cache hit ratio, rebuild-in-progress, pool widths, and the
+///             installed snapshot's memory (features, domain model,
+///             mediations, similarity substrate; bytes by content).
 ///   /slowz    The slow-query log as JSON.
 ///
 /// It also upgrades /metrics and /varz to include the server's own

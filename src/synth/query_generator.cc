@@ -25,31 +25,45 @@ Result<QueryGenerator> QueryGenerator::Build(
   const std::size_t dim = lexicon.dim();
 
   // Freq(t, B): number of schemas of S(B) containing term t; and |S(B)|.
+  // Kept sparse, as (t, Freq) ascending by t over the terms S(B) holds: a
+  // zero Freq adds nothing to any sum below and no term to any
+  // distribution, so every value is the dense table's, bit for bit,
+  // without its labels x dim doubles.
   std::map<std::string, std::size_t> label_index;
   for (std::size_t b = 0; b < num_labels; ++b) label_index[all_labels[b]] = b;
-  std::vector<std::vector<double>> freq(num_labels,
-                                        std::vector<double>(dim, 0.0));
+  std::vector<std::vector<std::uint32_t>> occurrences(num_labels);
   std::vector<double> schemas_per_label(num_labels, 0.0);
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     for (const std::string& label : corpus.labels(i)) {
       const std::size_t b = label_index.at(label);
       schemas_per_label[b] += 1.0;
-      for (std::uint32_t t : lexicon.schema_terms(i)) freq[b][t] += 1.0;
+      const std::vector<std::uint32_t>& terms = lexicon.schema_terms(i);
+      occurrences[b].insert(occurrences[b].end(), terms.begin(), terms.end());
     }
+  }
+  std::vector<std::vector<std::pair<std::uint32_t, double>>> freq(num_labels);
+  for (std::size_t b = 0; b < num_labels; ++b) {
+    std::vector<std::uint32_t>& terms = occurrences[b];
+    std::sort(terms.begin(), terms.end());
+    for (std::uint32_t t : terms) {
+      if (freq[b].empty() || freq[b].back().first != t) {
+        freq[b].emplace_back(t, 0.0);
+      }
+      freq[b].back().second += 1.0;
+    }
+    std::vector<std::uint32_t>().swap(terms);
   }
 
   // Relative frequencies rel(t, B) = Freq(t,B) / sum_t' Freq(t',B), and the
   // per-term average over all labels (the denominator of lambda).
   std::vector<double> label_totals(num_labels, 0.0);
   for (std::size_t b = 0; b < num_labels; ++b) {
-    for (std::size_t t = 0; t < dim; ++t) label_totals[b] += freq[b][t];
+    for (const auto& [t, f] : freq[b]) label_totals[b] += f;
   }
   std::vector<double> avg_rel(dim, 0.0);
   for (std::size_t b = 0; b < num_labels; ++b) {
     if (label_totals[b] <= 0.0) continue;
-    for (std::size_t t = 0; t < dim; ++t) {
-      avg_rel[t] += freq[b][t] / label_totals[b];
-    }
+    for (const auto& [t, f] : freq[b]) avg_rel[t] += f / label_totals[b];
   }
   for (double& v : avg_rel) v /= static_cast<double>(num_labels);
 
@@ -60,13 +74,12 @@ Result<QueryGenerator> QueryGenerator::Build(
     // normalized lambda.
     std::vector<std::pair<std::string, double>> dist;
     double norm = 0.0;
-    for (std::size_t t = 0; t < dim; ++t) {
-      if (freq[b][t] / schemas_per_label[b] <
-          options.min_label_fraction - 1e-12) {
+    for (const auto& [t, f] : freq[b]) {
+      if (f / schemas_per_label[b] < options.min_label_fraction - 1e-12) {
         continue;
       }
-      if (freq[b][t] <= 0.0 || avg_rel[t] <= 0.0) continue;
-      const double lambda = (freq[b][t] / label_totals[b]) / avg_rel[t];
+      if (avg_rel[t] <= 0.0) continue;
+      const double lambda = (f / label_totals[b]) / avg_rel[t];
       dist.emplace_back(lexicon.term(t), lambda);
       norm += lambda;
     }

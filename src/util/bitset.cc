@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "util/popcount_dispatch.h"
+
 #if defined(__ARM_NEON) || defined(__ARM_NEON__)
 #include <arm_neon.h>
 #endif
@@ -184,8 +186,7 @@ std::vector<BitsetKernel> SupportedKernels() {
   std::vector<BitsetKernel> kernels = {
       {"unrolled", AndOrCountWordsUnrolled, JaccardRowUnrolled}};
 #if defined(__x86_64__) || defined(__i386__)
-  __builtin_cpu_init();
-  if (__builtin_cpu_supports("popcnt")) {
+  if (CpuHasPopcnt()) {
     kernels.push_back({"popcnt", AndOrCountWordsPopcnt, JaccardRowPopcnt});
   }
 #elif defined(__ARM_NEON) || defined(__ARM_NEON__)
@@ -213,6 +214,18 @@ std::pair<std::size_t, std::size_t> AndOrCount(const DynamicBitset& a,
 }
 
 }  // namespace
+
+bool CpuHasPopcnt() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("popcnt") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
 
 std::span<const BitsetKernel> DynamicBitset::Kernels() {
   return KernelTable();

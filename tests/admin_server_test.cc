@@ -357,6 +357,10 @@ TEST(AdminEndpointsTest, VarzStatuszSlowzAreStrictJson) {
   EXPECT_NE(statusz.find("\"queue_capacity\""), std::string::npos);
   EXPECT_NE(statusz.find("\"cache_hit_rate\""), std::string::npos);
   EXPECT_NE(statusz.find("\"ready\": true"), std::string::npos);
+  EXPECT_NE(statusz.find("\"substrate_bytes\": " +
+                         std::to_string(server.snapshot()->substrate_bytes())),
+            std::string::npos)
+      << statusz;
 
   const std::string varz = BodyOf(MustGet(port, "/varz"));
   EXPECT_NE(varz.find("\"stats\""), std::string::npos);

@@ -28,6 +28,7 @@
 
 #include "cluster/neighbor_graph.h"
 #include "core/integration_system.h"
+#include "expect_same_postings.h"
 #include "extend_by_arrivals.h"
 #include "obs/stats.h"
 #include "rederive_from_scratch.h"
@@ -400,16 +401,55 @@ TEST(ArrivalRowTest, DenseUnseenArrivalRowMatchesScratchMatrix) {
   ASSERT_TRUE((*sys)->AddSchema(MakeDdhCorpus({.num_schemas = 81, .seed = 3})
                                     .schema(80))
                   .ok());
-  const SimilarityMatrix scratch((*sys)->features());
-  const SimilarityMatrix& sims = (*sys)->similarities();
-  ASSERT_EQ(sims.size(), scratch.size());
-  for (std::size_t i = 80; i < sims.size(); ++i) {
-    EXPECT_EQ(std::memcmp(sims.Row(i).data(), scratch.Row(i).data(),
+  // The system keeps no matrix: each arrival's row, read from the
+  // postings of the schemas before it and widened to a float row with
+  // its diagonal, must equal a scratch matrix's stored row.
+  const FeatureRows& features = (*sys)->features();
+  const SimilarityMatrix scratch(features);
+  ASSERT_EQ(features.size(), 82u);
+  ExpectSamePostings((*sys)->postings(), FeaturePostings(features));
+  for (std::size_t i = 80; i < features.size(); ++i) {
+    const FeaturePostings before(
+        std::span<const DynamicBitset>(features).first(i));
+    std::vector<float> row(i + 1, 0.0f);
+    for (const JaccardEntry& e : before.JaccardRow(features[i])) {
+      row[e.id] = static_cast<float>(e.sim);
+    }
+    row[i] = features[i].None() ? 0.0f : 1.0f;
+    EXPECT_EQ(std::memcmp(row.data(), scratch.Row(i).data(),
                           (i + 1) * sizeof(float)),
               0)
         << "row " << i;
   }
-  EXPECT_EQ(sims.At(80, 80), 0.0);
+  EXPECT_EQ(scratch.At(80, 80), 0.0);
+}
+
+TEST(ArrivalRowTest, SubstrateBytesCountContent) {
+  // An index or graph grown by arrivals holds the same content as a
+  // scratch build over the grown features, so it reports the same bytes,
+  // and the paygo.substrate.bytes gauge follows the latest system.
+  Gauge* gauge = StatsRegistry::Global().GetGauge("paygo.substrate.bytes");
+  for (const bool sparse : {false, true}) {
+    SystemOptions options;
+    options.build_mediation = false;
+    options.build_classifier = false;
+    options.sparse_build = sparse;
+    const SparseInputs& in = Inputs();
+    auto sys = IntegrationSystem::Build(in.base, options);
+    ASSERT_TRUE(sys.ok()) << sys.status();
+    for (std::size_t j = 0; j < 5; ++j) {
+      ASSERT_TRUE((*sys)->AddSchema(in.arrivals.schema(j)).ok());
+    }
+    const FeatureRows& features = (*sys)->features();
+    std::size_t want = FeaturePostings(features).MemoryBytes();
+    if (sparse) {
+      auto graph = NeighborGraph::Build(features, {});
+      ASSERT_TRUE(graph.ok()) << graph.status();
+      want += graph->MemoryBytes();
+    }
+    EXPECT_EQ((*sys)->substrate_bytes(), want) << "sparse " << sparse;
+    EXPECT_EQ(gauge->value(), static_cast<std::int64_t>(want));
+  }
 }
 
 TEST(ArrivalRowTest, SnapshotKeepsItsPostingsAndCorpusRows) {

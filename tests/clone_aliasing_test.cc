@@ -77,7 +77,8 @@ struct ObservableState {
   std::size_t num_features = 0;
   std::size_t num_domains = 0;
   std::vector<double> priors;
-  std::vector<float> sims;
+  // Every schema's s_sim row, read from the postings.
+  std::vector<std::pair<std::uint32_t, double>> sims;
   std::vector<std::string> mediated_attrs;  // domain 0's interface
   std::vector<DomainScore> scores;          // a fixed query's ranking
 
@@ -89,10 +90,10 @@ struct ObservableState {
     for (std::uint32_t r = 0; r < sys.classifier().num_domains(); ++r) {
       s.priors.push_back(sys.classifier().Prior(r));
     }
-    const std::size_t n = sys.similarities().size();
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        s.sims.push_back(static_cast<float>(sys.similarities().At(i, j)));
+    for (std::size_t i = 0; i < sys.features().size(); ++i) {
+      for (const JaccardEntry& e :
+           sys.postings().JaccardRow(sys.features()[i])) {
+        s.sims.emplace_back(e.id, e.sim);
       }
     }
     for (const auto& attr : sys.mediation(0).mediated.attributes) {
@@ -165,18 +166,18 @@ TEST(CloneAliasingTest, CloneSharesUntouchedComponents) {
   EXPECT_EQ(&clone->corpus(), &original.corpus());
   EXPECT_EQ(&clone->lexicon(), &original.lexicon());
   EXPECT_EQ(&clone->features(), &original.features());
-  EXPECT_EQ(&clone->similarities(), &original.similarities());
+  EXPECT_EQ(&clone->postings(), &original.postings());
   EXPECT_EQ(&clone->classifier(), &original.classifier());
   EXPECT_EQ(&clone->mediation(0), &original.mediation(0));
 
-  // AddSchema copy-on-writes the corpus/features/sims/classifier but keeps
+  // AddSchema copy-on-writes the corpus/features/postings/classifier but keeps
   // the frozen lexicon and the mediations of domains the schema did not
   // join. ExtraSchema is pure travel vocabulary, so the bibliography and
   // cars domains must keep the original's mediation objects.
   ASSERT_TRUE(clone->AddSchema(ExtraSchema(0), {"travel"}).ok());
   EXPECT_NE(&clone->corpus(), &original.corpus());
   EXPECT_NE(&clone->features(), &original.features());
-  EXPECT_NE(&clone->similarities(), &original.similarities());
+  EXPECT_NE(&clone->postings(), &original.postings());
   EXPECT_NE(&clone->classifier(), &original.classifier());
   EXPECT_EQ(&clone->lexicon(), &original.lexicon());
   std::size_t shared_mediations = 0;
@@ -195,7 +196,7 @@ TEST(CloneAliasingTest, CloneSharesUntouchedComponents) {
   EXPECT_NE(&clone2->classifier(), &original.classifier());
   EXPECT_EQ(&clone2->corpus(), &original.corpus());
   EXPECT_EQ(&clone2->features(), &original.features());
-  EXPECT_EQ(&clone2->similarities(), &original.similarities());
+  EXPECT_EQ(&clone2->postings(), &original.postings());
   EXPECT_EQ(&clone2->mediation(0), &original.mediation(0));
 }
 

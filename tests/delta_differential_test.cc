@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "core/integration_system.h"
+#include "expect_same_postings.h"
 #include "rederive_from_scratch.h"
 #include "synth/ddh_generator.h"
 
@@ -84,14 +85,8 @@ void ExpectBitwiseEqual(const IntegrationSystem& a,
     EXPECT_TRUE(a.features()[i] == b.features()[i]) << "feature row " << i;
   }
 
-  // Similarity matrix: the extended matrix vs a scratch build.
-  ASSERT_EQ(a.similarities().size(), b.similarities().size());
-  for (std::size_t i = 0; i < a.similarities().size(); ++i) {
-    for (std::size_t j = 0; j < a.similarities().size(); ++j) {
-      EXPECT_EQ(a.similarities().At(i, j), b.similarities().At(i, j))
-          << "sims(" << i << ", " << j << ")";
-    }
-  }
+  // Feature postings: the appended index vs a scratch build.
+  ExpectSamePostings(a.postings(), b.postings());
 
   // Domain model: same clusters, same membership probabilities.
   ASSERT_EQ(a.domains().num_domains(), b.domains().num_domains());

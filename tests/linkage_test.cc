@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "extend_by_arrivals.h"
 #include "util/random.h"
 
 namespace paygo {
@@ -63,12 +62,6 @@ std::vector<DynamicBitset> RandomFeatures(std::size_t n, std::uint64_t seed) {
   return f;
 }
 
-/// The first \p n vectors of \p f.
-std::vector<DynamicBitset> Prefix(const std::vector<DynamicBitset>& f,
-                                  std::size_t n) {
-  return {f.begin(), f.begin() + static_cast<std::ptrdiff_t>(n)};
-}
-
 /// Number of cells where \p a and \p b differ bitwise (0 when equal).
 std::size_t CellMismatches(const SimilarityMatrix& a,
                            const SimilarityMatrix& b) {
@@ -113,61 +106,27 @@ TEST(SimilarityMatrixTest, ForEachRowYieldsFullSymmetricRows) {
   });
 }
 
-TEST(SimilarityMatrixTest, ExtensionChainMatchesScratchBuildAtAnyThreadCount) {
+TEST(SimilarityMatrixTest, BitwiseAtAnyThreadCount) {
   const std::vector<DynamicBitset> f = RandomFeatures(150, 11);
-  std::vector<SimilarityMatrix> chain;
-  chain.emplace_back(Prefix(f, 100));
-  // Single-row extensions 100 -> 120, then one 30-row extension to 150.
-  for (std::size_t n = 101; n <= 120; ++n) {
-    chain.push_back(ExtendByArrivals(chain.back(), Prefix(f, n)));
+  const SimilarityMatrix serial(f);
+  for (std::size_t threads : {2u, 4u}) {
+    EXPECT_EQ(CellMismatches(SimilarityMatrix(f, threads), serial), 0u)
+        << "threads = " << threads;
   }
-  chain.push_back(ExtendByArrivals(chain.back(), f));
-  for (const SimilarityMatrix& ext : chain) {
-    const std::vector<DynamicBitset> prefix = Prefix(f, ext.size());
-    for (std::size_t threads : {1u, 2u, 4u}) {
-      const SimilarityMatrix scratch(prefix, threads);
-      EXPECT_EQ(CellMismatches(ext, scratch), 0u)
-          << "n = " << ext.size() << ", threads = " << threads;
+}
+
+// Hac::Run(features, options) and the features overload of
+// AssignProbabilities compute the cells where they read them; they equal
+// the matrix's only because every cell is float(Jaccard), exactly.
+TEST(SimilarityMatrixTest, CellsAreFloatJaccard) {
+  const std::vector<DynamicBitset> f = RandomFeatures(60, 17);
+  const SimilarityMatrix sims(f);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_EQ(sims.At(i, j),
+                static_cast<float>(DynamicBitset::Jaccard(f[i], f[j])))
+          << i << ", " << j;
     }
-  }
-}
-
-TEST(SimilarityMatrixTest, ExtensionSharesEveryBaseRow) {
-  const std::vector<DynamicBitset> f = RandomFeatures(80, 17);
-  const SimilarityMatrix base(Prefix(f, 70));
-  const SimilarityMatrix one = ExtendByArrivals(base, Prefix(f, 71));
-  const SimilarityMatrix many = ExtendByArrivals(one, f);
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(one.Row(i).data(), base.Row(i).data()) << "row " << i;
-    EXPECT_EQ(many.Row(i).data(), base.Row(i).data()) << "row " << i;
-  }
-  EXPECT_EQ(many.Row(70).data(), one.Row(70).data());
-}
-
-TEST(SimilarityMatrixTest, BranchedExtensionsLeaveBaseAndSiblingIntact) {
-  // Two clones extend one base with different arrivals.
-  const std::vector<DynamicBitset> left = RandomFeatures(75, 23);
-  std::vector<DynamicBitset> right = Prefix(left, 60);
-  for (const DynamicBitset& extra : RandomFeatures(15, 29)) {
-    right.push_back(extra);
-  }
-  const SimilarityMatrix base(Prefix(left, 60));
-  const SimilarityMatrix base_copy(Prefix(left, 60));
-  const SimilarityMatrix left_child = ExtendByArrivals(base, left);
-  const SimilarityMatrix right_child = ExtendByArrivals(base, right);
-  EXPECT_EQ(CellMismatches(left_child, SimilarityMatrix(left)), 0u);
-  EXPECT_EQ(CellMismatches(right_child, SimilarityMatrix(right)), 0u);
-  EXPECT_EQ(CellMismatches(base, base_copy), 0u);
-  EXPECT_NE(CellMismatches(left_child, right_child), 0u);
-}
-
-TEST(SimilarityMatrixTest, ExtensionByNothingSharesEverything) {
-  const std::vector<DynamicBitset> f = RandomFeatures(10, 31);
-  const SimilarityMatrix base(f);
-  const SimilarityMatrix same = ExtendByArrivals(base, f);
-  ASSERT_EQ(same.size(), base.size());
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(same.Row(i).data(), base.Row(i).data());
   }
 }
 

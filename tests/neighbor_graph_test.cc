@@ -5,6 +5,7 @@
 
 #include "cluster/neighbor_graph.h"
 #include "core/integration_system.h"
+#include "expect_same_postings.h"
 #include "extend_by_arrivals.h"
 #include "synth/many_domains.h"
 #include "util/random.h"
@@ -185,10 +186,10 @@ TEST(NeighborGraphTest, SparseSystemBuildMatchesDense) {
   const auto sparse = IntegrationSystem::Build(corpus, sparse_opts);
   ASSERT_TRUE(sparse.ok()) << sparse.status();
 
-  EXPECT_FALSE((*sparse)->has_similarities());
+  // Both keep the postings; only the sparse build keeps a graph.
   EXPECT_TRUE((*sparse)->has_neighbor_graph());
-  EXPECT_TRUE((*dense)->has_similarities());
   EXPECT_FALSE((*dense)->has_neighbor_graph());
+  ExpectSamePostings((*dense)->postings(), (*sparse)->postings());
 
   // Identical clustering and identical probabilistic assignments.
   ASSERT_EQ((*dense)->clustering().clusters, (*sparse)->clustering().clusters);
@@ -232,7 +233,8 @@ TEST(NeighborGraphTest, SparseSystemFeedbackMatchesDense) {
     ASSERT_TRUE((*dense)->ApplyFeedback(store).ok());
     const Status applied = (*sparse)->ApplyFeedback(store);
     ASSERT_TRUE(applied.ok()) << applied;
-    EXPECT_FALSE((*sparse)->has_similarities());
+    EXPECT_TRUE((*sparse)->has_neighbor_graph());
+    EXPECT_FALSE((*dense)->has_neighbor_graph());
 
     const DomainModel& dm = (*dense)->domains();
     ExpectModelsBitwiseEqual(dm, (*sparse)->domains());

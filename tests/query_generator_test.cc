@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <string>
+#include <vector>
+
+#include "synth/many_domains.h"
+#include "synth/web_generator.h"
 
 namespace paygo {
 namespace {
@@ -137,6 +144,115 @@ TEST(QueryGeneratorTest, DeterministicGivenSeed) {
     const GeneratedQuery b2 = gen->Generate(4, r2);
     EXPECT_EQ(a.target_label, b2.target_label);
     EXPECT_EQ(a.keywords, b2.keywords);
+  }
+}
+
+/// The dense label-count table the generator used to build: labels x dim
+/// doubles, every sum over all dim terms in ascending order. The sparse
+/// build must reproduce its labels, label weights and distributions
+/// bitwise.
+struct DenseReference {
+  std::vector<std::string> labels;
+  std::vector<double> label_weights;
+  std::vector<std::vector<std::pair<std::string, double>>> dists;
+};
+
+DenseReference BuildDense(const SchemaCorpus& corpus, const Lexicon& lexicon,
+                          double min_label_fraction) {
+  const std::vector<std::string> all_labels = corpus.AllLabels();
+  const std::size_t num_labels = all_labels.size();
+  const std::size_t dim = lexicon.dim();
+  std::map<std::string, std::size_t> label_index;
+  for (std::size_t b = 0; b < num_labels; ++b) label_index[all_labels[b]] = b;
+  std::vector<std::vector<double>> freq(num_labels,
+                                        std::vector<double>(dim, 0.0));
+  std::vector<double> schemas_per_label(num_labels, 0.0);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    for (const std::string& label : corpus.labels(i)) {
+      const std::size_t b = label_index.at(label);
+      schemas_per_label[b] += 1.0;
+      for (std::uint32_t t : lexicon.schema_terms(i)) freq[b][t] += 1.0;
+    }
+  }
+  std::vector<double> label_totals(num_labels, 0.0);
+  for (std::size_t b = 0; b < num_labels; ++b) {
+    for (std::size_t t = 0; t < dim; ++t) label_totals[b] += freq[b][t];
+  }
+  std::vector<double> avg_rel(dim, 0.0);
+  for (std::size_t b = 0; b < num_labels; ++b) {
+    if (label_totals[b] <= 0.0) continue;
+    for (std::size_t t = 0; t < dim; ++t) {
+      avg_rel[t] += freq[b][t] / label_totals[b];
+    }
+  }
+  for (double& v : avg_rel) v /= static_cast<double>(num_labels);
+  DenseReference ref;
+  for (std::size_t b = 0; b < num_labels; ++b) {
+    if (schemas_per_label[b] <= 0.0 || label_totals[b] <= 0.0) continue;
+    std::vector<std::pair<std::string, double>> dist;
+    double norm = 0.0;
+    for (std::size_t t = 0; t < dim; ++t) {
+      if (freq[b][t] / schemas_per_label[b] < min_label_fraction - 1e-12) {
+        continue;
+      }
+      if (freq[b][t] <= 0.0 || avg_rel[t] <= 0.0) continue;
+      const double lambda = (freq[b][t] / label_totals[b]) / avg_rel[t];
+      dist.emplace_back(lexicon.term(t), lambda);
+      norm += lambda;
+    }
+    if (dist.empty() || norm <= 0.0) continue;
+    for (auto& [term, weight] : dist) weight /= norm;
+    ref.labels.push_back(all_labels[b]);
+    ref.label_weights.push_back(schemas_per_label[b]);
+    ref.dists.push_back(std::move(dist));
+  }
+  return ref;
+}
+
+/// QueryGenerator::Generate over the reference's tables.
+GeneratedQuery GenerateDense(const DenseReference& ref, std::size_t k,
+                             Rng& rng) {
+  GeneratedQuery q;
+  const std::size_t b = rng.NextWeighted(ref.label_weights);
+  q.target_label = ref.labels[b];
+  std::vector<double> weights;
+  for (const auto& [term, w] : ref.dists[b]) weights.push_back(w);
+  for (std::size_t i = 0; i < k; ++i) {
+    q.keywords.push_back(ref.dists[b][rng.NextWeighted(weights)].first);
+  }
+  return q;
+}
+
+TEST(QueryGeneratorTest, SparseCountsEqualTheDenseTable) {
+  const Tokenizer tok;
+  for (const SchemaCorpus& corpus :
+       {MakeDwCorpus(), MakeManyDomainCorpus({.num_domains = 200})}) {
+    const Lexicon lex = Lexicon::Build(corpus, tok);
+    for (double fraction : {0.0, 0.1, 0.25}) {
+      QueryGeneratorOptions opts;
+      opts.min_label_fraction = fraction;
+      const auto gen = QueryGenerator::Build(corpus, lex, opts);
+      ASSERT_TRUE(gen.ok()) << gen.status();
+      const DenseReference ref = BuildDense(corpus, lex, fraction);
+      ASSERT_EQ(gen->targetable_labels(), ref.labels);
+      for (std::size_t b = 0; b < ref.labels.size(); ++b) {
+        const auto& dist = gen->TermDistribution(ref.labels[b]);
+        ASSERT_EQ(dist.size(), ref.dists[b].size()) << ref.labels[b];
+        for (std::size_t k = 0; k < dist.size(); ++k) {
+          EXPECT_EQ(dist[k].first, ref.dists[b][k].first);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(dist[k].second),
+                    std::bit_cast<std::uint64_t>(ref.dists[b][k].second))
+              << ref.labels[b] << " " << dist[k].first;
+        }
+      }
+      Rng r1(31), r2(31);
+      for (int i = 0; i < 200; ++i) {
+        const GeneratedQuery a = gen->Generate(1 + i % 5, r1);
+        const GeneratedQuery want = GenerateDense(ref, 1 + i % 5, r2);
+        EXPECT_EQ(a.target_label, want.target_label);
+        EXPECT_EQ(a.keywords, want.keywords);
+      }
+    }
   }
 }
 

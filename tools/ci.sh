@@ -1,27 +1,32 @@
 #!/usr/bin/env bash
-# Local CI gate: the tier-1 suite, a ThreadSanitizer pass over the
-# serving runtime's concurrency tests, and an AddressSanitizer +
-# UndefinedBehaviorSanitizer pass over the whole ctest suite.
+# Local CI gate: the tier-1 suite, a -march=native build that must
+# reproduce the default build's output fingerprints, a ThreadSanitizer
+# pass over the serving runtime's concurrency tests, and an
+# AddressSanitizer + UndefinedBehaviorSanitizer pass over the whole ctest
+# suite.
 #
-#   tools/ci.sh                       # full run (tier-1 + TSan + ASan/UBSan)
+#   tools/ci.sh                       # full run (tier-1 + native + TSan + ASan/UBSan)
+#   tools/ci.sh --no-native           # skip the -march=native lane
 #   tools/ci.sh --no-tsan             # skip the TSan lane
 #   tools/ci.sh --no-asan             # skip the ASan/UBSan lane
-#   tools/ci.sh --no-tsan --no-asan   # tier-1 only
+#   tools/ci.sh --no-tsan --no-asan   # tier-1 + native only
 #
-# Build trees: ./build (plain), ./build-tsan (PAYGO_SANITIZE=thread) and
-# ./build-asan (PAYGO_SANITIZE=address,undefined). All are incremental
-# across runs.
+# Build trees: ./build (plain), ./build-native (-march=native),
+# ./build-tsan (PAYGO_SANITIZE=thread) and ./build-asan
+# (PAYGO_SANITIZE=address,undefined). All are incremental across runs.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+RUN_NATIVE=1
 RUN_TSAN=1
 RUN_ASAN=1
 for arg in "$@"; do
   case "$arg" in
+    --no-native) RUN_NATIVE=0 ;;
     --no-tsan) RUN_TSAN=0 ;;
     --no-asan) RUN_ASAN=0 ;;
-    *) echo "usage: tools/ci.sh [--no-tsan] [--no-asan]" >&2; exit 2 ;;
+    *) echo "usage: tools/ci.sh [--no-native] [--no-tsan] [--no-asan]" >&2; exit 2 ;;
   esac
 done
 
@@ -58,6 +63,39 @@ if grep -qw popcnt /proc/cpuinfo 2>/dev/null; then
   echo "    bitset kernel: $KERNEL"
 else
   echo "    no popcnt in /proc/cpuinfo (kernel: $KERNEL); nothing to check"
+fi
+
+echo "==> smoke: the classifier's popcnt clones call no __popcountdi2"
+# The classify and conditionals loops run from [[gnu::target("popcnt")]]
+# clones (RunWithPopcnt, util/popcount_dispatch.h) picked at run time. On
+# a CPU with popcnt, each clone must count bits with the instruction, not
+# with a libgcc call: a popcount that failed to inline into its clone
+# would still give the right scores, only slowly.
+if grep -qw popcnt /proc/cpuinfo 2>/dev/null; then
+  NB_OBJ=build/src/CMakeFiles/paygo.dir/classify/naive_bayes.cc.o
+  CLONES=$(objdump -dr "$NB_OBJ" | awk '
+    /^[0-9a-f]+ <.*>:$/ { clone = index($0, "RunWithPopcnt") > 0 ? $2 : "" }
+    clone != "" && /__popcountdi2/ { bad[clone]++ }
+    clone != "" && /\tpopcnt / { hw[clone]++ }
+    clone != "" { seen[clone] = 1 }
+    END {
+      n = 0
+      for (c in seen) {
+        n++
+        if (bad[c] > 0 || hw[c] == 0) {
+          print "FAIL " c " (__popcountdi2 calls: " bad[c] + 0 ", popcnt: " hw[c] + 0 ")"
+        }
+      }
+      print n
+    }')
+  if grep -q "^FAIL" <<< "$CLONES" || [ "$(tail -1 <<< "$CLONES")" -lt 5 ]; then
+    echo "FAIL: the classifier's popcnt clones are not all hardware popcount:" >&2
+    echo "$CLONES" >&2
+    exit 1
+  fi
+  echo "    $(tail -1 <<< "$CLONES") popcnt clones, none calls __popcountdi2"
+else
+  echo "    no popcnt in /proc/cpuinfo; nothing to check"
 fi
 
 echo "==> smoke: paygo_cli cluster --threads (serial vs parallel)"
@@ -440,6 +478,25 @@ if [[ "$FLEET_RC" != 0 ]]; then
 fi
 echo "    fleet shut down cleanly"
 
+if [[ "$RUN_NATIVE" == 1 ]]; then
+  echo "==> native: configure + build paygo and the fingerprint test (-march=native)"
+  # Outputs must not depend on the instruction set the compiler targets:
+  # -ffp-contract=off keeps FMA out, and the bitset and classifier
+  # popcounts are exact. output_fingerprint_test holds the default build's
+  # constants for merges, memberships, classifier rows and rankings; the
+  # native build must reproduce them, and print no warning.
+  cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native >/dev/null
+  cmake --build build-native --target paygo output_fingerprint_test \
+    -j "$JOBS" 2>&1 | tee build-native/native-build.log
+  if grep -q "warning:" build-native/native-build.log; then
+    echo "FAIL: the -march=native build printed compiler warnings:" >&2
+    grep "warning:" build-native/native-build.log >&2
+    exit 1
+  fi
+  echo "==> native: output_fingerprint_test (the default build's constants)"
+  ./build-native/tests/output_fingerprint_test
+fi
+
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "==> tsan: configure + build serve + admin + shard + trace + parallel tests (PAYGO_SANITIZE=thread)"
   cmake -B build-tsan -S . -DPAYGO_SANITIZE=thread >/dev/null
@@ -449,7 +506,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
     tcp_endpoint_test zero_alloc_test batch_classify_test bitset_kernel_test \
     sparse_hac_test neighbor_graph_test similarity_index_test \
     hac_row_nn_differential_test hac_key_triangle_test arrival_sharing_test \
-    -j "$JOBS"
+    assignment_sweep_test -j "$JOBS"
 
   echo "==> tsan: trace_test"
   ./build-tsan/tests/trace_test
@@ -475,6 +532,8 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   ./build-tsan/tests/zero_alloc_test
   echo "==> tsan: arrival_sharing_test (sibling clones append to one block)"
   ./build-tsan/tests/arrival_sharing_test
+  echo "==> tsan: assignment_sweep_test (Alg. 3 target chunks at 2 and 4 threads)"
+  ./build-tsan/tests/assignment_sweep_test
   echo "==> tsan: thread_pool_test + parallel_determinism_test + sparse suites + similarity_index_test + hac_row_nn_differential_test + hac_key_triangle_test (ctest -j)"
   # Instrumented LCS scans are slow; the determinism harness and the
   # sparse-vs-dense fuzz honor PAYGO_DETERMINISM_SMALL and shrink their
