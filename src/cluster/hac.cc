@@ -239,14 +239,11 @@ ConstraintState BuildConstraintState(std::size_t n,
 
 /// Merge keys of every slot pair i < j, packed as the strict upper
 /// triangle of an n x n matrix: row i holds columns i+1..n-1 contiguously.
-/// n(n-1)/2 doubles take the bytes of a full n x n float matrix. With
-/// \p zero_fill every cell starts at 0: the graph seeder writes only the
-/// edges it has, and an absent edge must read key 0, the exact Jaccard of
-/// a pair sharing no feature. The dense seeders write every cell, so they
-/// skip the fill (and its first touch of every page).
+/// n(n-1)/2 doubles take the bytes of a full n x n float matrix. The
+/// cells start uninitialized: every seeder writes every cell of its rows.
 class PairKeys {
  public:
-  PairKeys(std::size_t n, bool zero_fill) : row_start_(n) {
+  explicit PairKeys(std::size_t n) : row_start_(n) {
     std::size_t offset = 0;
     for (std::size_t i = 0; i < n; ++i) {
       row_start_[i] = offset;
@@ -268,7 +265,6 @@ class PairKeys {
     }
     if (p == nullptr && bytes > 0) throw std::bad_alloc();
     keys_.reset(static_cast<double*>(p));
-    if (zero_fill) std::fill_n(keys_.get(), offset, 0.0);
   }
 
   /// Row i's cells for j = i+1..n-1, at index j - i - 1.
@@ -292,12 +288,8 @@ class PairKeys {
 
 /// Fills the initial merge keys of rows [lo, hi): cell (i, j) for every
 /// j > i. Called from concurrent chunks with disjoint row ranges.
-/// \p every_cell: fill writes every cell of its rows (the dense seeders),
-/// so the key triangle needs no zero fill.
-struct KeySeeder {
-  std::function<void(std::size_t lo, std::size_t hi, PairKeys& keys)> fill;
-  bool every_cell = false;
-};
+using KeySeeder =
+    std::function<void(std::size_t lo, std::size_t hi, PairKeys& keys)>;
 
 constexpr std::uint32_t kNoNeighbor =
     std::numeric_limits<std::uint32_t>::max();
@@ -367,11 +359,11 @@ HacResult RunFast(std::size_t n, std::span<const DynamicBitset> features,
   const bool memoized = options.linkage != LinkageKind::kTotal;
   // Total Jaccard writes every active row at seeding; rows retired by a
   // must-link merge before then are never read.
-  PairKeys keys(n, memoized && !seed_keys.every_cell);
+  PairKeys keys(n);
   if (memoized) {
     parallel_for(n, SimilarityMatrix::kPanelRows,
                 [&](std::size_t lo, std::size_t hi) {
-                  seed_keys.fill(lo, hi, keys);
+                  seed_keys(lo, hi, keys);
                 });
   }
 
@@ -669,11 +661,14 @@ HacResult RunComponent(const NeighborGraph& graph, const TauComponents& tc,
                        std::uint32_t k, HacOptions local, ThreadPool* pool,
                        HacRunStats& stats) {
   const std::vector<std::uint32_t>& members = tc.members[k];
-  const KeySeeder from_graph{[&](std::size_t lo, std::size_t hi,
-                                PairKeys& keys) {
+  const KeySeeder from_graph = [&](std::size_t lo, std::size_t hi,
+                                   PairKeys& keys) {
     for (std::size_t li = lo; li < hi; ++li) {
       const std::uint32_t g = members[li];
       double* key = keys.Row(static_cast<std::uint32_t>(li));
+      // The graph holds only the edges it has; an absent edge must read
+      // key 0, the exact Jaccard of a pair sharing no feature.
+      std::fill_n(key, members.size() - li - 1, 0.0);
       const auto [begin, end] = graph.Row(g);
       const NeighborEdge* e = std::upper_bound(
           begin, end, g,
@@ -683,7 +678,7 @@ HacResult RunComponent(const NeighborGraph& graph, const TauComponents& tc,
         key[tc.local_of[e->id] - li - 1] = e->sim;
       }
     }
-  }};
+  };
   HacResult r = RunFast(members.size(), /*features=*/{}, from_graph, local,
                         pool, stats);
   for (HacMerge& m : r.merges) {
@@ -834,14 +829,13 @@ Result<HacResult> Hac::Run(std::span<const DynamicBitset> features,
   const std::size_t n = features.size();
   // Full rows come from panel gathers: cell (i, j > i) is a column read of
   // the matrix's lower triangle.
-  const KeySeeder from_matrix{
-      [&](std::size_t lo, std::size_t hi, PairKeys& keys) {
-        sims.ForEachRow(lo, hi, [&](std::size_t i, std::span<const float> row) {
-          double* key = keys.Row(i);
-          for (std::size_t j = i + 1; j < n; ++j) key[j - i - 1] = row[j];
-        });
-      },
-      /*every_cell=*/true};
+  const KeySeeder from_matrix = [&](std::size_t lo, std::size_t hi,
+                                    PairKeys& keys) {
+    sims.ForEachRow(lo, hi, [&](std::size_t i, std::span<const float> row) {
+      double* key = keys.Row(i);
+      for (std::size_t j = i + 1; j < n; ++j) key[j - i - 1] = row[j];
+    });
+  };
   return RunDense(features, from_matrix, options);
 }
 
@@ -859,18 +853,17 @@ Result<HacResult> Hac::Run(std::span<const DynamicBitset> features,
   // Row i's keys are float(Jaccard(F_i, F_j)) for j > i, one kernel call
   // per row: the matrix's cells, computed where they are consumed, with
   // no matrix. The float row goes through one buffer per chunk.
-  const KeySeeder from_features{
-      [&](std::size_t lo, std::size_t hi, PairKeys& keys) {
-        std::vector<float> row(n);
-        for (std::size_t i = lo; i < hi; ++i) {
-          DynamicBitset::JaccardRow(features.subspan(i + 1),
-                                    std::span(counts).subspan(i + 1),
-                                    features[i], row.data());
-          double* key = keys.Row(static_cast<std::uint32_t>(i));
-          for (std::size_t t = 0; t + i + 1 < n; ++t) key[t] = row[t];
-        }
-      },
-      /*every_cell=*/true};
+  const KeySeeder from_features = [&](std::size_t lo, std::size_t hi,
+                                      PairKeys& keys) {
+    std::vector<float> row(n);
+    for (std::size_t i = lo; i < hi; ++i) {
+      DynamicBitset::JaccardRow(features.subspan(i + 1),
+                                std::span(counts).subspan(i + 1), features[i],
+                                row.data());
+      double* key = keys.Row(static_cast<std::uint32_t>(i));
+      for (std::size_t t = 0; t + i + 1 < n; ++t) key[t] = row[t];
+    }
+  };
   return RunDense(features, from_features, options);
 }
 

@@ -139,22 +139,28 @@ Result<std::vector<std::uint32_t>> ClusterOfSchemas(
   return cluster_of;
 }
 
-/// The lower-triangle rows of a prebuilt matrix: stored, so nothing is
-/// computed.
+/// The rows of a prebuilt matrix: stored, so nothing is computed.
 struct MatrixRows {
   const SimilarityMatrix& sims;
 
-  /// Row k's cells j in [lo, end), end <= k, at p[j] of the returned p.
+  /// Row k's lower-triangle cells j in [lo, end), end <= k, at p[j] of the
+  /// returned p.
   const float* Cells(std::size_t k, std::size_t /*lo*/, std::size_t /*end*/,
                      float* /*scratch*/) const {
     return sims.Row(k).data();
   }
   double Diagonal(std::size_t k) const { return sims.Row(k)[k]; }
+  /// fn(i, row) for i = lo..hi-1 in order, row the full symmetric row i.
+  template <typename Fn>
+  void FullRows(std::size_t lo, std::size_t hi, Fn&& fn) const {
+    sims.ForEachRow(lo, hi, fn);
+  }
 };
 
 /// The same rows computed from the feature vectors by the bitset Jaccard
 /// kernel: cell for cell the matrix's values (SimilarityMatrix runs the
-/// same kernel), written into the caller's \p scratch.
+/// same kernel, and Jaccard(F_i, F_i) is its diagonal, 1 or 0 for an
+/// empty vector).
 struct KernelRows {
   std::span<const DynamicBitset> features;
   std::vector<std::uint32_t> counts;
@@ -173,32 +179,41 @@ struct KernelRows {
     return scratch;
   }
   double Diagonal(std::size_t k) const { return counts[k] == 0 ? 0.0 : 1.0; }
+  template <typename Fn>
+  void FullRows(std::size_t lo, std::size_t hi, Fn&& fn) const {
+    std::vector<float> row(features.size());
+    for (std::size_t i = lo; i < hi; ++i) {
+      DynamicBitset::JaccardRow(features, counts, features[i], row.data());
+      fn(i, std::span<const float>(row));
+    }
+  }
 };
 
-/// True when \p sc fails the relative test against the best \p max_sim.
-/// Division is monotone, so a value failing against a running maximum
-/// fails against every larger one.
-bool BelowRelative(double sc, double max_sim, double theta) {
-  return max_sim > 0.0 && sc / max_sim < 1.0 - theta;
-}
+/// Schemas per cluster below which Alg. 3 takes full rows rather than
+/// the triangle sweep. On DDH features (n = 4,646, one lane) the two cost
+/// the same at 700-850 clusters.
+constexpr std::size_t kSweepSchemasPerCluster = 6;
 
-/// Algorithm 3 as one ascending sweep over the lower-triangle rows.
+/// Algorithm 3. s_c_sim(S_i, C_r) sums s_sim(S_i, S_j) over C_r's members
+/// j ascending; both ways below add the same doubles in that order, so
+/// the model is the same either way and at any thread count (chunks of
+/// target schemas share no output).
 ///
-/// s_c_sim(S_i, C_r) sums s_sim(S_i, S_j) over C_r's members j ascending.
-/// Row k holds s_sim(S_k, S_j) for j < k, so the sweep feeds it in three
-/// steps: its cells j < k into schema k's per-cluster bins (the sums over
-/// j < k, ascending), then the diagonal into bin c(k), and then one
-/// contiguous add of the whole row into cluster c(k)'s accumulator row
-/// (the term j = k of every earlier schema's sum). Every sum thus adds the
-/// same doubles in the same ascending member order as a walk over the
-/// cluster's members. The accumulators are cluster-major, one row of
-/// doubles per cluster, filled in groups of at most n/4 clusters so that
-/// they never outgrow a float triangle; with more groups, candidates
-/// below a group's running maximum are pruned as they go.
+/// Up to n / kSweepSchemasPerCluster clusters: one ascending sweep over
+/// the lower-triangle rows, each pair's cell computed once. Row k holds
+/// s_sim(S_k, S_j) for j < k, so the sweep feeds it in three steps: its
+/// cells j < k into schema k's per-cluster bins (the sums over j < k,
+/// ascending), then the diagonal into bin c(k), and then one contiguous
+/// add of the whole row into cluster c(k)'s accumulator row (the term
+/// j = k of every earlier schema's sum). A chunk of targets [lo, hi)
+/// reads rows lo..n-1, whole rows below hi and cells [lo, hi) above; its
+/// accumulators are cluster-major, R rows over the chunk, so all chunks
+/// together hold R n <= n^2/6 doubles, less than a float triangle.
 ///
-/// A chunk of target schemas [lo, hi) reads rows lo..n-1: whole rows
-/// below hi (for the bins) and cells [lo, hi) above. Chunks share no
-/// output, so the model is the same at any thread count.
+/// More clusters: per target, its full row, summed over each cluster's
+/// members. Twice the cells, but only R doubles of scratch; there the
+/// sweep's per-row column writes, R strided doubles, cost more than the
+/// cells they save.
 template <typename Rows>
 DomainModel Sweep(const Rows& rows, std::size_t n, const HacResult& clustering,
                   const std::vector<std::uint32_t>& cluster_of,
@@ -206,86 +221,86 @@ DomainModel Sweep(const Rows& rows, std::size_t n, const HacResult& clustering,
   using Memberships = DomainModel::Memberships;
   const auto& clusters = clustering.clusters;
   const std::size_t num_clusters = clusters.size();
-  const std::size_t group =
-      std::min(num_clusters, std::max<std::size_t>(1, n / 4));
   std::vector<Memberships> schema_domains(n);
 
-  auto assign = [&](std::size_t lo, std::size_t hi) {
+  // D(S_i) from its s_c_sim values sc[r * stride]: the clusters passing
+  // the absolute test and, against the best value, the relative one, with
+  // probability proportional to s_c_sim.
+  auto decide = [&](std::size_t i, const double* sc, std::size_t stride) {
+    double best = 0.0;
+    for (std::size_t r = 0; r < num_clusters; ++r) {
+      best = std::max(best, sc[r * stride]);
+    }
+    Memberships out;
+    double norm = 0.0;
+    for (std::size_t r = 0; r < num_clusters; ++r) {
+      const double v = sc[r * stride];
+      if (v < options.tau_c_sim) continue;
+      if (best > 0.0 && v / best < 1.0 - options.theta) continue;
+      out.emplace_back(static_cast<std::uint32_t>(r), v);
+      norm += v;
+    }
+    if (out.empty() && !options.strict_thesis_semantics) {
+      // Fallback: full membership in the home cluster.
+      out.emplace_back(cluster_of[i], 1.0);
+      norm = 1.0;
+    }
+    for (auto& [r, p] : out) p /= norm;
+    schema_domains[i] = std::move(out);
+  };
+
+  auto sweep = [&](std::size_t lo, std::size_t hi) {
     const std::size_t width = hi - lo;
     std::vector<float> scratch(n);
-    std::vector<double> acc(group * width);
-    std::vector<double> bins(group);
-    std::vector<double> max_sim(width, 0.0);
-    for (std::size_t g0 = 0; g0 < num_clusters; g0 += group) {
-      const std::size_t g1 = std::min(num_clusters, g0 + group);
-      auto in_group = [&](std::uint32_t r) { return r >= g0 && r < g1; };
-      for (std::size_t k = lo; k < n; ++k) {
-        const std::uint32_t home = cluster_of[k];
-        if (k >= hi && !in_group(home)) continue;
-        const float* row = rows.Cells(k, k < hi ? 0 : lo, std::min(k, hi),
-                                      scratch.data());
-        if (k < hi) {
-          std::fill(bins.begin(), bins.end(), 0.0);
-          for (std::size_t j = 0; j < k; ++j) {
-            const std::uint32_t r = cluster_of[j];
-            if (in_group(r)) bins[r - g0] += static_cast<double>(row[j]);
-          }
-          if (in_group(home)) bins[home - g0] += rows.Diagonal(k);
-          for (std::size_t r = 0; r < g1 - g0; ++r) {
-            acc[r * width + (k - lo)] = bins[r];
-          }
+    std::vector<double> acc(num_clusters * width);
+    std::vector<double> bins(num_clusters);
+    for (std::size_t k = lo; k < n; ++k) {
+      const std::uint32_t home = cluster_of[k];
+      const float* row =
+          rows.Cells(k, k < hi ? 0 : lo, std::min(k, hi), scratch.data());
+      if (k < hi) {
+        std::fill(bins.begin(), bins.end(), 0.0);
+        for (std::size_t j = 0; j < k; ++j) {
+          bins[cluster_of[j]] += static_cast<double>(row[j]);
         }
-        if (!in_group(home)) continue;
-        double* a = acc.data() + (home - g0) * width - lo;
-        for (std::size_t j = lo, end = std::min(k, hi); j < end; ++j) {
-          a[j] += static_cast<double>(row[j]);
+        bins[home] += rows.Diagonal(k);
+        for (std::size_t r = 0; r < num_clusters; ++r) {
+          acc[r * width + (k - lo)] = bins[r];
         }
       }
-      // The group's s_c_sim values: the running maximum, and the clusters
-      // passing the absolute test as candidates.
-      for (std::size_t i = lo; i < hi; ++i) {
-        Memberships& cand = schema_domains[i];
-        double& best = max_sim[i - lo];
-        for (std::size_t r = g0; r < g1; ++r) {
-          const double sc = acc[(r - g0) * width + (i - lo)] /
-                            static_cast<double>(clusters[r].size());
-          best = std::max(best, sc);
-          if (sc >= options.tau_c_sim) {
-            cand.emplace_back(static_cast<std::uint32_t>(r), sc);
-          }
-        }
-        if (g1 < num_clusters) {
-          std::erase_if(cand, [&](const auto& c) {
-            return BelowRelative(c.second, best, options.theta);
-          });
-        }
+      double* a = acc.data() + home * width;
+      for (std::size_t j = lo, end = std::min(k, hi); j < end; ++j) {
+        a[j - lo] += static_cast<double>(row[j]);
       }
     }
-    // D(S_i): candidates passing the relative test against the final
-    // maximum, with probability proportional to s_c_sim.
     for (std::size_t i = lo; i < hi; ++i) {
-      const double best = max_sim[i - lo];
-      Memberships out;
-      double norm = 0.0;
-      for (const auto& [r, sc] : schema_domains[i]) {
-        if (BelowRelative(sc, best, options.theta)) continue;
-        out.emplace_back(r, sc);
-        norm += sc;
+      for (std::size_t r = 0; r < num_clusters; ++r) {
+        acc[r * width + (i - lo)] /= static_cast<double>(clusters[r].size());
       }
-      if (out.empty() && !options.strict_thesis_semantics) {
-        // Fallback: full membership in the home cluster.
-        out.emplace_back(cluster_of[i], 1.0);
-        norm = 1.0;
-      }
-      for (auto& [r, p] : out) p /= norm;
-      schema_domains[i] = std::move(out);
+      decide(i, acc.data() + (i - lo), width);
     }
   };
 
+  auto by_target = [&](std::size_t lo, std::size_t hi) {
+    std::vector<double> sc(num_clusters);
+    rows.FullRows(lo, hi, [&](std::size_t i, std::span<const float> row) {
+      for (std::size_t r = 0; r < num_clusters; ++r) {
+        sc[r] = SchemaClusterSimilarity(row, clusters[r]);
+      }
+      decide(i, sc.data(), 1);
+    });
+  };
+
+  auto assign = [&](std::size_t lo, std::size_t hi) {
+    if (num_clusters > n / kSweepSchemasPerCluster) {
+      by_target(lo, hi);
+    } else {
+      sweep(lo, hi);
+    }
+  };
   const std::size_t width = ThreadPool::ResolveThreadCount(num_threads);
   if (width > 1 && n > 1) {
-    // One chunk per lane: equal target ranges cost the same, about
-    // (hi - lo) n cells each.
+    // One chunk per lane: equal target ranges cost about the same.
     ThreadPool pool(width);
     pool.ParallelFor(0, n, (n + width - 1) / width,
                      [&](const ThreadPool::Chunk& c) { assign(c.begin, c.end); });

@@ -129,19 +129,20 @@ class DomainModel {
 /// \brief Runs Algorithm 3 on the clustering output, with no similarity
 /// matrix.
 ///
-/// One ascending sweep over the lower triangle of s_sim, each row computed
-/// by DynamicBitset::JaccardRow where it is consumed: row k feeds schema
-/// k's per-cluster sums, then its diagonal, then one contiguous add into
-/// cluster c(k)'s accumulator row. Every s_c_sim adds the same doubles in
-/// ascending member order, so the model is bitwise that of the matrix
-/// overload on SimilarityMatrix(features). The accumulators hold at most
-/// n/4 clusters' rows of n doubles at a time (more clusters take more
-/// sweeps), never more than a float triangle. \p num_threads (0 =
-/// hardware concurrency) splits the target schemas into one range per
-/// lane; a range reads every row at or after its start, so threads
-/// recompute up to half the triangle, and the model is the same at any
-/// count. \p clustering must partition the schemas (InvalidArgument
-/// otherwise).
+/// Up to n/6 clusters, one ascending sweep over the lower triangle of
+/// s_sim, each row computed by DynamicBitset::JaccardRow where it is
+/// consumed: row k feeds schema k's per-cluster sums, then its diagonal,
+/// then one contiguous add into cluster c(k)'s accumulator row. The
+/// accumulators hold one row of n doubles per cluster, less than a float
+/// triangle. With more clusters, each schema takes its full row and sums
+/// it over every cluster's members (twice the kernel cells, R doubles of
+/// scratch). Either way every s_c_sim adds the same doubles in ascending
+/// member order, so the model is bitwise that of the matrix overload on
+/// SimilarityMatrix(features). \p num_threads (0 = hardware concurrency)
+/// splits the target schemas into one range per lane; a sweep range reads
+/// every row at or after its start, so threads recompute up to half the
+/// triangle, and the model is the same at any count. \p clustering must
+/// partition the schemas (InvalidArgument otherwise).
 Result<DomainModel> AssignProbabilities(std::span<const DynamicBitset> features,
                                         const HacResult& clustering,
                                         const AssignmentOptions& options,

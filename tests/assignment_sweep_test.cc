@@ -6,7 +6,7 @@
 /// matrix). The oracle below is the form it replaced: for each schema,
 /// gather its full symmetric row from the matrix and walk every cluster's
 /// members. Both overloads must equal it bitwise, model rows and heap
-/// bytes alike, at every threshold, uncertainty, semantics, group count
+/// bytes alike, at every threshold, uncertainty, semantics, block count
 /// and thread count.
 
 #include <gtest/gtest.h>
@@ -144,12 +144,15 @@ TEST(AssignmentSweepTest, BothOverloadsEqualThePanelGatherOracle) {
       {"hac 0.9", *fine_hac},
       {"one cluster", RandomPartition(n, 1, 3)},
       {"12 clusters", RandomPartition(n, 12, 4)},
+      {"n/6 clusters", RandomPartition(n, n / 6, 9)},
+      {"n/6 + 1 clusters", RandomPartition(n, n / 6 + 1, 10)},
       {"n/4 clusters", RandomPartition(n, n / 4, 5)},
       {"n/4 + 1 clusters", RandomPartition(n, n / 4 + 1, 6)},
       {"n/2 clusters", RandomPartition(n, n / 2, 7)},
       {"singletons", RandomPartition(n, n, 8)},
   };
-  // Some clustering spans more than one n/4-cluster group.
+  // Up to n/6 clusters Alg. 3 sweeps the triangle, above that it takes
+  // full rows; both sides of the switch are covered.
   EXPECT_GT(fine_hac->clusters.size(), n / 4);
 
   for (const auto& [name, clustering] : clusterings) {

@@ -6,7 +6,7 @@
 //   key triangle; every absent edge must read key 0, the exact Jaccard of
 //   a pair sharing no feature. A component past the huge-page threshold,
 //   built mostly of absent edges, is clustered after a larger dense run
-//   has freed a triangle of nonzero keys, so an allocation that skipped
+//   has freed a triangle of nonzero keys, so a graph seeder that skipped
 //   the zero fill would read the old keys back.
 // * A dense run of over 1,000 DDH schemas with must-links and cannot-links
 //   is compared bitwise with the lazy-heap oracle at 1, 2 and 4 threads,

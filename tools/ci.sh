@@ -6,7 +6,6 @@
 # suite.
 #
 #   tools/ci.sh                       # full run (tier-1 + native + TSan + ASan/UBSan)
-#   tools/ci.sh --no-native           # skip the -march=native lane
 #   tools/ci.sh --no-tsan             # skip the TSan lane
 #   tools/ci.sh --no-asan             # skip the ASan/UBSan lane
 #   tools/ci.sh --no-tsan --no-asan   # tier-1 + native only
@@ -18,15 +17,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RUN_NATIVE=1
 RUN_TSAN=1
 RUN_ASAN=1
 for arg in "$@"; do
   case "$arg" in
-    --no-native) RUN_NATIVE=0 ;;
     --no-tsan) RUN_TSAN=0 ;;
     --no-asan) RUN_ASAN=0 ;;
-    *) echo "usage: tools/ci.sh [--no-native] [--no-tsan] [--no-asan]" >&2; exit 2 ;;
+    *) echo "usage: tools/ci.sh [--no-tsan] [--no-asan]" >&2; exit 2 ;;
   esac
 done
 
@@ -478,24 +475,22 @@ if [[ "$FLEET_RC" != 0 ]]; then
 fi
 echo "    fleet shut down cleanly"
 
-if [[ "$RUN_NATIVE" == 1 ]]; then
-  echo "==> native: configure + build paygo and the fingerprint test (-march=native)"
-  # Outputs must not depend on the instruction set the compiler targets:
-  # -ffp-contract=off keeps FMA out, and the bitset and classifier
-  # popcounts are exact. output_fingerprint_test holds the default build's
-  # constants for merges, memberships, classifier rows and rankings; the
-  # native build must reproduce them, and print no warning.
-  cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native >/dev/null
-  cmake --build build-native --target paygo output_fingerprint_test \
-    -j "$JOBS" 2>&1 | tee build-native/native-build.log
-  if grep -q "warning:" build-native/native-build.log; then
-    echo "FAIL: the -march=native build printed compiler warnings:" >&2
-    grep "warning:" build-native/native-build.log >&2
-    exit 1
-  fi
-  echo "==> native: output_fingerprint_test (the default build's constants)"
-  ./build-native/tests/output_fingerprint_test
+echo "==> native: configure + build paygo and the fingerprint test (-march=native)"
+# Outputs must not depend on the instruction set the compiler targets:
+# -ffp-contract=off keeps FMA out, and the bitset and classifier popcounts
+# are exact. output_fingerprint_test holds the default build's constants
+# for merges, memberships, classifier rows and rankings; the native build
+# must reproduce them, and print no warning.
+cmake -B build-native -S . -DCMAKE_CXX_FLAGS=-march=native >/dev/null
+cmake --build build-native --target paygo output_fingerprint_test \
+  -j "$JOBS" 2>&1 | tee build-native/native-build.log
+if grep -q "warning:" build-native/native-build.log; then
+  echo "FAIL: the -march=native build printed compiler warnings:" >&2
+  grep "warning:" build-native/native-build.log >&2
+  exit 1
 fi
+echo "==> native: output_fingerprint_test (the default build's constants)"
+./build-native/tests/output_fingerprint_test
 
 if [[ "$RUN_TSAN" == 1 ]]; then
   echo "==> tsan: configure + build serve + admin + shard + trace + parallel tests (PAYGO_SANITIZE=thread)"
